@@ -110,6 +110,11 @@ class TimoshenkoBeamModel:
             return self.mesh.n_nodes - 1
         return (self.mesh.n_nodes - 1) // 2
 
+    @property
+    def metric_dof(self) -> int:
+        """Deflection dof of the metric node."""
+        return W0 * self.mesh.n_nodes + self.metric_node
+
     def assemble(self, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
         mesh = self.mesh
         nn = mesh.n_nodes
@@ -228,21 +233,21 @@ def beam_sweep(
     """One row per (kernel, horizon) configuration, in listed grid order.
 
     The local companion depends only on the mesh and load, so it is solved
-    once and shared by every row.  A failing configuration keeps its row
-    with an error status; the sweep continues.
+    once and shared by every row; rows whose kernel is the local delta
+    (`local`, power law with alpha = 1) take its value without a solve of
+    their own.  A failing configuration keeps its row with an error status;
+    the sweep continues.
     """
     check_sweep_grids(kernel_grid, l_f_grid)
     model = TimoshenkoBeamModel(section, load, n_elements)
-    w_slice = model.mesh.n_nodes + model.metric_node
-    u_loc = fem.solve(fem.assemble(model, LocalDelta(), float(l_f_grid[0])))
-    w_local = float(np.abs(u_loc[w_slice]))
+    w_local = fem.solve_metric(model, LocalDelta(), float(l_f_grid[0]))
 
     def evaluate(config: tuple[KernelSpec, float]) -> tuple:
         spec, l_f = config
         head = (spec.kind, spec.param, l_f, load.name)
         try:
-            u = fem.solve(fem.assemble(model, spec.build(), l_f))
-            w = float(np.abs(u[w_slice]))
+            kernel = spec.build()
+            w = w_local if isinstance(kernel, LocalDelta) else fem.solve_metric(model, kernel, l_f)
         except (fem.SolverError, KernelError, ValueError) as exc:
             return head + (None, None, None, f"error:{type(exc).__name__}")
         return head + (w, w_local, w / w_local, "ok")

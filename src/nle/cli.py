@@ -219,32 +219,16 @@ def _convergence_table(cfg: RunConfig) -> SweepResult:
     previous = None
     for step in range(cfg.refinements + 1):
         factor = 2**step
+        # the table reports the nonlocal metric only: no local companion solve
         if cfg.target == "beam":
             n = cfg.n_elements * factor
-            solved = beam.solve_beam(
-                cfg.beam_section,
-                _beam_load(cfg),
-                kernel,
-                l_f,
-                n_elements=n,
-                residual_tol=CONVERGENCE_RESIDUAL_TOL,
-            )
-            metric = solved.w_max
+            model = beam.TimoshenkoBeamModel(cfg.beam_section, _beam_load(cfg), n)
             resolution = str(n)
         else:
             nx, ny = cfg.nx * factor, cfg.ny * factor
-            solved = plate.solve_plate(
-                cfg.plate_section,
-                cfg.pressure,
-                cfg.boundary,
-                kernel,
-                l_f,
-                nx=nx,
-                ny=ny,
-                residual_tol=CONVERGENCE_RESIDUAL_TOL,
-            )
-            metric = solved.w_center
+            model = plate.MindlinPlateModel(cfg.plate_section, cfg.pressure, cfg.boundary, nx, ny)
             resolution = f"{nx}x{ny}"
+        metric = fem.solve_metric(model, kernel, l_f, CONVERGENCE_RESIDUAL_TOL)
         change = None if previous is None else abs(metric - previous) / abs(metric)
         rows.append((cfg.target, resolution, metric, change))
         previous = metric

@@ -35,7 +35,6 @@ __all__ = [
     "Material1D",
     "DispersionPoint",
     "LongWaveDivergence",
-    "LONG_WAVE_DIVERGENCE",
     "ResolutionError",
     "dispersion_exponential",
     "dispersion_powerlaw",
@@ -82,9 +81,6 @@ class LongWaveDivergence:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LongWaveDivergence(alpha={self.alpha!r})"
-
-
-LONG_WAVE_DIVERGENCE = LongWaveDivergence(alpha=float("nan"))
 
 
 def dispersion_exponential(k: float, material: Material1D, l0: float) -> DispersionPoint:

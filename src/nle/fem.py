@@ -41,6 +41,7 @@ __all__ = [
     "apply_dirichlet",
     "assemble",
     "solve",
+    "solve_metric",
 ]
 
 # reduced-integration point counts: full rule for direct strain energy,
@@ -265,6 +266,18 @@ def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
         )
     u[free] = x
     return u
+
+
+def solve_metric(
+    model, kernel: Kernel, horizon_radius: float, residual_tol: float = 1e-10
+) -> float:
+    """|u| at the model's metric dof after assembling and solving the system.
+
+    The metric dof is the beam's tip or midspan deflection, or the plate's
+    center deflection.
+    """
+    u = solve(assemble(model, kernel, horizon_radius), residual_tol)
+    return float(np.abs(u[model.metric_dof]))
 
 
 def _pivot_from_message(message: str, free: np.ndarray) -> int | str:

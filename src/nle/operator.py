@@ -17,6 +17,11 @@ the interpolant's gradient is constant on each element, every matrix entry is
 an exact difference of closed-form kernel moments; no quadrature error enters
 and uniform-gradient fields are reproduced to rounding even for kernels with
 an integrable origin singularity.
+
+Each entry depends only on its (evaluation point, element) pair, so the
+matrix is one broadcast of moment differences over (points x elements)
+blocks, with no per-row loop.  Every entry sums its terms in a fixed order
+(element gradient, trailing side, leading side) whatever the block size.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ logger = logging.getLogger(__name__)
 
 _QUAD_LIMIT = 800
 
+# Largest (rows x elements) block broadcast at once; bounds the moment
+# temporaries of build_operator_matrix to a few MB whatever the mesh size.
+_BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class HorizonSpec:
@@ -69,16 +78,29 @@ class HorizonSpec:
 
 
 def _effective_sides(horizon: HorizonSpec, x: float) -> tuple[float, float]:
-    """Clipped side lengths with sub-roundoff sides snapped to zero.
+    """Clipped side lengths at one point, as _effective_side_arrays gives them."""
+    l_minus, l_plus = _effective_side_arrays(horizon, np.array([x], dtype=float))
+    return float(l_minus[0]), float(l_plus[0])
+
+
+def _effective_side_arrays(horizon: HorizonSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped side lengths at each point, with sub-roundoff sides snapped to zero.
 
     A side shorter than ~1e-13 of the domain is numerically indistinguishable
     from the boundary limit (its normalized integral differs from phi'/2 by
     O(side length)) and would underflow the quadrature, so it is treated as
     vanished.
     """
-    l_minus, l_plus = horizon.clipped(x)
+    outside = (pts < horizon.x_min) | (pts > horizon.x_max)
+    if np.any(outside):
+        raise ValueError(
+            f"evaluation point {float(pts[outside][0])!r} lies outside "
+            f"[{horizon.x_min!r}, {horizon.x_max!r}]"
+        )
     tiny = 1e-13 * (horizon.x_max - horizon.x_min)
-    return (0.0 if l_minus < tiny else l_minus, 0.0 if l_plus < tiny else l_plus)
+    l_minus = np.minimum(horizon.l_f, pts - horizon.x_min)
+    l_plus = np.minimum(horizon.l_f, horizon.x_max - pts)
+    return np.where(l_minus < tiny, 0.0, l_minus), np.where(l_plus < tiny, 0.0, l_plus)
 
 
 def nonlocal_derivative(
@@ -240,37 +262,50 @@ def build_operator_matrix(
     if np.any(pts < nodes[0]) or np.any(pts > nodes[-1]):
         raise ValueError("evaluation points must lie within the mesh span")
 
+    l_minus, l_plus = _effective_side_arrays(horizon, pts)
     el_left, el_right = nodes[:-1], nodes[1:]
-    inv_h = 1.0 / (el_right - el_left)
+    h = el_right - el_left
+    inv_h = 1.0 / h
+    element = np.clip(np.searchsorted(nodes, pts, side="right") - 1, 0, nodes.size - 2)
     weights = np.zeros((pts.size, nodes.size))
+
     local_kernel = isinstance(kernel, LocalDelta)
-    n_fallback = 0
+    fallback = (not local_kernel and kernel.is_singular_at_origin) & (l_minus + l_plus < h[element])
+    local = local_kernel | fallback
+    boundary = ~local & ((l_minus == 0.0) | (l_plus == 0.0))
 
-    for r, x in enumerate(pts):
-        l_minus, l_plus = _effective_sides(horizon, float(x))
-        e = _containing_element(nodes, float(x))
-        if local_kernel:
-            _add_local_row(weights[r], e, inv_h)
-            continue
-        if kernel.is_singular_at_origin and (l_minus + l_plus) < (el_right[e] - el_left[e]):
-            _add_local_row(weights[r], e, inv_h)
-            n_fallback += 1
-            continue
-        if l_minus == 0.0 or l_plus == 0.0:
-            # boundary evaluation point: vanished side contributes half the
-            # local gradient, the surviving side its normalized moment sum
-            _add_local_row(weights[r], e, inv_h, scale=0.5)
-            if l_plus > 0.0:
-                c = 0.5 / float(kernel.interval_integral(l_plus))
-                _add_side(weights[r], x, 0.0, l_plus, +1.0, c, kernel, el_left, el_right, inv_h)
-            else:
-                c = 0.5 / float(kernel.interval_integral(l_minus))
-                _add_side(weights[r], x, 0.0, l_minus, -1.0, c, kernel, el_left, el_right, inv_h)
-            continue
-        mult = frame_multipliers(kernel, l_minus, l_plus)
-        _add_side(weights[r], x, 0.0, l_minus, -1.0, mult.c_minus, kernel, el_left, el_right, inv_h)
-        _add_side(weights[r], x, 0.0, l_plus, +1.0, mult.c_plus, kernel, el_left, el_right, inv_h)
+    # Element-gradient rows: whole for local and fallback rows, half for
+    # boundary rows, where the vanished side contributes phi'(x)/2.
+    rows = np.nonzero(local | boundary)[0]
+    e = element[rows]
+    grad = np.where(local[rows], 1.0, 0.5) * inv_h[e]
+    weights[rows, e] -= grad
+    weights[rows, e + 1] += grad
 
+    if not local.all():
+        # frame multipliers, zero on a vanished side and on local rows
+        c_minus, c_plus = np.zeros(pts.size), np.zeros(pts.size)
+        for c, side in ((c_minus, l_minus), (c_plus, l_plus)):
+            nonempty = ~local & (side > 0.0)
+            c[nonempty] = 0.5 / kernel.interval_integral(side[nonempty])
+        step = max(1, _BLOCK_ENTRIES // el_left.size)
+        for start in range(0, pts.size, step):
+            block = slice(start, start + step)
+            x = pts[block, None]
+            # element overlaps with x - [0, l_minus] and x + [0, l_plus]; lo
+            # and hi are clamped so that an element outside a side weighs 0
+            hi = np.minimum(el_right, x)
+            lo = np.minimum(np.maximum(el_left, x - l_minus[block, None]), hi)
+            trailing = kernel.interval_integral(x - lo) - kernel.interval_integral(x - hi)
+            lo = np.maximum(el_left, x)
+            hi = np.maximum(np.minimum(el_right, x + l_plus[block, None]), lo)
+            leading = kernel.interval_integral(hi - x) - kernel.interval_integral(lo - x)
+            for c, w in ((c_minus, trailing), (c_plus, leading)):
+                w = c[block, None] * w * inv_h
+                weights[block, 1:] += w
+                weights[block, :-1] -= w
+
+    n_fallback = int(np.count_nonzero(fallback))
     if n_fallback:
         logger.warning(
             "%d of %d operator rows fell back to the local gradient: singular "
@@ -279,43 +314,6 @@ def build_operator_matrix(
             pts.size,
         )
     return NonlocalOperatorMatrix(weights=weights, eval_points=pts, nodes=nodes)
-
-
-def _add_side(row, x, s_near, s_far, sign, c, kernel, el_left, el_right, inv_h) -> None:
-    """Accumulate exact moment weights of one horizon side into an operator row.
-
-    The side covers x + sign*[s_near, s_far].  Element overlaps are converted
-    to separation intervals and weighted by differences of the closed-form
-    kernel moment; each element contributes c * weight times its constant
-    gradient.
-    """
-    if sign < 0:
-        lo = np.maximum(el_left, x - s_far)
-        hi = np.minimum(el_right, x - s_near)
-    else:
-        lo = np.maximum(el_left, x + s_near)
-        hi = np.minimum(el_right, x + s_far)
-    mask = hi > lo
-    if not np.any(mask):
-        return
-    idx = np.nonzero(mask)[0]
-    if sign < 0:
-        w = kernel.interval_integral(x - lo[idx]) - kernel.interval_integral(x - hi[idx])
-    else:
-        w = kernel.interval_integral(hi[idx] - x) - kernel.interval_integral(lo[idx] - x)
-    w = c * w * inv_h[idx]
-    row[idx + 1] += w
-    row[idx] -= w
-
-
-def _add_local_row(row, element: int, inv_h, scale: float = 1.0) -> None:
-    row[element] -= scale * inv_h[element]
-    row[element + 1] += scale * inv_h[element]
-
-
-def _containing_element(nodes: np.ndarray, x: float) -> int:
-    e = int(np.searchsorted(nodes, x, side="right")) - 1
-    return min(max(e, 0), nodes.size - 2)
 
 
 def _side_integral(kernel, g, length, quad_tol, breaks) -> float:

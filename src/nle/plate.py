@@ -88,6 +88,11 @@ class MindlinPlateModel:
         self.boundary = boundary
         self.mesh = RectangleMesh(section.length_x, section.length_y, nx, ny)
 
+    @property
+    def metric_dof(self) -> int:
+        """Deflection dof of the center node."""
+        return W * self.mesh.n_nodes + self.mesh.center_node()
+
     def assemble(self, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
         mesh = self.mesh
         nn = mesh.n_nodes
@@ -282,22 +287,20 @@ def plate_sweep(
 ) -> SweepResult:
     """One row per (kernel, horizon) configuration, in listed grid order.
 
-    Mirrors beam_sweep: shared local companion solve, error rows keep the
-    sweep alive, rows merged in grid order regardless of thread count.
+    Mirrors beam_sweep: shared local companion solve, reused by local-delta
+    rows, error rows keep the sweep alive, rows merged in grid order
+    regardless of thread count.
     """
     check_sweep_grids(kernel_grid, l_f_grid)
     model = MindlinPlateModel(section, pressure, boundary, nx, ny)
-    nn = model.mesh.n_nodes
-    w_slice = W * nn + model.mesh.center_node()
-    u_loc = fem.solve(fem.assemble(model, LocalDelta(), float(l_f_grid[0])))
-    w_local = float(np.abs(u_loc[w_slice]))
+    w_local = fem.solve_metric(model, LocalDelta(), float(l_f_grid[0]))
 
     def evaluate(config: tuple[KernelSpec, float]) -> tuple:
         spec, l_f = config
         head = (spec.kind, spec.param, l_f, boundary)
         try:
-            u = fem.solve(fem.assemble(model, spec.build(), l_f))
-            w = float(np.abs(u[w_slice]))
+            kernel = spec.build()
+            w = w_local if isinstance(kernel, LocalDelta) else fem.solve_metric(model, kernel, l_f)
         except (fem.SolverError, KernelError, ValueError) as exc:
             return head + (None, None, None, f"error:{type(exc).__name__}")
         return head + (w, w_local, w / w_local, "ok")

@@ -4,6 +4,7 @@ import pytest
 
 from nle import beam, fem
 from nle.cli import (
+    CONVERGENCE_RESIDUAL_TOL,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
@@ -11,6 +12,7 @@ from nle.cli import (
     EXIT_VERIFY,
     main,
 )
+from nle.kernels import ExponentialKernel
 
 DISPERSION_YAML = """
 material:
@@ -111,6 +113,31 @@ def test_convergence_table_shape(tmp_path):
     assert float(lines[2].split(",")[3]) >= 0.0
 
 
+def test_convergence_solves_only_the_reported_systems(tmp_path, monkeypatch):
+    solves = []
+    solve = fem.solve
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve", counting_solve)
+    code, out = run(tmp_path, "convergence", BEAM_YAML + "refinements: 1\n")
+    assert code == EXIT_OK
+    # one nonlocal solve per resolution, no local companion
+    assert len(solves) == 2
+    lines = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()
+    coarse = beam.solve_beam(
+        beam.BeamSection(),
+        beam.CantileverTipLoad(),
+        ExponentialKernel(0.0025),
+        0.5,
+        n_elements=60,
+        residual_tol=CONVERGENCE_RESIDUAL_TOL,
+    )
+    assert lines[1].split(",")[2] == repr(coarse.w_max)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -193,7 +220,7 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise fem.SolverError("synthetic breakdown")
 
-    monkeypatch.setattr(beam, "solve_beam", refuse)
+    monkeypatch.setattr(fem, "solve", refuse)
     code, _ = run(tmp_path, "convergence", BEAM_YAML)
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err

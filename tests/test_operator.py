@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel, exponential, power_law
+from nle.kernels import (
+    ExponentialKernel,
+    LocalDelta,
+    PowerLawKernel,
+    exponential,
+    frame_multipliers,
+    power_law,
+)
 from nle.operator import (
     HorizonSpec,
     adjoint_integral,
@@ -242,6 +249,134 @@ def test_matrix_row_population_is_horizon_bounded():
         nnz = int(np.sum(np.abs(op.weights[r]) > 0.0))
         within = int(np.sum(np.abs(nodes - x) <= short.l_f + h))
         assert nnz <= within + 2
+
+
+# Reference implementation: build_operator_matrix as a per-row loop.  It
+# adds the same terms in the same order (element-gradient rows first, then
+# the trailing and the leading side, each scaled as c * w / h), so the two
+# must agree bit for bit.
+
+def _loop_operator_matrix(nodes, pts, horizon, kernel):
+    nodes = np.asarray(nodes, dtype=float)
+    pts = np.atleast_1d(np.asarray(pts, dtype=float))
+    el_left, el_right = nodes[:-1], nodes[1:]
+    inv_h = 1.0 / (el_right - el_left)
+    weights = np.zeros((pts.size, nodes.size))
+    n_fallback = 0
+
+    def add_local(row, e, scale=1.0):
+        row[e] -= scale * inv_h[e]
+        row[e + 1] += scale * inv_h[e]
+
+    def add_side(row, x, s_far, sign, c):
+        if sign < 0:
+            lo, hi = np.maximum(el_left, x - s_far), np.minimum(el_right, x)
+        else:
+            lo, hi = np.maximum(el_left, x), np.minimum(el_right, x + s_far)
+        idx = np.nonzero(hi > lo)[0]
+        if not idx.size:
+            return
+        if sign < 0:
+            w = kernel.interval_integral(x - lo[idx]) - kernel.interval_integral(x - hi[idx])
+        else:
+            w = kernel.interval_integral(hi[idx] - x) - kernel.interval_integral(lo[idx] - x)
+        w = c * w * inv_h[idx]
+        row[idx + 1] += w
+        row[idx] -= w
+
+    tiny = 1e-13 * (horizon.x_max - horizon.x_min)
+    for r, x in enumerate(pts):
+        l_minus, l_plus = horizon.clipped(float(x))
+        l_minus = 0.0 if l_minus < tiny else l_minus
+        l_plus = 0.0 if l_plus < tiny else l_plus
+        e = min(max(int(np.searchsorted(nodes, x, side="right")) - 1, 0), nodes.size - 2)
+        if isinstance(kernel, LocalDelta):
+            add_local(weights[r], e)
+        elif kernel.is_singular_at_origin and (l_minus + l_plus) < (el_right[e] - el_left[e]):
+            add_local(weights[r], e)
+            n_fallback += 1
+        elif l_minus == 0.0 or l_plus == 0.0:
+            add_local(weights[r], e, scale=0.5)
+            if l_plus > 0.0:
+                add_side(weights[r], x, l_plus, +1.0, 0.5 / float(kernel.interval_integral(l_plus)))
+            else:
+                add_side(weights[r], x, l_minus, -1.0, 0.5 / float(kernel.interval_integral(l_minus)))
+        else:
+            mult = frame_multipliers(kernel, l_minus, l_plus)
+            add_side(weights[r], x, l_minus, -1.0, mult.c_minus)
+            add_side(weights[r], x, l_plus, +1.0, mult.c_plus)
+    return weights, n_fallback
+
+
+ORACLE_KERNELS = [
+    ExponentialKernel(1e-3), ExponentialKernel(0.05), ExponentialKernel(0.4),
+    PowerLawKernel(0.55), PowerLawKernel(0.8), PowerLawKernel(0.95), LocalDelta(),
+]
+
+
+def _oracle_case(seed, uniform):
+    rng = np.random.default_rng(seed)
+    length = rng.uniform(0.5, 3.0)
+    n_el = int(rng.integers(1, 60))
+    if uniform:
+        nodes = np.linspace(0.0, length, n_el + 1)
+    else:
+        nodes = np.unique(np.concatenate([[0.0, length], rng.uniform(0.0, length, n_el)]))
+    # walls, every node, and scattered interior points
+    pts = np.concatenate([[0.0, length], nodes, rng.uniform(0.0, length, 40)])
+    l_f = length * rng.choice([0.02, 0.1, 0.3, 0.7, 1.5])
+    return nodes, pts, HorizonSpec(l_f=l_f, x_min=0.0, x_max=length)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: k.describe())
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+def test_matrix_equals_per_row_loop_bitwise(kernel, uniform):
+    for seed in range(25):
+        nodes, pts, horizon = _oracle_case(seed, uniform)
+        expected, _ = _loop_operator_matrix(nodes, pts, horizon, kernel)
+        op = build_operator_matrix(nodes, pts, horizon, kernel)
+        assert np.array_equal(op.weights, expected), (seed, kernel)
+
+
+def test_matrix_equals_per_row_loop_across_blocks(monkeypatch):
+    # rows broadcast in several blocks give the same matrix as one block
+    import nle.operator as operator_module
+
+    rng = np.random.default_rng(3)
+    nodes = np.linspace(0.0, 1.0, 81)
+    pts = rng.uniform(0.0, 1.0, 150)
+    kernel = PowerLawKernel(0.7)
+    monkeypatch.setattr(operator_module, "_BLOCK_ENTRIES", 7 * 80)
+    op = build_operator_matrix(nodes, pts, UNIT, kernel)
+    expected, _ = _loop_operator_matrix(nodes, pts, UNIT, kernel)
+    assert np.array_equal(op.weights, expected)
+
+
+@pytest.mark.parametrize("kernel", [PowerLawKernel(0.6), PowerLawKernel(0.9)])
+def test_short_horizon_fallback_rows_match_loop(kernel, caplog):
+    # horizons shorter than an element: same fallback rows, one warning
+    rng = np.random.default_rng(11)
+    nodes = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 12)]))
+    pts = np.concatenate([[0.0, 1.0], nodes, rng.uniform(0.0, 1.0, 50)])
+    short = HorizonSpec(l_f=0.004, x_min=0.0, x_max=1.0)
+    expected, n_fallback = _loop_operator_matrix(nodes, pts, short, kernel)
+    assert n_fallback > 0
+    with caplog.at_level(logging.WARNING, logger="nle.operator"):
+        op = build_operator_matrix(nodes, pts, short, kernel)
+    assert np.array_equal(op.weights, expected)
+    warnings = [r for r in caplog.records if "fell back" in r.getMessage()]
+    assert len(warnings) == 1
+    assert warnings[0].getMessage().startswith(f"{n_fallback} of {pts.size} operator rows")
+
+
+@pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), LocalDelta()])
+def test_matrix_rejects_points_outside_the_horizon_domain(kernel):
+    nodes = np.linspace(0.0, 1.0, 11)
+    narrow = HorizonSpec(l_f=0.2, x_min=0.0, x_max=0.9)
+    with pytest.raises(ValueError, match="outside"):
+        build_operator_matrix(nodes, [0.5, 0.95], narrow, kernel)
+    with pytest.raises(ValueError, match="span"):
+        build_operator_matrix(nodes, [-0.1], UNIT, kernel)
 
 
 def test_matrix_input_validation():
