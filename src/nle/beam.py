@@ -23,9 +23,9 @@ import numpy as np
 
 from . import fem
 from .fem import AxisQuadrature, IntervalMesh, StiffnessSystem, apply_dirichlet, gauss_rule, gram
-from .kernels import Kernel, KernelError, LocalDelta
+from .kernels import Kernel, LocalDelta
 from .operator import NonlocalOperatorMatrix
-from .results import KernelSpec, SweepResult, check_sweep_grids, run_grid
+from .results import KernelSpec, SweepResult, sweep
 
 __all__ = [
     "BeamSection",
@@ -92,8 +92,21 @@ class SimplySupportedUniformLoad:
 
 BeamLoad = CantileverTipLoad | SimplySupportedUniformLoad
 
+BEAM_SWEEP_COLUMNS = (
+    "kernel",
+    "param",
+    "l_f",
+    "load_case",
+    "w_max_nonlocal",
+    "w_max_local",
+    "w_bar",
+    "status",
+)
+
 
 class TimoshenkoBeamModel:
+    sweep_columns = BEAM_SWEEP_COLUMNS
+
     def __init__(self, section: BeamSection, load: BeamLoad, n_elements: int = 200):
         if isinstance(load, SimplySupportedUniformLoad) and n_elements % 2:
             raise ValueError("simply supported case needs an even element count (midspan node)")
@@ -102,6 +115,19 @@ class TimoshenkoBeamModel:
         self.section = section
         self.load = load
         self.mesh = IntervalMesh(section.length, n_elements)
+
+    @property
+    def case(self) -> str:
+        return self.load.name
+
+    @property
+    def metadata(self) -> dict[str, str]:
+        return {"model": "beam", "load_case": self.load.name, "n_elements": self.resolution}
+
+    @property
+    def resolution(self) -> str:
+        """Mesh size as the convergence table prints it."""
+        return str(self.mesh.n_elements)
 
     @property
     def metric_node(self) -> int:
@@ -210,18 +236,6 @@ def solve_beam(
     )
 
 
-BEAM_SWEEP_COLUMNS = (
-    "kernel",
-    "param",
-    "l_f",
-    "load_case",
-    "w_max_nonlocal",
-    "w_max_local",
-    "w_bar",
-    "status",
-)
-
-
 def beam_sweep(
     section: BeamSection,
     load: BeamLoad,
@@ -230,35 +244,8 @@ def beam_sweep(
     n_elements: int = 200,
     threads: int = 1,
 ) -> SweepResult:
-    """One row per (kernel, horizon) configuration, in listed grid order.
-
-    The local companion depends only on the mesh and load, so it is solved
-    once and shared by every row; rows whose kernel is the local delta
-    (`local`, power law with alpha = 1) take its value without a solve of
-    their own.  A failing configuration keeps its row with an error status;
-    the sweep continues.
-    """
-    check_sweep_grids(kernel_grid, l_f_grid)
-    model = TimoshenkoBeamModel(section, load, n_elements)
-    w_local = fem.solve_metric(model, LocalDelta(), float(l_f_grid[0]))
-
-    def evaluate(config: tuple[KernelSpec, float]) -> tuple:
-        spec, l_f = config
-        head = (spec.kind, spec.param, l_f, load.name)
-        try:
-            kernel = spec.build()
-            w = w_local if isinstance(kernel, LocalDelta) else fem.solve_metric(model, kernel, l_f)
-        except (fem.SolverError, KernelError, ValueError) as exc:
-            return head + (None, None, None, f"error:{type(exc).__name__}")
-        return head + (w, w_local, w / w_local, "ok")
-
-    configs = [(spec, float(l_f)) for spec in kernel_grid for l_f in l_f_grid]
-    rows = run_grid(evaluate, configs, threads)
-    return SweepResult(
-        columns=BEAM_SWEEP_COLUMNS,
-        rows=rows,
-        metadata={"model": "beam", "load_case": load.name, "n_elements": str(n_elements)},
-    )
+    """One row per (kernel, horizon) configuration; see results.sweep."""
+    return sweep(TimoshenkoBeamModel(section, load, n_elements), kernel_grid, l_f_grid, threads)
 
 
 def beam_strains(

@@ -31,7 +31,7 @@ from pathlib import Path
 from . import __version__, beam, dispersion, fem, plate
 from .config import ConfigError, RunConfig, SUBCOMMANDS, parse_config
 from .kernels import KernelError
-from .results import SweepResult, write_manifest
+from .results import SweepResult, sweep, write_manifest
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_SOLVER", "EXIT_IO", "EXIT_VERIFY"]
 
@@ -165,31 +165,20 @@ def _produce(cfg: RunConfig, threads: int) -> SweepResult:
         return _dispersion_table(cfg)
     if cfg.subcommand == "convergence":
         return _convergence_table(cfg)
+    return sweep(_model(cfg), list(cfg.kernel_specs), list(cfg.l_f_grid), threads)
+
+
+def _model(cfg: RunConfig, factor: int = 1):
+    """The configured beam or plate model, with its mesh refined `factor` times."""
     if cfg.target == "beam":
-        return beam.beam_sweep(
-            cfg.beam_section,
-            _beam_load(cfg),
-            list(cfg.kernel_specs),
-            list(cfg.l_f_grid),
-            n_elements=cfg.n_elements,
-            threads=threads,
-        )
-    return plate.plate_sweep(
-        cfg.plate_section,
-        cfg.pressure,
-        cfg.boundary,
-        list(cfg.kernel_specs),
-        list(cfg.l_f_grid),
-        nx=cfg.nx,
-        ny=cfg.ny,
-        threads=threads,
+        if cfg.load_case == "ss_udtl":
+            load = beam.SimplySupportedUniformLoad(intensity=cfg.load_value)
+        else:
+            load = beam.CantileverTipLoad(magnitude=cfg.load_value)
+        return beam.TimoshenkoBeamModel(cfg.beam_section, load, cfg.n_elements * factor)
+    return plate.MindlinPlateModel(
+        cfg.plate_section, cfg.pressure, cfg.boundary, cfg.nx * factor, cfg.ny * factor
     )
-
-
-def _beam_load(cfg: RunConfig):
-    if cfg.load_case == "ss_udtl":
-        return beam.SimplySupportedUniformLoad(intensity=cfg.load_value)
-    return beam.CantileverTipLoad(magnitude=cfg.load_value)
 
 
 def _dispersion_table(cfg: RunConfig) -> SweepResult:
@@ -218,19 +207,11 @@ def _convergence_table(cfg: RunConfig) -> SweepResult:
     rows = []
     previous = None
     for step in range(cfg.refinements + 1):
-        factor = 2**step
+        model = _model(cfg, 2**step)
         # the table reports the nonlocal metric only: no local companion solve
-        if cfg.target == "beam":
-            n = cfg.n_elements * factor
-            model = beam.TimoshenkoBeamModel(cfg.beam_section, _beam_load(cfg), n)
-            resolution = str(n)
-        else:
-            nx, ny = cfg.nx * factor, cfg.ny * factor
-            model = plate.MindlinPlateModel(cfg.plate_section, cfg.pressure, cfg.boundary, nx, ny)
-            resolution = f"{nx}x{ny}"
         metric = fem.solve_metric(model, kernel, l_f, CONVERGENCE_RESIDUAL_TOL)
         change = None if previous is None else abs(metric - previous) / abs(metric)
-        rows.append((cfg.target, resolution, metric, change))
+        rows.append((cfg.target, model.resolution, metric, change))
         previous = metric
     return SweepResult(
         columns=CONVERGENCE_COLUMNS,
@@ -437,3 +418,7 @@ def _is_nontrivial(row: dict) -> bool:
 
 def _check(name: str, passed: bool, detail: str):
     return (name, bool(passed), detail)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import yaml
 
 from .beam import BeamSection
+from .kernels import KERNEL_KINDS
 from .plate import BOUNDARY_CONDITIONS, PlateSection
 from .results import ALPHA_FLOOR, KernelSpec
 
@@ -21,7 +22,6 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "LOAD_CASE
 
 SUBCOMMANDS = ("dispersion", "beam", "plate", "sweep", "convergence")
 LOAD_CASES = ("cantilever_tip", "ss_udtl")
-KERNEL_KINDS = ("exponential", "power_law", "local")
 
 
 class ConfigError(ValueError):
@@ -303,6 +303,19 @@ def _plate_bc(top: _Block, errors: list[str]) -> tuple[str, float]:
     return boundary, pressure if pressure is not None else 1.0
 
 
+def _structure(top: _Block, errors: list[str], target: str) -> dict:
+    """Section, load or boundary set, and mesh of a beam or plate target."""
+    if target == "beam":
+        section = _beam_section(top, errors)
+        case, value = _beam_load(top, errors)
+        n_elements = _beam_mesh(top, errors, case)
+        return dict(beam_section=section, load_case=case, load_value=value, n_elements=n_elements)
+    section = _plate_section(top, errors)
+    boundary, pressure = _plate_bc(top, errors)
+    nx, ny = _plate_mesh(top, errors)
+    return dict(plate_section=section, boundary=boundary, pressure=pressure, nx=nx, ny=ny)
+
+
 def _single_kernel(top: _Block, errors: list[str]) -> tuple[KernelSpec, ...]:
     spec = _kernel_spec(_Block(top.raw("kernel", {}), "kernel", errors), errors)
     return (spec,) if spec is not None else ()
@@ -360,39 +373,20 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             elif count is not None:
                 step = (k_max - k_min) / (count - 1) if count > 1 else 0.0
                 k_values = tuple(k_min + step * i for i in range(count))
-        section = BeamSection(modulus=modulus or 30e9)
         kwargs.update(
             target="dispersion",
             kernel_specs=specs,
             k_values=k_values,
             density=density if density is not None else 2500.0,
-            beam_section=section,
+            # a non-positive modulus is already an error; build no section then
+            beam_section=BeamSection(modulus=modulus) if modulus > 0.0 else None,
         )
 
-    elif subcommand in ("beam", "plate"):
-        kwargs["target"] = subcommand
-        kwargs["kernel_specs"] = _single_kernel(top, errors)
-        kwargs["l_f_grid"] = _single_horizon(top, errors)
-        if subcommand == "beam":
-            section = _beam_section(top, errors)
-            case, value = _beam_load(top, errors)
-            kwargs.update(
-                beam_section=section,
-                load_case=case,
-                load_value=value,
-                n_elements=_beam_mesh(top, errors, case),
-            )
+    else:
+        if subcommand in ("beam", "plate"):
+            target = subcommand
         else:
-            section = _plate_section(top, errors)
-            boundary, pressure = _plate_bc(top, errors)
-            nx, ny = _plate_mesh(top, errors)
-            kwargs.update(
-                plate_section=section, boundary=boundary, pressure=pressure, nx=nx, ny=ny
-            )
-
-    elif subcommand in ("sweep", "convergence"):
-        target = top.choice("target", ("beam", "plate"), "beam")
-        kwargs["target"] = target
+            target = top.choice("target", ("beam", "plate"), "beam")
         if subcommand == "sweep":
             kwargs["kernel_specs"] = _kernel_grid(top.raw("kernels"), "kernels", errors)
             horizon = _Block(top.raw("horizon", {}), "horizon", errors)
@@ -401,24 +395,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         else:
             kwargs["kernel_specs"] = _single_kernel(top, errors)
             kwargs["l_f_grid"] = _single_horizon(top, errors)
+        if subcommand == "convergence":
             refinements = top.integer("refinements", 1, minimum=1)
             kwargs["refinements"] = refinements if refinements is not None else 1
-        if target == "beam":
-            section = _beam_section(top, errors)
-            case, value = _beam_load(top, errors)
-            kwargs.update(
-                beam_section=section,
-                load_case=case,
-                load_value=value,
-                n_elements=_beam_mesh(top, errors, case),
-            )
-        else:
-            section = _plate_section(top, errors)
-            boundary, pressure = _plate_bc(top, errors)
-            nx, ny = _plate_mesh(top, errors)
-            kwargs.update(
-                plate_section=section, boundary=boundary, pressure=pressure, nx=nx, ny=ny
-            )
+        kwargs.update(target=target, **_structure(top, errors, target))
 
     top.close()
     if errors:

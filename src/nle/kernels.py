@@ -35,6 +35,7 @@ __all__ = [
     "frame_multipliers",
     "check_admissible",
     "KERNEL_KINDS",
+    "KERNEL_PARAMS",
 ]
 
 # Below this internal length the exponential kernel is numerically a delta;
@@ -209,6 +210,9 @@ KERNEL_KINDS: dict[str, Callable[..., Kernel]] = {
     "power_law": power_law,
     "local": local,
 }
+
+# The shape parameter each kernel kind takes by keyword (None: no parameter).
+KERNEL_PARAMS: dict[str, str | None] = {"exponential": "l0", "power_law": "alpha", "local": None}
 
 
 def make_kernel(kind: str, **params: float) -> Kernel:

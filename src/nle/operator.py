@@ -231,7 +231,6 @@ def build_operator_matrix(
     eval_points: np.ndarray,
     horizon: HorizonSpec,
     kernel: Kernel,
-    basis: str = "linear",
 ) -> NonlocalOperatorMatrix:
     """Assemble the discrete nonlocal gradient on a 1D mesh.
 
@@ -244,17 +243,12 @@ def build_operator_matrix(
         lie inside the mesh span and the horizon domain.
     horizon, kernel
         Interaction radius (domain-clipped per point) and attenuation kernel.
-    basis : {"linear"}
-        Interpolation basis.  Only piecewise linear is supported; its
-        element-constant gradient is what makes the entries exact.
 
     For a kernel singular at the origin whose clipped horizon does not reach
     past the element containing the evaluation point, the row degenerates to
     the element gradient; such rows are emitted as exact local-gradient rows
     and counted in a single warning.
     """
-    if basis != "linear":
-        raise NotImplementedError(f"unsupported basis {basis!r}; only 'linear' is available")
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0.0):
         raise ValueError("nodes must be a strictly increasing 1D array of length >= 2")

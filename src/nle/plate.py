@@ -28,9 +28,9 @@ import numpy as np
 
 from . import fem
 from .fem import AxisQuadrature, RectangleMesh, StiffnessSystem, apply_dirichlet, gauss_rule, gram
-from .kernels import Kernel, KernelError, LocalDelta
+from .kernels import Kernel, LocalDelta
 from .operator import NonlocalOperatorMatrix
-from .results import KernelSpec, SweepResult, check_sweep_grids, run_grid
+from .results import KernelSpec, SweepResult, sweep
 
 __all__ = [
     "PlateSection",
@@ -72,7 +72,21 @@ class PlateSection:
         return self.modulus / (2.0 * (1.0 + self.poisson))
 
 
+PLATE_SWEEP_COLUMNS = (
+    "kernel",
+    "param",
+    "l_f",
+    "bc",
+    "w_center_nonlocal",
+    "w_center_local",
+    "w_bar",
+    "status",
+)
+
+
 class MindlinPlateModel:
+    sweep_columns = PLATE_SWEEP_COLUMNS
+
     def __init__(
         self,
         section: PlateSection,
@@ -87,6 +101,20 @@ class MindlinPlateModel:
         self.pressure = pressure
         self.boundary = boundary
         self.mesh = RectangleMesh(section.length_x, section.length_y, nx, ny)
+
+    @property
+    def case(self) -> str:
+        return self.boundary
+
+    @property
+    def metadata(self) -> dict[str, str]:
+        nx, ny = self.mesh.x_axis.n_elements, self.mesh.y_axis.n_elements
+        return {"model": "plate", "bc": self.boundary, "nx": str(nx), "ny": str(ny)}
+
+    @property
+    def resolution(self) -> str:
+        """Mesh size as the convergence table prints it."""
+        return f"{self.mesh.x_axis.n_elements}x{self.mesh.y_axis.n_elements}"
 
     @property
     def metric_dof(self) -> int:
@@ -263,18 +291,6 @@ class PlateResult:
         return self.w_center / self.w_center_local
 
 
-PLATE_SWEEP_COLUMNS = (
-    "kernel",
-    "param",
-    "l_f",
-    "bc",
-    "w_center_nonlocal",
-    "w_center_local",
-    "w_bar",
-    "status",
-)
-
-
 def plate_sweep(
     section: PlateSection,
     pressure: float,
@@ -285,33 +301,9 @@ def plate_sweep(
     ny: int = 24,
     threads: int = 1,
 ) -> SweepResult:
-    """One row per (kernel, horizon) configuration, in listed grid order.
-
-    Mirrors beam_sweep: shared local companion solve, reused by local-delta
-    rows, error rows keep the sweep alive, rows merged in grid order
-    regardless of thread count.
-    """
-    check_sweep_grids(kernel_grid, l_f_grid)
+    """One row per (kernel, horizon) configuration; see results.sweep."""
     model = MindlinPlateModel(section, pressure, boundary, nx, ny)
-    w_local = fem.solve_metric(model, LocalDelta(), float(l_f_grid[0]))
-
-    def evaluate(config: tuple[KernelSpec, float]) -> tuple:
-        spec, l_f = config
-        head = (spec.kind, spec.param, l_f, boundary)
-        try:
-            kernel = spec.build()
-            w = w_local if isinstance(kernel, LocalDelta) else fem.solve_metric(model, kernel, l_f)
-        except (fem.SolverError, KernelError, ValueError) as exc:
-            return head + (None, None, None, f"error:{type(exc).__name__}")
-        return head + (w, w_local, w / w_local, "ok")
-
-    configs = [(spec, float(l_f)) for spec in kernel_grid for l_f in l_f_grid]
-    rows = run_grid(evaluate, configs, threads)
-    return SweepResult(
-        columns=PLATE_SWEEP_COLUMNS,
-        rows=rows,
-        metadata={"model": "plate", "bc": boundary, "nx": str(nx), "ny": str(ny)},
-    )
+    return sweep(model, kernel_grid, l_f_grid, threads)
 
 
 def solve_plate(

@@ -14,15 +14,17 @@ import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Protocol
 
-from .kernels import Kernel, KernelError, make_kernel
+from . import fem
+from .kernels import KERNEL_PARAMS, Kernel, KernelError, LocalDelta, make_kernel
 
 __all__ = [
     "ALPHA_FLOOR",
     "KernelSpec",
+    "Model",
     "SweepResult",
-    "check_sweep_grids",
-    "run_grid",
+    "sweep",
     "format_value",
     "write_manifest",
 ]
@@ -42,34 +44,32 @@ class KernelSpec:
     param: float | None = None
 
     def build(self) -> Kernel:
-        if self.kind == "exponential":
-            return make_kernel(self.kind, l0=self.param)
-        if self.kind == "power_law":
-            return make_kernel(self.kind, alpha=self.param)
-        if self.kind == "local":
-            return make_kernel(self.kind)
-        raise KernelError(f"unknown kernel kind {self.kind!r}")
+        name = KERNEL_PARAMS.get(self.kind)
+        return make_kernel(self.kind, **({} if name is None else {name: self.param}))
 
     @property
     def label(self) -> str:
-        if self.param is None:
+        name = KERNEL_PARAMS.get(self.kind)
+        if self.param is None or name is None:
             return self.kind
-        name = "l0" if self.kind == "exponential" else "alpha"
         return f"{name}={format_value(self.param)}"
 
 
-def check_sweep_grids(kernel_grid, l_f_grid) -> None:
-    """Shared sweep preconditions: nonempty grids, admissible parameters."""
-    if not len(kernel_grid) or not len(l_f_grid):
-        raise ValueError("sweep grids must be nonempty")
-    for spec in kernel_grid:
-        if spec.kind == "power_law" and spec.param is not None and spec.param < ALPHA_FLOOR:
-            raise ValueError(
-                f"power-law exponent {spec.param} below the admissibility floor {ALPHA_FLOOR}"
-            )
-    for l_f in l_f_grid:
-        if not l_f > 0.0:
-            raise ValueError(f"horizon radius must be positive (got {l_f!r})")
+class Model(Protocol):
+    """What `sweep` needs of a structural model (beam or plate).
+
+    assemble(kernel, horizon_radius) builds the constrained system; the
+    metric is |u| at metric_dof.  case fills the fourth CSV column (load
+    case or boundary set), sweep_columns names the CSV columns and metadata
+    holds the manifest entries of the model.
+    """
+
+    metric_dof: int
+    case: str
+    sweep_columns: tuple[str, ...]
+    metadata: dict[str, str]
+
+    def assemble(self, kernel: Kernel, horizon_radius: float) -> fem.StiffnessSystem: ...
 
 
 @dataclass(frozen=True)
@@ -101,19 +101,46 @@ def format_value(value) -> str:
     return str(value)
 
 
-def run_grid(evaluate, configurations, threads: int = 1) -> list[tuple]:
-    """Evaluate each configuration, preserving order; errors become rows.
+def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 1) -> SweepResult:
+    """One row per (kernel, horizon) configuration, in listed grid order.
 
-    evaluate(config) returns the metric tuple for one configuration or
-    raises; a raised error is folded into the row as an error status by the
-    caller-supplied function, so this stays a thin deterministic scheduler.
+    The local companion depends only on the mesh and load, so it is solved
+    once and shared by every row; rows whose kernel is the local delta
+    (`local`, power law with alpha = 1) take its value without a solve of
+    their own.  A failing configuration keeps its row with an error status;
+    the sweep continues.  Rows come back in grid order at any thread count.
     """
+    if not len(kernel_grid) or not len(l_f_grid):
+        raise ValueError("sweep grids must be nonempty")
+    for spec in kernel_grid:
+        if spec.kind == "power_law" and spec.param is not None and spec.param < ALPHA_FLOOR:
+            raise ValueError(
+                f"power-law exponent {spec.param} below the admissibility floor {ALPHA_FLOOR}"
+            )
+    for l_f in l_f_grid:
+        if not l_f > 0.0:
+            raise ValueError(f"horizon radius must be positive (got {l_f!r})")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
-    if threads == 1 or len(configurations) <= 1:
-        return [evaluate(c) for c in configurations]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate, configurations))
+    w_local = fem.solve_metric(model, LocalDelta(), float(l_f_grid[0]))
+
+    def evaluate(config: tuple[KernelSpec, float]) -> tuple:
+        spec, l_f = config
+        head = (spec.kind, spec.param, l_f, model.case)
+        try:
+            kernel = spec.build()
+            w = w_local if isinstance(kernel, LocalDelta) else fem.solve_metric(model, kernel, l_f)
+        except (fem.SolverError, KernelError, ValueError) as exc:
+            return head + (None, None, None, f"error:{type(exc).__name__}")
+        return head + (w, w_local, w / w_local, "ok")
+
+    configs = [(spec, float(l_f)) for spec in kernel_grid for l_f in l_f_grid]
+    if threads == 1 or len(configs) <= 1:
+        rows = [evaluate(c) for c in configs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(evaluate, configs))
+    return SweepResult(columns=model.sweep_columns, rows=rows, metadata=model.metadata)
 
 
 def write_manifest(path, entries: dict[str, str]) -> None:

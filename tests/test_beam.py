@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nle import fem
 from nle.beam import (
     BeamSection,
     CantileverTipLoad,
@@ -306,31 +305,6 @@ def test_beam_sweep_local_row_is_exactly_unit():
         SECTION, CantileverTipLoad(), [KernelSpec("local")], [0.5], n_elements=20
     )
     assert table.column("w_bar") == [1.0]
-
-
-def test_beam_sweep_local_delta_rows_reuse_the_shared_local_solve(monkeypatch):
-    kernels, solves = [], []
-    assemble, solve = fem.assemble, fem.solve
-
-    def counting_assemble(model, kernel, horizon_radius):
-        kernels.append(kernel)
-        return assemble(model, kernel, horizon_radius)
-
-    def counting_solve(*args, **kwargs):
-        solves.append(args[0])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(fem, "assemble", counting_assemble)
-    monkeypatch.setattr(fem, "solve", counting_solve)
-    grid = [KernelSpec("exponential", 1e-3), KernelSpec("power_law", 1.0), KernelSpec("local")]
-    table = beam_sweep(SECTION, CantileverTipLoad(), grid, [0.5, 1.0], n_elements=20)
-    # one shared local solve plus one per exponential row
-    assert len(solves) == 3
-    assert [type(k) for k in kernels].count(LocalDelta) == 1
-    delta_rows = table.rows[2:]
-    assert len(delta_rows) == 4
-    w_local = table.rows[0][5]
-    assert all(r[4] == w_local and r[5] == w_local and r[6] == 1.0 for r in delta_rows)
 
 
 def test_beam_sweep_error_rows_keep_sweep_alive():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from nle.cli import (
     main,
 )
 from nle.kernels import ExponentialKernel
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DISPERSION_YAML = """
 material:
@@ -156,6 +162,14 @@ def test_sweep_rows_are_byte_identical_across_runs_and_thread_counts(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_shipped_beam_sweep_matches_the_reference_csv(tmp_path):
+    out = tmp_path / "out"
+    config = ROOT / "configs" / "sweep_beam.yaml"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    reference = ROOT / "perfbench" / "reference" / "beam_sweep.csv"
+    assert (out / "sweep.csv").read_bytes() == reference.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -210,6 +224,14 @@ stray: 1
     assert "category=CONFIG" in err
 
 
+def test_dispersion_with_a_non_positive_modulus_exits_2(tmp_path, capsys):
+    code, _ = run(tmp_path, "dispersion", DISPERSION_YAML.replace("30.0e9", "-5"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "material.modulus: must be positive" in err
+    assert "error: category=CONFIG" in err
+
+
 def test_missing_config_file_exits_4(tmp_path, capsys):
     code = main(["beam", "--config", str(tmp_path / "absent.yaml")])
     assert code == EXIT_IO
@@ -244,3 +266,17 @@ def test_sweep_keeps_going_past_a_failed_row(tmp_path):
 def test_nonsense_subcommand_is_refused_by_the_parser():
     with pytest.raises(SystemExit):
         main(["oscillate", "--config", "x.yaml"])
+
+
+def test_module_entry_point_runs_the_cli():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nle.cli", "--version"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "nle 0.1.0"

@@ -381,8 +381,6 @@ def test_matrix_rejects_points_outside_the_horizon_domain(kernel):
 
 def test_matrix_input_validation():
     nodes = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(NotImplementedError):
-        build_operator_matrix(nodes, [0.5], UNIT, LocalDelta(), basis="cubic")
     with pytest.raises(ValueError, match="increasing"):
         build_operator_matrix(nodes[::-1], [0.5], UNIT, LocalDelta())
     with pytest.raises(ValueError, match="span"):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nle import fem
 from nle.fem import RectangleMesh
 from nle.kernels import ExponentialKernel, LocalDelta, power_law
 from nle.operator import HorizonSpec, build_operator_matrix
@@ -306,31 +305,6 @@ def test_plate_sweep_rows_in_grid_order():
     assert all(r[3] == "clamped" and r[-1] == "ok" for r in table.rows)
     w_bar = table.column("w_bar")
     assert w_bar[2] == 1.0 and w_bar[3] == 1.0
-
-
-def test_plate_sweep_local_delta_rows_reuse_the_shared_local_solve(monkeypatch):
-    kernels, solves = [], []
-    assemble, solve = fem.assemble, fem.solve
-
-    def counting_assemble(model, kernel, horizon_radius):
-        kernels.append(kernel)
-        return assemble(model, kernel, horizon_radius)
-
-    def counting_solve(*args, **kwargs):
-        solves.append(args[0])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(fem, "assemble", counting_assemble)
-    monkeypatch.setattr(fem, "solve", counting_solve)
-    grid = [KernelSpec("power_law", 0.8), KernelSpec("power_law", 1.0), KernelSpec("local")]
-    table = plate_sweep(SECTION, 1.0, "clamped", grid, [0.5, 1.0], nx=4, ny=4)
-    # one shared local solve plus one per alpha = 0.8 row
-    assert len(solves) == 3
-    assert [type(k) for k in kernels].count(LocalDelta) == 1
-    delta_rows = table.rows[2:]
-    assert len(delta_rows) == 4
-    w_local = table.rows[0][5]
-    assert all(r[4] == w_local and r[5] == w_local and r[6] == 1.0 for r in delta_rows)
 
 
 def test_plate_sweep_thread_count_does_not_change_rows():
