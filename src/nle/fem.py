@@ -7,12 +7,14 @@ Stiffness blocks are therefore weighted Gram products of those families; the
 plate obtains its 2D blocks as Kronecker products of per-axis Grams, which is
 an exact reordering of the Gauss-point sum over the tensor product rule.
 
-Dirichlet data is carried symbolically on the StiffnessSystem and eliminated
-symmetrically at solve time (row/column reduction with load correction), so
-the assembled operator stays symmetric and the free-free system remains
-available for spectral checks.  solve() factors the reduced matrix by
-Cholesky, refines once or twice if needed, and guarantees a small relative
-residual or raises.
+A StiffnessSystem carries its Dirichlet data symbolically.  Its matrix is
+either the full symmetric operator, reduced by solve() to the free block in
+one column-major copy with a load correction for prescribed values, or, for
+models that eliminate homogeneous constraints while assembling (the plate),
+only the free-free block, built in column-major (LAPACK) order.  solve()
+factors the free block by Cholesky in that array, refines once or twice if
+needed, and guarantees a small relative residual or raises.  Every dense
+block is checked against the available memory before it is allocated.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
 from .kernels import Kernel, check_admissible
 from .operator import HorizonSpec, build_operator_matrix
@@ -38,6 +41,8 @@ __all__ = [
     "hat_rows",
     "StiffnessSystem",
     "SolverError",
+    "available_memory",
+    "dense_block",
     "apply_dirichlet",
     "assemble",
     "solve",
@@ -179,15 +184,50 @@ def hat_rows(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Symmetric stiffness matrix, consistent load, and Dirichlet data."""
+    """Symmetric stiffness matrix, consistent load, and Dirichlet data.
+
+    matrix is the full n x n operator, or, when `free` lists the free dofs in
+    ascending order, only their free-free block: the model then eliminated
+    the constraints while assembling, so they must be homogeneous and fix
+    exactly the dofs outside `free`.  load always holds all n entries.
+    """
 
     matrix: np.ndarray
     load: np.ndarray
     constraints: dict[int, float]
+    free: np.ndarray | None = None
 
     @property
     def n_dofs(self) -> int:
         return self.load.size
+
+
+def available_memory() -> int | None:
+    """Bytes the operating system reports as available, or None if unknown."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def dense_block(n: int) -> np.ndarray:
+    """Zeroed n x n float64 array in column-major (LAPACK) order.
+
+    Raises SolverError, before allocating, when the array would not fit in
+    the available memory.
+    """
+    need = 8 * n * n
+    have = available_memory()
+    if have is not None and need > have:
+        raise SolverError(
+            f"dense system of {n} dofs needs {need / 2**30:.2f} GiB, "
+            f"but only {have / 2**30:.2f} GiB of memory is available"
+        )
+    return np.zeros((n, n), order="F")
 
 
 def assemble(model, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
@@ -224,42 +264,80 @@ def apply_dirichlet(system: StiffnessSystem, constraints: dict[int, float]) -> S
     return replace(system, constraints=merged)
 
 
-def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
+def solve(
+    system: StiffnessSystem, residual_tol: float = 1e-10, *, overwrite: bool = False
+) -> np.ndarray:
     """Displacements of the constrained system by dense Cholesky.
 
-    Eliminates constrained DOFs symmetrically (load-corrected reduction),
-    factors the free block, applies iterative refinement as needed, and
-    verifies the free-row residual ||K u - F|| <= residual_tol * ||rhs||.
+    A full system is reduced to its free block in one column-major copy, with
+    the load corrected for the prescribed values; system.matrix is never
+    modified.  A system that already holds only its free block is factored in
+    that array when overwrite=True (for callers that own the system and drop
+    it afterwards), and in a copy otherwise.  LAPACK's lower Cholesky leaves
+    the strict upper triangle untouched, so that triangle plus the saved
+    diagonal still hold K for the residuals of iterative refinement, which
+    must reach ||K u - F|| <= residual_tol * ||rhs|| on the free rows.
     """
     n = system.n_dofs
     fixed = np.array(sorted(system.constraints), dtype=int)
     u = np.zeros(n)
     if fixed.size:
         u[fixed] = [system.constraints[d] for d in fixed]
-    free = np.setdiff1d(np.arange(n), fixed)
+    if system.free is None:
+        free = np.setdiff1d(np.arange(n), fixed)
+    else:
+        free = system.free
+        is_free = np.ones(n, dtype=bool)
+        is_free[fixed] = False
+        if np.any(u[fixed]) or not np.array_equal(np.flatnonzero(is_free), free):
+            raise ValueError(
+                "a reduced system needs homogeneous constraints on exactly the dofs "
+                "outside its free block"
+            )
     if free.size == 0:
         return u
-    K_ff = system.matrix[np.ix_(free, free)]
     rhs = system.load[free].astype(float, copy=True)
-    if fixed.size:
-        rhs -= system.matrix[np.ix_(free, fixed)] @ u[fixed]
+    if system.free is None:
+        # One column-major copy of matrix[free][:, free], gathered in row
+        # blocks so that each block's transposition stays in cache.
+        K_ff = dense_block(free.size)
+        for r in range(0, free.size, 64):
+            K_ff[r : r + 64] = system.matrix[np.ix_(free[r : r + 64], free)]
+        if fixed.size:
+            rhs -= system.matrix[np.ix_(free, fixed)] @ u[fixed]
+    elif overwrite:
+        K_ff = np.asfortranarray(system.matrix, dtype=float)
+    else:
+        K_ff = dense_block(free.size)
+        K_ff[...] = system.matrix
+    diagonal = K_ff.diagonal().copy()
     try:
-        factor = linalg.cho_factor(K_ff, lower=True, check_finite=False)
+        factor = linalg.cho_factor(K_ff, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError as exc:
         pivot = _pivot_from_message(str(exc), free)
         raise SolverError(
             "stiffness matrix is not positive definite after constraints "
             f"(failing pivot at dof {pivot})"
         ) from exc
+    c = factor[0]
+    l_diagonal = c.diagonal().copy()
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        # rhs - K x from the upper triangle, with K's diagonal put back meanwhile
+        np.fill_diagonal(c, diagonal)
+        r = blas.dsymv(-1.0, c, x, beta=1.0, y=rhs, lower=0)
+        np.fill_diagonal(c, l_diagonal)
+        return r
+
     x = linalg.cho_solve(factor, rhs, check_finite=False)
     scale = np.linalg.norm(rhs)
     denom = scale if scale > 0.0 else 1.0
+    r = residual(x)
     for _ in range(3):
-        r = rhs - K_ff @ x
         if np.linalg.norm(r) <= residual_tol * denom:
             break
         x = x + linalg.cho_solve(factor, r, check_finite=False)
-    r = rhs - K_ff @ x
+        r = residual(x)
     if np.linalg.norm(r) > residual_tol * denom:
         raise SolverError(
             f"solve residual {np.linalg.norm(r) / denom:.3e} exceeds {residual_tol:.1e}"
@@ -276,7 +354,7 @@ def solve_metric(
     The metric dof is the beam's tip or midspan deflection, or the plate's
     center deflection.
     """
-    u = solve(assemble(model, kernel, horizon_radius), residual_tol)
+    u = solve(assemble(model, kernel, horizon_radius), residual_tol, overwrite=True)
     return float(np.abs(u[model.metric_dof]))
 
 

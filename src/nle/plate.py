@@ -14,20 +14,23 @@ factor on the transverse terms.  Because the mesh is a tensor product and
 Dbar acts along one axis at a time, every stiffness block is a Kronecker
 product of 1D Gram matrices; assembly never touches a 2D quadrature loop.
 Membrane and bending blocks integrate with the 2x2 rule, transverse shear
-with 1x1.
+with 1x1.  Each boundary set fixes every field on whole edges, so the
+assembly builds only the free-free block, from restricted 1D Grams.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
+The assembled block covers the free dofs in that order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem
-from .fem import AxisQuadrature, RectangleMesh, StiffnessSystem, apply_dirichlet, gauss_rule, gram
+from .fem import AxisQuadrature, RectangleMesh, StiffnessSystem, gauss_rule, gram
 from .kernels import Kernel, LocalDelta
 from .operator import NonlocalOperatorMatrix
 from .results import KernelSpec, SweepResult, sweep
@@ -44,9 +47,23 @@ __all__ = [
     "PLATE_SWEEP_COLUMNS",
 ]
 
-U, V, W, TX, TY = 0, 1, 2, 3, 4
+U, V, W, TX, TY = FIELDS = 0, 1, 2, 3, 4
 
-BOUNDARY_CONDITIONS = ("clamped", "simply_supported")
+# Where each field is fixed, per boundary set: (on the edges x = 0 and
+# x = lx, on the edges y = 0 and y = ly).  Hard simple support fixes the
+# tangential displacement, the deflection and the tangential rotation on
+# each edge; clamping fixes every field.
+FIXED_EDGES = {
+    "clamped": {f: (True, True) for f in FIELDS},
+    "simply_supported": {
+        U: (False, True),
+        V: (True, False),
+        W: (True, True),
+        TX: (False, True),
+        TY: (True, False),
+    },
+}
+BOUNDARY_CONDITIONS = tuple(FIXED_EDGES)
 
 
 @dataclass(frozen=True)
@@ -122,6 +139,14 @@ class MindlinPlateModel:
         return W * self.mesh.n_nodes + self.mesh.center_node()
 
     def assemble(self, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
+        """Free-free block of the stiffness, built in LAPACK order, and the full load.
+
+        Each field's free nodes are a tensor product of per-axis index sets,
+        so the free block of every Kronecker term is the Kronecker product of
+        restricted 1D Grams, kron(A, B)[J x I, J' x I'] = kron(A[J, J'], B[I, I'])
+        (Van Loan, "The ubiquitous Kronecker product", 2000); the full
+        5 n_nodes square matrix never exists.
+        """
         mesh = self.mesh
         nn = mesh.n_nodes
         s = self.section
@@ -140,85 +165,91 @@ class MindlinPlateModel:
             for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
         }
 
+        @functools.cache
         def g(ax: str, npts: int, left: str, right: str) -> np.ndarray:
             q = quads[(ax, npts)]
             rows = {"N": q.N, "B": q.B}
             return gram(rows[left], rows[right], q.weights)
 
         b, sh = fem.BENDING_POINTS, fem.SHEAR_POINTS
+        axes = self._free_axes()
 
-        def kron(gy: np.ndarray, gx: np.ndarray) -> np.ndarray:
-            # node = j*(nx+1)+i, x fastest, so the y factor sits on the left.
-            return np.kron(gy, gx)
+        def kron(f: int, gf: int, gy: np.ndarray, gx: np.ndarray) -> np.ndarray:
+            # Rows on field f's free nodes, columns on field gf's.  node =
+            # j*(nx+1)+i, x fastest, so the y factor sits on the left.
+            (jy, jx), (ky, kx) = axes[f], axes[gf]
+            return np.kron(gy[np.ix_(jy, ky)], gx[np.ix_(jx, kx)])
 
         # In-plane stretch/shear pattern shared by the membrane (u, v) and
         # bending (theta_x, theta_y) pairs; only the thickness scale differs.
-        direct_x = c11 * kron(g("y", b, "N", "N"), g("x", b, "B", "B")) + c33 * kron(
-            g("y", b, "B", "B"), g("x", b, "N", "N")
+        def direct_x(f: int) -> np.ndarray:
+            return c11 * kron(f, f, g("y", b, "N", "N"), g("x", b, "B", "B")) + c33 * kron(
+                f, f, g("y", b, "B", "B"), g("x", b, "N", "N")
+            )
+
+        def direct_y(f: int) -> np.ndarray:
+            return c11 * kron(f, f, g("y", b, "B", "B"), g("x", b, "N", "N")) + c33 * kron(
+                f, f, g("y", b, "N", "N"), g("x", b, "B", "B")
+            )
+
+        def cross(f: int, gf: int) -> np.ndarray:
+            return c12 * kron(f, gf, g("y", b, "N", "B"), g("x", b, "B", "N")) + c33 * kron(
+                f, gf, g("y", b, "B", "N"), g("x", b, "N", "B")
+            )
+
+        def shear_mass(f: int) -> np.ndarray:
+            return kron(f, f, g("y", sh, "N", "N"), g("x", sh, "N", "N"))
+
+        sizes = [jy.size * jx.size for jy, jx in axes]
+        start = np.concatenate(([0], np.cumsum(sizes)))
+        K = fem.dense_block(int(start[-1]))
+
+        def put(f: int, gf: int, block: np.ndarray, mirror: bool = False) -> None:
+            K[start[f] : start[f + 1], start[gf] : start[gf + 1]] = block
+            if mirror:
+                K[start[gf] : start[gf + 1], start[f] : start[f + 1]] = block.T
+
+        put(U, U, memb * direct_x(U))
+        put(V, V, memb * direct_y(V))
+        put(U, V, memb * cross(U, V), mirror=True)
+
+        put(TX, TX, bend_scale * direct_x(TX) + shear_scale * shear_mass(TX))
+        put(TY, TY, bend_scale * direct_y(TY) + shear_scale * shear_mass(TY))
+        put(TX, TY, bend_scale * cross(TX, TY), mirror=True)
+
+        w_w = shear_scale * (
+            kron(W, W, g("y", sh, "N", "N"), g("x", sh, "B", "B"))
+            + kron(W, W, g("y", sh, "B", "B"), g("x", sh, "N", "N"))
         )
-        direct_y = c11 * kron(g("y", b, "B", "B"), g("x", b, "N", "N")) + c33 * kron(
-            g("y", b, "N", "N"), g("x", b, "B", "B")
-        )
-        cross = c12 * kron(g("y", b, "N", "B"), g("x", b, "B", "N")) + c33 * kron(
-            g("y", b, "B", "N"), g("x", b, "N", "B")
-        )
-
-        shear_mass = kron(g("y", sh, "N", "N"), g("x", sh, "N", "N"))
-
-        K = np.zeros((5 * nn, 5 * nn))
-
-        def blk(f: int, gf: int):
-            return np.s_[f * nn : (f + 1) * nn, gf * nn : (gf + 1) * nn]
-
-        K[blk(U, U)] = memb * direct_x
-        K[blk(V, V)] = memb * direct_y
-        K[blk(U, V)] = memb * cross
-        K[blk(V, U)] = memb * cross.T
-
-        K[blk(TX, TX)] = bend_scale * direct_x + shear_scale * shear_mass
-        K[blk(TY, TY)] = bend_scale * direct_y + shear_scale * shear_mass
-        K[blk(TX, TY)] = bend_scale * cross
-        K[blk(TY, TX)] = bend_scale * cross.T
-
-        K[blk(W, W)] = shear_scale * (
-            kron(g("y", sh, "N", "N"), g("x", sh, "B", "B"))
-            + kron(g("y", sh, "B", "B"), g("x", sh, "N", "N"))
-        )
-        w_tx = -shear_scale * kron(g("y", sh, "N", "N"), g("x", sh, "B", "N"))
-        w_ty = -shear_scale * kron(g("y", sh, "B", "N"), g("x", sh, "N", "N"))
-        K[blk(W, TX)] = w_tx
-        K[blk(TX, W)] = w_tx.T
-        K[blk(W, TY)] = w_ty
-        K[blk(TY, W)] = w_ty.T
+        put(W, W, w_w)
+        w_tx = -shear_scale * kron(W, TX, g("y", sh, "N", "N"), g("x", sh, "B", "N"))
+        w_ty = -shear_scale * kron(W, TY, g("y", sh, "B", "N"), g("x", sh, "N", "N"))
+        put(W, TX, w_tx, mirror=True)
+        put(W, TY, w_ty, mirror=True)
 
         F = np.zeros(5 * nn)
         fx = quads[("x", b)].load_vector()
         fy = quads[("y", b)].load_vector()
         F[W * nn : (W + 1) * nn] = self.pressure * np.kron(fy, fx)
 
-        return apply_dirichlet(StiffnessSystem(K, F, {}), self._constraints())
+        free = self._free_dofs(axes)
+        constraints = {int(d): 0.0 for d in np.setdiff1d(np.arange(5 * nn), free)}
+        return StiffnessSystem(K, F, constraints, free)
 
-    def _constraints(self) -> dict[int, float]:
-        mesh = self.mesh
-        nn = mesh.n_nodes
-        nx, ny = mesh.x_axis.n_elements, mesh.y_axis.n_elements
-        x_edges = [mesh.node(i, j) for i in (0, nx) for j in range(ny + 1)]
-        y_edges = [mesh.node(i, j) for j in (0, ny) for i in range(nx + 1)]
-        fixed: dict[int, float] = {}
-        if self.boundary == "clamped":
-            for node in set(x_edges) | set(y_edges):
-                for f in (U, V, W, TX, TY):
-                    fixed[f * nn + node] = 0.0
-        else:
-            # Hard simple support: tangential displacement, deflection and
-            # the tangential rotation vanish on each edge.
-            for node in x_edges:
-                for f in (V, W, TY):
-                    fixed[f * nn + node] = 0.0
-            for node in y_edges:
-                for f in (U, W, TX):
-                    fixed[f * nn + node] = 0.0
-        return fixed
+    def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Free (y, x) node indices of each field; its free nodes are their product."""
+        n_x, n_y = self.mesh.x_axis.n_nodes, self.mesh.y_axis.n_nodes
+
+        def axis(n: int, fixed: bool) -> np.ndarray:
+            return np.arange(1, n - 1) if fixed else np.arange(n)
+
+        edges = FIXED_EDGES[self.boundary]
+        return [(axis(n_y, edges[f][1]), axis(n_x, edges[f][0])) for f in FIELDS]
+
+    def _free_dofs(self, axes: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        nn, n_x = self.mesh.n_nodes, self.mesh.x_axis.n_nodes
+        nodes = [(jy[:, None] * n_x + jx[None, :]).ravel() for jy, jx in axes]
+        return np.concatenate([f * nn + node for f, node in enumerate(nodes)])
 
 
 @dataclass(frozen=True)
@@ -320,8 +351,12 @@ def solve_plate(
     model = MindlinPlateModel(section, pressure, boundary, nx, ny)
     nn = model.mesh.n_nodes
     center = model.mesh.center_node()
-    u_nl = fem.solve(fem.assemble(model, kernel, horizon_radius), residual_tol)
-    u_loc = fem.solve(fem.assemble(model, LocalDelta(), horizon_radius), residual_tol)
+
+    def displacements(k: Kernel) -> np.ndarray:
+        # the system is ours alone, so its block may be factored in place
+        return fem.solve(fem.assemble(model, k, horizon_radius), residual_tol, overwrite=True)
+
+    u_nl, u_loc = displacements(kernel), displacements(LocalDelta())
     w_nl = u_nl[W * nn : (W + 1) * nn]
     w_loc = u_loc[W * nn : (W + 1) * nn]
     return PlateResult(

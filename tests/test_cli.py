@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,14 @@ def test_shipped_beam_sweep_matches_the_reference_csv(tmp_path):
     assert (out / "sweep.csv").read_bytes() == reference.read_bytes()
 
 
+def test_shipped_plate_sweep_matches_the_reference_csv(tmp_path):
+    out = tmp_path / "out"
+    config = ROOT / "configs" / "sweep_plate.yaml"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    reference = ROOT / "perfbench" / "reference" / "plate_sweep.csv"
+    assert (out / "sweep.csv").read_bytes() == reference.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -248,6 +257,34 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "synthetic breakdown" in err
     assert "category=SOLVER" in err
+
+
+def test_oversized_plate_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
+    # 16 x 16 clamped: 5 * 15 * 15 = 1125 free dofs, a 10 MB block; the
+    # patched probe reports one byte less than that block needs.
+    block = 8 * 1125**2
+    monkeypatch.setattr(fem, "available_memory", lambda: block - 1)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored a system that does not fit")
+
+    monkeypatch.setattr(fem.linalg, "cho_factor", no_factor)
+    text = (
+        "target: plate\nkernel:\n  kind: exponential\n  l0: 2.5e-3\n"
+        "horizon:\n  l_f: 0.5\nmesh:\n  nx: 16\n  ny: 16\nrefinements: 1\n"
+    )
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, "convergence", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_SOLVER
+    assert peak < block // 4
+    err = capsys.readouterr().err
+    assert "dense system of 1125 dofs needs 0.01 GiB" in err
+    assert "category=SOLVER" in err
+    assert not (out / "convergence.csv").exists()
 
 
 def test_sweep_keeps_going_past_a_failed_row(tmp_path):

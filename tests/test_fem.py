@@ -307,6 +307,116 @@ def test_solve_residual_guarantee():
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def _reduced(system, fixed):
+    """The system with its homogeneous constraints eliminated by the caller."""
+    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
+    block = np.asfortranarray(system.matrix[np.ix_(free, free)])
+    return StiffnessSystem(block, system.load, {int(d): 0.0 for d in fixed}, free)
+
+
+def _perturb_first_cho_solve(monkeypatch):
+    """Spoil the first cho_solve result so that solve() must refine once."""
+    real = fem.linalg.cho_solve
+    calls = []
+
+    def spoiled(*args, **kwargs):
+        x = real(*args, **kwargs)
+        calls.append(x)
+        return x * (1.0 + 1e-6) if len(calls) == 1 else x
+
+    monkeypatch.setattr(fem.linalg, "cho_solve", spoiled)
+    return calls
+
+
+def test_forced_refinement_step_converges_on_the_symmetric_residual(monkeypatch):
+    system = _toy_system(n=40, seed=13)
+    values = {3: 0.2, 17: -0.1}
+    free = [i for i in range(40) if i not in values]
+    fixed = list(values)
+    rhs = system.load[free] - system.matrix[np.ix_(free, fixed)] @ np.array(list(values.values()))
+    expected = np.linalg.solve(system.matrix[np.ix_(free, free)], rhs)
+    calls = _perturb_first_cho_solve(monkeypatch)
+    u = solve(apply_dirichlet(system, values))
+    # one refinement step: the spoiled solve plus one correction solve
+    assert len(calls) == 2
+    assert np.linalg.norm(u[free] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_forced_refinement_step_converges_on_a_reduced_system(monkeypatch):
+    system = _toy_system(n=40, seed=17)
+    fixed = [0, 9, 39]
+    reduced = _reduced(system, fixed)
+    expected = np.linalg.solve(reduced.matrix, system.load[reduced.free])
+    calls = _perturb_first_cho_solve(monkeypatch)
+    u = solve(reduced, overwrite=True)
+    assert len(calls) == 2
+    assert np.linalg.norm(u[reduced.free] - expected) <= 1e-12 * np.linalg.norm(expected)
+    np.testing.assert_array_equal(u[fixed], 0.0)
+
+
+def test_solve_leaves_a_full_matrix_unchanged():
+    system = apply_dirichlet(_toy_system(n=12, seed=19), {2: 0.5, 7: 0.0})
+    before = system.matrix.copy()
+    solve(system)
+    assert np.array_equal(system.matrix, before)
+
+
+def test_solve_leaves_a_reduced_matrix_unchanged_unless_told_to_overwrite():
+    reduced = _reduced(_toy_system(n=12, seed=23), [0, 5])
+    before = reduced.matrix.copy()
+    u = solve(reduced)
+    assert np.array_equal(reduced.matrix, before)
+    # the owner's opt-in: same solution, factored in the system's own array
+    np.testing.assert_array_equal(solve(reduced, overwrite=True), u)
+    assert not np.array_equal(reduced.matrix, before)
+
+
+def test_solve_factors_its_free_block_without_a_copy(monkeypatch):
+    real = fem.linalg.cho_factor
+    seen = []
+
+    def recording(a, *args, **kwargs):
+        factor = real(a, *args, **kwargs)
+        seen.append((a, factor[0]))
+        return factor
+
+    monkeypatch.setattr(fem.linalg, "cho_factor", recording)
+    full = apply_dirichlet(_toy_system(n=12, seed=29), {4: 0.1})
+    reduced = _reduced(_toy_system(n=12, seed=29), [4])
+    solve(full)
+    solve(reduced, overwrite=True)
+    (a_full, _), (a_red, _) = seen
+    for a, c in seen:
+        assert a.flags.f_contiguous
+        assert np.shares_memory(a, c)
+    assert not np.shares_memory(a_full, full.matrix)
+    assert np.shares_memory(a_red, reduced.matrix)
+
+
+def test_reduced_system_needs_homogeneous_constraints_on_the_rest():
+    reduced = _reduced(_toy_system(n=6, seed=31), [1])
+    with pytest.raises(ValueError, match="homogeneous"):
+        solve(apply_dirichlet(reduced, {3: 0.0}))
+    inhomogeneous = StiffnessSystem(reduced.matrix, reduced.load, {1: 0.5}, reduced.free)
+    with pytest.raises(ValueError, match="homogeneous"):
+        solve(inhomogeneous)
+
+
+def test_dense_block_is_checked_against_available_memory(monkeypatch):
+    monkeypatch.setattr(fem, "available_memory", lambda: 8 * 30 * 30)
+    block = fem.dense_block(30)
+    assert block.shape == (30, 30) and block.flags.f_contiguous and not block.any()
+    with pytest.raises(SolverError, match=r"31 dofs needs 0\.00 GiB"):
+        fem.dense_block(31)
+    monkeypatch.setattr(fem, "available_memory", lambda: None)
+    assert fem.dense_block(31).shape == (31, 31)
+
+
+def test_available_memory_is_a_byte_count_or_unknown():
+    available = fem.available_memory()
+    assert available is None or (isinstance(available, int) and available > 0)
+
+
 # ---------------------------------------------------------------------------
 # assembly entry point validation
 # ---------------------------------------------------------------------------

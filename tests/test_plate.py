@@ -1,7 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nle.fem import RectangleMesh
+from nle import fem
+from nle.fem import (
+    BENDING_POINTS,
+    SHEAR_POINTS,
+    AxisQuadrature,
+    RectangleMesh,
+    gauss_rule,
+    gram,
+)
 from nle.kernels import ExponentialKernel, LocalDelta, power_law
 from nle.operator import HorizonSpec, build_operator_matrix
 from nle.plate import (
@@ -105,14 +115,160 @@ def _interleave_permutation(nn):
 
 def test_local_delta_assembly_matches_textbook_q4():
     section = PlateSection(length_x=1.2, length_y=0.9)
-    model = MindlinPlateModel(section, pressure=3.0, boundary="clamped", nx=4, ny=3)
-    system = model.assemble(LocalDelta(), 0.5)
-    K_texbook, F_unit = _textbook_local_mindlin(section, model.mesh)
-    perm = _interleave_permutation(model.mesh.n_nodes)
-    K_expected = K_texbook[np.ix_(perm, perm)]
-    scale = np.max(np.abs(K_expected))
-    assert np.max(np.abs(system.matrix - K_expected)) <= 1e-10 * scale
-    np.testing.assert_allclose(system.load, 3.0 * F_unit[perm], rtol=1e-12, atol=1e-15)
+    for boundary in ("clamped", "simply_supported"):
+        model = MindlinPlateModel(section, pressure=3.0, boundary=boundary, nx=4, ny=3)
+        system = model.assemble(LocalDelta(), 0.5)
+        K_texbook, F_unit = _textbook_local_mindlin(section, model.mesh)
+        perm = _interleave_permutation(model.mesh.n_nodes)
+        K_expected = K_texbook[np.ix_(perm, perm)][np.ix_(system.free, system.free)]
+        scale = np.max(np.abs(K_expected))
+        assert np.max(np.abs(system.matrix - K_expected)) <= 1e-10 * scale
+        np.testing.assert_allclose(system.load, 3.0 * F_unit[perm], rtol=1e-12, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the free block against the full Kronecker assembly
+# ---------------------------------------------------------------------------
+
+def _full_kron_assembly(model, kernel, horizon_radius):
+    """Full 5 n_nodes square stiffness as sums of np.kron terms, plus the constraints.
+
+    The assembly that the free-block construction replaced, kept as its
+    reference: every entry of the free block must equal K[free][:, free]
+    bit for bit, and the edge loops below must give the same constraints.
+    """
+    mesh, s = model.mesh, model.section
+    nn = mesh.n_nodes
+    c11 = s.modulus / (1.0 - s.poisson ** 2)
+    c12 = s.poisson * c11
+    c33 = s.shear_modulus
+    memb = s.thickness
+    bend_scale = s.thickness ** 3 / 12.0
+    shear_scale = s.shear_correction * s.shear_modulus * s.thickness
+    quads = {
+        (ax, npts): AxisQuadrature(axis, gauss_rule(npts), kernel, horizon_radius)
+        for ax, axis in (("x", mesh.x_axis), ("y", mesh.y_axis))
+        for npts in (BENDING_POINTS, SHEAR_POINTS)
+    }
+
+    def g(ax, npts, left, right):
+        q = quads[(ax, npts)]
+        rows = {"N": q.N, "B": q.B}
+        return gram(rows[left], rows[right], q.weights)
+
+    b, sh = BENDING_POINTS, SHEAR_POINTS
+    kron = np.kron
+    direct_x = c11 * kron(g("y", b, "N", "N"), g("x", b, "B", "B")) + c33 * kron(
+        g("y", b, "B", "B"), g("x", b, "N", "N")
+    )
+    direct_y = c11 * kron(g("y", b, "B", "B"), g("x", b, "N", "N")) + c33 * kron(
+        g("y", b, "N", "N"), g("x", b, "B", "B")
+    )
+    cross = c12 * kron(g("y", b, "N", "B"), g("x", b, "B", "N")) + c33 * kron(
+        g("y", b, "B", "N"), g("x", b, "N", "B")
+    )
+    shear_mass = kron(g("y", sh, "N", "N"), g("x", sh, "N", "N"))
+    U, V, W, TX, TY = range(5)
+    K = np.zeros((5 * nn, 5 * nn))
+
+    def blk(f, gf):
+        return np.s_[f * nn : (f + 1) * nn, gf * nn : (gf + 1) * nn]
+
+    K[blk(U, U)] = memb * direct_x
+    K[blk(V, V)] = memb * direct_y
+    K[blk(U, V)] = memb * cross
+    K[blk(V, U)] = memb * cross.T
+    K[blk(TX, TX)] = bend_scale * direct_x + shear_scale * shear_mass
+    K[blk(TY, TY)] = bend_scale * direct_y + shear_scale * shear_mass
+    K[blk(TX, TY)] = bend_scale * cross
+    K[blk(TY, TX)] = bend_scale * cross.T
+    K[blk(W, W)] = shear_scale * (
+        kron(g("y", sh, "N", "N"), g("x", sh, "B", "B"))
+        + kron(g("y", sh, "B", "B"), g("x", sh, "N", "N"))
+    )
+    w_tx = -shear_scale * kron(g("y", sh, "N", "N"), g("x", sh, "B", "N"))
+    w_ty = -shear_scale * kron(g("y", sh, "B", "N"), g("x", sh, "N", "N"))
+    K[blk(W, TX)] = w_tx
+    K[blk(TX, W)] = w_tx.T
+    K[blk(W, TY)] = w_ty
+    K[blk(TY, W)] = w_ty.T
+
+    nx, ny = mesh.x_axis.n_elements, mesh.y_axis.n_elements
+    x_edges = [mesh.node(i, j) for i in (0, nx) for j in range(ny + 1)]
+    y_edges = [mesh.node(i, j) for j in (0, ny) for i in range(nx + 1)]
+    fixed = {}
+    if model.boundary == "clamped":
+        for node in set(x_edges) | set(y_edges):
+            for f in range(5):
+                fixed[f * nn + node] = 0.0
+    else:
+        for node in x_edges:
+            for f in (V, W, TY):
+                fixed[f * nn + node] = 0.0
+        for node in y_edges:
+            for f in (U, W, TX):
+                fixed[f * nn + node] = 0.0
+    return K, fixed
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
+@pytest.mark.parametrize(
+    "kernel",
+    [ExponentialKernel(2.5e-3), power_law(0.7), LocalDelta()],
+    ids=["exponential", "power_law", "local"],
+)
+@pytest.mark.parametrize(
+    "shape", [(6, 6, 1.0, 1.0), (5, 8, 1.3, 0.7)], ids=["square", "oblong"]
+)
+def test_free_block_equals_the_full_kronecker_assembly_bitwise(boundary, kernel, shape):
+    nx, ny, lx, ly = shape
+    model = MindlinPlateModel(
+        PlateSection(length_x=lx, length_y=ly), 2.0, boundary, nx=nx, ny=ny
+    )
+    system = model.assemble(kernel, 0.5)
+    K_full, fixed = _full_kron_assembly(model, kernel, 0.5)
+    free = np.setdiff1d(np.arange(K_full.shape[0]), sorted(fixed))
+    assert system.constraints == fixed
+    np.testing.assert_array_equal(system.free, free)
+    assert system.matrix.flags.f_contiguous
+    assert np.array_equal(system.matrix, K_full[np.ix_(free, free)])
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
+def test_assembly_never_allocates_the_full_matrix(boundary):
+    model = MindlinPlateModel(SECTION, 1.0, boundary, nx=12, ny=12)
+    kernel = ExponentialKernel(2.5e-3)
+    model.assemble(kernel, 0.5)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        system = model.assemble(kernel, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full_bytes = 8 * (5 * model.mesh.n_nodes) ** 2
+    assert system.matrix.nbytes <= peak < full_bytes
+
+
+def test_plate_solve_factors_the_assembled_block_in_place(monkeypatch):
+    model = MindlinPlateModel(SECTION, 1.0, "clamped", nx=8, ny=8)
+    assembled, factored = [], []
+    assemble, cho_factor = fem.assemble, fem.linalg.cho_factor
+
+    def keep_system(*args, **kwargs):
+        assembled.append(assemble(*args, **kwargs))
+        return assembled[-1]
+
+    def keep_factor(a, *args, **kwargs):
+        factor = cho_factor(a, *args, **kwargs)
+        factored.append((a, factor[0]))
+        return factor
+
+    monkeypatch.setattr(fem, "assemble", keep_system)
+    monkeypatch.setattr(fem.linalg, "cho_factor", keep_factor)
+    fem.solve_metric(model, ExponentialKernel(2.5e-3), 0.5)
+    ((a, c),), (system,) = factored, assembled
+    assert a is system.matrix and a.flags.f_contiguous
+    assert np.shares_memory(c, system.matrix)
 
 
 # ---------------------------------------------------------------------------
