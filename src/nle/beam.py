@@ -12,7 +12,9 @@ weighted Gram products of the interpolation rows N and operator rows B:
 direct terms integrate with the 2-point rule, transverse shear with 1 point.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
-fields (u0, w0, theta) = (0, 1, 2).
+fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes its supports at
+zero, so the assembly writes only the free-free block, from the Grams
+restricted to each field's free nodes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .fem import AxisQuadrature, IntervalMesh, StiffnessSystem, apply_dirichlet, gauss_rule, gram
+from .fem import AxisQuadrature, IntervalMesh, StiffnessSystem, gauss_rule, gram
 from .kernels import Kernel, LocalDelta
 from .operator import NonlocalOperatorMatrix
 from .results import KernelSpec, SweepResult, sweep
@@ -40,7 +42,15 @@ __all__ = [
     "BEAM_SWEEP_COLUMNS",
 ]
 
-U0, W0, THETA = 0, 1, 2
+U0, W0, THETA = FIELDS = 0, 1, 2
+
+# Nodes fixed at zero, per load case and field (-1 is the node at x = L).
+# The cantilever is clamped at x = 0; the simply supported beam pins its
+# deflection at both ends and its axial displacement at x = 0.
+FIXED_NODES = {
+    "cantilever_tip": {U0: [0], W0: [0], THETA: [0]},
+    "ss_udtl": {U0: [0], W0: [0, -1], THETA: []},
+}
 
 
 @dataclass(frozen=True)
@@ -144,6 +154,10 @@ class TimoshenkoBeamModel:
     def assemble(self, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
         mesh = self.mesh
         nn = mesh.n_nodes
+        # the block first: an oversized mesh fails before any quadrature work
+        fixed = FIXED_NODES[self.load.name]
+        free = [np.delete(np.arange(nn), fixed[f]) for f in FIELDS]
+        blocks = fem.FreeBlockWriter(nn, free)
         bend = AxisQuadrature(mesh, gauss_rule(fem.BENDING_POINTS), kernel, horizon_radius)
         shear = AxisQuadrature(mesh, gauss_rule(fem.SHEAR_POINTS), kernel, horizon_radius)
         s = self.section
@@ -156,26 +170,21 @@ class TimoshenkoBeamModel:
         Cs = gram(shear.B, shear.N, shear.weights)
         Ms = gram(shear.N, shear.N, shear.weights)
 
-        K = np.zeros((3 * nn, 3 * nn))
+        def restrict(G: np.ndarray, f: int, g: int) -> np.ndarray:
+            return G[np.ix_(free[f], free[g])]
 
-        def blk(f: int, g: int):
-            return np.s_[f * nn : (f + 1) * nn, g * nn : (g + 1) * nn]
-
-        K[blk(U0, U0)] = EA * Sb
-        K[blk(W0, W0)] = kGA * Ss
-        K[blk(THETA, THETA)] = EI * Sb + kGA * Ms
-        wt = -kGA * Cs
-        K[blk(W0, THETA)] = wt
-        K[blk(THETA, W0)] = wt.T
+        blocks.put(U0, U0, EA * restrict(Sb, U0, U0))
+        blocks.put(W0, W0, kGA * restrict(Ss, W0, W0))
+        theta_theta = EI * restrict(Sb, THETA, THETA) + kGA * restrict(Ms, THETA, THETA)
+        blocks.put(THETA, THETA, theta_theta)
+        blocks.put(W0, THETA, -kGA * restrict(Cs, W0, THETA), mirror=True)
 
         F = np.zeros(3 * nn)
         if isinstance(self.load, CantileverTipLoad):
             F[W0 * nn + (nn - 1)] = self.load.magnitude
-            constraints = {U0 * nn: 0.0, W0 * nn: 0.0, THETA * nn: 0.0}
         else:
             F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * bend.load_vector()
-            constraints = {U0 * nn: 0.0, W0 * nn: 0.0, W0 * nn + (nn - 1): 0.0}
-        return apply_dirichlet(StiffnessSystem(K, F, {}), constraints)
+        return blocks.system(F)
 
 
 @dataclass(frozen=True)
@@ -216,8 +225,8 @@ def solve_beam(
 ) -> BeamResult:
     """Solve the same bending problem with the given kernel and locally.
 
-    The local companion uses the identical mesh, quadrature and constraint
-    path with the delta kernel, so the ratio isolates the nonlocal effect.
+    The local companion uses the identical mesh, quadrature and supports
+    with the delta kernel, so the ratio isolates the nonlocal effect.
     The default residual tolerance is attainable up to roughly the default
     mesh density; finer meshes raise the float64 floor (it scales with the
     stiffness norm, hence with 1/h) and need a looser tolerance.

@@ -7,20 +7,19 @@ Stiffness blocks are therefore weighted Gram products of those families; the
 plate obtains its 2D blocks as Kronecker products of per-axis Grams, which is
 an exact reordering of the Gauss-point sum over the tensor product rule.
 
-A StiffnessSystem carries its Dirichlet data symbolically.  Its matrix is
-either the full symmetric operator, reduced by solve() to the free block in
-one column-major copy with a load correction for prescribed values, or, for
-models that eliminate homogeneous constraints while assembling (the plate),
-only the free-free block, built in column-major (LAPACK) order.  solve()
-factors the free block by Cholesky in that array, refines once or twice if
-needed, and guarantees a small relative residual or raises.  Every dense
-block is checked against the available memory before it is allocated.
+A StiffnessSystem holds only the free-free block of the stiffness, in
+column-major (LAPACK) order: every beam and plate case fixes its supports at
+zero, so each model writes the block of its free dofs through one
+FreeBlockWriter and never builds the full matrix.  solve() factors that
+block by Cholesky in place, refines once or twice if needed, and guarantees
+a small relative residual or raises.  Every dense block is checked against
+the available memory before it is allocated.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -43,7 +42,7 @@ __all__ = [
     "SolverError",
     "available_memory",
     "dense_block",
-    "apply_dirichlet",
+    "FreeBlockWriter",
     "assemble",
     "solve",
     "solve_metric",
@@ -184,18 +183,16 @@ def hat_rows(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Symmetric stiffness matrix, consistent load, and Dirichlet data.
+    """Free-free stiffness block, consistent load, and the free dofs.
 
-    matrix is the full n x n operator, or, when `free` lists the free dofs in
-    ascending order, only their free-free block: the model then eliminated
-    the constraints while assembling, so they must be homogeneous and fix
-    exactly the dofs outside `free`.  load always holds all n entries.
+    matrix is the symmetric block of the dofs in `free`, in column-major
+    order; free lists those dofs in ascending order; load holds all n
+    entries.  Every dof outside `free` is fixed at zero.
     """
 
     matrix: np.ndarray
     load: np.ndarray
-    constraints: dict[int, float]
-    free: np.ndarray | None = None
+    free: np.ndarray
 
     @property
     def n_dofs(self) -> int:
@@ -230,6 +227,31 @@ def dense_block(n: int) -> np.ndarray:
     return np.zeros((n, n), order="F")
 
 
+class FreeBlockWriter:
+    """The free-free block of a field-major system, written field pair by field pair.
+
+    free_nodes[f] lists field f's free nodes in ascending order; with
+    dof(f, node) = f * n_nodes + node the free dofs ascend too.  The block is
+    allocated once by dense_block, so the memory check runs first; put()
+    writes one (f, g) block, and its transpose into (g, f) when mirror=True.
+    """
+
+    def __init__(self, n_nodes: int, free_nodes: list[np.ndarray]):
+        self.free = np.concatenate([f * n_nodes + nodes for f, nodes in enumerate(free_nodes)])
+        self._start = np.cumsum([0] + [nodes.size for nodes in free_nodes])
+        self.matrix = dense_block(self.free.size)
+
+    def put(self, f: int, g: int, block: np.ndarray, mirror: bool = False) -> None:
+        rows = slice(self._start[f], self._start[f + 1])
+        cols = slice(self._start[g], self._start[g + 1])
+        self.matrix[rows, cols] = block
+        if mirror:
+            self.matrix[cols, rows] = block.T
+
+    def system(self, load: np.ndarray) -> StiffnessSystem:
+        return StiffnessSystem(self.matrix, load, self.free)
+
+
 def assemble(model, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
     """Validate the kernel and horizon, then assemble the model's system.
 
@@ -243,73 +265,22 @@ def assemble(model, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
     return model.assemble(kernel, horizon_radius)
 
 
-def apply_dirichlet(system: StiffnessSystem, constraints: dict[int, float]) -> StiffnessSystem:
-    """Attach Dirichlet values; merging is validated, elimination happens in solve().
+def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
+    """Displacements of the system by dense Cholesky of its free block.
 
-    An empty constraint set returns the system unchanged.  Re-constraining a
-    DOF to the same value is a no-op; to a different value, an error.
+    The block is factored in place, so system.matrix holds the factor
+    afterwards; np.asfortranarray copies only a block that is not
+    column-major.  LAPACK's lower Cholesky leaves the strict upper triangle
+    untouched, so that triangle plus the saved diagonal still hold K for the
+    residuals of iterative refinement, which must reach
+    ||K u - F|| <= residual_tol * ||F|| on the free rows.
     """
-    if not constraints:
-        return system
-    n = system.n_dofs
-    merged = dict(system.constraints)
-    for dof, value in constraints.items():
-        if not 0 <= dof < n:
-            raise ValueError(f"constraint on dof {dof} outside system of size {n}")
-        if dof in merged and merged[dof] != value:
-            raise ValueError(
-                f"conflicting constraints on dof {dof}: {merged[dof]!r} vs {value!r}"
-            )
-        merged[dof] = float(value)
-    return replace(system, constraints=merged)
-
-
-def solve(
-    system: StiffnessSystem, residual_tol: float = 1e-10, *, overwrite: bool = False
-) -> np.ndarray:
-    """Displacements of the constrained system by dense Cholesky.
-
-    A full system is reduced to its free block in one column-major copy, with
-    the load corrected for the prescribed values; system.matrix is never
-    modified.  A system that already holds only its free block is factored in
-    that array when overwrite=True (for callers that own the system and drop
-    it afterwards), and in a copy otherwise.  LAPACK's lower Cholesky leaves
-    the strict upper triangle untouched, so that triangle plus the saved
-    diagonal still hold K for the residuals of iterative refinement, which
-    must reach ||K u - F|| <= residual_tol * ||rhs|| on the free rows.
-    """
-    n = system.n_dofs
-    fixed = np.array(sorted(system.constraints), dtype=int)
-    u = np.zeros(n)
-    if fixed.size:
-        u[fixed] = [system.constraints[d] for d in fixed]
-    if system.free is None:
-        free = np.setdiff1d(np.arange(n), fixed)
-    else:
-        free = system.free
-        is_free = np.ones(n, dtype=bool)
-        is_free[fixed] = False
-        if np.any(u[fixed]) or not np.array_equal(np.flatnonzero(is_free), free):
-            raise ValueError(
-                "a reduced system needs homogeneous constraints on exactly the dofs "
-                "outside its free block"
-            )
+    free = system.free
+    u = np.zeros(system.n_dofs)
     if free.size == 0:
         return u
     rhs = system.load[free].astype(float, copy=True)
-    if system.free is None:
-        # One column-major copy of matrix[free][:, free], gathered in row
-        # blocks so that each block's transposition stays in cache.
-        K_ff = dense_block(free.size)
-        for r in range(0, free.size, 64):
-            K_ff[r : r + 64] = system.matrix[np.ix_(free[r : r + 64], free)]
-        if fixed.size:
-            rhs -= system.matrix[np.ix_(free, fixed)] @ u[fixed]
-    elif overwrite:
-        K_ff = np.asfortranarray(system.matrix, dtype=float)
-    else:
-        K_ff = dense_block(free.size)
-        K_ff[...] = system.matrix
+    K_ff = np.asfortranarray(system.matrix, dtype=float)
     diagonal = K_ff.diagonal().copy()
     try:
         factor = linalg.cho_factor(K_ff, lower=True, overwrite_a=True, check_finite=False)
@@ -354,7 +325,7 @@ def solve_metric(
     The metric dof is the beam's tip or midspan deflection, or the plate's
     center deflection.
     """
-    u = solve(assemble(model, kernel, horizon_radius), residual_tol, overwrite=True)
+    u = solve(assemble(model, kernel, horizon_radius), residual_tol)
     return float(np.abs(u[model.metric_dof]))
 
 

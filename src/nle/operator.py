@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .kernels import Kernel, LocalDelta, PowerLawKernel, frame_multipliers
 
@@ -322,6 +321,10 @@ def _side_integral(kernel, g, length, quad_tol, breaks) -> float:
         return 0.0
     if isinstance(kernel, LocalDelta):
         return g(0.0)
+    # imported here: no CLI path needs adaptive quadrature, and scipy.integrate
+    # is a large share of the package's import time
+    from scipy import integrate
+
     epsabs = quad_tol * 0.1
     pts = sorted(b for b in breaks if 0.0 < b < length)
     if isinstance(kernel, PowerLawKernel):

@@ -200,14 +200,9 @@ class MindlinPlateModel:
         def shear_mass(f: int) -> np.ndarray:
             return kron(f, f, g("y", sh, "N", "N"), g("x", sh, "N", "N"))
 
-        sizes = [jy.size * jx.size for jy, jx in axes]
-        start = np.concatenate(([0], np.cumsum(sizes)))
-        K = fem.dense_block(int(start[-1]))
-
-        def put(f: int, gf: int, block: np.ndarray, mirror: bool = False) -> None:
-            K[start[f] : start[f + 1], start[gf] : start[gf + 1]] = block
-            if mirror:
-                K[start[gf] : start[gf + 1], start[f] : start[f + 1]] = block.T
+        n_x = mesh.x_axis.n_nodes
+        blocks = fem.FreeBlockWriter(nn, [(jy[:, None] * n_x + jx).ravel() for jy, jx in axes])
+        put = blocks.put
 
         put(U, U, memb * direct_x(U))
         put(V, V, memb * direct_y(V))
@@ -232,9 +227,7 @@ class MindlinPlateModel:
         fy = quads[("y", b)].load_vector()
         F[W * nn : (W + 1) * nn] = self.pressure * np.kron(fy, fx)
 
-        free = self._free_dofs(axes)
-        constraints = {int(d): 0.0 for d in np.setdiff1d(np.arange(5 * nn), free)}
-        return StiffnessSystem(K, F, constraints, free)
+        return blocks.system(F)
 
     def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Free (y, x) node indices of each field; its free nodes are their product."""
@@ -245,11 +238,6 @@ class MindlinPlateModel:
 
         edges = FIXED_EDGES[self.boundary]
         return [(axis(n_y, edges[f][1]), axis(n_x, edges[f][0])) for f in FIELDS]
-
-    def _free_dofs(self, axes: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        nn, n_x = self.mesh.n_nodes, self.mesh.x_axis.n_nodes
-        nodes = [(jy[:, None] * n_x + jx[None, :]).ravel() for jy, jx in axes]
-        return np.concatenate([f * nn + node for f, node in enumerate(nodes)])
 
 
 @dataclass(frozen=True)
@@ -353,8 +341,7 @@ def solve_plate(
     center = model.mesh.center_node()
 
     def displacements(k: Kernel) -> np.ndarray:
-        # the system is ours alone, so its block may be factored in place
-        return fem.solve(fem.assemble(model, k, horizon_radius), residual_tol, overwrite=True)
+        return fem.solve(fem.assemble(model, k, horizon_radius), residual_tol)
 
     u_nl, u_loc = displacements(kernel), displacements(LocalDelta())
     w_nl = u_nl[W * nn : (W + 1) * nn]

@@ -58,8 +58,9 @@ class KernelSpec:
 class Model(Protocol):
     """What `sweep` needs of a structural model (beam or plate).
 
-    assemble(kernel, horizon_radius) builds the constrained system; the
-    metric is |u| at metric_dof.  case fills the fourth CSV column (load
+    assemble(kernel, horizon_radius) builds the free-free stiffness block
+    and the full load (fem.StiffnessSystem, every other dof fixed at zero);
+    the metric is |u| at metric_dof.  case fills the fourth CSV column (load
     case or boundary set), sweep_columns names the CSV columns and metadata
     holds the manifest entries of the model.
     """

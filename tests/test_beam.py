@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nle import fem
 from nle.beam import (
     BeamSection,
     CantileverTipLoad,
@@ -10,6 +11,7 @@ from nle.beam import (
     beam_sweep,
     solve_beam,
 )
+from nle.fem import AxisQuadrature, gauss_rule, gram
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel, power_law
 from nle.operator import HorizonSpec, build_operator_matrix
 from nle.results import KernelSpec
@@ -46,6 +48,62 @@ def test_metric_nodes():
     mid = TimoshenkoBeamModel(SECTION, SimplySupportedUniformLoad(), n_elements=8)
     assert tip.metric_node == 8
     assert mid.metric_node == 4
+
+
+# ---------------------------------------------------------------------------
+# the free block against the full assembly
+# ---------------------------------------------------------------------------
+
+def _full_beam_assembly(model, kernel, horizon_radius):
+    """Full 3 n_nodes square stiffness and the fixed dofs of the load case.
+
+    The assembly that the free-block construction replaced, kept as its
+    reference: the free block must equal K[free][:, free] bit for bit.
+    """
+    mesh, s = model.mesh, model.section
+    nn = mesh.n_nodes
+    bend = AxisQuadrature(mesh, gauss_rule(fem.BENDING_POINTS), kernel, horizon_radius)
+    shear = AxisQuadrature(mesh, gauss_rule(fem.SHEAR_POINTS), kernel, horizon_radius)
+    EA = s.modulus * s.area
+    EI = s.modulus * s.inertia
+    kGA = s.shear_correction * s.shear_modulus * s.area
+    Sb = gram(bend.B, bend.B, bend.weights)
+    Ss = gram(shear.B, shear.B, shear.weights)
+    Cs = gram(shear.B, shear.N, shear.weights)
+    Ms = gram(shear.N, shear.N, shear.weights)
+    U0, W0, THETA = range(3)
+    K = np.zeros((3 * nn, 3 * nn))
+
+    def blk(f, g):
+        return np.s_[f * nn : (f + 1) * nn, g * nn : (g + 1) * nn]
+
+    K[blk(U0, U0)] = EA * Sb
+    K[blk(W0, W0)] = kGA * Ss
+    K[blk(THETA, THETA)] = EI * Sb + kGA * Ms
+    wt = -kGA * Cs
+    K[blk(W0, THETA)] = wt
+    K[blk(THETA, W0)] = wt.T
+    if isinstance(model.load, CantileverTipLoad):
+        fixed = [U0 * nn, W0 * nn, THETA * nn]
+    else:
+        fixed = [U0 * nn, W0 * nn, W0 * nn + (nn - 1)]
+    return K, fixed
+
+
+@pytest.mark.parametrize("load", [CantileverTipLoad(), SimplySupportedUniformLoad()])
+@pytest.mark.parametrize(
+    "kernel",
+    [ExponentialKernel(2.5e-3), power_law(0.7), LocalDelta()],
+    ids=["exponential", "power_law", "local"],
+)
+def test_free_block_equals_the_full_assembly_bitwise(load, kernel):
+    model = TimoshenkoBeamModel(SECTION, load, 20)
+    system = model.assemble(kernel, 0.5)
+    K_full, fixed = _full_beam_assembly(model, kernel, 0.5)
+    free = np.setdiff1d(np.arange(K_full.shape[0]), fixed)
+    np.testing.assert_array_equal(system.free, free)
+    assert system.matrix.flags.f_contiguous
+    assert np.array_equal(system.matrix, K_full[np.ix_(free, free)])
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +145,15 @@ def _interleave_permutation(nn):
 @pytest.mark.parametrize("n_elements", [3, 10])
 def test_local_delta_assembly_matches_textbook(n_elements):
     model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), n_elements)
+    K_full, _ = _full_beam_assembly(model, LocalDelta(), 0.5)
     system = model.assemble(LocalDelta(), 0.5)
     K_textbook = _textbook_local_timoshenko(SECTION, n_elements)
     perm = _interleave_permutation(n_elements + 1)
     expected = K_textbook[np.ix_(perm, perm)]
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(system.matrix - expected)) <= 1e-10 * scale
+    assert np.max(np.abs(K_full - expected)) <= 1e-10 * scale
+    free_block = expected[np.ix_(system.free, system.free)]
+    assert np.max(np.abs(system.matrix - free_block)) <= 1e-10 * scale
 
 
 def test_cantilever_load_and_constraints():
@@ -102,7 +163,8 @@ def test_cantilever_load_and_constraints():
     expected = np.zeros(3 * nn)
     expected[nn + 6] = 3.5
     np.testing.assert_allclose(system.load, expected)
-    assert system.constraints == {0: 0.0, nn: 0.0, 2 * nn: 0.0}
+    fixed = np.setdiff1d(np.arange(3 * nn), system.free)
+    assert fixed.tolist() == [0, nn, 2 * nn]
 
 
 def test_udtl_consistent_load_and_constraints():
@@ -114,7 +176,8 @@ def test_udtl_consistent_load_and_constraints():
     expected = 2.0 * np.array([h / 2, h, h, h, h / 2])
     np.testing.assert_allclose(w_load, expected, rtol=1e-13)
     assert np.all(system.load[:nn] == 0.0) and np.all(system.load[2 * nn :] == 0.0)
-    assert system.constraints == {0: 0.0, nn: 0.0, 2 * nn - 1: 0.0}
+    fixed = np.setdiff1d(np.arange(3 * nn), system.free)
+    assert fixed.tolist() == [0, nn, 2 * nn - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +187,15 @@ def test_udtl_consistent_load_and_constraints():
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.05), PowerLawKernel(0.75)])
 def test_stiffness_symmetric_with_clipped_horizons(kernel):
     model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), 20)
-    K = model.assemble(kernel, 0.4).matrix
+    K, _ = _full_beam_assembly(model, kernel, 0.4)
     assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
+    K_ff = model.assemble(kernel, 0.4).matrix
+    assert np.max(np.abs(K_ff - K_ff.T)) <= 1e-12 * np.max(np.abs(K_ff))
 
 
 def test_rigid_body_modes_annihilated():
     model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), 16)
-    K = model.assemble(ExponentialKernel(0.05), 0.3).matrix
+    K, _ = _full_beam_assembly(model, ExponentialKernel(0.05), 0.3)
     nn = 17
     x = model.mesh.nodes
     translation = np.zeros(3 * nn)
@@ -148,7 +213,7 @@ def test_rigid_body_modes_annihilated():
 def test_row_support_bounded_by_horizon_window():
     model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), 40)
     l_f = 0.05
-    K = model.assemble(ExponentialKernel(0.02), l_f).matrix
+    K, _ = _full_beam_assembly(model, ExponentialKernel(0.02), l_f)
     nodes = model.mesh.nodes
     h = model.mesh.spacing
     nn = nodes.size

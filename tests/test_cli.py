@@ -287,6 +287,31 @@ def test_oversized_plate_exits_3_before_allocating(tmp_path, capsys, monkeypatch
     assert not (out / "convergence.csv").exists()
 
 
+def test_oversized_beam_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
+    # 400-element cantilever: 3 * 401 - 3 = 1200 free dofs, a 11.5 MB block;
+    # the patched probe reports one byte less than that block needs.
+    block = 8 * 1200**2
+    monkeypatch.setattr(fem, "available_memory", lambda: block - 1)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored a system that does not fit")
+
+    monkeypatch.setattr(fem.linalg, "cho_factor", no_factor)
+    text = BEAM_YAML.replace("n_elements: 60", "n_elements: 400")
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, "beam", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_SOLVER
+    assert peak < block // 4
+    err = capsys.readouterr().err
+    assert "dense system of 1200 dofs needs 0.01 GiB" in err
+    assert "category=SOLVER" in err
+    assert not (out / "beam.csv").exists()
+
+
 def test_sweep_keeps_going_past_a_failed_row(tmp_path):
     # An exponential length far above the mesh-resolvable range trips the
     # solver's residual guarantee; the row records the failure and the rest
@@ -317,3 +342,16 @@ def test_module_entry_point_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "nle 0.1.0"
+
+
+def test_importing_the_cli_leaves_out_scipy_integrate():
+    # only the continuous operator uses adaptive quadrature, and no CLI path
+    # calls it, so scipy.integrate must not load with the package
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, nle.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -9,7 +9,6 @@ from nle.fem import (
     RectangleMesh,
     SolverError,
     StiffnessSystem,
-    apply_dirichlet,
     gauss_rule,
     gram,
     hat_rows,
@@ -213,105 +212,57 @@ def test_bar_stiffness_matches_brute_force_energy_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# constraint handling
+# stiffness systems and their solve
 # ---------------------------------------------------------------------------
 
-def _toy_system(n=4, seed=7):
+def _toy_system(n=4, seed=7, fixed=()):
+    """Random SPD matrix K, its load F, and the system of the dofs outside `fixed`."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     K = A @ A.T + n * np.eye(n)
     F = rng.standard_normal(n)
-    return StiffnessSystem(matrix=K, load=F, constraints={})
-
-
-def test_apply_dirichlet_empty_is_identity():
-    system = _toy_system()
-    assert apply_dirichlet(system, {}) is system
-
-
-def test_apply_dirichlet_merges_and_validates():
-    system = apply_dirichlet(_toy_system(), {0: 0.5})
-    system = apply_dirichlet(system, {0: 0.5, 2: -1.0})
-    assert system.constraints == {0: 0.5, 2: -1.0}
-    with pytest.raises(ValueError, match="conflicting"):
-        apply_dirichlet(system, {0: 0.25})
-    with pytest.raises(ValueError, match="outside"):
-        apply_dirichlet(system, {9: 0.0})
-    with pytest.raises(ValueError, match="outside"):
-        apply_dirichlet(system, {-1: 0.0})
+    free = np.setdiff1d(np.arange(n), fixed)
+    block = np.asfortranarray(K[np.ix_(free, free)])
+    return K, StiffnessSystem(matrix=block, load=F, free=free)
 
 
 def test_solve_identity_system():
-    system = StiffnessSystem(matrix=np.eye(3), load=np.array([1.0, 0.0, 0.0]), constraints={})
+    system = StiffnessSystem(matrix=np.eye(3), load=np.array([1.0, 0.0, 0.0]), free=np.arange(3))
     np.testing.assert_allclose(solve(system), [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_solve_matches_dense_oracle():
-    system = _toy_system(n=6, seed=3)
-    expected = np.linalg.solve(system.matrix, system.load)
+    K, system = _toy_system(n=6, seed=3)
+    expected = np.linalg.solve(K, system.load)
     np.testing.assert_allclose(solve(system), expected, rtol=1e-12, atol=1e-14)
 
 
-def test_constrained_solve_matches_lagrange_multiplier_oracle():
-    system = _toy_system(n=6, seed=11)
-    values = {0: 0.3, 4: -0.2}
-    constrained = apply_dirichlet(system, values)
-    u = solve(constrained)
-
-    C = np.zeros((2, 6))
-    C[0, 0] = 1.0
-    C[1, 4] = 1.0
-    g = np.array([0.3, -0.2])
-    kkt = np.block([[system.matrix, C.T], [C, np.zeros((2, 2))]])
-    rhs = np.concatenate([system.load, g])
-    expected = np.linalg.solve(kkt, rhs)[:6]
-    np.testing.assert_allclose(u, expected, rtol=1e-10, atol=1e-12)
-
-
-def test_fully_constrained_solve_returns_prescribed_values():
-    system = _toy_system(n=3, seed=1)
-    u = solve(apply_dirichlet(system, {0: 1.0, 1: -2.0, 2: 0.25}))
-    np.testing.assert_allclose(u, [1.0, -2.0, 0.25], atol=1e-15)
-
-
 def test_solve_zero_constraints_zero_solution():
-    system = _toy_system(n=3, seed=2)
-    u = solve(apply_dirichlet(system, {0: 0.0, 1: 0.0, 2: 0.0}))
-    np.testing.assert_allclose(u, 0.0, atol=1e-15)
+    # every dof fixed: an empty block, and the solution is the fixed zeros
+    system = StiffnessSystem(matrix=np.zeros((0, 0)), load=np.ones(3), free=np.arange(0))
+    np.testing.assert_array_equal(solve(system), np.zeros(3))
 
 
 def test_indefinite_matrix_names_failing_pivot():
-    bad = StiffnessSystem(
-        matrix=np.diag([2.0, -3.0]), load=np.zeros(2), constraints={}
-    )
+    bad = StiffnessSystem(matrix=np.diag([2.0, -3.0]), load=np.zeros(2), free=np.arange(2))
     with pytest.raises(SolverError, match=r"not positive definite.*dof 1"):
         solve(bad)
 
 
 def test_failing_pivot_reported_in_global_indices():
-    # dof 0 is eliminated, so the first free pivot that fails is global dof 2
-    bad = StiffnessSystem(
-        matrix=np.diag([1.0, 4.0, -1.0]), load=np.zeros(3), constraints={}
-    )
+    # dof 0 is fixed, so the first free pivot that fails is global dof 2
+    bad = StiffnessSystem(matrix=np.diag([4.0, -1.0]), load=np.zeros(3), free=np.array([1, 2]))
     with pytest.raises(SolverError, match="dof 2"):
-        solve(apply_dirichlet(bad, {0: 0.0}))
+        solve(bad)
 
 
 def test_solve_residual_guarantee():
-    system = _toy_system(n=8, seed=5)
-    constrained = apply_dirichlet(system, {1: 0.1, 6: -0.4})
-    u = solve(constrained)
-    free = [i for i in range(8) if i not in (1, 6)]
-    r = (system.load - system.matrix @ u)[free]
-    rhs = system.load[free] - system.matrix[np.ix_(free, [1, 6])] @ np.array([0.1, -0.4])
-    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(rhs)
-
-
-def _reduced(system, fixed):
-    """The system with its homogeneous constraints eliminated by the caller."""
-    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
-    block = np.asfortranarray(system.matrix[np.ix_(free, free)])
-    return StiffnessSystem(block, system.load, {int(d): 0.0 for d in fixed}, free)
+    K, system = _toy_system(n=8, seed=5, fixed=[1, 6])
+    u = solve(system)
+    np.testing.assert_array_equal(u[[1, 6]], 0.0)
+    free = system.free
+    r = (system.load - K @ u)[free]
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(system.load[free])
 
 
 def _perturb_first_cho_solve(monkeypatch):
@@ -329,49 +280,29 @@ def _perturb_first_cho_solve(monkeypatch):
 
 
 def test_forced_refinement_step_converges_on_the_symmetric_residual(monkeypatch):
-    system = _toy_system(n=40, seed=13)
-    values = {3: 0.2, 17: -0.1}
-    free = [i for i in range(40) if i not in values]
-    fixed = list(values)
-    rhs = system.load[free] - system.matrix[np.ix_(free, fixed)] @ np.array(list(values.values()))
-    expected = np.linalg.solve(system.matrix[np.ix_(free, free)], rhs)
+    # every dof free: the residual comes from the upper triangle of the whole K
+    K, system = _toy_system(n=40, seed=13)
+    expected = np.linalg.solve(K, system.load)
     calls = _perturb_first_cho_solve(monkeypatch)
-    u = solve(apply_dirichlet(system, values))
+    u = solve(system)
     # one refinement step: the spoiled solve plus one correction solve
     assert len(calls) == 2
-    assert np.linalg.norm(u[free] - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_forced_refinement_step_converges_on_a_reduced_system(monkeypatch):
-    system = _toy_system(n=40, seed=17)
     fixed = [0, 9, 39]
-    reduced = _reduced(system, fixed)
-    expected = np.linalg.solve(reduced.matrix, system.load[reduced.free])
+    K, system = _toy_system(n=40, seed=17, fixed=fixed)
+    free = system.free
+    expected = np.linalg.solve(K[np.ix_(free, free)], system.load[free])
     calls = _perturb_first_cho_solve(monkeypatch)
-    u = solve(reduced, overwrite=True)
+    u = solve(system)
     assert len(calls) == 2
-    assert np.linalg.norm(u[reduced.free] - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.norm(u[free] - expected) <= 1e-12 * np.linalg.norm(expected)
     np.testing.assert_array_equal(u[fixed], 0.0)
 
 
-def test_solve_leaves_a_full_matrix_unchanged():
-    system = apply_dirichlet(_toy_system(n=12, seed=19), {2: 0.5, 7: 0.0})
-    before = system.matrix.copy()
-    solve(system)
-    assert np.array_equal(system.matrix, before)
-
-
-def test_solve_leaves_a_reduced_matrix_unchanged_unless_told_to_overwrite():
-    reduced = _reduced(_toy_system(n=12, seed=23), [0, 5])
-    before = reduced.matrix.copy()
-    u = solve(reduced)
-    assert np.array_equal(reduced.matrix, before)
-    # the owner's opt-in: same solution, factored in the system's own array
-    np.testing.assert_array_equal(solve(reduced, overwrite=True), u)
-    assert not np.array_equal(reduced.matrix, before)
-
-
-def test_solve_factors_its_free_block_without_a_copy(monkeypatch):
+def _recording_cho_factor(monkeypatch):
     real = fem.linalg.cho_factor
     seen = []
 
@@ -381,25 +312,48 @@ def test_solve_factors_its_free_block_without_a_copy(monkeypatch):
         return factor
 
     monkeypatch.setattr(fem.linalg, "cho_factor", recording)
-    full = apply_dirichlet(_toy_system(n=12, seed=29), {4: 0.1})
-    reduced = _reduced(_toy_system(n=12, seed=29), [4])
-    solve(full)
-    solve(reduced, overwrite=True)
-    (a_full, _), (a_red, _) = seen
-    for a, c in seen:
-        assert a.flags.f_contiguous
-        assert np.shares_memory(a, c)
-    assert not np.shares_memory(a_full, full.matrix)
-    assert np.shares_memory(a_red, reduced.matrix)
+    return seen
 
 
-def test_reduced_system_needs_homogeneous_constraints_on_the_rest():
-    reduced = _reduced(_toy_system(n=6, seed=31), [1])
-    with pytest.raises(ValueError, match="homogeneous"):
-        solve(apply_dirichlet(reduced, {3: 0.0}))
-    inhomogeneous = StiffnessSystem(reduced.matrix, reduced.load, {1: 0.5}, reduced.free)
-    with pytest.raises(ValueError, match="homogeneous"):
-        solve(inhomogeneous)
+def test_solve_factors_its_free_block_without_a_copy(monkeypatch):
+    seen = _recording_cho_factor(monkeypatch)
+    K, system = _toy_system(n=12, seed=29, fixed=[4])
+    before = system.matrix.copy()
+    solve(system)
+    ((a, c),) = seen
+    assert a is system.matrix and a.flags.f_contiguous
+    assert np.shares_memory(c, system.matrix)
+    assert not np.array_equal(system.matrix, before)
+
+
+def test_solve_copies_a_block_that_is_not_column_major(monkeypatch):
+    _, column_major = _toy_system(n=12, seed=37, fixed=[2, 3])
+    row_major = StiffnessSystem(
+        np.ascontiguousarray(column_major.matrix), column_major.load, column_major.free
+    )
+    before = row_major.matrix.copy()
+    seen = _recording_cho_factor(monkeypatch)
+    u = solve(row_major)
+    ((a, _),) = seen
+    assert a.flags.f_contiguous and not np.shares_memory(a, row_major.matrix)
+    assert np.array_equal(row_major.matrix, before)
+    np.testing.assert_array_equal(u, solve(column_major))
+
+
+def test_free_block_writer_places_and_mirrors_field_blocks():
+    # two fields on 3 nodes; field 0 fixed at node 0, field 1 at node 2
+    writer = fem.FreeBlockWriter(3, [np.array([1, 2]), np.array([0, 1])])
+    np.testing.assert_array_equal(writer.free, [1, 2, 3, 4])
+    A = np.array([[1.0, 2.0], [2.0, 5.0]])
+    C = np.array([[3.0, 4.0], [6.0, 7.0]])
+    writer.put(0, 0, A)
+    writer.put(1, 1, 2 * A)
+    writer.put(0, 1, C, mirror=True)
+    load = np.arange(6.0)
+    system = writer.system(load)
+    assert system.matrix is writer.matrix and system.matrix.flags.f_contiguous
+    assert system.load is load
+    np.testing.assert_array_equal(system.matrix, np.block([[A, C], [C.T, 2 * A]]))
 
 
 def test_dense_block_is_checked_against_available_memory(monkeypatch):
@@ -429,8 +383,9 @@ class _BarModel:
 
     def assemble(self, kernel, horizon_radius):
         quad = AxisQuadrature(self.mesh, gauss_rule(2), kernel, horizon_radius)
-        K = gram(quad.B, quad.B, quad.weights)
-        return StiffnessSystem(matrix=K, load=quad.load_vector(), constraints={})
+        K = np.asfortranarray(gram(quad.B, quad.B, quad.weights))
+        free = np.arange(self.mesh.n_nodes)
+        return StiffnessSystem(matrix=K, load=quad.load_vector(), free=free)
 
 
 class _GrowingKernel(ExponentialKernel):

@@ -131,11 +131,11 @@ def test_local_delta_assembly_matches_textbook_q4():
 # ---------------------------------------------------------------------------
 
 def _full_kron_assembly(model, kernel, horizon_radius):
-    """Full 5 n_nodes square stiffness as sums of np.kron terms, plus the constraints.
+    """Full 5 n_nodes square stiffness as sums of np.kron terms, plus the fixed dofs.
 
     The assembly that the free-block construction replaced, kept as its
     reference: every entry of the free block must equal K[free][:, free]
-    bit for bit, and the edge loops below must give the same constraints.
+    bit for bit, and the edge loops below must fix the dofs outside free.
     """
     mesh, s = model.mesh, model.section
     nn = mesh.n_nodes
@@ -196,18 +196,15 @@ def _full_kron_assembly(model, kernel, horizon_radius):
     nx, ny = mesh.x_axis.n_elements, mesh.y_axis.n_elements
     x_edges = [mesh.node(i, j) for i in (0, nx) for j in range(ny + 1)]
     y_edges = [mesh.node(i, j) for j in (0, ny) for i in range(nx + 1)]
-    fixed = {}
+    fixed = set()
     if model.boundary == "clamped":
         for node in set(x_edges) | set(y_edges):
-            for f in range(5):
-                fixed[f * nn + node] = 0.0
+            fixed.update(f * nn + node for f in range(5))
     else:
         for node in x_edges:
-            for f in (V, W, TY):
-                fixed[f * nn + node] = 0.0
+            fixed.update(f * nn + node for f in (V, W, TY))
         for node in y_edges:
-            for f in (U, W, TX):
-                fixed[f * nn + node] = 0.0
+            fixed.update(f * nn + node for f in (U, W, TX))
     return K, fixed
 
 
@@ -228,7 +225,6 @@ def test_free_block_equals_the_full_kronecker_assembly_bitwise(boundary, kernel,
     system = model.assemble(kernel, 0.5)
     K_full, fixed = _full_kron_assembly(model, kernel, 0.5)
     free = np.setdiff1d(np.arange(K_full.shape[0]), sorted(fixed))
-    assert system.constraints == fixed
     np.testing.assert_array_equal(system.free, free)
     assert system.matrix.flags.f_contiguous
     assert np.array_equal(system.matrix, K_full[np.ix_(free, free)])
@@ -275,9 +271,13 @@ def test_plate_solve_factors_the_assembled_block_in_place(monkeypatch):
 # boundary condition sets
 # ---------------------------------------------------------------------------
 
+def _fixed_dofs(system):
+    return set(np.setdiff1d(np.arange(system.n_dofs), system.free).tolist())
+
+
 def test_clamped_constraints_fix_all_dofs_on_all_edges():
     model = MindlinPlateModel(SECTION, 1.0, "clamped", nx=4, ny=3)
-    constraints = model.assemble(LocalDelta(), 0.5).constraints
+    fixed = _fixed_dofs(model.assemble(LocalDelta(), 0.5))
     mesh = model.mesh
     nn = mesh.n_nodes
     boundary_nodes = {
@@ -287,36 +287,35 @@ def test_clamped_constraints_fix_all_dofs_on_all_edges():
         if i in (0, 4) or j in (0, 3)
     }
     assert len(boundary_nodes) == 14
-    assert len(constraints) == 5 * 14
-    assert all(v == 0.0 for v in constraints.values())
+    assert len(fixed) == 5 * 14
     for node in boundary_nodes:
         for f in range(5):
-            assert f * nn + node in constraints
+            assert f * nn + node in fixed
 
 
 def test_simply_supported_constraints_per_edge():
     model = MindlinPlateModel(SECTION, 1.0, "simply_supported", nx=4, ny=3)
-    constraints = model.assemble(LocalDelta(), 0.5).constraints
+    fixed = _fixed_dofs(model.assemble(LocalDelta(), 0.5))
     mesh = model.mesh
     nn = mesh.n_nodes
     U, V, W, TX, TY = range(5)
     # midpoint of the x = 0 edge: tangential displacement v, deflection w
     # and tangential rotation theta_y are fixed, u and theta_x stay free
     side = mesh.node(0, 1)
-    assert {V * nn + side, W * nn + side, TY * nn + side} <= constraints.keys()
-    assert U * nn + side not in constraints
-    assert TX * nn + side not in constraints
+    assert {V * nn + side, W * nn + side, TY * nn + side} <= fixed
+    assert U * nn + side not in fixed
+    assert TX * nn + side not in fixed
     # midpoint of the y = 0 edge: the mirrored set
     bottom = mesh.node(2, 0)
-    assert {U * nn + bottom, W * nn + bottom, TX * nn + bottom} <= constraints.keys()
-    assert V * nn + bottom not in constraints
-    assert TY * nn + bottom not in constraints
+    assert {U * nn + bottom, W * nn + bottom, TX * nn + bottom} <= fixed
+    assert V * nn + bottom not in fixed
+    assert TY * nn + bottom not in fixed
     # corners belong to both edge families, so every DOF is fixed there
     corner = mesh.node(0, 0)
     for f in range(5):
-        assert f * nn + corner in constraints
+        assert f * nn + corner in fixed
     # 8 x-edge nodes * 3 + 10 y-edge nodes * 3 - 4 shared corner w's
-    assert len(constraints) == 50
+    assert len(fixed) == 50
 
 
 # ---------------------------------------------------------------------------
