@@ -8,6 +8,15 @@ the 1D solid, and static bending of Timoshenko beams and Mindlin plates on
 that kinematics, plus a CSV-emitting command line front end.
 """
 
+import os
+
+# Before anything loads numpy: both bundled OpenBLAS copies read this once,
+# when they load.  Their idle workers then spin for 2^20 cycles (well under
+# 1 ms) instead of the default 2^28 (about 0.1 s), so one library's spinning
+# pool does not hold the cores the other is computing on.  A value the user
+# set is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .beam import (
     BeamResult,
     BeamSection,

@@ -9,9 +9,10 @@ Five subcommands, each driven by one validated YAML document:
     nle convergence ...
 
 Every run writes one CSV of data rows plus manifest.json describing the run
-(config digest, tool and commit versions, wall time).  Data rows are
-deterministic: re-running the same config, at any thread count, reproduces
-the CSV byte for byte.  The manifest is allowed to differ (it carries the
+(config digest, tool and commit versions, BLAS threads, wall time).  Data
+rows are deterministic: re-running the same config, at any thread count,
+reproduces the CSV byte for byte; both OpenBLAS pools are pinned to a fixed
+count (nle.openblas).  The manifest is allowed to differ (it carries the
 wall time).  Exit codes: 0 success, 2 invalid configuration, 3 solver
 failure, 4 I/O failure, 5 verification failure; failures also emit a final
 machine-readable line "error: category=<NAME>" on stderr.
@@ -28,7 +29,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, beam, dispersion, fem, plate
+from . import __version__, beam, dispersion, fem, openblas, plate
 from .config import ConfigError, RunConfig, SUBCOMMANDS, parse_config
 from .kernels import KernelError
 from .results import SweepResult, sweep, write_manifest
@@ -108,6 +109,7 @@ def _run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    blas = openblas.pin()
     started = time.perf_counter()
     result = _produce(cfg, threads)
     wall = time.perf_counter() - started
@@ -120,6 +122,7 @@ def _run(args) -> int:
         "csv": csv_name,
         "rows": len(result.rows),
         "threads": threads,
+        **blas,
         "tool_version": __version__,
         "git_commit": _git_commit(),
         "config_path": str(config_path),

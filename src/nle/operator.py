@@ -18,9 +18,11 @@ an exact difference of closed-form kernel moments; no quadrature error enters
 and uniform-gradient fields are reproduced to rounding even for kernels with
 an integrable origin singularity.
 
-Each entry depends only on its (evaluation point, element) pair, so the
-matrix is one broadcast of moment differences over (points x elements)
-blocks, with no per-row loop.  Every entry sums its terms in a fixed order
+Each entry depends only on its (evaluation point, element) pair, and only
+the elements overlapping a side of a point's clipped horizon weigh anything:
+one contiguous run per side.  The matrix is one vectorized evaluation of
+moment differences over those (point, element) pairs, block of points by
+block, with no per-row loop.  Every entry sums its terms in a fixed order
 (element gradient, trailing side, leading side) whatever the block size.
 """
 
@@ -284,19 +286,26 @@ def build_operator_matrix(
         step = max(1, _BLOCK_ENTRIES // el_left.size)
         for start in range(0, pts.size, step):
             block = slice(start, start + step)
-            x = pts[block, None]
-            # element overlaps with x - [0, l_minus] and x + [0, l_plus]; lo
-            # and hi are clamped so that an element outside a side weighs 0
-            hi = np.minimum(el_right, x)
-            lo = np.minimum(np.maximum(el_left, x - l_minus[block, None]), hi)
-            trailing = kernel.interval_integral(x - lo) - kernel.interval_integral(x - hi)
-            lo = np.maximum(el_left, x)
-            hi = np.maximum(np.minimum(el_right, x + l_plus[block, None]), lo)
-            leading = kernel.interval_integral(hi - x) - kernel.interval_integral(lo - x)
-            for c, w in ((c_minus, trailing), (c_plus, leading)):
-                w = c[block, None] * w * inv_h
-                weights[block, 1:] += w
-                weights[block, :-1] -= w
+            x = pts[block]
+            rows = np.arange(x.size)
+            for c, a, b, trailing in (
+                (c_minus[block], x - l_minus[block], x, True),
+                (c_plus[block], x, x + l_plus[block], False),
+            ):
+                # the elements overlapping a side [a, b] form one run per row;
+                # the others, and all of a row whose multiplier is 0, weigh 0
+                first = np.searchsorted(el_right, a, side="right")
+                count = np.where(c > 0.0, np.searchsorted(el_left, b) - first, 0)
+                i = np.repeat(rows, count)
+                e = np.arange(i.size) + np.repeat(first - np.cumsum(count) + count, count)
+                xi, lo, hi = x[i], np.maximum(el_left[e], a[i]), np.minimum(el_right[e], b[i])
+                if trailing:
+                    w = kernel.interval_integral(xi - lo) - kernel.interval_integral(xi - hi)
+                else:
+                    w = kernel.interval_integral(hi - xi) - kernel.interval_integral(lo - xi)
+                w = c[i] * w * inv_h[e]
+                weights[start + i, e + 1] += w
+                weights[start + i, e] -= w
 
     n_fallback = int(np.count_nonzero(fallback))
     if n_fallback:
