@@ -18,12 +18,14 @@ an exact difference of closed-form kernel moments; no quadrature error enters
 and uniform-gradient fields are reproduced to rounding even for kernels with
 an integrable origin singularity.
 
-Each entry depends only on its (evaluation point, element) pair, and only
-the elements overlapping a side of a point's clipped horizon weigh anything:
-one contiguous run per side.  The matrix is one vectorized evaluation of
-moment differences over those (point, element) pairs, block of points by
-block, with no per-row loop.  Every entry sums its terms in a fixed order
-(element gradient, trailing side, leading side) whatever the block size.
+Each entry depends only on its (evaluation point, element) pair, so the
+matrix is one broadcast over (points x nodes) blocks, with no per-row loop.
+An element's share of one side is the difference of two moments taken at
+its nodes' distances from the point, clamped into that side; neighbouring
+elements share the node between them, so each side costs one moment per
+node, and an element outside the side gets two equal moments and weighs
+exactly 0.  Every entry sums its terms in a fixed order (element gradient,
+trailing side, leading side) whatever the block size.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ logger = logging.getLogger(__name__)
 
 _QUAD_LIMIT = 800
 
-# Largest (rows x elements) block broadcast at once; bounds the moment
+# Largest (rows x nodes) block broadcast at once; bounds the moment
 # temporaries of build_operator_matrix to a few MB whatever the mesh size.
 _BLOCK_ENTRIES = 1 << 18
 
@@ -258,8 +260,7 @@ def build_operator_matrix(
         raise ValueError("evaluation points must lie within the mesh span")
 
     l_minus, l_plus = _effective_side_arrays(horizon, pts)
-    el_left, el_right = nodes[:-1], nodes[1:]
-    h = el_right - el_left
+    h = np.diff(nodes)
     inv_h = 1.0 / h
     element = np.clip(np.searchsorted(nodes, pts, side="right") - 1, 0, nodes.size - 2)
     weights = np.zeros((pts.size, nodes.size))
@@ -283,29 +284,22 @@ def build_operator_matrix(
         for c, side in ((c_minus, l_minus), (c_plus, l_plus)):
             nonempty = ~local & (side > 0.0)
             c[nonempty] = 0.5 / kernel.interval_integral(side[nonempty])
-        step = max(1, _BLOCK_ENTRIES // el_left.size)
+        step = max(1, _BLOCK_ENTRIES // nodes.size)
         for start in range(0, pts.size, step):
             block = slice(start, start + step)
-            x = pts[block]
-            rows = np.arange(x.size)
-            for c, a, b, trailing in (
-                (c_minus[block], x - l_minus[block], x, True),
-                (c_plus[block], x, x + l_plus[block], False),
-            ):
-                # the elements overlapping a side [a, b] form one run per row;
-                # the others, and all of a row whose multiplier is 0, weigh 0
-                first = np.searchsorted(el_right, a, side="right")
-                count = np.where(c > 0.0, np.searchsorted(el_left, b) - first, 0)
-                i = np.repeat(rows, count)
-                e = np.arange(i.size) + np.repeat(first - np.cumsum(count) + count, count)
-                xi, lo, hi = x[i], np.maximum(el_left[e], a[i]), np.minimum(el_right[e], b[i])
-                if trailing:
-                    w = kernel.interval_integral(xi - lo) - kernel.interval_integral(xi - hi)
-                else:
-                    w = kernel.interval_integral(hi - xi) - kernel.interval_integral(lo - xi)
-                w = c[i] * w * inv_h[e]
-                weights[start + i, e + 1] += w
-                weights[start + i, e] -= w
+            x = pts[block, None]
+            # moments at each node's distance from x, the node clamped into
+            # x - [0, l_minus] (trailing side) or x + [0, l_plus] (leading)
+            lo = np.minimum(np.maximum(nodes, x - l_minus[block, None]), x)
+            moment = kernel.interval_integral(x - lo)
+            trailing = moment[:, :-1] - moment[:, 1:]
+            hi = np.maximum(np.minimum(nodes, x + l_plus[block, None]), x)
+            moment = kernel.interval_integral(hi - x)
+            leading = moment[:, 1:] - moment[:, :-1]
+            for c, w in ((c_minus, trailing), (c_plus, leading)):
+                w = c[block, None] * w * inv_h
+                weights[block, 1:] += w
+                weights[block, :-1] -= w
 
     n_fallback = int(np.count_nonzero(fallback))
     if n_fallback:
