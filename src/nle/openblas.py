@@ -2,11 +2,12 @@
 
 numpy's wheel ships ``libscipy_openblas64_`` (the ``@`` products of the
 Grams) and scipy's ships ``libscipy_openblas`` (``cho_factor``, ``dsymv``).
-Each keeps its own pool of worker threads, sized from the core count unless
-OPENBLAS_NUM_THREADS says otherwise, and the count decides how each call is
-partitioned, so it reaches the last bits of the results.  `pin` fixes both
-pools to THREADS workers through the libraries' own setters, which makes the
-CSVs independent of the machine's core count and of that variable.
+Each runs its calls on its own pool of threads, sized from the core count
+unless OPENBLAS_NUM_THREADS says otherwise, and the count decides how each
+call is partitioned, so it reaches the last bits of the results.  `pin`
+fixes both pools to THREADS threads through the libraries' own setters,
+which makes the CSVs independent of the machine's core count and of that
+variable.
 
 After each call the workers spin for 2^OPENBLAS_THREAD_TIMEOUT cycles before
 they sleep (2^28, about 0.1 s, when unset), and a spinning pool holds the
@@ -46,7 +47,7 @@ _LIBRARIES = (
 
 
 def pin() -> dict[str, str]:
-    """Set both pools to THREADS workers; return the manifest entries recording it.
+    """Set both pools to THREADS threads; return the manifest entries recording it.
 
     ``blas_threads`` and ``blas_thread_timeout`` are the values read back
     from the libraries after the pin: one number when both agree, else one
