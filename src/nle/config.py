@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import yaml
 
 from .beam import BeamSection
-from .kernels import KERNEL_KINDS
+from .kernels import KERNEL_KINDS, power_law
 from .plate import BOUNDARY_CONDITIONS, PlateSection
-from .results import ALPHA_FLOOR, KernelSpec
+from .results import KernelSpec, check_alpha_floor
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "LOAD_CASES"]
 
@@ -167,15 +167,12 @@ class _Block:
 
 
 def _check_alpha(alpha: float, where: str, errors: list[str]) -> None:
-    if alpha is None:
-        return
-    if not 0.0 < alpha <= 1.0:
-        errors.append(f"{where}: power-law exponent must lie in (0, 1] (got {alpha!r})")
-    elif alpha < ALPHA_FLOOR:
-        errors.append(
-            f"{where}: power-law exponent {alpha!r} is below the admissibility floor "
-            f"{ALPHA_FLOOR}; the constitutive model degrades below it"
-        )
+    # the kernel factory holds the (0, 1] range, results the sweep floor
+    try:
+        power_law(alpha)
+        check_alpha_floor(alpha)
+    except ValueError as exc:
+        errors.append(f"{where}: {exc}")
 
 
 def _kernel_spec(block: _Block, errors: list[str]) -> KernelSpec | None:

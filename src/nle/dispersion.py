@@ -14,11 +14,11 @@ that case returns a marker object instead of a number.  Its real part is
 positive only for alpha > 1/2, which is why configuration-level validation
 floors the exponent there.
 
-numerical_dispersion rebuilds the composed operator discretely on a periodic
-grid (fourth-order central differences for the gradients, Simpson-weighted
-circular convolution for the kernel averages) and reads the symbol off a
-sampled plane wave.  It shares no algebra with the closed forms and serves as
-their oracle.
+numerical_dispersion reads the same relation off the production operator:
+one row of operator.build_operator_matrix, the matrix the beams and plates
+assemble, applied to a sampled plane wave.  It shares no algebra with the
+closed forms and serves as their oracle, so a defect in the operator matrix
+shows up as a gap between the two.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ExponentialKernel, Kernel, LocalDelta
+from .kernels import ExponentialKernel, Kernel, LocalDelta, power_law
+from .operator import HorizonSpec, build_operator_matrix
 
 __all__ = [
     "Material1D",
@@ -39,12 +40,11 @@ __all__ = [
     "dispersion_exponential",
     "dispersion_powerlaw",
     "numerical_dispersion",
-    "periodic_composed_apply",
 ]
 
 
 class ResolutionError(ValueError):
-    """The discrete surrogate cannot resolve the requested configuration."""
+    """The discrete oracle cannot resolve the requested configuration."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,6 @@ class LongWaveDivergence:
 
     alpha: float
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LongWaveDivergence(alpha={self.alpha!r})"
-
 
 def dispersion_exponential(k: float, material: Material1D, l0: float) -> DispersionPoint:
     """Closed-form squared phase velocity for the exponential kernel.
@@ -106,12 +103,10 @@ def dispersion_powerlaw(
     straight line of slope 2(alpha-1) in log-log, unbounded as k -> 0; that
     limit returns a LongWaveDivergence marker.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"power-law exponent must lie in (0, 1] (got {alpha!r})")
+    power_law(alpha)  # the kernel factory holds the (0, 1] range
     if not l_star > 0.0:
         raise ValueError(f"reference length must be positive (got {l_star!r})")
-    if k < 0.0:
-        raise ValueError(f"wavenumber must be >= 0 (got {k!r})")
+    _require_wavenumber(k)
     if alpha == 1.0:
         return DispersionPoint(k, complex(material.local_velocity_sq, 0.0))
     if k == 0.0:
@@ -121,73 +116,25 @@ def dispersion_powerlaw(
     return DispersionPoint(k, material.local_velocity_sq * phase * magnitude)
 
 
-def periodic_composed_apply(
-    values: np.ndarray, spacing: float, kernel: Kernel, horizon_length: float
-) -> np.ndarray:
-    """Apply the composed discrete operator Dtilde(Dbar .) on a periodic grid.
-
-    values are samples on an equispaced periodic grid.  Gradients use the
-    fourth-order five-point stencil; each kernel average is a circular
-    convolution with Simpson weights over ~horizon_length per side, normalized
-    by the closed-form moment of the truncated range so constants are
-    annihilated exactly.
-    """
-    u = np.asarray(values)
-    n = u.shape[0]
-    if n < 16:
-        raise ResolutionError("periodic grid needs at least 16 samples")
-    if not spacing > 0.0:
-        raise ValueError("grid spacing must be positive")
-    if isinstance(kernel, LocalDelta):
-        return _fd4(_fd4(u, spacing), spacing)
-    if kernel.is_singular_at_origin:
-        raise ResolutionError(
-            "periodic surrogate is undefined for kernels singular at the origin; "
-            "use the closed-form relation for the power-law kernel"
-        )
-    m = max(2, 2 * int(round(horizon_length / (2.0 * spacing))))
-    if 2 * m >= n:
-        raise ResolutionError(
-            f"horizon ({m} grid steps per side) wraps around the periodic "
-            f"domain of {n} samples"
-        )
-    taps = np.zeros(n)
-    simpson = np.full(m + 1, 2.0)
-    simpson[1::2] = 4.0
-    simpson[0] = simpson[m] = 1.0
-    simpson *= spacing / 3.0
-    kvals = np.array([kernel.eval(j * spacing) for j in range(m + 1)])
-    w = simpson * kvals
-    taps[0] = 2.0 * w[0]
-    taps[1 : m + 1] += w[1:]
-    taps[n - m :] += w[1:][::-1]
-    cstar = 0.5 / float(kernel.interval_integral(m * spacing))
-    taps_hat = np.fft.fft(taps)
-
-    def smooth(a: np.ndarray) -> np.ndarray:
-        return cstar * np.fft.ifft(np.fft.fft(a) * taps_hat)
-
-    dbar = smooth(_fd4(u, spacing))
-    return _fd4(smooth(dbar), spacing)
-
-
 def numerical_dispersion(
     k: float,
     material: Material1D,
     kernel: Kernel,
     horizon_length: float,
     points_per_wavelength: int = 64,
-    min_wavelengths: int = 20,
 ) -> DispersionPoint:
-    """Squared phase velocity read off a discretely propagated plane wave.
+    """Squared phase velocity read off the production operator matrix.
 
-    A plane wave commensurate with the periodic domain is an exact
-    eigenvector of the composed discrete operator; the eigenvalue ratio gives
-    (w/k)^2 = -(E/rho) * symbol / k^2 without any curve fitting.
+    One row of build_operator_matrix, at the midpoint of a uniform element
+    whose mesh spans the horizon on both sides, applied to nodal samples of
+    exp(ikx) gives the discrete symbol sigma of the nonlocal gradient; the
+    composed operator acts on the wave as sigma^2, so
+    (w/k)^2 = -(E/rho) * sigma^2 / k^2.  sigma^2 converges as h^2, and one
+    Richardson step over h and h/2 removes that term.
 
     Requires at least 40 points per wavelength and, for the exponential
-    kernel, a horizon of at least 10 internal lengths; the grid is refined
-    automatically so the kernel itself is resolved by the convolution.
+    kernel, a horizon of at least 10 internal lengths; the mesh is refined
+    automatically so the elements resolve the kernel as well as the wave.
     """
     _require_wavenumber(k, strict=True)
     if points_per_wavelength < 40:
@@ -199,26 +146,32 @@ def numerical_dispersion(
             f"horizon {horizon_length:g} shorter than 10 internal lengths "
             f"({10.0 * kernel.l0:g}): truncation would dominate the comparison"
         )
-    wavelength = 2.0 * math.pi / k
-    n_waves = max(min_wavelengths, math.ceil(4.0 * horizon_length / wavelength))
-    length = n_waves * wavelength
-    h_target = wavelength / points_per_wavelength
+    if kernel.is_singular_at_origin and not isinstance(kernel, LocalDelta):
+        raise ResolutionError(
+            "a truncated horizon cannot reproduce the closed form for kernels "
+            "singular at the origin; use the closed-form relation for the "
+            "power-law kernel"
+        )
+    h = 2.0 * math.pi / (k * points_per_wavelength)
     if isinstance(kernel, ExponentialKernel):
-        h_target = min(h_target, kernel.l0 / 12.0)
-    n = int(math.ceil(length / h_target))
-    h = length / n
-    x = h * np.arange(n)
-    u = np.exp(1j * k * x)
-    out = periodic_composed_apply(u, h, kernel, horizon_length)
-    eig = complex(np.mean(out / u))
-    return DispersionPoint(k, -material.local_velocity_sq * eig / (k * k))
+        h = min(h, kernel.l0 / 12.0)
+    coarse, fine = (_symbol(k, kernel, horizon_length, step) ** 2 for step in (h, h / 2.0))
+    symbol_sq = (4.0 * fine - coarse) / 3.0
+    return DispersionPoint(k, -material.local_velocity_sq * symbol_sq / (k * k))
 
 
-def _fd4(a: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order periodic first derivative."""
-    return (
-        8.0 * (np.roll(a, -1) - np.roll(a, 1)) - (np.roll(a, -2) - np.roll(a, 2))
-    ) / (12.0 * h)
+def _symbol(k: float, kernel: Kernel, horizon_length: float, h: float) -> complex:
+    """Discrete gradient symbol on a uniform mesh of spacing h.
+
+    x = 0 is the midpoint of the central element and the mesh reaches past
+    the horizon on both sides, so its row is an unclipped interior row and
+    exp(ikx) = 1 there.
+    """
+    n = math.ceil(horizon_length / h)
+    nodes = h * (np.arange(-n - 1, n + 1) + 0.5)
+    horizon = HorizonSpec(horizon_length, float(nodes[0]), float(nodes[-1]))
+    row = build_operator_matrix(nodes, [0.0], horizon, kernel)
+    return complex(row.apply(np.exp(1j * k * nodes))[0])
 
 
 def _require_wavenumber(k: float, strict: bool = False) -> None:

@@ -45,7 +45,6 @@ __all__ = [
     "nonlocal_derivative",
     "boundary_limit_value",
     "build_operator_matrix",
-    "adjoint_integral",
 ]
 
 logger = logging.getLogger(__name__)
@@ -180,37 +179,6 @@ def boundary_limit_value(
         c = 0.5 / float(kernel.interval_integral(l_minus))
         side = _side_integral(kernel, lambda s: df(x0 - s), l_minus, quad_tol, _side_breaks(breakpoints, x0, -1.0, l_minus))
     return 0.5 * df(x0) + c * side
-
-
-def adjoint_integral(
-    field: Callable[[float], float],
-    x: float,
-    horizon: HorizonSpec,
-    kernel: Kernel,
-    quad_tol: float = 1e-13,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Smoothing companion of the nonlocal gradient (values, not derivatives).
-
-    The pairing swaps the interval lengths relative to the forward operator:
-    c_minus weights the trailing interval of length l_plus and c_plus the
-    leading interval of length l_minus,
-
-        Itilde phi(x) = c_minus * integral_{x-l_plus}^{x} K phi dx'
-                      + c_plus  * integral_{x}^{x+l_minus} K phi dx'.
-
-    On a symmetric interior horizon this reduces to a weighted average with
-    unit mass (Itilde 1 = 1); at asymmetric points the swapped pairing is not
-    mass-preserving, which the test suite records rather than hides.  Used to
-    spot-check natural boundary terms on the 1D bar; assembly never calls it.
-    """
-    l_minus, l_plus = _effective_sides(horizon, x)
-    if l_minus == 0.0 or l_plus == 0.0:
-        raise ValueError("adjoint pairing needs both clipped side lengths positive")
-    mult = frame_multipliers(kernel, l_minus, l_plus)
-    left = _side_integral(kernel, lambda s: field(x - s), l_plus, quad_tol, _side_breaks(breakpoints, x, -1.0, l_plus))
-    right = _side_integral(kernel, lambda s: field(x + s), l_minus, quad_tol, _side_breaks(breakpoints, x, +1.0, l_minus))
-    return mult.c_minus * left + mult.c_plus * right
 
 
 @dataclass(frozen=True)

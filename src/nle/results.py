@@ -25,6 +25,7 @@ __all__ = [
     "Model",
     "SweepResult",
     "sweep",
+    "check_alpha_floor",
     "format_value",
     "write_manifest",
 ]
@@ -34,6 +35,15 @@ __all__ = [
 # Analysis entry points (dispersion closed forms) accept any exponent in
 # (0, 1) so the breakdown itself remains observable.
 ALPHA_FLOOR = 0.5
+
+
+def check_alpha_floor(alpha: float) -> None:
+    """Reject a power-law exponent below ALPHA_FLOOR with a ValueError."""
+    if alpha < ALPHA_FLOOR:
+        raise ValueError(
+            f"power-law exponent {alpha!r} is below the admissibility floor "
+            f"{ALPHA_FLOOR}; the constitutive model degrades below it"
+        )
 
 
 @dataclass(frozen=True)
@@ -114,10 +124,8 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     if not len(kernel_grid) or not len(l_f_grid):
         raise ValueError("sweep grids must be nonempty")
     for spec in kernel_grid:
-        if spec.kind == "power_law" and spec.param is not None and spec.param < ALPHA_FLOOR:
-            raise ValueError(
-                f"power-law exponent {spec.param} below the admissibility floor {ALPHA_FLOOR}"
-            )
+        if spec.kind == "power_law" and spec.param is not None:
+            check_alpha_floor(spec.param)
     for l_f in l_f_grid:
         if not l_f > 0.0:
             raise ValueError(f"horizon radius must be positive (got {l_f!r})")

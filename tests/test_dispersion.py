@@ -11,9 +11,10 @@ from nle.dispersion import (
     dispersion_exponential,
     dispersion_powerlaw,
     numerical_dispersion,
-    periodic_composed_apply,
 )
+from nle import dispersion
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
+from nle.operator import NonlocalOperatorMatrix, build_operator_matrix
 
 MAT = Material1D(modulus=30e9, density=2500.0)
 C2 = MAT.local_velocity_sq  # 1.2e7 m^2/s^2
@@ -102,7 +103,7 @@ def test_closed_form_validation():
 
 
 # ---------------------------------------------------------------------------
-# periodic discrete oracle
+# discrete oracle on the production operator
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kl0", [0.1, 1.0, 5.0])
@@ -127,12 +128,6 @@ def test_numerical_local_delta_recovers_local_velocity():
     assert abs(num - C2) <= 1e-6 * C2
 
 
-def test_constant_field_annihilated_exactly():
-    u = np.full(256, 3.7, dtype=complex)
-    out = periodic_composed_apply(u, 0.01, ExponentialKernel(0.05), 0.5)
-    assert np.max(np.abs(out)) == 0.0
-
-
 def test_numerical_convergence_order_at_least_two():
     l0 = 0.05
     k = 1.0 / l0
@@ -155,3 +150,20 @@ def test_numerical_resolution_guards():
         numerical_dispersion(1.0, MAT, PowerLawKernel(0.75), 1.0)
     with pytest.raises(ValueError, match="positive"):
         numerical_dispersion(0.0, MAT, ExponentialKernel(0.05), 1.0)
+
+
+def test_numerical_reads_the_production_operator(monkeypatch):
+    # a 1e-3 defect on one side of every operator row must open a gap above
+    # the 1e-4 the oracle is held to
+    def skewed(nodes, eval_points, horizon, kernel):
+        op = build_operator_matrix(nodes, eval_points, horizon, kernel)
+        leading = op.nodes[None, :] > op.eval_points[:, None]
+        weights = np.where(leading, op.weights * (1.0 + 1e-3), op.weights)
+        return NonlocalOperatorMatrix(weights, op.eval_points, op.nodes)
+
+    monkeypatch.setattr(dispersion, "build_operator_matrix", skewed)
+    l0 = 0.05
+    k = 1.0 / l0
+    closed = dispersion_exponential(k, MAT, l0).phase_velocity_sq
+    num = numerical_dispersion(k, MAT, ExponentialKernel(l0), 15.0 * l0).phase_velocity_sq
+    assert abs(num - closed) > 1e-4 * abs(closed)

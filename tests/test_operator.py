@@ -17,7 +17,8 @@ from nle.kernels import (
 )
 from nle.operator import (
     HorizonSpec,
-    adjoint_integral,
+    _effective_sides,
+    _side_integral,
     boundary_limit_value,
     build_operator_matrix,
     nonlocal_derivative,
@@ -390,6 +391,29 @@ def test_matrix_input_validation():
 # ---------------------------------------------------------------------------
 # adjoint smoothing operator
 # ---------------------------------------------------------------------------
+
+def adjoint_integral(field, x, horizon, kernel, quad_tol=1e-13):
+    """Smoothing companion of the nonlocal gradient (values, not derivatives).
+
+    The pairing swaps the interval lengths relative to the forward operator:
+    c_minus weights the trailing interval of length l_plus and c_plus the
+    leading interval of length l_minus,
+
+        Itilde phi(x) = c_minus * integral_{x-l_plus}^{x} K phi dx'
+                      + c_plus  * integral_{x}^{x+l_minus} K phi dx'.
+
+    On a symmetric interior horizon this reduces to a weighted average with
+    unit mass (Itilde 1 = 1); at asymmetric points the swapped pairing is not
+    mass-preserving, which the tests below record rather than hide.
+    """
+    l_minus, l_plus = _effective_sides(horizon, x)
+    if l_minus == 0.0 or l_plus == 0.0:
+        raise ValueError("adjoint pairing needs both clipped side lengths positive")
+    mult = frame_multipliers(kernel, l_minus, l_plus)
+    left = _side_integral(kernel, lambda s: field(x - s), l_plus, quad_tol, [])
+    right = _side_integral(kernel, lambda s: field(x + s), l_minus, quad_tol, [])
+    return mult.c_minus * left + mult.c_plus * right
+
 
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), PowerLawKernel(0.75), LocalDelta()])
 def test_adjoint_preserves_constants_on_symmetric_horizons(kernel):
