@@ -233,7 +233,8 @@ class FreeBlockWriter:
     free_nodes[f] lists field f's free nodes in ascending order; with
     dof(f, node) = f * n_nodes + node the free dofs ascend too.  The block is
     allocated once by dense_block, so the memory check runs first; put()
-    writes one (f, g) block, and its transpose into (g, f) when mirror=True.
+    writes one (f, g) block, and its transpose into (g, f) when mirror=True;
+    columns() gives a block by columns, for callers that stream it.
     """
 
     def __init__(self, n_nodes: int, free_nodes: list[np.ndarray]):
@@ -242,11 +243,17 @@ class FreeBlockWriter:
         self.matrix = dense_block(self.free.size)
 
     def put(self, f: int, g: int, block: np.ndarray, mirror: bool = False) -> None:
-        rows = slice(self._start[f], self._start[f + 1])
-        cols = slice(self._start[g], self._start[g + 1])
+        rows, cols = self._dofs(f), self._dofs(g)
         self.matrix[rows, cols] = block
         if mirror:
             self.matrix[cols, rows] = block.T
+
+    def columns(self, f: int, g: int) -> np.ndarray:
+        """Writable view of block (f, g) by columns: row c holds its column c, contiguous."""
+        return self.matrix[self._dofs(f), self._dofs(g)].T
+
+    def _dofs(self, f: int) -> slice:
+        return slice(self._start[f], self._start[f + 1])
 
     def system(self, load: np.ndarray) -> StiffnessSystem:
         return StiffnessSystem(self.matrix, load, self.free)

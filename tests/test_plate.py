@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nle import fem
+from nle import fem, plate
 from nle.fem import (
     BENDING_POINTS,
     SHEAR_POINTS,
@@ -227,7 +227,10 @@ def test_free_block_equals_the_full_kronecker_assembly_bitwise(boundary, kernel,
     free = np.setdiff1d(np.arange(K_full.shape[0]), sorted(fixed))
     np.testing.assert_array_equal(system.free, free)
     assert system.matrix.flags.f_contiguous
-    assert np.array_equal(system.matrix, K_full[np.ix_(free, free)])
+    expected = K_full[np.ix_(free, free)]
+    assert np.array_equal(system.matrix, expected)
+    # array_equal takes -0.0 for +0.0; the bytes tell them apart
+    assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
 
 
 @pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
@@ -243,6 +246,41 @@ def test_assembly_never_allocates_the_full_matrix(boundary):
         tracemalloc.stop()
     full_bytes = 8 * (5 * model.mesh.n_nodes) ** 2
     assert system.matrix.nbytes <= peak < full_bytes
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
+def test_assembly_temporaries_stay_below_one_field_block(boundary):
+    model = MindlinPlateModel(SECTION, 1.0, boundary, nx=12, ny=12)
+    kernel = ExponentialKernel(2.5e-3)
+    model.assemble(kernel, 0.5)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        system = model.assemble(kernel, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    free_per_field = np.bincount(system.free // model.mesh.n_nodes, minlength=5)
+    smallest_field_block = 8 * int(free_per_field.min()) ** 2
+    assert peak - system.matrix.nbytes < smallest_field_block
+
+
+@pytest.mark.parametrize(
+    "shape, builds",
+    [((6, 6, 1.0, 1.0), 2), ((6, 6, 1.3, 1.0), 4), ((6, 8, 1.0, 1.0), 4)],
+    ids=["square", "longer", "finer"],
+)
+def test_equal_axes_share_one_quadrature_per_rule(monkeypatch, shape, builds):
+    rules = []
+
+    def counting(axis, rule, *args):
+        rules.append((axis.length, axis.n_elements, rule.points.size))
+        return AxisQuadrature(axis, rule, *args)
+
+    monkeypatch.setattr(plate, "AxisQuadrature", counting)
+    nx, ny, lx, ly = shape
+    model = MindlinPlateModel(PlateSection(length_x=lx, length_y=ly), 1.0, "clamped", nx=nx, ny=ny)
+    model.assemble(ExponentialKernel(2.5e-3), 0.5)
+    assert len(rules) == len(set(rules)) == builds
 
 
 def test_plate_solve_factors_the_assembled_block_in_place(monkeypatch):
