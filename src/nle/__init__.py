@@ -18,12 +18,10 @@ import os
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 from .beam import (
-    BeamResult,
     BeamSection,
     CantileverTipLoad,
     SimplySupportedUniformLoad,
-    beam_sweep,
-    solve_beam,
+    TimoshenkoBeamModel,
 )
 from .config import ConfigError, RunConfig, parse_config
 from .dispersion import (
@@ -43,14 +41,13 @@ from .kernels import (
     power_law,
 )
 from .operator import HorizonSpec, boundary_limit_value, build_operator_matrix, nonlocal_derivative
-from .plate import PlateResult, PlateSection, plate_sweep, solve_plate
-from .results import ALPHA_FLOOR, KernelSpec, SweepResult
+from .plate import MindlinPlateModel, PlateSection
+from .results import ALPHA_FLOOR, KernelSpec, SweepResult, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA_FLOOR",
-    "BeamResult",
     "BeamSection",
     "CantileverTipLoad",
     "ConfigError",
@@ -60,14 +57,14 @@ __all__ = [
     "KernelSpec",
     "LocalDelta",
     "Material1D",
-    "PlateResult",
+    "MindlinPlateModel",
     "PlateSection",
     "PowerLawKernel",
     "RunConfig",
     "SimplySupportedUniformLoad",
     "SweepResult",
+    "TimoshenkoBeamModel",
     "__version__",
-    "beam_sweep",
     "boundary_limit_value",
     "build_operator_matrix",
     "dispersion_exponential",
@@ -78,8 +75,6 @@ __all__ = [
     "nonlocal_derivative",
     "numerical_dispersion",
     "parse_config",
-    "plate_sweep",
     "power_law",
-    "solve_beam",
-    "solve_plate",
+    "sweep",
 ]

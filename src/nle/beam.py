@@ -25,9 +25,8 @@ import numpy as np
 
 from . import fem
 from .fem import AxisQuadrature, IntervalMesh, StiffnessSystem, gauss_rule, gram
-from .kernels import Kernel, LocalDelta
+from .kernels import Kernel
 from .operator import NonlocalOperatorMatrix
-from .results import KernelSpec, SweepResult, sweep
 
 __all__ = [
     "BeamSection",
@@ -35,10 +34,7 @@ __all__ = [
     "SimplySupportedUniformLoad",
     "TimoshenkoBeamModel",
     "BeamDisplacement",
-    "BeamResult",
-    "solve_beam",
     "beam_strains",
-    "beam_sweep",
     "BEAM_SWEEP_COLUMNS",
 ]
 
@@ -198,63 +194,6 @@ class BeamDisplacement:
     def from_vector(cls, nodes: np.ndarray, u: np.ndarray) -> "BeamDisplacement":
         nn = nodes.size
         return cls(nodes, u[:nn], u[nn : 2 * nn], u[2 * nn :])
-
-
-@dataclass(frozen=True)
-class BeamResult:
-    """Peak transverse deflections of the nonlocal and local solves."""
-
-    w_max: float
-    w_max_local: float
-    displacement: BeamDisplacement
-    displacement_local: BeamDisplacement
-
-    @property
-    def softening_ratio(self) -> float:
-        """Peak-deflection ratio nonlocal/local; > 1 means nonlocal softening."""
-        return self.w_max / self.w_max_local
-
-
-def solve_beam(
-    section: BeamSection,
-    load: BeamLoad,
-    kernel: Kernel,
-    horizon_radius: float,
-    n_elements: int = 200,
-    residual_tol: float = 1e-10,
-) -> BeamResult:
-    """Solve the same bending problem with the given kernel and locally.
-
-    The local companion uses the identical mesh, quadrature and supports
-    with the delta kernel, so the ratio isolates the nonlocal effect.
-    The default residual tolerance is attainable up to roughly the default
-    mesh density; finer meshes raise the float64 floor (it scales with the
-    stiffness norm, hence with 1/h) and need a looser tolerance.
-    """
-    model = TimoshenkoBeamModel(section, load, n_elements)
-    u_nl = fem.solve(fem.assemble(model, kernel, horizon_radius), residual_tol)
-    u_loc = fem.solve(fem.assemble(model, LocalDelta(), horizon_radius), residual_tol)
-    d_nl = BeamDisplacement.from_vector(model.mesh.nodes, u_nl)
-    d_loc = BeamDisplacement.from_vector(model.mesh.nodes, u_loc)
-    node = model.metric_node
-    return BeamResult(
-        w_max=float(np.abs(d_nl.w0[node])),
-        w_max_local=float(np.abs(d_loc.w0[node])),
-        displacement=d_nl,
-        displacement_local=d_loc,
-    )
-
-
-def beam_sweep(
-    section: BeamSection,
-    load: BeamLoad,
-    kernel_grid: list[KernelSpec],
-    l_f_grid,
-    n_elements: int = 200,
-    threads: int = 1,
-) -> SweepResult:
-    """One row per (kernel, horizon) configuration; see results.sweep."""
-    return sweep(TimoshenkoBeamModel(section, load, n_elements), kernel_grid, l_f_grid, threads)
 
 
 def beam_strains(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .beam import BeamSection
+from .beam import FIXED_NODES, BeamSection
 from .kernels import KERNEL_KINDS, power_law
 from .plate import BOUNDARY_CONDITIONS, PlateSection
 from .results import KernelSpec, check_alpha_floor
@@ -21,7 +21,7 @@ from .results import KernelSpec, check_alpha_floor
 __all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "LOAD_CASES"]
 
 SUBCOMMANDS = ("dispersion", "beam", "plate", "sweep", "convergence")
-LOAD_CASES = ("cantilever_tip", "ss_udtl")
+LOAD_CASES = tuple(FIXED_NODES)
 
 
 class ConfigError(ValueError):

@@ -36,18 +36,14 @@ import numpy as np
 
 from . import fem
 from .fem import AxisQuadrature, RectangleMesh, StiffnessSystem, gauss_rule, gram
-from .kernels import Kernel, LocalDelta
+from .kernels import Kernel
 from .operator import NonlocalOperatorMatrix
-from .results import KernelSpec, SweepResult, sweep
 
 __all__ = [
     "PlateSection",
     "MindlinPlateModel",
     "PlateDisplacement",
-    "PlateResult",
-    "solve_plate",
     "plate_strains",
-    "plate_sweep",
     "BOUNDARY_CONDITIONS",
     "PLATE_SWEEP_COLUMNS",
 ]
@@ -124,6 +120,8 @@ class MindlinPlateModel:
     ):
         if boundary not in BOUNDARY_CONDITIONS:
             raise ValueError(f"boundary must be one of {BOUNDARY_CONDITIONS} (got {boundary!r})")
+        if nx % 2 or ny % 2:
+            raise ValueError(f"center node needs even element counts (got nx={nx}, ny={ny})")
         self.section = section
         self.pressure = pressure
         self.boundary = boundary
@@ -386,62 +384,3 @@ def plate_strains(
     gamma_xz = d_x(d.w) - at(d.theta_x)
     gamma_yz = d_y(d.w) - at(d.theta_y)
     return eps_xx, eps_yy, gamma_xy, gamma_xz, gamma_yz
-
-
-@dataclass(frozen=True)
-class PlateResult:
-    """Center deflections of the nonlocal and local solves."""
-
-    w_center: float
-    w_center_local: float
-    w_field: np.ndarray
-    w_field_local: np.ndarray
-
-    @property
-    def softening_ratio(self) -> float:
-        """Center-deflection ratio nonlocal/local; > 1 means nonlocal softening."""
-        return self.w_center / self.w_center_local
-
-
-def plate_sweep(
-    section: PlateSection,
-    pressure: float,
-    boundary: str,
-    kernel_grid: list[KernelSpec],
-    l_f_grid,
-    nx: int = 24,
-    ny: int = 24,
-    threads: int = 1,
-) -> SweepResult:
-    """One row per (kernel, horizon) configuration; see results.sweep."""
-    model = MindlinPlateModel(section, pressure, boundary, nx, ny)
-    return sweep(model, kernel_grid, l_f_grid, threads)
-
-
-def solve_plate(
-    section: PlateSection,
-    pressure: float,
-    boundary: str,
-    kernel: Kernel,
-    horizon_radius: float,
-    nx: int = 24,
-    ny: int = 24,
-    residual_tol: float = 1e-10,
-) -> PlateResult:
-    """Solve the same plate with the given kernel and locally on one mesh."""
-    model = MindlinPlateModel(section, pressure, boundary, nx, ny)
-    nn = model.mesh.n_nodes
-    center = model.mesh.center_node()
-
-    def displacements(k: Kernel) -> np.ndarray:
-        return fem.solve(fem.assemble(model, k, horizon_radius), residual_tol)
-
-    u_nl, u_loc = displacements(kernel), displacements(LocalDelta())
-    w_nl = u_nl[W * nn : (W + 1) * nn]
-    w_loc = u_loc[W * nn : (W + 1) * nn]
-    return PlateResult(
-        w_center=float(np.abs(w_nl[center])),
-        w_center_local=float(np.abs(w_loc[center])),
-        w_field=w_nl,
-        w_field_local=w_loc,
-    )

@@ -71,14 +71,16 @@ class Model(Protocol):
     assemble(kernel, horizon_radius) builds the free-free stiffness block
     and the full load (fem.StiffnessSystem, every other dof fixed at zero);
     the metric is |u| at metric_dof.  case fills the fourth CSV column (load
-    case or boundary set), sweep_columns names the CSV columns and metadata
-    holds the manifest entries of the model.
+    case or boundary set), sweep_columns names the CSV columns, metadata
+    holds the manifest entries of the model and resolution is the mesh size
+    as the convergence table prints it.
     """
 
     metric_dof: int
     case: str
     sweep_columns: tuple[str, ...]
     metadata: dict[str, str]
+    resolution: str
 
     def assemble(self, kernel: Kernel, horizon_radius: float) -> fem.StiffnessSystem: ...
 

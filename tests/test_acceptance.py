@@ -18,7 +18,6 @@ from nle.beam import (
     CantileverTipLoad,
     SimplySupportedUniformLoad,
     TimoshenkoBeamModel,
-    beam_sweep,
 )
 from nle.cli import main as cli_main
 from nle.dispersion import (
@@ -35,7 +34,7 @@ from nle.operator import (
     nonlocal_derivative,
 )
 from nle.plate import MindlinPlateModel, W as W_FIELD, PlateSection
-from nle.results import KernelSpec
+from nle.results import KernelSpec, sweep
 
 UNIT = HorizonSpec(l_f=0.5, x_min=0.0, x_max=1.0)
 
@@ -341,12 +340,10 @@ def test_criterion_7_parameter_trends(beam_grid):
     # (b) exponential: the softening ratio against l0 over a log grid must
     # rise to an interior peak and decline past it.
     scan_l0 = np.logspace(-4.0, math.log10(5e-3), 9)
-    scan = beam_sweep(
-        BeamSection(),
-        CantileverTipLoad(),
+    scan = sweep(
+        TimoshenkoBeamModel(BeamSection(), CantileverTipLoad(), 200),
         [KernelSpec("exponential", float(v)) for v in scan_l0],
         [0.5],
-        n_elements=200,
     )
     ratios = scan.column("w_bar")
     peak = int(np.argmax(ratios))

@@ -8,13 +8,11 @@ from nle.beam import (
     SimplySupportedUniformLoad,
     TimoshenkoBeamModel,
     beam_strains,
-    beam_sweep,
-    solve_beam,
 )
 from nle.fem import AxisQuadrature, gauss_rule, gram
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel, power_law
 from nle.operator import HorizonSpec, build_operator_matrix
-from nle.results import KernelSpec
+from nle.results import KernelSpec, sweep
 
 SECTION = BeamSection()
 
@@ -241,50 +239,53 @@ def _analytic_ss_udtl_midspan(section, q):
     return 5 * q * L ** 4 / (384 * EI) + q * L ** 2 / (8 * kGA)
 
 
+def _rows(load, specs):
+    """Columns of each row of a one-horizon sweep at l_f = 0.5, by name."""
+    table = sweep(TimoshenkoBeamModel(SECTION, load), specs, [0.5])
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
 def test_local_cantilever_matches_analytic_tip_deflection():
-    result = solve_beam(SECTION, CantileverTipLoad(magnitude=1.0), LocalDelta(), 0.5)
+    [row] = _rows(CantileverTipLoad(magnitude=1.0), [KernelSpec("local")])
     expected = _analytic_cantilever_tip(SECTION, 1.0)
     assert expected == pytest.approx(1.3437e-6, rel=5e-4)
-    assert result.w_max_local == pytest.approx(expected, rel=5e-3)
-    assert result.w_max == result.w_max_local
+    assert row["w_max_local"] == pytest.approx(expected, rel=5e-3)
+    assert row["w_max_nonlocal"] == row["w_max_local"]
 
 
 def test_local_ss_udtl_matches_analytic_midspan_deflection():
-    result = solve_beam(
-        SECTION, SimplySupportedUniformLoad(intensity=1.0), LocalDelta(), 0.5
-    )
+    [row] = _rows(SimplySupportedUniformLoad(intensity=1.0), [KernelSpec("local")])
     expected = _analytic_ss_udtl_midspan(SECTION, 1.0)
-    assert result.w_max_local == pytest.approx(expected, rel=5e-3)
+    assert row["w_max_local"] == pytest.approx(expected, rel=5e-3)
 
 
 @pytest.mark.parametrize(
-    "kernel",
-    [ExponentialKernel(1e-6), power_law(1.0)],
+    "spec",
+    [KernelSpec("exponential", 1e-6), KernelSpec("power_law", 1.0)],
     ids=["exponential-collapsed", "power-law-alpha-1"],
 )
 @pytest.mark.parametrize("load", [CantileverTipLoad(), SimplySupportedUniformLoad()])
-def test_local_limit_recovers_unit_softening_ratio(kernel, load):
-    result = solve_beam(SECTION, load, kernel, 0.5)
-    assert result.softening_ratio == pytest.approx(1.0, abs=1e-3)
+def test_local_limit_recovers_unit_softening_ratio(spec, load):
+    [row] = _rows(load, [spec])
+    assert row["w_bar"] == pytest.approx(1.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("load", [CantileverTipLoad(), SimplySupportedUniformLoad()])
 def test_nonlocal_kernels_soften_both_load_cases(load):
-    exp = solve_beam(SECTION, load, ExponentialKernel(2.5e-3), 0.5)
-    power = solve_beam(SECTION, load, PowerLawKernel(0.8), 0.5)
-    assert exp.softening_ratio > 1.0
-    assert power.softening_ratio > 1.0
+    exp, power = _rows(load, [KernelSpec("exponential", 2.5e-3), KernelSpec("power_law", 0.8)])
+    assert exp["w_bar"] > 1.0
+    assert power["w_bar"] > 1.0
 
 
 def test_self_convergence_at_production_resolution():
     # the doubled mesh needs a looser residual tolerance: the attainable
     # float64 residual scales with the stiffness norm, which grows as 1/h
     kernel = ExponentialKernel(2.5e-3)
-    coarse = solve_beam(SECTION, CantileverTipLoad(), kernel, 0.5, n_elements=200)
-    fine = solve_beam(
-        SECTION, CantileverTipLoad(), kernel, 0.5, n_elements=400, residual_tol=1e-9
+    coarse = fem.solve_metric(TimoshenkoBeamModel(SECTION, CantileverTipLoad(), 200), kernel, 0.5)
+    fine = fem.solve_metric(
+        TimoshenkoBeamModel(SECTION, CantileverTipLoad(), 400), kernel, 0.5, residual_tol=1e-9
     )
-    assert abs(fine.w_max - coarse.w_max) / coarse.w_max < 5e-3
+    assert abs(fine - coarse) / coarse < 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -351,46 +352,6 @@ def test_local_axial_strain_of_square_field():
 # sweeps
 # ---------------------------------------------------------------------------
 
-def test_beam_sweep_rows_in_grid_order():
-    grid = [KernelSpec("exponential", 1e-3), KernelSpec("power_law", 0.8)]
-    table = beam_sweep(SECTION, CantileverTipLoad(), grid, [0.5, 1.0], n_elements=40)
-    assert table.columns[:4] == ("kernel", "param", "l_f", "load_case")
-    assert [(r[0], r[1], r[2]) for r in table.rows] == [
-        ("exponential", 1e-3, 0.5),
-        ("exponential", 1e-3, 1.0),
-        ("power_law", 0.8, 0.5),
-        ("power_law", 0.8, 1.0),
-    ]
-    assert all(r[-1] == "ok" for r in table.rows)
-    assert all(r[3] == "cantilever_tip" for r in table.rows)
-
-
 def test_beam_sweep_local_row_is_exactly_unit():
-    table = beam_sweep(
-        SECTION, CantileverTipLoad(), [KernelSpec("local")], [0.5], n_elements=20
-    )
-    assert table.column("w_bar") == [1.0]
-
-
-def test_beam_sweep_error_rows_keep_sweep_alive():
-    grid = [KernelSpec("power_law", 1.5), KernelSpec("exponential", 1e-3)]
-    table = beam_sweep(SECTION, CantileverTipLoad(), grid, [0.5], n_elements=20)
-    assert table.rows[0][-1] == "error:KernelError"
-    assert table.rows[0][4:7] == (None, None, None)
-    assert table.rows[1][-1] == "ok"
-
-
-def test_beam_sweep_rejects_inadmissible_grid():
-    with pytest.raises(ValueError, match="floor"):
-        beam_sweep(SECTION, CantileverTipLoad(), [KernelSpec("power_law", 0.45)], [0.5])
-    with pytest.raises(ValueError, match="nonempty"):
-        beam_sweep(SECTION, CantileverTipLoad(), [], [0.5])
-
-
-def test_beam_sweep_thread_count_does_not_change_rows():
-    grid = [KernelSpec("exponential", 1e-3), KernelSpec("power_law", 0.8)]
-    serial = beam_sweep(SECTION, CantileverTipLoad(), grid, [0.5, 0.75], n_elements=40)
-    threaded = beam_sweep(
-        SECTION, CantileverTipLoad(), grid, [0.5, 0.75], n_elements=40, threads=4
-    )
-    assert serial.rows == threaded.rows
+    model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), n_elements=20)
+    assert sweep(model, [KernelSpec("local")], [0.5]).column("w_bar") == [1.0]

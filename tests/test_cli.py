@@ -134,15 +134,13 @@ def test_convergence_solves_only_the_reported_systems(tmp_path, monkeypatch):
     # one nonlocal solve per resolution, no local companion
     assert len(solves) == 2
     lines = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()
-    coarse = beam.solve_beam(
-        beam.BeamSection(),
-        beam.CantileverTipLoad(),
+    coarse = fem.solve_metric(
+        beam.TimoshenkoBeamModel(beam.BeamSection(), beam.CantileverTipLoad(), 60),
         ExponentialKernel(0.0025),
         0.5,
-        n_elements=60,
-        residual_tol=CONVERGENCE_RESIDUAL_TOL,
+        CONVERGENCE_RESIDUAL_TOL,
     )
-    assert lines[1].split(",")[2] == repr(coarse.w_max)
+    assert lines[1].split(",")[2] == repr(coarse)
 
 
 # ---------------------------------------------------------------------------
