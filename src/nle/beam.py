@@ -147,15 +147,24 @@ class TimoshenkoBeamModel:
         """Deflection dof of the metric node."""
         return W0 * self.mesh.n_nodes + self.metric_node
 
-    def assemble(self, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
-        mesh = self.mesh
-        nn = mesh.n_nodes
-        # the block first: an oversized mesh fails before any quadrature work
-        fixed = FIXED_NODES[self.load.name]
-        free = [np.delete(np.arange(nn), fixed[f]) for f in FIELDS]
+    def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict[int, AxisQuadrature]:
+        """The bending and shear rules' quadratures, keyed by their point counts.
+
+        The memory check of the free block comes first, so an oversized mesh
+        fails before any quadrature work.
+        """
+        fem.check_fits(sum(nodes.size for nodes in self._free_nodes()))
+        return {
+            npts: AxisQuadrature(self.mesh, gauss_rule(npts), kernel, horizon_radius)
+            for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
+        }
+
+    def assemble(self, quadratures: dict[int, AxisQuadrature]) -> StiffnessSystem:
+        """Free-free block of the stiffness and the full load, from quadratures()."""
+        nn = self.mesh.n_nodes
+        free = self._free_nodes()
         blocks = fem.FreeBlockWriter(nn, free)
-        bend = AxisQuadrature(mesh, gauss_rule(fem.BENDING_POINTS), kernel, horizon_radius)
-        shear = AxisQuadrature(mesh, gauss_rule(fem.SHEAR_POINTS), kernel, horizon_radius)
+        bend, shear = quadratures[fem.BENDING_POINTS], quadratures[fem.SHEAR_POINTS]
         s = self.section
         EA = s.modulus * s.area
         EI = s.modulus * s.inertia
@@ -181,6 +190,11 @@ class TimoshenkoBeamModel:
         else:
             F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * bend.load_vector()
         return blocks.system(F)
+
+    def _free_nodes(self) -> list[np.ndarray]:
+        """Free nodes of each field, in ascending order."""
+        fixed = FIXED_NODES[self.load.name]
+        return [np.delete(np.arange(self.mesh.n_nodes), fixed[f]) for f in FIELDS]
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,10 @@ __all__ = [
     "StiffnessSystem",
     "SolverError",
     "available_memory",
+    "check_fits",
     "dense_block",
     "FreeBlockWriter",
+    "quadratures",
     "assemble",
     "solve",
     "solve_metric",
@@ -211,12 +213,8 @@ def available_memory() -> int | None:
     return None
 
 
-def dense_block(n: int) -> np.ndarray:
-    """Zeroed n x n float64 array in column-major (LAPACK) order.
-
-    Raises SolverError, before allocating, when the array would not fit in
-    the available memory.
-    """
+def check_fits(n: int) -> None:
+    """Raise SolverError when an n x n float64 array would not fit in the available memory."""
     need = 8 * n * n
     have = available_memory()
     if have is not None and need > have:
@@ -224,6 +222,15 @@ def dense_block(n: int) -> np.ndarray:
             f"dense system of {n} dofs needs {need / 2**30:.2f} GiB, "
             f"but only {have / 2**30:.2f} GiB of memory is available"
         )
+
+
+def dense_block(n: int) -> np.ndarray:
+    """Zeroed n x n float64 array in column-major (LAPACK) order.
+
+    Raises SolverError, before allocating, when the array would not fit in
+    the available memory.
+    """
+    check_fits(n)
     return np.zeros((n, n), order="F")
 
 
@@ -259,17 +266,22 @@ class FreeBlockWriter:
         return StiffnessSystem(self.matrix, load, self.free)
 
 
-def assemble(model, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
-    """Validate the kernel and horizon, then assemble the model's system.
+def quadratures(model, kernel: Kernel, horizon_radius: float) -> dict:
+    """Validate the kernel and horizon, then build the model's kernel-dependent quadratures.
 
-    The model provides its own assembly (beam or plate kinematics); this
-    entry point enforces the shared admissibility contract: a positive
-    horizon radius and a positively decaying kernel.
+    The model provides its own quadratures (one AxisQuadrature per distinct
+    axis mesh and rule); this entry point enforces the shared admissibility
+    contract: a positive horizon radius and a positively decaying kernel.
     """
     if not horizon_radius > 0.0:
         raise ValueError(f"horizon radius must be positive (got {horizon_radius!r})")
     check_admissible(kernel, horizon_radius)
-    return model.assemble(kernel, horizon_radius)
+    return model.quadratures(kernel, horizon_radius)
+
+
+def assemble(model, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
+    """The model's system for the kernel and horizon, from its validated quadratures."""
+    return model.assemble(quadratures(model, kernel, horizon_radius))
 
 
 def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:

@@ -146,23 +146,38 @@ class MindlinPlateModel:
         """Deflection dof of the center node."""
         return W * self.mesh.n_nodes + self.mesh.center_node()
 
-    def assemble(self, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
+    def quadratures(
+        self, kernel: Kernel, horizon_radius: float
+    ) -> dict[tuple[tuple[float, int], int], AxisQuadrature]:
+        """One quadrature per distinct axis mesh and rule, keyed by ((length, elements), points).
+
+        On a square plate the x and y axes share theirs, and with them every
+        Gram.  The memory check of the free block comes first, so an
+        oversized mesh fails before any quadrature work.
+        """
+        fem.check_fits(sum(jy.size * jx.size for jy, jx in self._free_axes()))
+        return {
+            (ax, npts): AxisQuadrature(fem.IntervalMesh(*ax), gauss_rule(npts), kernel, horizon_radius)
+            for ax in dict.fromkeys(self._axis_keys())
+            for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
+        }
+
+    def assemble(self, quadratures: dict) -> StiffnessSystem:
         """Free-free block of the stiffness, streamed in LAPACK order, and the full load.
 
-        Each field's free nodes are a tensor product of per-axis index sets,
-        so the free block of every Kronecker term is the Kronecker product of
-        restricted 1D Grams, kron(A, B)[J x I, J' x I'] = kron(A[J, J'], B[I, I'])
+        quadratures comes from quadratures().  Each field's free nodes are a
+        tensor product of per-axis index sets, so the free block of every
+        Kronecker term is the Kronecker product of restricted 1D Grams,
+        kron(A, B)[J x I, J' x I'] = kron(A[J, J'], B[I, I'])
         (Van Loan, "The ubiquitous Kronecker product", 2000).  The 13 nonzero
         field blocks are listed below as data, each a scaled sum of inner
         sums of such products, and _stream writes them column slab by
         column slab: neither the full 5 n_nodes square matrix nor a full-size
         field block temporary ever exists.
         """
-        mesh = self.mesh
-        nn = mesh.n_nodes
+        nn = self.mesh.n_nodes
         axes = self._free_axes()
-        n_x = mesh.x_axis.n_nodes
-        # the block first: an oversized mesh fails before any quadrature work
+        n_x = self.mesh.x_axis.n_nodes
         blocks = fem.FreeBlockWriter(nn, [(jy[:, None] * n_x + jx).ravel() for jy, jx in axes])
         s = self.section
         # Plane-stress moduli: c11*eps^2 couplings, c33 is the engineering
@@ -173,18 +188,11 @@ class MindlinPlateModel:
         memb = s.thickness
         bend_scale = s.thickness ** 3 / 12.0
         shear_scale = s.shear_correction * s.shear_modulus * s.thickness
-
-        # One quadrature per distinct axis mesh (length, elements) and rule:
-        # on a square plate the x and y axes share theirs, and every Gram.
-        x, y = ((axis.length, axis.n_elements) for axis in (mesh.x_axis, mesh.y_axis))
-
-        @functools.cache
-        def quad(ax: tuple, npts: int) -> AxisQuadrature:
-            return AxisQuadrature(fem.IntervalMesh(*ax), gauss_rule(npts), kernel, horizon_radius)
+        x, y = self._axis_keys()
 
         @functools.cache
         def g(ax: tuple, npts: int, left: str, right: str) -> np.ndarray:
-            q = quad(ax, npts)
+            q = quadratures[ax, npts]
             rows = {"N": q.N, "B": q.B}
             return gram(rows[left], rows[right], q.weights)
 
@@ -239,10 +247,14 @@ class MindlinPlateModel:
                 _stream(blocks, axes, inner, mirror, transposed=True)
 
         F = np.zeros(5 * nn)
-        fx, fy = quad(x, b).load_vector(), quad(y, b).load_vector()
+        fx, fy = quadratures[x, b].load_vector(), quadratures[y, b].load_vector()
         F[W * nn : (W + 1) * nn] = self.pressure * np.outer(fy, fx).ravel()
 
         return blocks.system(F)
+
+    def _axis_keys(self) -> tuple[tuple[float, int], tuple[float, int]]:
+        """(length, elements) of the x and y axes, equal on a square plate."""
+        return tuple((axis.length, axis.n_elements) for axis in (self.mesh.x_axis, self.mesh.y_axis))
 
     def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Free (y, x) node indices of each field; its free nodes are their product."""

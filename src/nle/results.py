@@ -11,10 +11,13 @@ float values, which round-trips exactly and makes re-runs byte-identical.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol
+
+import numpy as np
 
 from . import fem
 from .kernels import KERNEL_PARAMS, Kernel, KernelError, LocalDelta, make_kernel
@@ -68,12 +71,14 @@ class KernelSpec:
 class Model(Protocol):
     """What `sweep` needs of a structural model (beam or plate).
 
-    assemble(kernel, horizon_radius) builds the free-free stiffness block
-    and the full load (fem.StiffnessSystem, every other dof fixed at zero);
-    the metric is |u| at metric_dof.  case fills the fourth CSV column (load
-    case or boundary set), sweep_columns names the CSV columns, metadata
-    holds the manifest entries of the model and resolution is the mesh size
-    as the convergence table prints it.
+    quadratures(kernel, horizon_radius) checks that the free block fits in
+    memory and then builds the kernel-dependent data, one fem.AxisQuadrature
+    per distinct axis mesh and rule; assemble(quadratures) builds from them
+    the free-free stiffness block and the full load (fem.StiffnessSystem,
+    every other dof fixed at zero).  The metric is |u| at metric_dof.  case
+    fills the fourth CSV column (load case or boundary set), sweep_columns
+    names the CSV columns, metadata holds the manifest entries of the model
+    and resolution is the mesh size as the convergence table prints it.
     """
 
     metric_dof: int
@@ -82,7 +87,9 @@ class Model(Protocol):
     metadata: dict[str, str]
     resolution: str
 
-    def assemble(self, kernel: Kernel, horizon_radius: float) -> fem.StiffnessSystem: ...
+    def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict: ...
+
+    def assemble(self, quadratures: dict) -> fem.StiffnessSystem: ...
 
 
 @dataclass(frozen=True)
@@ -117,11 +124,19 @@ def format_value(value) -> str:
 def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 1) -> SweepResult:
     """One row per (kernel, horizon) configuration, in listed grid order.
 
-    The local companion depends only on the mesh and load, so it is solved
-    once and shared by every row; rows whose kernel is the local delta
-    (`local`, power law with alpha = 1) take its value without a solve of
-    their own.  A failing configuration keeps its row with an error status;
-    the sweep continues.  Rows come back in grid order at any thread count.
+    Every row builds its operator rows (the B of each of the model's
+    quadratures) and is keyed by a digest of their bytes.  Only the first
+    row of each key assembles and solves; later rows take its deflection,
+    which is bit for bit what their own solve would return.  The local
+    companion, solved first at the first horizon radius, is one more row of
+    that map, so rows whose operators equal the local ones (`local`, power
+    law with alpha = 1, an exponential length far below the mesh size) take
+    its value without a solve of their own.  A failing configuration keeps
+    its row with an error status and leaves no entry, and the sweep
+    continues.  Rows come back in grid order at any thread count; threads
+    that meet one key at once may both solve it, to the same bits.  The
+    result's metadata adds `solves`, the number of distinct systems solved,
+    to the model's.
     """
     if not len(kernel_grid) or not len(l_f_grid):
         raise ValueError("sweep grids must be nonempty")
@@ -133,14 +148,27 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
             raise ValueError(f"horizon radius must be positive (got {l_f!r})")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
-    w_local = fem.solve_metric(model, LocalDelta(), float(l_f_grid[0]))
+    deflections: dict[bytes, float] = {}
+
+    def deflection(kernel: Kernel, l_f: float) -> float:
+        quadratures = fem.quadratures(model, kernel, l_f)
+        digest = hashlib.sha256()
+        for quadrature in quadratures.values():
+            digest.update(np.ascontiguousarray(quadrature.B))
+        key = digest.digest()
+        w = deflections.get(key)
+        if w is None:
+            u = fem.solve(model.assemble(quadratures))
+            w = deflections[key] = float(np.abs(u[model.metric_dof]))
+        return w
+
+    w_local = deflection(LocalDelta(), float(l_f_grid[0]))
 
     def evaluate(config: tuple[KernelSpec, float]) -> tuple:
         spec, l_f = config
         head = (spec.kind, spec.param, l_f, model.case)
         try:
-            kernel = spec.build()
-            w = w_local if isinstance(kernel, LocalDelta) else fem.solve_metric(model, kernel, l_f)
+            w = deflection(spec.build(), l_f)
         except (fem.SolverError, KernelError, ValueError) as exc:
             return head + (None, None, None, f"error:{type(exc).__name__}")
         return head + (w, w_local, w / w_local, "ok")
@@ -151,7 +179,8 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(evaluate, configs))
-    return SweepResult(columns=model.sweep_columns, rows=rows, metadata=model.metadata)
+    metadata = {**model.metadata, "solves": str(len(deflections))}
+    return SweepResult(columns=model.sweep_columns, rows=rows, metadata=metadata)
 
 
 def write_manifest(path, entries: dict[str, str]) -> None:

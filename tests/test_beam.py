@@ -96,7 +96,7 @@ def _full_beam_assembly(model, kernel, horizon_radius):
 )
 def test_free_block_equals_the_full_assembly_bitwise(load, kernel):
     model = TimoshenkoBeamModel(SECTION, load, 20)
-    system = model.assemble(kernel, 0.5)
+    system = fem.assemble(model, kernel, 0.5)
     K_full, fixed = _full_beam_assembly(model, kernel, 0.5)
     free = np.setdiff1d(np.arange(K_full.shape[0]), fixed)
     np.testing.assert_array_equal(system.free, free)
@@ -144,7 +144,7 @@ def _interleave_permutation(nn):
 def test_local_delta_assembly_matches_textbook(n_elements):
     model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), n_elements)
     K_full, _ = _full_beam_assembly(model, LocalDelta(), 0.5)
-    system = model.assemble(LocalDelta(), 0.5)
+    system = fem.assemble(model, LocalDelta(), 0.5)
     K_textbook = _textbook_local_timoshenko(SECTION, n_elements)
     perm = _interleave_permutation(n_elements + 1)
     expected = K_textbook[np.ix_(perm, perm)]
@@ -156,7 +156,7 @@ def test_local_delta_assembly_matches_textbook(n_elements):
 
 def test_cantilever_load_and_constraints():
     model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(magnitude=3.5), 6)
-    system = model.assemble(LocalDelta(), 0.5)
+    system = fem.assemble(model, LocalDelta(), 0.5)
     nn = 7
     expected = np.zeros(3 * nn)
     expected[nn + 6] = 3.5
@@ -167,7 +167,7 @@ def test_cantilever_load_and_constraints():
 
 def test_udtl_consistent_load_and_constraints():
     model = TimoshenkoBeamModel(SECTION, SimplySupportedUniformLoad(intensity=2.0), 4)
-    system = model.assemble(LocalDelta(), 0.5)
+    system = fem.assemble(model, LocalDelta(), 0.5)
     nn = 5
     h = SECTION.length / 4
     w_load = system.load[nn : 2 * nn]
@@ -187,7 +187,7 @@ def test_stiffness_symmetric_with_clipped_horizons(kernel):
     model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), 20)
     K, _ = _full_beam_assembly(model, kernel, 0.4)
     assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
-    K_ff = model.assemble(kernel, 0.4).matrix
+    K_ff = fem.assemble(model, kernel, 0.4).matrix
     assert np.max(np.abs(K_ff - K_ff.T)) <= 1e-12 * np.max(np.abs(K_ff))
 
 

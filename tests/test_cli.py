@@ -94,6 +94,18 @@ def test_manifest_describes_the_run(tmp_path):
     assert all(isinstance(v, str) for v in manifest.values())
 
 
+@pytest.mark.parametrize("config", ["sweep_beam.yaml", "sweep_plate.yaml"])
+def test_shipped_sweep_manifest_counts_its_distinct_solves(tmp_path, config):
+    # 27 rows on 13 operator sets: each exponential length builds one set at
+    # every horizon, and exponential 1e-6, power law 1 and local build the
+    # local set; the nine power-law rows below 1 differ
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(ROOT / "configs" / config), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["rows"] == "27"
+    assert manifest["solves"] == "13"
+
+
 def test_beam_run_is_a_single_softening_row(tmp_path):
     code, out = run(tmp_path, "beam", BEAM_YAML)
     assert code == EXIT_OK

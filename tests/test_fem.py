@@ -381,8 +381,11 @@ class _BarModel:
     def __init__(self, n_elements=4):
         self.mesh = IntervalMesh(1.0, n_elements)
 
-    def assemble(self, kernel, horizon_radius):
-        quad = AxisQuadrature(self.mesh, gauss_rule(2), kernel, horizon_radius)
+    def quadratures(self, kernel, horizon_radius):
+        return {2: AxisQuadrature(self.mesh, gauss_rule(2), kernel, horizon_radius)}
+
+    def assemble(self, quadratures):
+        quad = quadratures[2]
         K = np.asfortranarray(gram(quad.B, quad.B, quad.weights))
         free = np.arange(self.mesh.n_nodes)
         return StiffnessSystem(matrix=K, load=quad.load_vector(), free=free)

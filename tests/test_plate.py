@@ -131,7 +131,7 @@ def test_local_delta_assembly_matches_textbook_q4():
     section = PlateSection(length_x=1.2, length_y=0.9)
     for boundary in ("clamped", "simply_supported"):
         model = MindlinPlateModel(section, pressure=3.0, boundary=boundary, nx=4, ny=2)
-        system = model.assemble(LocalDelta(), 0.5)
+        system = fem.assemble(model, LocalDelta(), 0.5)
         K_texbook, F_unit = _textbook_local_mindlin(section, model.mesh)
         perm = _interleave_permutation(model.mesh.n_nodes)
         K_expected = K_texbook[np.ix_(perm, perm)][np.ix_(system.free, system.free)]
@@ -236,7 +236,7 @@ def test_free_block_equals_the_full_kronecker_assembly_bitwise(boundary, kernel,
     model = MindlinPlateModel(
         PlateSection(length_x=lx, length_y=ly), 2.0, boundary, nx=nx, ny=ny
     )
-    system = model.assemble(kernel, 0.5)
+    system = fem.assemble(model, kernel, 0.5)
     K_full, fixed = _full_kron_assembly(model, kernel, 0.5)
     free = np.setdiff1d(np.arange(K_full.shape[0]), sorted(fixed))
     np.testing.assert_array_equal(system.free, free)
@@ -251,10 +251,10 @@ def test_free_block_equals_the_full_kronecker_assembly_bitwise(boundary, kernel,
 def test_assembly_never_allocates_the_full_matrix(boundary):
     model = MindlinPlateModel(SECTION, 1.0, boundary, nx=12, ny=12)
     kernel = ExponentialKernel(2.5e-3)
-    model.assemble(kernel, 0.5)  # warm caches outside the measurement
+    fem.assemble(model, kernel, 0.5)  # warm caches outside the measurement
     tracemalloc.start()
     try:
-        system = model.assemble(kernel, 0.5)
+        system = fem.assemble(model, kernel, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -266,10 +266,10 @@ def test_assembly_never_allocates_the_full_matrix(boundary):
 def test_assembly_temporaries_stay_below_one_field_block(boundary):
     model = MindlinPlateModel(SECTION, 1.0, boundary, nx=12, ny=12)
     kernel = ExponentialKernel(2.5e-3)
-    model.assemble(kernel, 0.5)  # warm caches outside the measurement
+    fem.assemble(model, kernel, 0.5)  # warm caches outside the measurement
     tracemalloc.start()
     try:
-        system = model.assemble(kernel, 0.5)
+        system = fem.assemble(model, kernel, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,7 +293,7 @@ def test_equal_axes_share_one_quadrature_per_rule(monkeypatch, shape, builds):
     monkeypatch.setattr(plate, "AxisQuadrature", counting)
     nx, ny, lx, ly = shape
     model = MindlinPlateModel(PlateSection(length_x=lx, length_y=ly), 1.0, "clamped", nx=nx, ny=ny)
-    model.assemble(ExponentialKernel(2.5e-3), 0.5)
+    model.quadratures(ExponentialKernel(2.5e-3), 0.5)
     assert len(rules) == len(set(rules)) == builds
 
 
@@ -329,7 +329,7 @@ def _fixed_dofs(system):
 
 def test_clamped_constraints_fix_all_dofs_on_all_edges():
     model = MindlinPlateModel(SECTION, 1.0, "clamped", nx=4, ny=2)
-    fixed = _fixed_dofs(model.assemble(LocalDelta(), 0.5))
+    fixed = _fixed_dofs(fem.assemble(model, LocalDelta(), 0.5))
     mesh = model.mesh
     nn = mesh.n_nodes
     boundary_nodes = {
@@ -347,7 +347,7 @@ def test_clamped_constraints_fix_all_dofs_on_all_edges():
 
 def test_simply_supported_constraints_per_edge():
     model = MindlinPlateModel(SECTION, 1.0, "simply_supported", nx=4, ny=2)
-    fixed = _fixed_dofs(model.assemble(LocalDelta(), 0.5))
+    fixed = _fixed_dofs(fem.assemble(model, LocalDelta(), 0.5))
     mesh = model.mesh
     nn = mesh.n_nodes
     U, V, W, TX, TY = range(5)

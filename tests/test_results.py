@@ -19,32 +19,79 @@ MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_sweep_local_delta_rows_reuse_the_shared_local_solve(name, monkeypatch):
-    kernels, solves = [], []
-    assemble, solve = fem.assemble, fem.solve
+def _count_solves(monkeypatch, model) -> tuple[list, list]:
+    """Record the kernel of every system a serial sweep assembles, and every solve."""
+    built, kernels, solves = [], [], []
+    quadratures, assemble, solve = fem.quadratures, model.assemble, fem.solve
 
-    def counting_assemble(model, kernel, horizon_radius):
-        kernels.append(kernel)
-        return assemble(model, kernel, horizon_radius)
+    def keep_kernel(model, kernel, horizon_radius):
+        built.append(kernel)
+        return quadratures(model, kernel, horizon_radius)
+
+    def counting_assemble(quads):
+        kernels.append(built[-1])
+        return assemble(quads)
 
     def counting_solve(*args, **kwargs):
         solves.append(args[0])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "assemble", counting_assemble)
+    monkeypatch.setattr(fem, "quadratures", keep_kernel)
+    monkeypatch.setattr(model, "assemble", counting_assemble)
     monkeypatch.setattr(fem, "solve", counting_solve)
+    return kernels, solves
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sweep_local_delta_rows_reuse_the_shared_local_solve(name, monkeypatch):
     build, nonlocal_spec = MODELS[name]
+    n_solves = {"beam": 2, "plate": 3}[name]
+    model = build()
+    kernels, solves = _count_solves(monkeypatch, model)
     grid = [nonlocal_spec, KernelSpec("power_law", 1.0), KernelSpec("local")]
-    table = sweep(build(), grid, [0.5, 1.0])
-    # one shared local solve plus one per row of the first kernel
-    assert len(solves) == 3
+    table = sweep(model, grid, [0.5, 1.0])
+    # one shared local solve plus one per distinct operator set of the first
+    # kernel: the beam's exponential 1e-3 builds the same rows at both
+    # horizons, the plate's power law 0.8 does not
+    assert len(solves) == n_solves
+    assert table.metadata["solves"] == str(n_solves)
     assert [type(k) for k in kernels].count(LocalDelta) == 1
     delta_rows = table.rows[2:]
     assert len(delta_rows) == 4
     w_local = table.rows[0][5]
     assert all(r[4] == w_local and r[5] == w_local and r[6] == 1.0 for r in delta_rows)
 
+
+# A grid that mixes operators coinciding across horizons (exponential: its
+# moments saturate at l0 once the horizon exceeds ~37 l0; 1e-6 gives the
+# local rows), operators that differ per horizon (power law below 1) and the
+# local delta, with the distinct operator sets each model builds from it
+# (local, exponential 5e-3, two power-law rows).
+MIXED_GRID = [
+    KernelSpec("exponential", 1e-6),
+    KernelSpec("exponential", 5e-3),
+    KernelSpec("power_law", 0.8),
+    KernelSpec("power_law", 1.0),
+    KernelSpec("local"),
+]
+MIXED_L_F = [0.5, 1.0]
+MIXED_SOLVES = 4
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sweep_values_equal_an_independent_solve_per_row(name, monkeypatch):
+    build, _ = MODELS[name]
+    model = build()
+    expected = [
+        fem.solve_metric(model, spec.build(), l_f) for spec in MIXED_GRID for l_f in MIXED_L_F
+    ]
+    _, solves = _count_solves(monkeypatch, model)
+    table = sweep(model, MIXED_GRID, MIXED_L_F)
+    assert len(solves) == MIXED_SOLVES
+    assert table.metadata["solves"] == str(MIXED_SOLVES)
+    values = table.column(table.columns[4])
+    # bit for bit: the float bytes, so -0.0 and +0.0 would differ too
+    assert [v.hex() for v in values] == [v.hex() for v in expected]
 
 
 # CSV header and case column of each structure's sweep
@@ -101,7 +148,10 @@ def test_sweep_rejects_inadmissible_grid(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_sweep_thread_count_does_not_change_rows(name):
     build, _ = MODELS[name]
-    grid = [KernelSpec("exponential", 1e-3), KernelSpec("power_law", 0.8)]
-    serial = sweep(build(), grid, [0.5, 0.75])
-    threaded = sweep(build(), grid, [0.5, 0.75], threads=4)
-    assert serial.rows == threaded.rows
+    distinct = [KernelSpec("exponential", 1e-3), KernelSpec("power_law", 0.8)], [0.5, 0.75]
+    # rows on shared operator sets, whose keys threads can miss at once
+    coinciding = MIXED_GRID, MIXED_L_F
+    for kernels, l_f_grid in (distinct, coinciding):
+        serial = sweep(build(), kernels, l_f_grid)
+        threaded = sweep(build(), kernels, l_f_grid, threads=4)
+        assert serial.rows == threaded.rows
