@@ -40,7 +40,7 @@ from .kernels import (
     make_kernel,
     power_law,
 )
-from .operator import HorizonSpec, boundary_limit_value, build_operator_matrix, nonlocal_derivative
+from .operator import HorizonSpec, build_operator_matrix
 from .plate import MindlinPlateModel, PlateSection
 from .results import ALPHA_FLOOR, KernelSpec, SweepResult, sweep
 
@@ -65,14 +65,12 @@ __all__ = [
     "SweepResult",
     "TimoshenkoBeamModel",
     "__version__",
-    "boundary_limit_value",
     "build_operator_matrix",
     "dispersion_exponential",
     "dispersion_powerlaw",
     "exponential",
     "local",
     "make_kernel",
-    "nonlocal_derivative",
     "numerical_dispersion",
     "parse_config",
     "power_law",

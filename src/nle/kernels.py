@@ -6,10 +6,10 @@ exposes the one-sided moment
 
     interval_integral(L) = integral_0^L K(s) ds
 
-in closed form; the frame multipliers c_minus = 1 / (2 * moment(l_minus)) and
-c_plus = 1 / (2 * moment(l_plus)) normalize the two half-horizon integrals so
-that a rigid translation produces zero strain and a uniform gradient is
-reproduced exactly, whatever the horizon asymmetry.
+in closed form.  The operator matrix of nle.operator normalizes each
+half-horizon integral by the frame multiplier 1 / (2 * moment(l)) of that
+side, so that a rigid translation produces zero strain and a uniform gradient
+is reproduced exactly, whatever the horizon asymmetry.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ __all__ = [
     "ExponentialKernel",
     "PowerLawKernel",
     "LocalDelta",
-    "FrameMultipliers",
     "KernelError",
     "exponential",
     "power_law",
     "local",
     "make_kernel",
-    "frame_multipliers",
     "check_admissible",
     "KERNEL_KINDS",
     "KERNEL_PARAMS",
@@ -68,19 +66,6 @@ class Kernel(abc.ABC):
     def describe(self) -> str:
         """Compact parameter string used in result tables."""
         return self.kind
-
-
-@dataclass(frozen=True)
-class FrameMultipliers:
-    """Normalization constants for the two half-horizon integrals.
-
-    A side whose horizon length is exactly zero gets ``math.inf``: the product
-    c * integral tends to phi'(x)/2 there, and callers must switch to that
-    boundary-limit branch instead of multiplying through.
-    """
-
-    c_minus: float
-    c_plus: float
 
 
 @dataclass(frozen=True)
@@ -226,26 +211,6 @@ def make_kernel(kind: str, **params: float) -> Kernel:
         return factory(**params)
     except TypeError as exc:
         raise KernelError(f"bad parameters for kernel {kind!r}: {exc}") from None
-
-
-def frame_multipliers(kernel: Kernel, l_minus: float, l_plus: float) -> FrameMultipliers:
-    """Normalization constants for a (possibly clipped) horizon pair.
-
-    Parameters
-    ----------
-    kernel : Kernel
-    l_minus, l_plus : float
-        Trailing and leading horizon lengths after any domain clipping.
-        Both must be >= 0 and at least one positive.  A zero-length side is
-        reported as ``math.inf`` (see FrameMultipliers).
-    """
-    if l_minus < 0.0 or l_plus < 0.0:
-        raise KernelError("horizon lengths must be non-negative")
-    if l_minus == 0.0 and l_plus == 0.0:
-        raise KernelError("degenerate horizon: both side lengths are zero")
-    c_minus = math.inf if l_minus == 0.0 else 0.5 / float(kernel.interval_integral(l_minus))
-    c_plus = math.inf if l_plus == 0.0 else 0.5 / float(kernel.interval_integral(l_plus))
-    return FrameMultipliers(c_minus, c_plus)
 
 
 def check_admissible(kernel: Kernel, horizon_length: float, samples: int = 64) -> None:

@@ -1,22 +1,23 @@
-"""Frame-invariant nonlocal gradient of a 1D field, continuous and discrete.
+"""Frame-invariant nonlocal gradient of a 1D field, as an exact operator matrix.
 
 The operator averages the field gradient over a two-sided horizon,
 
     Dbar phi(x) = c_minus * integral_{x-l_minus}^{x} K(x - x') phi'(x') dx'
                 + c_plus  * integral_{x}^{x+l_plus}  K(x' - x) phi'(x') dx',
 
-with the frame multipliers of kernels.frame_multipliers.  Horizon lengths are
-clipped to the physical domain, so the multipliers change from point to point
-near a boundary.  At a boundary point one side has zero length and the
-operator is defined by its one-sided limit: the vanished side contributes
-phi'(x)/2 exactly.
+with the frame multipliers c = 1 / (2 * F(l)) of each side, F the kernel's
+one-sided moment (see nle.kernels).  Horizon lengths are clipped to the
+physical domain, so the multipliers change from point to point near a
+boundary.  At a boundary point one side has zero length and the operator is
+defined by its one-sided limit: the vanished side contributes phi'(x)/2
+exactly.
 
-The discrete form (build_operator_matrix) maps nodal values of a piecewise
-linear interpolant to operator values at arbitrary evaluation points.  Since
-the interpolant's gradient is constant on each element, every matrix entry is
-an exact difference of closed-form kernel moments; no quadrature error enters
-and uniform-gradient fields are reproduced to rounding even for kernels with
-an integrable origin singularity.
+build_operator_matrix maps nodal values of a piecewise linear interpolant to
+operator values at arbitrary evaluation points.  Since the interpolant's
+gradient is constant on each element, every matrix entry is an exact
+difference of closed-form kernel moments; no quadrature error enters and
+uniform-gradient fields are reproduced to rounding even for kernels with an
+integrable origin singularity.
 
 Each entry depends only on its (evaluation point, element) pair, so the
 matrix is one broadcast over (points x nodes) blocks, with no per-row loop.
@@ -31,25 +32,19 @@ trailing side, leading side) whatever the block size.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import Kernel, LocalDelta, PowerLawKernel, frame_multipliers
+from .kernels import Kernel, LocalDelta
 
 __all__ = [
     "HorizonSpec",
     "NonlocalOperatorMatrix",
-    "nonlocal_derivative",
-    "boundary_limit_value",
     "build_operator_matrix",
 ]
 
 logger = logging.getLogger(__name__)
-
-_QUAD_LIMIT = 800
 
 # Largest (rows x nodes) block broadcast at once; bounds the moment
 # temporaries of build_operator_matrix to a few MB whatever the mesh size.
@@ -70,28 +65,15 @@ class HorizonSpec:
         if not self.x_max > self.x_min:
             raise ValueError("horizon domain is empty or reversed")
 
-    def clipped(self, x: float) -> tuple[float, float]:
-        """Side lengths (l_minus, l_plus) at x after truncation to the domain."""
-        if x < self.x_min or x > self.x_max:
-            raise ValueError(
-                f"evaluation point {x!r} lies outside [{self.x_min!r}, {self.x_max!r}]"
-            )
-        return min(self.l_f, x - self.x_min), min(self.l_f, self.x_max - x)
-
-
-def _effective_sides(horizon: HorizonSpec, x: float) -> tuple[float, float]:
-    """Clipped side lengths at one point, as _effective_side_arrays gives them."""
-    l_minus, l_plus = _effective_side_arrays(horizon, np.array([x], dtype=float))
-    return float(l_minus[0]), float(l_plus[0])
-
 
 def _effective_side_arrays(horizon: HorizonSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clipped side lengths at each point, with sub-roundoff sides snapped to zero.
 
     A side shorter than ~1e-13 of the domain is numerically indistinguishable
     from the boundary limit (its normalized integral differs from phi'/2 by
-    O(side length)) and would underflow the quadrature, so it is treated as
-    vanished.
+    O(side length)), and on a side of subnormal length the exponential
+    kernel's multiplier 0.5 / F overflows to inf (5e-324 gives inf), so
+    such a side is treated as vanished.
     """
     outside = (pts < horizon.x_min) | (pts > horizon.x_max)
     if np.any(outside):
@@ -103,82 +85,6 @@ def _effective_side_arrays(horizon: HorizonSpec, pts: np.ndarray) -> tuple[np.nd
     l_minus = np.minimum(horizon.l_f, pts - horizon.x_min)
     l_plus = np.minimum(horizon.l_f, horizon.x_max - pts)
     return np.where(l_minus < tiny, 0.0, l_minus), np.where(l_plus < tiny, 0.0, l_plus)
-
-
-def nonlocal_derivative(
-    field: Callable[[float], float],
-    x: float,
-    horizon: HorizonSpec,
-    kernel: Kernel,
-    dfield: Callable[[float], float] | None = None,
-    breakpoints: Sequence[float] = (),
-    quad_tol: float = 1e-13,
-) -> float:
-    """Apply the continuous nonlocal gradient to a scalar field at x.
-
-    Parameters
-    ----------
-    field : callable
-        The field phi.  Only its first derivative enters the operator; when
-        `dfield` is given, `field` itself is never evaluated.
-    dfield : callable, optional
-        phi'.  Defaults to a fourth-order difference of `field`, adequate to
-        about 1e-12 on smooth unit-scale fields; supply the exact derivative
-        when tighter accuracy is needed.
-    breakpoints : sequence of float, optional
-        Abscissae where phi' is allowed to jump (e.g. mesh nodes of an
-        interpolant); the quadrature subdivides there.
-    quad_tol : float
-        Relative tolerance of the adaptive quadrature.
-
-    At a domain boundary the clipped horizon loses a side and the one-sided
-    limit is returned (see boundary_limit_value).
-    """
-    df = dfield if dfield is not None else _central_derivative(field)
-    l_minus, l_plus = _effective_sides(horizon, x)
-    if l_minus == 0.0 or l_plus == 0.0:
-        return boundary_limit_value(field, x, horizon, kernel, dfield=df, quad_tol=quad_tol, breakpoints=breakpoints)
-    mult = frame_multipliers(kernel, l_minus, l_plus)
-    left = _side_integral(kernel, lambda s: df(x - s), l_minus, quad_tol, _side_breaks(breakpoints, x, -1.0, l_minus))
-    right = _side_integral(kernel, lambda s: df(x + s), l_plus, quad_tol, _side_breaks(breakpoints, x, +1.0, l_plus))
-    return mult.c_minus * left + mult.c_plus * right
-
-
-def boundary_limit_value(
-    field: Callable[[float], float],
-    x0: float,
-    horizon: HorizonSpec,
-    kernel: Kernel,
-    dfield: Callable[[float], float] | None = None,
-    breakpoints: Sequence[float] = (),
-    quad_tol: float = 1e-13,
-) -> float:
-    """One-sided limit of the nonlocal gradient at a domain endpoint.
-
-    As a side's horizon length shrinks to zero its normalized integral tends
-    to phi'(x0)/2; the surviving side keeps its usual form:
-
-        lim Dbar phi(x0) = phi'(x0)/2 + c_surv * integral over the surviving side.
-
-    Raises ValueError when both clipped side lengths are positive (interior
-    point: the full operator applies, no limit is involved).
-    """
-    df = dfield if dfield is not None else _central_derivative(field)
-    l_minus, l_plus = _effective_sides(horizon, x0)
-    if l_minus > 0.0 and l_plus > 0.0:
-        raise ValueError(
-            f"x0={x0!r} is an interior point (clipped sides {l_minus!r}, {l_plus!r}); "
-            "the boundary limit applies only where one side vanishes"
-        )
-    if l_minus == 0.0 and l_plus == 0.0:
-        raise ValueError("degenerate horizon: both side lengths are zero")
-    if l_plus > 0.0:
-        c = 0.5 / float(kernel.interval_integral(l_plus))
-        side = _side_integral(kernel, lambda s: df(x0 + s), l_plus, quad_tol, _side_breaks(breakpoints, x0, +1.0, l_plus))
-    else:
-        c = 0.5 / float(kernel.interval_integral(l_minus))
-        side = _side_integral(kernel, lambda s: df(x0 - s), l_minus, quad_tol, _side_breaks(breakpoints, x0, -1.0, l_minus))
-    return 0.5 * df(x0) + c * side
 
 
 @dataclass(frozen=True)
@@ -278,59 +184,3 @@ def build_operator_matrix(
             pts.size,
         )
     return NonlocalOperatorMatrix(weights=weights, eval_points=pts, nodes=nodes)
-
-
-def _side_integral(kernel, g, length, quad_tol, breaks) -> float:
-    """integral_0^length K(s) g(s) ds by adaptive quadrature.
-
-    The power-law origin singularity is handled with an algebraic-weight rule
-    on the first segment; the delta kernel contributes its unit mass times
-    g(0+).  Interior breakpoints split the range so gradient jumps of
-    interpolants do not degrade convergence.
-    """
-    if length <= 0.0:
-        return 0.0
-    if isinstance(kernel, LocalDelta):
-        return g(0.0)
-    # imported here: no CLI path needs adaptive quadrature, and scipy.integrate
-    # is a large share of the package's import time
-    from scipy import integrate
-
-    epsabs = quad_tol * 0.1
-    pts = sorted(b for b in breaks if 0.0 < b < length)
-    if isinstance(kernel, PowerLawKernel):
-        scale = 1.0 / math.gamma(1.0 - kernel.alpha)
-        first_end = pts[0] if pts else length
-        total, _ = integrate.quad(
-            lambda s: scale * g(s), 0.0, first_end,
-            weight="alg", wvar=(-kernel.alpha, 0.0),
-            epsabs=epsabs, epsrel=quad_tol, limit=_QUAD_LIMIT,
-        )
-        if pts:
-            inner = [p for p in pts[1:]]
-            more, _ = integrate.quad(
-                lambda s: kernel.eval(s) * g(s), first_end, length,
-                points=inner or None, epsabs=epsabs, epsrel=quad_tol,
-                limit=_QUAD_LIMIT + 10 * len(inner),
-            )
-            total += more
-        return total
-    value, _ = integrate.quad(
-        lambda s: kernel.eval(s) * g(s), 0.0, length,
-        points=pts or None, epsabs=epsabs, epsrel=quad_tol,
-        limit=_QUAD_LIMIT + 10 * len(pts),
-    )
-    return value
-
-
-def _side_breaks(breakpoints, x, sign, length):
-    """Map field-space breakpoints into separation coordinates of one side."""
-    return [sign * (b - x) for b in breakpoints if 0.0 < sign * (b - x) < length]
-
-
-def _central_derivative(f: Callable[[float], float], rel_step: float = 1e-3):
-    def df(x: float) -> float:
-        h = rel_step * max(1.0, abs(x))
-        return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2 * h) - f(x - 2 * h))) / (12.0 * h)
-
-    return df

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from continuous_operator import continuous_gradient
 
 from nle import fem
 from nle.beam import (
@@ -27,12 +28,7 @@ from nle.dispersion import (
     numerical_dispersion,
 )
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
-from nle.operator import (
-    HorizonSpec,
-    boundary_limit_value,
-    build_operator_matrix,
-    nonlocal_derivative,
-)
+from nle.operator import HorizonSpec, build_operator_matrix
 from nle.plate import MindlinPlateModel, W as W_FIELD, PlateSection
 from nle.results import KernelSpec, sweep
 
@@ -153,18 +149,32 @@ def test_criterion_2_boundary_limit():
     # sin has a stationary gradient at the left wall, so the shrinking-side
     # average isolates the limit structure itself rather than the first-order
     # remainder of the field.
-    field, dfield = math.sin, math.cos
+    dfield = math.cos
     for kernel in (ExponentialKernel(0.1), PowerLawKernel(0.75)):
-        limit = boundary_limit_value(field, 0.0, UNIT, kernel, dfield=dfield)
+        limit = continuous_gradient(dfield, 0.0, UNIT, kernel)
         gaps = []
         for l_minus in (1e-2, 1e-3, 1e-4):
             horizon = HorizonSpec(l_f=0.5, x_min=-l_minus, x_max=1.0)
-            full = nonlocal_derivative(field, 0.0, horizon, kernel, dfield=dfield)
+            full = continuous_gradient(dfield, 0.0, horizon, kernel)
             gaps.append(abs(full - limit))
         if not gaps[0] > gaps[1] > gaps[2]:
             failures.append(f"{kernel!r}: gaps {gaps} do not shrink monotonically")
         if gaps[2] > 1e-6:
             failures.append(f"{kernel!r}: final gap {gaps[2]:.2e} > 1e-6")
+    # the production rows: the row at distance delta from a wall, applied to
+    # the interpolant of sin, must approach the wall's boundary row
+    nodes = np.linspace(0.0, 1.0, 201)
+    samples = np.sin(nodes)
+    deltas = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    for kernel in (ExponentialKernel(0.1), PowerLawKernel(0.75)):
+        for wall, inward in ((0.0, 1.0), (1.0, -1.0)):
+            points = np.array([wall] + [wall + inward * d for d in deltas])
+            values = build_operator_matrix(nodes, points, UNIT, kernel).apply(samples)
+            gaps = np.abs(values[1:] - values[0])
+            if not np.all(np.diff(gaps) < 0.0):
+                failures.append(f"{kernel!r} rows near x={wall}: gaps {gaps} do not shrink strictly")
+            if gaps[-1] > 1e-6:
+                failures.append(f"{kernel!r} rows near x={wall}: final gap {gaps[-1]:.2e} > 1e-6")
     _finish(2, "boundary limit", started, 5.0, failures)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from continuous_operator import clipped_sides, continuous_gradient, side_integral
 from scipy import integrate
 
 from nle.kernels import (
@@ -12,28 +13,14 @@ from nle.kernels import (
     LocalDelta,
     PowerLawKernel,
     exponential,
-    frame_multipliers,
     power_law,
 )
-from nle.operator import (
-    HorizonSpec,
-    _effective_sides,
-    _side_integral,
-    boundary_limit_value,
-    build_operator_matrix,
-    nonlocal_derivative,
-)
+from nle.operator import HorizonSpec, build_operator_matrix
 
 UNIT = HorizonSpec(l_f=0.5, x_min=0.0, x_max=1.0)
 
 
 def test_horizon_clipping():
-    assert UNIT.clipped(0.2) == (0.2, 0.5)
-    assert UNIT.clipped(0.5) == (0.5, 0.5)
-    assert UNIT.clipped(0.0) == (0.0, 0.5)
-    assert UNIT.clipped(1.0) == (0.5, 0.0)
-    with pytest.raises(ValueError, match="outside"):
-        UNIT.clipped(-0.01)
     with pytest.raises(ValueError):
         HorizonSpec(l_f=0.0, x_min=0.0, x_max=1.0)
     with pytest.raises(ValueError):
@@ -41,68 +28,48 @@ def test_horizon_clipping():
 
 
 # ---------------------------------------------------------------------------
-# continuous operator
+# continuous operator (the quadrature oracle of tests/continuous_operator.py)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), PowerLawKernel(0.75), LocalDelta()])
 @pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 0.87, 1.0])
 def test_constant_field_annihilated(kernel, x):
-    value = nonlocal_derivative(lambda y: 4.2, x, UNIT, kernel, dfield=lambda y: 0.0)
+    value = continuous_gradient(lambda y: 0.0, x, UNIT, kernel)
     assert value == 0.0
 
 
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), PowerLawKernel(0.75)])
 @pytest.mark.parametrize("x", [0.25, 0.5, 0.9])
 def test_affine_field_reproduces_slope(kernel, x):
-    value = nonlocal_derivative(lambda y: 3.0 * y + 1.0, x, UNIT, kernel, dfield=lambda y: 3.0)
+    value = continuous_gradient(lambda y: 3.0, x, UNIT, kernel)
     assert value == pytest.approx(3.0, rel=1e-12)
 
 
 def test_quadratic_exponential_matches_quadrature_oracle():
     # phi = x^2 at x = 0.3: clipped sides (0.3, 0.5); mpmath oracle at 40
     # digits built from the defining integrals gives 0.61232688149422467
-    value = nonlocal_derivative(
-        lambda y: y * y, 0.3, UNIT, ExponentialKernel(0.1), dfield=lambda y: 2.0 * y
-    )
+    value = continuous_gradient(lambda y: 2.0 * y, 0.3, UNIT, ExponentialKernel(0.1))
     assert value == pytest.approx(0.6123268814942247, rel=1e-11)
 
 
 def test_quadratic_power_law_matches_exact_value():
     # for K ~ s^-alpha and a linear gradient the side averages are exactly
     # x -+ l * (1-alpha)/(2-alpha): at alpha=0.75, x=0.3 this sums to 0.64
-    value = nonlocal_derivative(
-        lambda y: y * y, 0.3, UNIT, PowerLawKernel(0.75), dfield=lambda y: 2.0 * y
-    )
+    value = continuous_gradient(lambda y: 2.0 * y, 0.3, UNIT, PowerLawKernel(0.75))
     assert value == pytest.approx(0.64, rel=1e-11)
 
 
 def test_local_delta_returns_pointwise_gradient():
-    value = nonlocal_derivative(lambda y: math.sin(y), 0.37, UNIT, LocalDelta(), dfield=math.cos)
+    value = continuous_gradient(math.cos, 0.37, UNIT, LocalDelta())
     assert value == pytest.approx(math.cos(0.37), rel=1e-15)
 
 
-def test_default_difference_gradient_is_adequate():
-    value = nonlocal_derivative(lambda y: math.sin(math.pi * y), 0.4, UNIT, ExponentialKernel(0.1))
-    exact = nonlocal_derivative(
-        lambda y: math.sin(math.pi * y), 0.4, UNIT, ExponentialKernel(0.1),
-        dfield=lambda y: math.pi * math.cos(math.pi * y),
-    )
-    assert value == pytest.approx(exact, rel=1e-9, abs=1e-9)
-
-
 def test_linearity():
-    f = lambda y: math.sin(math.pi * y)
     df = lambda y: math.pi * math.cos(math.pi * y)
-    g = lambda y: y ** 3
     dg = lambda y: 3.0 * y * y
     k = ExponentialKernel(0.07)
-    lhs = nonlocal_derivative(
-        lambda y: 2.0 * f(y) - 0.5 * g(y), 0.6, UNIT, k,
-        dfield=lambda y: 2.0 * df(y) - 0.5 * dg(y),
-    )
-    rhs = 2.0 * nonlocal_derivative(f, 0.6, UNIT, k, dfield=df) - 0.5 * nonlocal_derivative(
-        g, 0.6, UNIT, k, dfield=dg
-    )
+    lhs = continuous_gradient(lambda y: 2.0 * df(y) - 0.5 * dg(y), 0.6, UNIT, k)
+    rhs = 2.0 * continuous_gradient(df, 0.6, UNIT, k) - 0.5 * continuous_gradient(dg, 0.6, UNIT, k)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -114,9 +81,7 @@ def test_linearity():
 )
 @settings(max_examples=40, deadline=None)
 def test_affine_reproduction_property(slope, intercept, x, kernel):
-    value = nonlocal_derivative(
-        lambda y: slope * y + intercept, x, UNIT, kernel, dfield=lambda y: slope
-    )
+    value = continuous_gradient(lambda y: slope, x, UNIT, kernel)
     assert value == pytest.approx(slope, rel=1e-11, abs=1e-13)
 
 
@@ -127,33 +92,20 @@ def test_affine_reproduction_property(slope, intercept, x, kernel):
 def test_boundary_limit_reference_value():
     # phi = x^2 at the left wall: phi'(0)/2 = 0 plus the surviving-side
     # average; mpmath oracle gives 0.09660817254684788
-    value = boundary_limit_value(
-        lambda y: y * y, 0.0, UNIT, ExponentialKernel(0.1), dfield=lambda y: 2.0 * y
-    )
+    value = continuous_gradient(lambda y: 2.0 * y, 0.0, UNIT, ExponentialKernel(0.1))
     assert value == pytest.approx(0.09660817254684788, rel=1e-11)
-    # the full operator degenerates to the same limit at the wall
-    same = nonlocal_derivative(
-        lambda y: y * y, 0.0, UNIT, ExponentialKernel(0.1), dfield=lambda y: 2.0 * y
-    )
-    assert same == pytest.approx(value, rel=1e-13)
-
-
-def test_boundary_limit_rejects_interior_points():
-    with pytest.raises(ValueError, match="interior"):
-        boundary_limit_value(lambda y: y, 0.5, UNIT, ExponentialKernel(0.1), dfield=lambda y: 1.0)
 
 
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), PowerLawKernel(0.75)])
 def test_shrinking_side_approaches_boundary_limit(kernel):
     # full operator at x = 0 with the trailing side length forced to eps by
     # extending the domain; must approach the one-sided limit monotonically
-    f = lambda y: y * y
     df = lambda y: 2.0 * y
-    limit = boundary_limit_value(f, 0.0, UNIT, kernel, dfield=df)
+    limit = continuous_gradient(df, 0.0, UNIT, kernel)
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
         horizon = HorizonSpec(l_f=0.5, x_min=-eps, x_max=1.0)
-        full = nonlocal_derivative(f, 0.0, horizon, kernel, dfield=df)
+        full = continuous_gradient(df, 0.0, horizon, kernel)
         gaps.append(abs(full - limit))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -198,10 +150,7 @@ def test_matrix_row_matches_continuous_operator_on_interpolant():
     kernel = ExponentialKernel(0.1)
     op = build_operator_matrix(nodes, np.array([0.5]), UNIT, kernel)
     discrete = float(op.apply(samples)[0])
-    reference = nonlocal_derivative(
-        None, 0.5, UNIT, kernel,
-        dfield=_interp_gradient(nodes, samples), breakpoints=nodes,
-    )
+    reference = continuous_gradient(_interp_gradient(nodes, samples), 0.5, UNIT, kernel, breakpoints=nodes)
     assert discrete == pytest.approx(reference, rel=1e-10)
 
 
@@ -213,7 +162,7 @@ def test_matrix_boundary_rows_match_limit_formula():
     out = op.apply(samples)
     df = _interp_gradient(nodes, samples)
     for row, x0 in ((0, 0.0), (1, 1.0)):
-        ref = boundary_limit_value(None, x0, UNIT, kernel, dfield=df, breakpoints=nodes)
+        ref = continuous_gradient(df, x0, UNIT, kernel, breakpoints=nodes)
         assert out[row] == pytest.approx(ref, rel=1e-9)
 
 
@@ -287,7 +236,8 @@ def _loop_operator_matrix(nodes, pts, horizon, kernel):
 
     tiny = 1e-13 * (horizon.x_max - horizon.x_min)
     for r, x in enumerate(pts):
-        l_minus, l_plus = horizon.clipped(float(x))
+        l_minus = min(horizon.l_f, float(x) - horizon.x_min)
+        l_plus = min(horizon.l_f, horizon.x_max - float(x))
         l_minus = 0.0 if l_minus < tiny else l_minus
         l_plus = 0.0 if l_plus < tiny else l_plus
         e = min(max(int(np.searchsorted(nodes, x, side="right")) - 1, 0), nodes.size - 2)
@@ -303,9 +253,8 @@ def _loop_operator_matrix(nodes, pts, horizon, kernel):
             else:
                 add_side(weights[r], x, l_minus, -1.0, 0.5 / float(kernel.interval_integral(l_minus)))
         else:
-            mult = frame_multipliers(kernel, l_minus, l_plus)
-            add_side(weights[r], x, l_minus, -1.0, mult.c_minus)
-            add_side(weights[r], x, l_plus, +1.0, mult.c_plus)
+            add_side(weights[r], x, l_minus, -1.0, 0.5 / float(kernel.interval_integral(l_minus)))
+            add_side(weights[r], x, l_plus, +1.0, 0.5 / float(kernel.interval_integral(l_plus)))
     return weights, n_fallback
 
 
@@ -392,7 +341,7 @@ def test_matrix_input_validation():
 # adjoint smoothing operator
 # ---------------------------------------------------------------------------
 
-def adjoint_integral(field, x, horizon, kernel, quad_tol=1e-13):
+def adjoint_integral(field, x, horizon, kernel):
     """Smoothing companion of the nonlocal gradient (values, not derivatives).
 
     The pairing swaps the interval lengths relative to the forward operator:
@@ -406,13 +355,14 @@ def adjoint_integral(field, x, horizon, kernel, quad_tol=1e-13):
     unit mass (Itilde 1 = 1); at asymmetric points the swapped pairing is not
     mass-preserving, which the tests below record rather than hide.
     """
-    l_minus, l_plus = _effective_sides(horizon, x)
+    l_minus, l_plus = clipped_sides(horizon, x)
     if l_minus == 0.0 or l_plus == 0.0:
         raise ValueError("adjoint pairing needs both clipped side lengths positive")
-    mult = frame_multipliers(kernel, l_minus, l_plus)
-    left = _side_integral(kernel, lambda s: field(x - s), l_plus, quad_tol, [])
-    right = _side_integral(kernel, lambda s: field(x + s), l_minus, quad_tol, [])
-    return mult.c_minus * left + mult.c_plus * right
+    c_minus = 0.5 / float(kernel.interval_integral(l_minus))
+    c_plus = 0.5 / float(kernel.interval_integral(l_plus))
+    left = side_integral(kernel, lambda s: field(x - s), l_plus)
+    right = side_integral(kernel, lambda s: field(x + s), l_minus)
+    return c_minus * left + c_plus * right
 
 
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), PowerLawKernel(0.75), LocalDelta()])
