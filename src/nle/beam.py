@@ -153,7 +153,7 @@ class TimoshenkoBeamModel:
         The memory check of the free block comes first, so an oversized mesh
         fails before any quadrature work.
         """
-        fem.check_fits(sum(nodes.size for nodes in self._free_nodes()))
+        fem.check_fits(sum(s.stop - s.start for s in self._free_slices()))
         return {
             npts: AxisQuadrature(self.mesh, gauss_rule(npts), kernel, horizon_radius)
             for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
@@ -162,8 +162,8 @@ class TimoshenkoBeamModel:
     def assemble(self, quadratures: dict[int, AxisQuadrature]) -> StiffnessSystem:
         """Free-free block of the stiffness and the full load, from quadratures()."""
         nn = self.mesh.n_nodes
-        free = self._free_nodes()
-        blocks = fem.FreeBlockWriter(nn, free)
+        free = self._free_slices()
+        blocks = fem.FreeBlockWriter(nn, [np.arange(nn)[s] for s in free])
         bend, shear = quadratures[fem.BENDING_POINTS], quadratures[fem.SHEAR_POINTS]
         s = self.section
         EA = s.modulus * s.area
@@ -176,7 +176,7 @@ class TimoshenkoBeamModel:
         Ms = gram(shear.N, shear.N, shear.weights)
 
         def restrict(G: np.ndarray, f: int, g: int) -> np.ndarray:
-            return G[np.ix_(free[f], free[g])]
+            return G[free[f], free[g]]
 
         blocks.put(U0, U0, EA * restrict(Sb, U0, U0))
         blocks.put(W0, W0, kGA * restrict(Ss, W0, W0))
@@ -191,10 +191,17 @@ class TimoshenkoBeamModel:
             F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * bend.load_vector()
         return blocks.system(F)
 
-    def _free_nodes(self) -> list[np.ndarray]:
-        """Free nodes of each field, in ascending order."""
+    def _free_slices(self) -> list[slice]:
+        """Free nodes of each field as one slice: FIXED_NODES fixes only end nodes."""
+        nn = self.mesh.n_nodes
         fixed = FIXED_NODES[self.load.name]
-        return [np.delete(np.arange(self.mesh.n_nodes), fixed[f]) for f in FIELDS]
+        slices = []
+        for f in FIELDS:
+            ends = {node % nn for node in fixed[f]}
+            if not ends <= {0, nn - 1}:
+                raise ValueError(f"load case {self.load.name!r} fixes interior nodes of field {f}")
+            slices.append(slice(int(0 in ends), nn - int(nn - 1 in ends)))
+        return slices
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ the available memory before it is allocated.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -122,10 +123,13 @@ class GaussRule:
     weights: np.ndarray
 
 
+@functools.cache
 def gauss_rule(n_points: int) -> GaussRule:
+    """The n-point rule, computed once per point count; its arrays are read-only."""
     if n_points < 1:
         raise ValueError("quadrature rule needs at least one point")
     p, w = np.polynomial.legendre.leggauss(n_points)
+    p.flags.writeable = w.flags.writeable = False
     return GaussRule(points=p, weights=w)
 
 

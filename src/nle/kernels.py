@@ -46,7 +46,13 @@ class KernelError(ValueError):
 
 
 class Kernel(abc.ABC):
-    """Uniform kernel interface: eval, interval_integral, is_singular_at_origin."""
+    """Uniform kernel interface: eval, interval_integral, is_singular_at_origin, reach.
+
+    reach is the distance past which interval_integral returns its limit
+    exactly, so every element beyond it weighs exactly 0 in an operator row
+    and nle.operator need not evaluate it; math.inf (the default) declares
+    no such distance.
+    """
 
     kind: ClassVar[str]
 
@@ -62,6 +68,11 @@ class Kernel(abc.ABC):
     @abc.abstractmethod
     def is_singular_at_origin(self) -> bool:
         """True when K(s) is unbounded (or distributional) as s -> 0."""
+
+    @property
+    def reach(self) -> float:
+        """Distance from which interval_integral(L) equals its L -> inf limit bit for bit."""
+        return math.inf
 
     def describe(self) -> str:
         """Compact parameter string used in result tables."""
@@ -96,6 +107,12 @@ class ExponentialKernel(Kernel):
     @property
     def is_singular_at_origin(self) -> bool:
         return False
+
+    @property
+    def reach(self) -> float:
+        # expm1(-t) rounds to -1 from t ~ 37.4 on, so the moment is exactly
+        # l0 past 40 l0, with margin for the rounding of L / l0
+        return 40.0 * self.l0
 
     def describe(self) -> str:
         return f"l0={self.l0:g}"

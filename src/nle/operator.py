@@ -21,12 +21,19 @@ integrable origin singularity.
 
 Each entry depends only on its (evaluation point, element) pair, so the
 matrix is one broadcast over (points x nodes) blocks, with no per-row loop.
-An element's share of one side is the difference of two moments taken at
-its nodes' distances from the point, clamped into that side; neighbouring
-elements share the node between them, so each side costs one moment per
-node, and an element outside the side gets two equal moments and weighs
-exactly 0.  Every entry sums its terms in a fixed order (element gradient,
-trailing side, leading side) whatever the block size.
+An element's share of one side is the difference of the moments at its two
+nodes, each node clamped into that side.  A block evaluates one moment
+matrix F(|x - node|), shared by both sides; a node beyond a side takes the
+moment of the side's end, F(x - (x - l_minus)) or F((x + l_plus) - x), once
+per row, and a node on the far side of x takes F(0.0).  These are the
+moments of the clamped distances operation for operation, so the entries do
+not depend on how the work is split.  An element whose nodes both lie beyond
+a side, or both at a distance of at least the kernel's reach (where the
+moment has saturated), gets two equal moments and weighs exactly 0; each
+block therefore works only on the contiguous window of nodes within reach of
+its points, and a power-law row, whose moment never saturates, keeps every
+node inside its horizon.  Every entry sums its terms in a fixed order
+(element gradient, trailing side, leading side) whatever the block size.
 """
 
 from __future__ import annotations
@@ -46,9 +53,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Largest (rows x nodes) block broadcast at once; bounds the moment
-# temporaries of build_operator_matrix to a few MB whatever the mesh size.
-_BLOCK_ENTRIES = 1 << 18
+# Largest (rows x nodes) block broadcast at once; keeps the moment
+# temporaries of build_operator_matrix cache-sized whatever the mesh size.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,44 @@ def _effective_side_arrays(horizon: HorizonSpec, pts: np.ndarray) -> tuple[np.nd
     l_minus = np.minimum(horizon.l_f, pts - horizon.x_min)
     l_plus = np.minimum(horizon.l_f, horizon.x_max - pts)
     return np.where(l_minus < tiny, 0.0, l_minus), np.where(l_plus < tiny, 0.0, l_plus)
+
+
+def _node_windows(
+    nodes: np.ndarray,
+    pts: np.ndarray,
+    l_minus: np.ndarray,
+    l_plus: np.ndarray,
+    reach: float,
+    starts: np.ndarray,
+) -> tuple[list[int], list[int]]:
+    """Node bounds [first, stop) of each block of rows pts[starts[i]:starts[i + 1]].
+
+    A node below x - l_minus of every row of a block, or at a distance of at
+    least reach below every row, takes the same trailing moment as every
+    node below it, and the same (zero-distance) leading moment; mirrored
+    above x.  Elements between such nodes weigh exactly 0 in the block.  The
+    tests hold in floating point: x - l and x - node only grow with x, so
+    the block's extreme points decide, and a saturation bound that rounding
+    left short of reach is moved one ulp outward.
+    """
+    x_min, x_max = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+    saturated_below = x_min - reach
+    saturated_below = np.where(
+        x_min - saturated_below >= reach, saturated_below, np.nextafter(saturated_below, -np.inf)
+    )
+    saturated_above = x_max + reach
+    saturated_above = np.where(
+        saturated_above - x_max >= reach, saturated_above, np.nextafter(saturated_above, np.inf)
+    )
+    below = np.maximum(
+        np.searchsorted(nodes, x_min - np.maximum.reduceat(l_minus, starts)),
+        np.searchsorted(nodes, saturated_below, side="right"),
+    )
+    above = np.minimum(
+        np.searchsorted(nodes, x_max + np.maximum.reduceat(l_plus, starts), side="right"),
+        np.searchsorted(nodes, saturated_above),
+    )
+    return np.maximum(below - 1, 0).tolist(), np.minimum(above + 1, nodes.size).tolist()
 
 
 @dataclass(frozen=True)
@@ -158,22 +203,32 @@ def build_operator_matrix(
         for c, side in ((c_minus, l_minus), (c_plus, l_plus)):
             nonempty = ~local & (side > 0.0)
             c[nonempty] = 0.5 / kernel.interval_integral(side[nonempty])
-        step = max(1, _BLOCK_ENTRIES // nodes.size)
-        for start in range(0, pts.size, step):
-            block = slice(start, start + step)
+        at_x = kernel.interval_integral(0.0)
+        starts = np.arange(0, pts.size, max(1, _BLOCK_ENTRIES // nodes.size))
+        ends = [*starts[1:].tolist(), pts.size]
+        windows = _node_windows(nodes, pts, l_minus, l_plus, kernel.reach, starts)
+        for start, end, first, stop in zip(starts.tolist(), ends, *windows):
+            block = slice(start, end)
+            near = nodes[first:stop]
             x = pts[block, None]
-            # moments at each node's distance from x, the node clamped into
-            # x - [0, l_minus] (trailing side) or x + [0, l_plus] (leading)
-            lo = np.minimum(np.maximum(nodes, x - l_minus[block, None]), x)
-            moment = kernel.interval_integral(x - lo)
-            trailing = moment[:, :-1] - moment[:, 1:]
-            hi = np.maximum(np.minimum(nodes, x + l_plus[block, None]), x)
-            moment = kernel.interval_integral(hi - x)
-            leading = moment[:, 1:] - moment[:, :-1]
+            lo, hi = x - l_minus[block, None], x + l_plus[block, None]
+            distance = x - near
+            moment = kernel.interval_integral(np.abs(distance, out=distance))
+            # each node clamped into x - [0, l_minus] (trailing side) or
+            # x + [0, l_plus] (leading side): on the far side of x it takes
+            # the moment of x itself, beyond the side that of the side's end
+            beyond_x = near > x
+            clamped = np.where(beyond_x, at_x, moment)
+            np.copyto(clamped, kernel.interval_integral(x - lo), where=near < lo)
+            trailing = clamped[:, :-1] - clamped[:, 1:]
+            clamped = np.where(beyond_x, moment, at_x)
+            np.copyto(clamped, kernel.interval_integral(hi - x), where=near > hi)
+            leading = clamped[:, 1:] - clamped[:, :-1]
             for c, w in ((c_minus, trailing), (c_plus, leading)):
-                w = c[block, None] * w * inv_h
-                weights[block, 1:] += w
-                weights[block, :-1] -= w
+                np.multiply(c[block, None], w, out=w)
+                w *= inv_h[first : stop - 1]
+                weights[block, first + 1 : stop] += w
+                weights[block, first : stop - 1] -= w
 
     n_fallback = int(np.count_nonzero(fallback))
     if n_fallback:

@@ -3,6 +3,7 @@ import pytest
 
 from nle import fem
 from nle.beam import (
+    FIXED_NODES,
     BeamSection,
     CantileverTipLoad,
     SimplySupportedUniformLoad,
@@ -102,6 +103,13 @@ def test_free_block_equals_the_full_assembly_bitwise(load, kernel):
     np.testing.assert_array_equal(system.free, free)
     assert system.matrix.flags.f_contiguous
     assert np.array_equal(system.matrix, K_full[np.ix_(free, free)])
+
+
+def test_free_nodes_must_be_one_contiguous_range(monkeypatch):
+    model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), 8)
+    monkeypatch.setitem(FIXED_NODES, "cantilever_tip", {0: [0], 1: [0, 4], 2: [0]})
+    with pytest.raises(ValueError, match="interior"):
+        fem.assemble(model, LocalDelta(), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ def test_gauss_rule_low_orders():
         gauss_rule(0)
 
 
+def test_gauss_rule_is_computed_once_and_read_only():
+    rule = gauss_rule(2)
+    assert gauss_rule(2) is rule
+    with pytest.raises(ValueError, match="read-only"):
+        rule.points[0] = 0.0
+
+
 def test_gauss_two_point_exact_to_cubics():
     rule = gauss_rule(2)
     assert np.sum(rule.weights * rule.points ** 2) == pytest.approx(2.0 / 3.0, rel=1e-14)

@@ -201,6 +201,22 @@ def test_local_delta_moment_has_unit_mass():
     assert d.is_singular_at_origin
 
 
+@pytest.mark.parametrize("l0", np.geomspace(1.01e-9, 10.0, 37))
+def test_exponential_moment_is_exactly_saturated_past_its_reach(l0):
+    kernel = ExponentialKernel(float(l0))
+    assert kernel.reach == 40.0 * l0
+    lengths = np.geomspace(kernel.reach, 1e3 * kernel.reach, 200)
+    assert np.all(kernel.interval_integral(lengths) == kernel.l0)
+    assert float(kernel.interval_integral(kernel.reach)) == kernel.l0
+    # below the reach the moment has not saturated yet
+    assert float(kernel.interval_integral(kernel.reach / 2.0)) < kernel.l0
+
+
+def test_kernels_without_a_saturating_moment_declare_infinite_reach():
+    assert PowerLawKernel(0.7).reach == math.inf
+    assert LocalDelta().reach == math.inf
+
+
 def test_admissibility_check():
     check_admissible(ExponentialKernel(0.01), 1.0)
     check_admissible(PowerLawKernel(0.7), 1.0)

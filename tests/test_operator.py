@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from continuous_operator import clipped_sides, continuous_gradient, side_integral
 from scipy import integrate
 
+from nle import operator as operator_module
+from nle.fem import AxisQuadrature, IntervalMesh, gauss_rule
 from nle.kernels import (
     ExponentialKernel,
     LocalDelta,
@@ -18,6 +20,7 @@ from nle.kernels import (
 from nle.operator import HorizonSpec, build_operator_matrix
 
 UNIT = HorizonSpec(l_f=0.5, x_min=0.0, x_max=1.0)
+DEFAULT_BLOCK_ENTRIES = operator_module._BLOCK_ENTRIES
 
 
 def test_horizon_clipping():
@@ -285,21 +288,25 @@ def test_matrix_equals_per_row_loop_bitwise(kernel, uniform):
         nodes, pts, horizon = _oracle_case(seed, uniform)
         expected, _ = _loop_operator_matrix(nodes, pts, horizon, kernel)
         op = build_operator_matrix(nodes, pts, horizon, kernel)
-        assert np.array_equal(op.weights, expected), (seed, kernel)
+        assert op.weights.tobytes() == expected.tobytes(), (seed, kernel)
+
+
+def _block_entries(block, n_pts, n_nodes):
+    """_BLOCK_ENTRIES for one row per block, the default, or the whole matrix at once."""
+    return {"one_row": 1, "default": DEFAULT_BLOCK_ENTRIES, "whole": n_pts * n_nodes}[block]
 
 
 def test_matrix_equals_per_row_loop_across_blocks(monkeypatch):
-    # rows broadcast in several blocks give the same matrix as one block
-    import nle.operator as operator_module
-
+    # rows broadcast in blocks of any size give the loop's matrix byte for byte
     rng = np.random.default_rng(3)
     nodes = np.linspace(0.0, 1.0, 81)
     pts = rng.uniform(0.0, 1.0, 150)
-    kernel = PowerLawKernel(0.7)
-    monkeypatch.setattr(operator_module, "_BLOCK_ENTRIES", 7 * 80)
-    op = build_operator_matrix(nodes, pts, UNIT, kernel)
-    expected, _ = _loop_operator_matrix(nodes, pts, UNIT, kernel)
-    assert np.array_equal(op.weights, expected)
+    for kernel in ORACLE_KERNELS:
+        expected, _ = _loop_operator_matrix(nodes, pts, UNIT, kernel)
+        for block in ("one_row", "default", "whole"):
+            monkeypatch.setattr(operator_module, "_BLOCK_ENTRIES", _block_entries(block, pts.size, nodes.size))
+            op = build_operator_matrix(nodes, pts, UNIT, kernel)
+            assert op.weights.tobytes() == expected.tobytes(), (kernel, block)
 
 
 @pytest.mark.parametrize("kernel", [PowerLawKernel(0.6), PowerLawKernel(0.9)])
@@ -313,10 +320,92 @@ def test_short_horizon_fallback_rows_match_loop(kernel, caplog):
     assert n_fallback > 0
     with caplog.at_level(logging.WARNING, logger="nle.operator"):
         op = build_operator_matrix(nodes, pts, short, kernel)
-    assert np.array_equal(op.weights, expected)
+    assert op.weights.tobytes() == expected.tobytes()
     warnings = [r for r in caplog.records if "fell back" in r.getMessage()]
     assert len(warnings) == 1
     assert warnings[0].getMessage().startswith(f"{n_fallback} of {pts.size} operator rows")
+
+
+# ---------------------------------------------------------------------------
+# node windows: the edges of each block's window and of the kernel's reach
+# ---------------------------------------------------------------------------
+
+def _window_edge_points(nodes, edges, rng):
+    """Points within one element of each edge, shuffled so blocks are unsorted."""
+    h = float(np.max(np.diff(nodes)))
+    near = np.concatenate([e + h * np.array([-1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0]) for e in edges])
+    near = near[(near >= nodes[0]) & (near <= nodes[-1])]
+    pts = np.concatenate([nodes, near, rng.uniform(nodes[0], nodes[-1], 60)])
+    return rng.permutation(pts)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("to_reach", [-1, 0, 1], ids=["below_reach", "at_reach", "above_reach"])
+@pytest.mark.parametrize("block", ["one_row", "default"])
+def test_matrix_equals_loop_at_the_reach_and_window_edges(uniform, to_reach, block, monkeypatch):
+    # l_f just below, at and just above the exponential kernel's reach, with
+    # points within one element of the reach's and the walls' window edges
+    rng = np.random.default_rng(17)
+    kernel = ExponentialKernel(0.0123)
+    if uniform:
+        nodes = np.linspace(0.0, 1.7, 97)
+    else:
+        nodes = np.unique(np.concatenate([[0.0, 1.7], rng.uniform(0.0, 1.7, 95)]))
+    l_f = float(np.nextafter(kernel.reach, kernel.reach + to_reach))
+    horizon = HorizonSpec(l_f=l_f, x_min=0.0, x_max=1.7)
+    edges = [kernel.reach, 1.7 - kernel.reach, 0.8 - kernel.reach, 0.8 + kernel.reach, 0.0, 1.7]
+    pts = _window_edge_points(nodes, edges, rng)
+    monkeypatch.setattr(operator_module, "_BLOCK_ENTRIES", _block_entries(block, pts.size, nodes.size))
+    op = build_operator_matrix(nodes, pts, horizon, kernel)
+    expected, _ = _loop_operator_matrix(nodes, pts, horizon, kernel)
+    assert op.weights.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    # l0 = 1/256 puts the reach, 40 l0 = 10 h, exactly on the node grid
+    [ExponentialKernel(1.0 / 256.0), ExponentialKernel(0.05), PowerLawKernel(0.8), PowerLawKernel(0.55)],
+    ids=lambda k: k.describe(),
+)
+@pytest.mark.parametrize("k", [1, 3, 10, 25])
+def test_matrix_equals_loop_when_horizon_ends_land_on_nodes(kernel, k):
+    # dyadic nodes and l_f = k h: x - l_f and x + l_f fall exactly on nodes,
+    # which the clamped-side selects must settle as the clamps do
+    h = 1.0 / 64.0
+    nodes = np.arange(65) * h
+    pts = np.concatenate([nodes, nodes[:-1] + 0.5 * h, nodes[:-1] + 0.25 * h])
+    horizon = HorizonSpec(l_f=k * h, x_min=0.0, x_max=1.0)
+    op = build_operator_matrix(nodes, pts, horizon, kernel)
+    expected, _ = _loop_operator_matrix(nodes, pts, horizon, kernel)
+    assert op.weights.tobytes() == expected.tobytes()
+
+
+def _moment_entries(kernel, monkeypatch):
+    """Entries passed to interval_integral while building the shipped beam's
+    bending quadrature (200 elements, 2-point rule, l_f = 0.5), and B's shape."""
+    entries = []
+    moment = type(kernel).interval_integral
+
+    def counting(self, length):
+        entries.append(np.size(length))
+        return moment(self, length)
+
+    monkeypatch.setattr(type(kernel), "interval_integral", counting)
+    quadrature = AxisQuadrature(IntervalMesh(1.0, 200), gauss_rule(2), kernel, 0.5)
+    return sum(entries), quadrature.B.shape
+
+
+def test_power_law_moments_are_evaluated_once_per_node_and_row(monkeypatch):
+    # a deterministic work guard: one moment matrix for both sides, plus per
+    # row the two multipliers and the two clamped side ends, and F(0) once
+    evaluated, (rows, nodes) = _moment_entries(PowerLawKernel(0.8), monkeypatch)
+    assert evaluated <= rows * nodes + 4 * rows + 1
+
+
+def test_saturated_exponential_tails_are_not_evaluated(monkeypatch):
+    # under a quarter of the dense build's two moment matrices and multipliers
+    evaluated, (rows, nodes) = _moment_entries(ExponentialKernel(2.5e-3), monkeypatch)
+    assert evaluated < (2 * rows * nodes + 2 * rows) / 4
 
 
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), LocalDelta()])
