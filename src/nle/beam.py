@@ -182,7 +182,8 @@ class TimoshenkoBeamModel:
         blocks.put(W0, W0, kGA * restrict(Ss, W0, W0))
         theta_theta = EI * restrict(Sb, THETA, THETA) + kGA * restrict(Ms, THETA, THETA)
         blocks.put(THETA, THETA, theta_theta)
-        blocks.put(W0, THETA, -kGA * restrict(Cs, W0, THETA), mirror=True)
+        blocks.put(W0, THETA, -kGA * restrict(Cs, W0, THETA))
+        blocks.mirror(W0, THETA)
 
         F = np.zeros(3 * nn)
         if isinstance(self.load, CantileverTipLoad):

@@ -244,7 +244,7 @@ class FreeBlockWriter:
     free_nodes[f] lists field f's free nodes in ascending order; with
     dof(f, node) = f * n_nodes + node the free dofs ascend too.  The block is
     allocated once by dense_block, so the memory check runs first; put()
-    writes one (f, g) block, and its transpose into (g, f) when mirror=True;
+    writes one (f, g) block, mirror() copies its transpose into (g, f), and
     columns() gives a block by columns, for callers that stream it.
     """
 
@@ -253,11 +253,13 @@ class FreeBlockWriter:
         self._start = np.cumsum([0] + [nodes.size for nodes in free_nodes])
         self.matrix = dense_block(self.free.size)
 
-    def put(self, f: int, g: int, block: np.ndarray, mirror: bool = False) -> None:
+    def put(self, f: int, g: int, block: np.ndarray) -> None:
+        self.matrix[self._dofs(f), self._dofs(g)] = block
+
+    def mirror(self, f: int, g: int) -> None:
+        """Copy block (f, g), transposed, into (g, f)."""
         rows, cols = self._dofs(f), self._dofs(g)
-        self.matrix[rows, cols] = block
-        if mirror:
-            self.matrix[cols, rows] = block.T
+        self.matrix[cols, rows] = self.matrix[rows, cols].T
 
     def columns(self, f: int, g: int) -> np.ndarray:
         """Writable view of block (f, g) by columns: row c holds its column c, contiguous."""

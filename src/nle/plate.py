@@ -16,11 +16,11 @@ Kronecker products of 1D Gram matrices; assembly never touches a 2D
 quadrature loop.  Membrane and bending blocks integrate with the 2x2 rule,
 transverse shear with 1x1.  Each boundary set fixes every field on whole
 edges, so the assembly builds only the free-free block, from restricted 1D
-Grams, and streams it straight into the column-major matrix in slabs of a
-few columns: each distinct Kronecker term is computed once per slab, and no
-temporary of a field block's size exists.  On a 2-core Xeon a 48x48 clamped
-assembly takes 0.6-0.8 s, and its K of 0.93 GiB is its only large
-allocation.
+Grams.  It streams the 9 field blocks on and above the diagonal into the
+column-major matrix in slabs of a few columns, copies the 4 nonzero blocks
+below it from their transposes, and holds no field-block-sized temporary.
+On a 2-core Xeon a 48x48 clamped assembly takes 0.5-0.8 s, and its K of
+0.93 GiB is its only large allocation.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
@@ -169,11 +169,11 @@ class MindlinPlateModel:
         tensor product of per-axis index sets, so the free block of every
         Kronecker term is the Kronecker product of restricted 1D Grams,
         kron(A, B)[J x I, J' x I'] = kron(A[J, J'], B[I, I'])
-        (Van Loan, "The ubiquitous Kronecker product", 2000).  The 13 nonzero
-        field blocks are listed below as data, each a scaled sum of inner
-        sums of such products, and _stream writes them column slab by
-        column slab: neither the full 5 n_nodes square matrix nor a full-size
-        field block temporary ever exists.
+        (Van Loan, "The ubiquitous Kronecker product", 2000).  The 9 field
+        blocks on and above the diagonal are listed below as data, each a
+        scaled sum of inner sums of such products; _stream writes them by
+        column slabs and mirror() copies the 4 below.  Neither the full
+        5 n_nodes square matrix nor a field-block-sized temporary exists.
         """
         nn = self.mesh.n_nodes
         axes = self._free_axes()
@@ -226,25 +226,23 @@ class MindlinPlateModel:
         # Field blocks as (f, g, ((scale, inner sum), ...)): block (f, g) is
         # sum_o scale_o * inner[name_o] on field f's free rows and field g's
         # free columns.  The blocks of one stream share those free sets in
-        # both boundary sets (FIXED_EDGES), so each inner sum is computed once
-        # per slab; a mirrored stream also writes every block's transpose into
-        # (g, f).  Each inner sum is built in the slab of the first block that
-        # it starts, so theta_x-theta_x leads its stream with the shear term.
+        # both boundary sets (FIXED_EDGES), so each inner sum is built once
+        # per slab.
         streams = [
-            (False, [(TX, TX, [(shear_scale, "shear_mass"), (bend_scale, "direct_x")]),
-                     (U, U, [(memb, "direct_x")])]),
-            (False, [(TY, TY, [(shear_scale, "shear_mass"), (bend_scale, "direct_y")]),
-                     (V, V, [(memb, "direct_y")])]),
-            (True, [(U, V, [(memb, "cross")]), (TX, TY, [(bend_scale, "cross")])]),
-            (False, [(W, W, [(shear_scale, "w_w")])]),
-            (True, [(W, TX, [(-shear_scale, "w_tx")])]),
-            (True, [(W, TY, [(-shear_scale, "w_ty")])]),
+            [(TX, TX, [(shear_scale, "shear_mass"), (bend_scale, "direct_x")]),
+             (U, U, [(memb, "direct_x")])],
+            [(TY, TY, [(shear_scale, "shear_mass"), (bend_scale, "direct_y")]),
+             (V, V, [(memb, "direct_y")])],
+            [(U, V, [(memb, "cross")]), (TX, TY, [(bend_scale, "cross")])],
+            [(W, W, [(shear_scale, "w_w")])],
+            [(W, TX, [(-shear_scale, "w_tx")])],
+            [(W, TY, [(-shear_scale, "w_ty")])],
         ]
-        for mirrored, stream in streams:
-            _stream(blocks, axes, inner, stream, transposed=False)
-            if mirrored:
-                mirror = [(col, row, outer) for row, col, outer in stream]
-                _stream(blocks, axes, inner, mirror, transposed=True)
+        for stream in streams:
+            _stream(blocks, axes, inner, stream)
+            for f, g, _ in stream:
+                if f != g:
+                    blocks.mirror(f, g)
 
         F = np.zeros(5 * nn)
         fx, fy = quadratures[x, b].load_vector(), quadratures[y, b].load_vector()
@@ -272,56 +270,42 @@ def _stream(
     axes: list[tuple[np.ndarray, np.ndarray]],
     inner: dict[str, tuple],
     blocks: list[tuple],
-    transposed: bool,
 ) -> None:
     """Write blocks sum_o s_o * inner[name_o] into writer, one column slab at a time.
 
     Every block (f, g) has the free rows axes[f] and free columns axes[g] of
-    the first block.  With transposed, the products read the transposed
-    Grams, which gives the transpose of block (g, f): the same products,
-    which commute exactly, summed in the same order.  Each entry goes
-    through the operations of sum_o s_o * sum_i c_i * np.kron(Gy_i, Gx_i),
-    with the inner sum in order; the outer terms reach a block in the order
-    their inner sums are first used in the stream, which cannot change the
-    bits of a sum of at most two terms.
+    the first block.  Each entry goes through the operations of
+    sum_o s_o * sum_i c_i * np.kron(Gy_i, Gx_i), the inner sum in order and
+    the outer terms in the order of their inner sums, which cannot change
+    the bits of a sum of at most two terms.
 
     A slab is at most _SLAB_ENTRIES entries, or one column, of the columns
     on one y node in the F-order view writer.columns(f, g), whose columns
-    are contiguous.  Each inner sum is built in the slab of the first block
-    that it starts and scaled from there into the others, so the only
-    temporary is one slab-sized term buffer.
+    are contiguous.  Each inner sum is built once per slab in a buffer of
+    that size and scaled into every block that uses it: written the first
+    time, added after that.
     """
     (jy, jx), (ky, kx) = axes[blocks[0][0]], axes[blocks[0][1]]
     shape = (ky.size, kx.size, jy.size, jx.size)
     views = [writer.columns(f, g).reshape(shape, copy=False) for f, g, _ in blocks]
-    uses: dict[str, dict[int, float]] = {}
+    uses: dict[str, list[tuple[int, float]]] = {}
     for v, (_, _, outer) in enumerate(blocks):
         for scale, name in outer:
-            uses.setdefault(name, {})[v] = scale
-    # (inner sum, host block, host scale, [(block, scale, adds to a started block)])
-    plan, started = [], set()
-    for name, users in uses.items():
-        host = next(v for v in users if v not in started)
-        others = [(v, s, v in started) for v, s in users.items() if v != host]
-        plan.append((name, host, users[host], others))
-        started.update(users)
+            uses.setdefault(name, []).append((v, scale))
     # entry (cy, cx, ry, rx) of a product is ly[cy, ry] * lx[cx, rx]
     factors = {
-        name: [
-            (c, _restrict(gy, ky, jy, transposed), _restrict(gx, kx, jx, transposed))
-            for c, gy, gx in inner[name]
-        ]
+        name: [(c, gy[np.ix_(jy, ky)].T, gx[np.ix_(jx, kx)].T) for c, gy, gx in inner[name]]
         for name in uses
     }
     x_step = max(1, _SLAB_ENTRIES // max(1, jy.size * jx.size))
-    term_buf = np.empty((min(x_step, kx.size), jy.size, jx.size))
+    sum_buf, term_buf = np.empty((2, min(x_step, kx.size), jy.size, jx.size))
     for cy in range(ky.size):
         for x0 in range(0, kx.size, x_step):
             cx = slice(x0, x0 + x_step)
             slabs = [view[cy, cx] for view in views]
-            term = term_buf[: slabs[0].shape[0]]
-            for name, host, host_scale, others in plan:
-                total = slabs[host]
+            total, term = sum_buf[: slabs[0].shape[0]], term_buf[: slabs[0].shape[0]]
+            written = set()
+            for name, users in uses.items():
                 for i, (c, ly, lx) in enumerate(factors[name]):
                     out = term if i else total
                     np.multiply(ly[cy, None, :, None], lx[cx, None, :], out=out)
@@ -329,18 +313,13 @@ def _stream(
                         out *= c
                     if i:
                         total += term
-                for v, scale, add in others:
-                    if add:
+                for v, scale in users:
+                    if v in written:
                         np.multiply(total, scale, out=term)
                         slabs[v] += term
                     else:
                         np.multiply(total, scale, out=slabs[v])
-                total *= host_scale
-
-
-def _restrict(G: np.ndarray, cols: np.ndarray, rows: np.ndarray, transposed: bool) -> np.ndarray:
-    """G[rows][:, cols] laid out as (cols, rows); with transposed, the same of G.T."""
-    return (G if transposed else G.T)[np.ix_(cols, rows)]
+                        written.add(v)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,10 @@ def test_free_block_equals_the_full_assembly_bitwise(load, kernel):
     free = np.setdiff1d(np.arange(K_full.shape[0]), fixed)
     np.testing.assert_array_equal(system.free, free)
     assert system.matrix.flags.f_contiguous
-    assert np.array_equal(system.matrix, K_full[np.ix_(free, free)])
+    expected = K_full[np.ix_(free, free)]
+    assert np.array_equal(system.matrix, expected)
+    # array_equal takes -0.0 for +0.0; the bytes tell them apart
+    assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
 
 
 def test_free_nodes_must_be_one_contiguous_range(monkeypatch):

@@ -352,15 +352,19 @@ def test_free_block_writer_places_and_mirrors_field_blocks():
     writer = fem.FreeBlockWriter(3, [np.array([1, 2]), np.array([0, 1])])
     np.testing.assert_array_equal(writer.free, [1, 2, 3, 4])
     A = np.array([[1.0, 2.0], [2.0, 5.0]])
-    C = np.array([[3.0, 4.0], [6.0, 7.0]])
+    C = np.array([[3.0, -0.0], [6.0, 7.0]])
     writer.put(0, 0, A)
     writer.put(1, 1, 2 * A)
-    writer.put(0, 1, C, mirror=True)
+    writer.put(0, 1, C)
+    writer.mirror(0, 1)
     load = np.arange(6.0)
     system = writer.system(load)
     assert system.matrix is writer.matrix and system.matrix.flags.f_contiguous
     assert system.load is load
-    np.testing.assert_array_equal(system.matrix, np.block([[A, C], [C.T, 2 * A]]))
+    expected = np.block([[A, C], [C.T, 2 * A]])
+    np.testing.assert_array_equal(system.matrix, expected)
+    # the mirror keeps the sign of C's -0.0, which only the bytes show
+    assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
 
 
 def test_dense_block_is_checked_against_available_memory(monkeypatch):

@@ -231,20 +231,26 @@ def _full_kron_assembly(model, kernel, horizon_radius):
 @pytest.mark.parametrize(
     "shape", [(6, 6, 1.0, 1.0), (4, 8, 1.3, 0.7)], ids=["square", "oblong"]
 )
-def test_free_block_equals_the_full_kronecker_assembly_bitwise(boundary, kernel, shape):
+def test_free_block_equals_the_full_kronecker_assembly_bitwise(
+    monkeypatch, boundary, kernel, shape
+):
     nx, ny, lx, ly = shape
     model = MindlinPlateModel(
         PlateSection(length_x=lx, length_y=ly), 2.0, boundary, nx=nx, ny=ny
     )
-    system = fem.assemble(model, kernel, 0.5)
     K_full, fixed = _full_kron_assembly(model, kernel, 0.5)
     free = np.setdiff1d(np.arange(K_full.shape[0]), sorted(fixed))
-    np.testing.assert_array_equal(system.free, free)
-    assert system.matrix.flags.f_contiguous
     expected = K_full[np.ix_(free, free)]
-    assert np.array_equal(system.matrix, expected)
-    # array_equal takes -0.0 for +0.0; the bytes tell them apart
-    assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
+    # these meshes fit one y node's columns in the default slab; 1 entry
+    # streams one column per slab, 64 a few, with a short last slab
+    for slab_entries in (plate._SLAB_ENTRIES, 1, 64):
+        monkeypatch.setattr(plate, "_SLAB_ENTRIES", slab_entries)
+        system = fem.assemble(model, kernel, 0.5)
+        np.testing.assert_array_equal(system.free, free)
+        assert system.matrix.flags.f_contiguous
+        assert np.array_equal(system.matrix, expected)
+        # array_equal takes -0.0 for +0.0; the bytes tell them apart
+        assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
 
 
 @pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
