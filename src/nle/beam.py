@@ -13,12 +13,14 @@ direct terms integrate with the 2-point rule, transverse shear with 1 point.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes its supports at
-zero, so the assembly writes only the free-free block, from the Grams
-restricted to each field's free nodes.
+zero, so the assembly writes only the lower triangle of the free-free block,
+from the Grams restricted to each field's free nodes, and keeps those Grams
+for the system's product K x.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +162,7 @@ class TimoshenkoBeamModel:
         }
 
     def assemble(self, quadratures: dict[int, AxisQuadrature]) -> StiffnessSystem:
-        """Free-free block of the stiffness and the full load, from quadratures()."""
+        """Lower triangle of the free-free stiffness block and the full load, from quadratures()."""
         nn = self.mesh.n_nodes
         free = self._free_slices()
         blocks = fem.FreeBlockWriter(nn, [np.arange(nn)[s] for s in free])
@@ -175,22 +177,29 @@ class TimoshenkoBeamModel:
         Cs = gram(shear.B, shear.N, shear.weights)
         Ms = gram(shear.N, shear.N, shear.weights)
 
-        def restrict(G: np.ndarray, f: int, g: int) -> np.ndarray:
-            return G[free[f], free[g]]
-
-        blocks.put(U0, U0, EA * restrict(Sb, U0, U0))
-        blocks.put(W0, W0, kGA * restrict(Ss, W0, W0))
-        theta_theta = EI * restrict(Sb, THETA, THETA) + kGA * restrict(Ms, THETA, THETA)
-        blocks.put(THETA, THETA, theta_theta)
-        blocks.put(W0, THETA, -kGA * restrict(Cs, W0, THETA))
-        blocks.mirror(W0, THETA)
+        # The field blocks on and below the diagonal, each a sum of scaled
+        # Grams restricted to its fields' free nodes; (THETA, W0) takes the
+        # transposed coupling Gram, so it holds the bits of the transpose of
+        # (W0, THETA).
+        terms = {
+            (U0, U0): [(EA, Sb)],
+            (W0, W0): [(kGA, Ss)],
+            (THETA, THETA): [(EI, Sb), (kGA, Ms)],
+            (THETA, W0): [(-kGA, Cs.T)],
+        }
+        for (f, g), parts in terms.items():
+            (scale, G), *rest = parts
+            block = scale * G[free[f], free[g]]
+            for scale, G in rest:
+                block = block + scale * G[free[f], free[g]]
+            blocks.put(f, g, block)
 
         F = np.zeros(3 * nn)
         if isinstance(self.load, CantileverTipLoad):
             F[W0 * nn + (nn - 1)] = self.load.magnitude
         else:
             F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * bend.load_vector()
-        return blocks.system(F)
+        return blocks.system(F, functools.partial(_product, blocks, free, terms))
 
     def _free_slices(self) -> list[slice]:
         """Free nodes of each field as one slice: FIXED_NODES fixes only end nodes."""
@@ -203,6 +212,21 @@ class TimoshenkoBeamModel:
                 raise ValueError(f"load case {self.load.name!r} fixes interior nodes of field {f}")
             slices.append(slice(int(0 in ends), nn - int(nn - 1 in ends)))
         return slices
+
+
+def _product(
+    writer: fem.FreeBlockWriter, free: list[slice], terms: dict, x: np.ndarray
+) -> np.ndarray:
+    """K x on the free dofs: each stored field block, and below the diagonal its transpose too."""
+    y = np.zeros(np.shape(x))
+    xs, ys = writer.split(np.asarray(x, dtype=float)), writer.split(y)
+    for (f, g), parts in terms.items():
+        for scale, G in parts:
+            block = G[free[f], free[g]]
+            ys[f] += scale * (block @ xs[g])
+            if f != g:
+                ys[g] += scale * (block.T @ xs[f])
+    return y
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ Five subcommands, each driven by one validated YAML document:
     nle convergence ...
 
 Every run writes one CSV of data rows plus manifest.json describing the run
-(config digest, tool and commit versions, BLAS threads, wall time).  Data
-rows are deterministic: re-running the same config, at any thread count,
-reproduces the CSV byte for byte; both OpenBLAS pools are pinned to a fixed
-count (nle.openblas).  The manifest is allowed to differ (it carries the
-wall time).  Exit codes: 0 success, 2 invalid configuration, 3 solver
-failure, 4 I/O failure, 5 verification failure; failures also emit a final
-machine-readable line "error: category=<NAME>" on stderr.
+(config digest, tool and commit versions, BLAS threads, wall time, peak
+resident memory).  Data rows are deterministic: re-running the same config,
+at any thread count, reproduces the CSV byte for byte; both OpenBLAS pools
+are pinned to a fixed count (nle.openblas).  The manifest is allowed to
+differ (it carries the wall time and the peak memory).  Exit codes: 0
+success, 2 invalid configuration, 3 solver failure, 4 I/O failure, 5
+verification failure; failures also emit a final machine-readable line
+"error: category=<NAME>" on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import resource
 import subprocess
 import sys
 import time
@@ -130,6 +132,8 @@ def _run(args) -> int:
         "config_text": text,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "wall_time_s": f"{wall:.3f}",
+        # ru_maxrss counts KiB on Linux: the process's peak so far, imports included
+        "peak_rss_mib": f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}",
     }
     entries.update(result.metadata)
     write_manifest(out_dir / "manifest.json", entries)

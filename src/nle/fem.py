@@ -7,24 +7,30 @@ Stiffness blocks are therefore weighted Gram products of those families; the
 plate obtains its 2D blocks as Kronecker products of per-axis Grams, which is
 an exact reordering of the Gauss-point sum over the tensor product rule.
 
-A StiffnessSystem holds only the free-free block of the stiffness, in
-column-major (LAPACK) order: every beam and plate case fixes its supports at
-zero, so each model writes the block of its free dofs through one
-FreeBlockWriter and never builds the full matrix.  solve() factors that
-block by Cholesky in place, refines once or twice if needed, and guarantees
-a small relative residual or raises.  Every dense block is checked against
-the available memory before it is allocated.
+A StiffnessSystem holds only the lower triangle, diagonal included, of the
+free-free block of the stiffness, in column-major (LAPACK) order: every beam
+and plate case fixes its supports at zero, so each model writes the block of
+its free dofs through one FreeBlockWriter and never builds the full matrix.
+K is symmetric, so Cholesky reads nothing else, and no field block above
+the diagonal is ever written.  The system also carries product(x),
+K x on the free dofs from the model's own factors.  solve() factors the
+block by Cholesky in place, takes its residuals from product(), refines once
+or twice if needed, and guarantees a small relative residual or raises.
+Every dense block is checked against the available memory before it is
+allocated, and a large one is backed by small pages, so that the pages of
+its untouched upper triangle cost no memory.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import blas
 
 from .kernels import Kernel, check_admissible
 from .operator import HorizonSpec, build_operator_matrix
@@ -55,6 +61,11 @@ __all__ = [
 # one point fewer for the transverse shear terms (locking control)
 BENDING_POINTS = 2
 SHEAR_POINTS = 1
+
+# Dense blocks of at least this many bytes get small pages (dense_block).
+# Below it huge pages stay, which factor faster: on small pages a 24x24
+# plate's 53 MiB block solved in 0.12 s against 0.10 s (2-core Xeon).
+_SMALL_PAGE_BYTES = 256 << 20
 
 
 class SolverError(RuntimeError):
@@ -189,16 +200,21 @@ def hat_rows(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Free-free stiffness block, consistent load, and the free dofs.
+    """Free-free stiffness block, consistent load, free dofs, and K x.
 
-    matrix is the symmetric block of the dofs in `free`, in column-major
-    order; free lists those dofs in ascending order; load holds all n
-    entries.  Every dof outside `free` is fixed at zero.
+    matrix holds the lower triangle, diagonal included, of the symmetric
+    block of the dofs in `free`, in column-major order; no reader looks
+    above its diagonal.  free lists those dofs in ascending order; load
+    holds all n entries.  Every dof outside `free` is fixed at zero.
+    product(x) gives K x on the free dofs, for x of shape (free.size,) or
+    (free.size, k), without reading matrix, so it still holds after solve()
+    has factored matrix in place.
     """
 
     matrix: np.ndarray
     load: np.ndarray
     free: np.ndarray
+    product: Callable[[np.ndarray], np.ndarray]
 
     @property
     def n_dofs(self) -> int:
@@ -232,20 +248,32 @@ def dense_block(n: int) -> np.ndarray:
     """Zeroed n x n float64 array in column-major (LAPACK) order.
 
     Raises SolverError, before allocating, when the array would not fit in
-    the available memory.
+    the available memory.  A block of _SMALL_PAGE_BYTES or more gets its own
+    anonymous mapping, advised against transparent huge pages, so that only
+    the pages written are backed: the upper triangle of a block that stores
+    its lower triangle then costs no memory.  numpy advises huge pages for
+    every array from 4 MiB on, and every 2 MiB page of a column-major block
+    holds some lower-triangle entry, which would back all of it.
     """
     check_fits(n)
-    return np.zeros((n, n), order="F")
+    if 8 * n * n < _SMALL_PAGE_BYTES:
+        return np.zeros((n, n), order="F")
+    pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(pages, dtype=float).reshape((n, n), order="F")
 
 
 class FreeBlockWriter:
-    """The free-free block of a field-major system, written field pair by field pair.
+    """The lower triangle of the free-free block of a field-major system.
 
     free_nodes[f] lists field f's free nodes in ascending order; with
     dof(f, node) = f * n_nodes + node the free dofs ascend too.  The block is
-    allocated once by dense_block, so the memory check runs first; put()
-    writes one (f, g) block, mirror() copies its transpose into (g, f), and
-    columns() gives a block by columns, for callers that stream it.
+    allocated once by dense_block, so the memory check runs first.  Only the
+    field blocks (f, g) with f >= g are written, so no field block above the
+    diagonal is ever touched: put() writes one, and columns() gives one by
+    columns, for callers that stream it.  split() views a free vector field
+    by field.
     """
 
     def __init__(self, n_nodes: int, free_nodes: list[np.ndarray]):
@@ -254,22 +282,28 @@ class FreeBlockWriter:
         self.matrix = dense_block(self.free.size)
 
     def put(self, f: int, g: int, block: np.ndarray) -> None:
-        self.matrix[self._dofs(f), self._dofs(g)] = block
-
-    def mirror(self, f: int, g: int) -> None:
-        """Copy block (f, g), transposed, into (g, f)."""
-        rows, cols = self._dofs(f), self._dofs(g)
-        self.matrix[cols, rows] = self.matrix[rows, cols].T
+        self.matrix[self._block(f, g)] = block
 
     def columns(self, f: int, g: int) -> np.ndarray:
         """Writable view of block (f, g) by columns: row c holds its column c, contiguous."""
-        return self.matrix[self._dofs(f), self._dofs(g)].T
+        return self.matrix[self._block(f, g)].T
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """Views of each field's part of x, a free vector or a stack of them by columns."""
+        return [x[self._dofs(f)] for f in range(self._start.size - 1)]
+
+    def _block(self, f: int, g: int) -> tuple[slice, slice]:
+        if f < g:
+            raise ValueError(f"block ({f}, {g}) lies above the diagonal, which is not stored")
+        return self._dofs(f), self._dofs(g)
 
     def _dofs(self, f: int) -> slice:
         return slice(self._start[f], self._start[f + 1])
 
-    def system(self, load: np.ndarray) -> StiffnessSystem:
-        return StiffnessSystem(self.matrix, load, self.free)
+    def system(
+        self, load: np.ndarray, product: Callable[[np.ndarray], np.ndarray]
+    ) -> StiffnessSystem:
+        return StiffnessSystem(self.matrix, load, self.free, product)
 
 
 def quadratures(model, kernel: Kernel, horizon_radius: float) -> dict:
@@ -293,11 +327,10 @@ def assemble(model, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
 def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
     """Displacements of the system by dense Cholesky of its free block.
 
-    The block is factored in place, so system.matrix holds the factor
-    afterwards; np.asfortranarray copies only a block that is not
-    column-major.  LAPACK's lower Cholesky leaves the strict upper triangle
-    untouched, so that triangle plus the saved diagonal still hold K for the
-    residuals of iterative refinement, which must reach
+    The lower triangle of the block is factored in place, so system.matrix
+    holds the factor afterwards; np.asfortranarray copies only a block that
+    is not column-major.  The residuals of iterative refinement come from
+    system.product, which does not read the matrix, and must reach
     ||K u - F|| <= residual_tol * ||F|| on the free rows.
     """
     free = system.free
@@ -306,7 +339,6 @@ def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
         return u
     rhs = system.load[free].astype(float, copy=True)
     K_ff = np.asfortranarray(system.matrix, dtype=float)
-    diagonal = K_ff.diagonal().copy()
     try:
         factor = linalg.cho_factor(K_ff, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError as exc:
@@ -315,15 +347,9 @@ def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
             "stiffness matrix is not positive definite after constraints "
             f"(failing pivot at dof {pivot})"
         ) from exc
-    c = factor[0]
-    l_diagonal = c.diagonal().copy()
 
     def residual(x: np.ndarray) -> np.ndarray:
-        # rhs - K x from the upper triangle, with K's diagonal put back meanwhile
-        np.fill_diagonal(c, diagonal)
-        r = blas.dsymv(-1.0, c, x, beta=1.0, y=rhs, lower=0)
-        np.fill_diagonal(c, l_diagonal)
-        return r
+        return rhs - system.product(x)
 
     x = linalg.cho_solve(factor, rhs, check_finite=False)
     scale = np.linalg.norm(rhs)

@@ -15,12 +15,17 @@ Dbar acts along one axis at a time, every stiffness block is a sum of
 Kronecker products of 1D Gram matrices; assembly never touches a 2D
 quadrature loop.  Membrane and bending blocks integrate with the 2x2 rule,
 transverse shear with 1x1.  Each boundary set fixes every field on whole
-edges, so the assembly builds only the free-free block, from restricted 1D
-Grams.  It streams the 9 field blocks on and above the diagonal into the
-column-major matrix in slabs of a few columns, copies the 4 nonzero blocks
-below it from their transposes, and holds no field-block-sized temporary.
-On a 2-core Xeon a 48x48 clamped assembly takes 0.5-0.8 s, and its K of
-0.93 GiB is its only large allocation.
+edges, so the assembly builds only the lower triangle of the free-free
+block, from restricted 1D Grams.  It streams the 9 nonzero field blocks on
+and below the diagonal into the column-major matrix in slabs of a few
+columns, skipping the rows of the diagonal blocks that lie above the
+diagonal, and holds no field-block-sized temporary.  The blocks below the
+diagonal take transposed views of the same Grams, so each entry has the
+bits of its mirror image.  The system's product K x applies the same
+restricted Grams term by term.  At 48x48 clamped the free block has 11,045
+dofs and spans 0.93 GiB, but only its lower triangle is ever written, and
+dense_block backs a block that large with small pages, so the untouched
+upper half costs no memory.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
@@ -169,11 +174,12 @@ class MindlinPlateModel:
         tensor product of per-axis index sets, so the free block of every
         Kronecker term is the Kronecker product of restricted 1D Grams,
         kron(A, B)[J x I, J' x I'] = kron(A[J, J'], B[I, I'])
-        (Van Loan, "The ubiquitous Kronecker product", 2000).  The 9 field
-        blocks on and above the diagonal are listed below as data, each a
-        scaled sum of inner sums of such products; _stream writes them by
-        column slabs and mirror() copies the 4 below.  Neither the full
-        5 n_nodes square matrix nor a field-block-sized temporary exists.
+        (Van Loan, "The ubiquitous Kronecker product", 2000).  The 9 nonzero
+        field blocks on and below the diagonal are listed below as data,
+        each a scaled sum of inner sums of such products; _stream writes
+        them by column slabs, and _product applies them to vectors.
+        Neither the full 5 n_nodes square matrix nor a field-block-sized
+        temporary exists.
         """
         nn = self.mesh.n_nodes
         axes = self._free_axes()
@@ -211,51 +217,54 @@ class MindlinPlateModel:
                 (c11, g(y, b, "B", "B"), g(x, b, "N", "N")),
                 (c33, g(y, b, "N", "N"), g(x, b, "B", "B")),
             ),
-            "cross": (
-                (c12, g(y, b, "N", "B"), g(x, b, "B", "N")),
-                (c33, g(y, b, "B", "N"), g(x, b, "N", "B")),
-            ),
             "shear_mass": ((1.0, g(y, sh, "N", "N"), g(x, sh, "N", "N")),),
             "w_w": (
                 (1.0, g(y, sh, "N", "N"), g(x, sh, "B", "B")),
                 (1.0, g(y, sh, "B", "B"), g(x, sh, "N", "N")),
             ),
-            "w_tx": ((1.0, g(y, sh, "N", "N"), g(x, sh, "B", "N")),),
-            "w_ty": ((1.0, g(y, sh, "B", "N"), g(x, sh, "N", "N")),),
+            # Couplings below the diagonal: (v, u) and (theta_y, theta_x)
+            # share "cross_t", and (theta_x, w) and (theta_y, w) take "tx_w"
+            # and "ty_w".  Each is the transpose of its block above the
+            # diagonal, written with transposed views of the same Grams, so
+            # every entry has the bits of its mirror image.
+            "cross_t": (
+                (c12, g(y, b, "N", "B").T, g(x, b, "B", "N").T),
+                (c33, g(y, b, "B", "N").T, g(x, b, "N", "B").T),
+            ),
+            "tx_w": ((1.0, g(y, sh, "N", "N").T, g(x, sh, "B", "N").T),),
+            "ty_w": ((1.0, g(y, sh, "B", "N").T, g(x, sh, "N", "N").T),),
         }
-        # Field blocks as (f, g, ((scale, inner sum), ...)): block (f, g) is
-        # sum_o scale_o * inner[name_o] on field f's free rows and field g's
-        # free columns.  The blocks of one stream share those free sets in
-        # both boundary sets (FIXED_EDGES), so each inner sum is built once
-        # per slab.
+        # Field blocks as (f, g, ((scale, inner sum), ...)) with f >= g: block
+        # (f, g) is sum_o scale_o * inner[name_o] on field f's free rows and
+        # field g's free columns.  The blocks of one stream share those free
+        # sets in both boundary sets (FIXED_EDGES), so each inner sum is
+        # built once per slab.
         streams = [
             [(TX, TX, [(shear_scale, "shear_mass"), (bend_scale, "direct_x")]),
              (U, U, [(memb, "direct_x")])],
             [(TY, TY, [(shear_scale, "shear_mass"), (bend_scale, "direct_y")]),
              (V, V, [(memb, "direct_y")])],
-            [(U, V, [(memb, "cross")]), (TX, TY, [(bend_scale, "cross")])],
+            [(V, U, [(memb, "cross_t")]), (TY, TX, [(bend_scale, "cross_t")])],
             [(W, W, [(shear_scale, "w_w")])],
-            [(W, TX, [(-shear_scale, "w_tx")])],
-            [(W, TY, [(-shear_scale, "w_ty")])],
+            [(TX, W, [(-shear_scale, "tx_w")])],
+            [(TY, W, [(-shear_scale, "ty_w")])],
         ]
-        for stream in streams:
-            _stream(blocks, axes, inner, stream)
-            for f, g, _ in stream:
-                if f != g:
-                    blocks.mirror(f, g)
+        terms = [(stream, _restricted(axes, inner, stream)) for stream in streams]
+        for stream, factors in terms:
+            _stream(blocks, axes, factors, stream)
 
         F = np.zeros(5 * nn)
         fx, fy = quadratures[x, b].load_vector(), quadratures[y, b].load_vector()
         F[W * nn : (W + 1) * nn] = self.pressure * np.outer(fy, fx).ravel()
 
-        return blocks.system(F)
+        return blocks.system(F, functools.partial(_product, blocks, axes, terms))
 
     def _axis_keys(self) -> tuple[tuple[float, int], tuple[float, int]]:
         """(length, elements) of the x and y axes, equal on a square plate."""
         return tuple((axis.length, axis.n_elements) for axis in (self.mesh.x_axis, self.mesh.y_axis))
 
     def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Free (y, x) node indices of each field; its free nodes are their product."""
+        """Free (y, x) node ranges of each field; its free nodes are their product."""
         n_x, n_y = self.mesh.x_axis.n_nodes, self.mesh.y_axis.n_nodes
 
         def axis(n: int, fixed: bool) -> np.ndarray:
@@ -265,50 +274,68 @@ class MindlinPlateModel:
         return [(axis(n_y, edges[f][1]), axis(n_x, edges[f][0])) for f in FIELDS]
 
 
+def _restricted(
+    axes: list[tuple[np.ndarray, np.ndarray]], inner: dict[str, tuple], blocks: list[tuple]
+) -> dict[str, list[tuple[float, np.ndarray, np.ndarray]]]:
+    """Each inner sum that blocks use, on the free rows and columns of the first block.
+
+    Term c * kron(Gy, Gx) becomes (c, ly, lx) with ly = Gy[J, K].T and
+    lx = Gx[I, K'].T, for the rows J x I and columns K x K', so that entry
+    (cy, cx, ry, rx) of its product is ly[cy, ry] * lx[cx, rx].  Free node
+    sets are ranges, so these are views of the Grams.
+    """
+    (jy, jx), (ky, kx) = (
+        [slice(nodes[0], nodes[-1] + 1) for nodes in axes[f]] for f in blocks[0][:2]
+    )
+    names = dict.fromkeys(name for _, _, outer in blocks for _, name in outer)
+    return {name: [(c, gy[jy, ky].T, gx[jx, kx].T) for c, gy, gx in inner[name]] for name in names}
+
+
 def _stream(
     writer: fem.FreeBlockWriter,
     axes: list[tuple[np.ndarray, np.ndarray]],
-    inner: dict[str, tuple],
+    factors: dict[str, list[tuple]],
     blocks: list[tuple],
 ) -> None:
     """Write blocks sum_o s_o * inner[name_o] into writer, one column slab at a time.
 
     Every block (f, g) has the free rows axes[f] and free columns axes[g] of
-    the first block.  Each entry goes through the operations of
+    the first block, and factors holds their inner sums from _restricted.
+    Each entry goes through the operations of
     sum_o s_o * sum_i c_i * np.kron(Gy_i, Gx_i), the inner sum in order and
     the outer terms in the order of their inner sums, which cannot change
     the bits of a sum of at most two terms.
 
     A slab is at most _SLAB_ENTRIES entries, or one column, of the columns
     on one y node in the F-order view writer.columns(f, g), whose columns
-    are contiguous.  Each inner sum is built once per slab in a buffer of
-    that size and scaled into every block that uses it: written the first
-    time, added after that.
+    are contiguous.  On diagonal blocks a slab of columns on y node cy
+    starts at the rows on y node cy; the rows before lie above the diagonal
+    and are never touched.  Each inner sum is built once per slab in a
+    buffer of that size and scaled into every block that uses it: written
+    the first time, added after that.
     """
     (jy, jx), (ky, kx) = axes[blocks[0][0]], axes[blocks[0][1]]
+    diagonal = blocks[0][0] == blocks[0][1]
     shape = (ky.size, kx.size, jy.size, jx.size)
     views = [writer.columns(f, g).reshape(shape, copy=False) for f, g, _ in blocks]
     uses: dict[str, list[tuple[int, float]]] = {}
     for v, (_, _, outer) in enumerate(blocks):
         for scale, name in outer:
             uses.setdefault(name, []).append((v, scale))
-    # entry (cy, cx, ry, rx) of a product is ly[cy, ry] * lx[cx, rx]
-    factors = {
-        name: [(c, gy[np.ix_(jy, ky)].T, gx[np.ix_(jx, kx)].T) for c, gy, gx in inner[name]]
-        for name in uses
-    }
     x_step = max(1, _SLAB_ENTRIES // max(1, jy.size * jx.size))
     sum_buf, term_buf = np.empty((2, min(x_step, kx.size), jy.size, jx.size))
     for cy in range(ky.size):
+        ry = slice(cy if diagonal else 0, None)
         for x0 in range(0, kx.size, x_step):
             cx = slice(x0, x0 + x_step)
-            slabs = [view[cy, cx] for view in views]
-            total, term = sum_buf[: slabs[0].shape[0]], term_buf[: slabs[0].shape[0]]
+            slabs = [view[cy, cx, ry] for view in views]
+            n_cx, n_ry = slabs[0].shape[:2]
+            total, term = sum_buf[:n_cx, :n_ry], term_buf[:n_cx, :n_ry]
             written = set()
             for name, users in uses.items():
                 for i, (c, ly, lx) in enumerate(factors[name]):
                     out = term if i else total
-                    np.multiply(ly[cy, None, :, None], lx[cx, None, :], out=out)
+                    np.multiply(ly[cy, None, ry, None], lx[cx, None, :], out=out)
                     if c != 1.0:
                         out *= c
                     if i:
@@ -320,6 +347,41 @@ def _stream(
                     else:
                         np.multiply(total, scale, out=slabs[v])
                         written.add(v)
+
+
+def _product(
+    writer: fem.FreeBlockWriter,
+    axes: list[tuple[np.ndarray, np.ndarray]],
+    terms: list[tuple[list[tuple], dict[str, list[tuple]]]],
+    x: np.ndarray,
+) -> np.ndarray:
+    """K x on the free dofs, from the restricted factors of every stored block.
+
+    Field f's part X_f of x is an array (y node, x node, column of x) over
+    its free nodes.  A stored block (f, g) adds s * c * Gy[J, K] @ X_g @ Gx[I, K'].T
+    per term to field f's part of K x and, below the diagonal, the
+    transposed term applied to X_f to field g's part.
+    """
+    x = np.asarray(x, dtype=float)
+    columns = x.reshape(x.shape[0], -1)
+    y = np.zeros(columns.shape)
+    xs, ys = writer.split(columns), writer.split(y)
+    part = [(jy.size, jx.size, columns.shape[1]) for jy, jx in axes]
+    for stream, factors in terms:
+        for f, g, outer in stream:
+            xf, xg = xs[f].reshape(part[f]), xs[g].reshape(part[g])
+            yf, yg = ys[f].reshape(part[f]), ys[g].reshape(part[g])
+            for scale, name in outer:
+                for c, ly, lx in factors[name]:
+                    yf += _kron_apply((scale * c) * ly.T, lx.T, xg)
+                    if f != g:
+                        yg += _kron_apply((scale * c) * ly, lx, xf)
+    return y.reshape(x.shape)
+
+
+def _kron_apply(a: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """kron(a, b) applied to each column X[:, :, k] of X: a @ X[:, :, k] @ b.T."""
+    return b @ np.tensordot(a, X, 1)
 
 
 @dataclass(frozen=True)

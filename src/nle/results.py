@@ -124,19 +124,24 @@ def format_value(value) -> str:
 def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 1) -> SweepResult:
     """One row per (kernel, horizon) configuration, in listed grid order.
 
-    Every row builds its operator rows (the B of each of the model's
-    quadratures) and is keyed by a digest of their bytes.  Only the first
-    row of each key assembles and solves; later rows take its deflection,
-    which is bit for bit what their own solve would return.  The local
-    companion, solved first at the first horizon radius, is one more row of
-    that map, so rows whose operators equal the local ones (`local`, power
-    law with alpha = 1, an exponential length far below the mesh size) take
-    its value without a solve of their own.  A failing configuration keeps
-    its row with an error status and leaves no entry, and the sweep
-    continues.  Rows come back in grid order at any thread count; threads
-    that meet one key at once may both solve it, to the same bits.  The
-    result's metadata adds `solves`, the number of distinct systems solved,
-    to the model's.
+    Rows are first keyed by (kernel, min(l_f, kernel.reach)): past its
+    reach a kernel's moments are saturated, so its operator rows no longer
+    depend on the horizon, and only the first row of each such key builds
+    them.  Kernels that take the short-horizon fallback to local rows are
+    singular at the origin, and their reach is infinite, so the key holds
+    their exact horizon.  The operator rows of a first row (the B of each of
+    the model's quadratures) are keyed in turn by a digest of their bytes.
+    Only the first row of each digest assembles and solves; later rows take
+    its deflection, which is bit for bit what their own solve would return.
+    The local companion, solved first at the first horizon radius, is one
+    more row of that map, so rows whose operators equal the local ones
+    (`local`, power law with alpha = 1, an exponential length far below the
+    mesh size) take its value without a solve of their own.  A failing
+    configuration keeps its row with an error status and leaves no entry,
+    and the sweep continues.  Rows come back in grid order at any thread
+    count; threads that meet one key at once may both solve it, to the same
+    bits.  The result's metadata adds `solves`, the number of distinct
+    systems solved, to the model's.
     """
     if not len(kernel_grid) or not len(l_f_grid):
         raise ValueError("sweep grids must be nonempty")
@@ -148,9 +153,14 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
             raise ValueError(f"horizon radius must be positive (got {l_f!r})")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
+    by_config: dict[tuple[Kernel, float], float] = {}
     deflections: dict[bytes, float] = {}
 
     def deflection(kernel: Kernel, l_f: float) -> float:
+        config = (kernel, min(l_f, kernel.reach))
+        w = by_config.get(config)
+        if w is not None:
+            return w
         quadratures = fem.quadratures(model, kernel, l_f)
         digest = hashlib.sha256()
         for quadrature in quadratures.values():
@@ -160,6 +170,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
         if w is None:
             u = fem.solve(model.assemble(quadratures))
             w = deflections[key] = float(np.abs(u[model.metric_dof]))
+        by_config[config] = w
         return w
 
     w_local = deflection(LocalDelta(), float(l_f_grid[0]))

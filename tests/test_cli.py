@@ -91,6 +91,7 @@ def test_manifest_describes_the_run(tmp_path):
     assert "config_sha256" in manifest
     assert "tool_version" in manifest
     assert "wall_time_s" in manifest
+    assert float(manifest["peak_rss_mib"]) > 0.0
     assert all(isinstance(v, str) for v in manifest.values())
 
 
@@ -104,6 +105,25 @@ def test_shipped_sweep_manifest_counts_its_distinct_solves(tmp_path, config):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["rows"] == "27"
     assert manifest["solves"] == "13"
+
+
+def test_shipped_beam_sweep_builds_quadratures_once_per_saturated_key(tmp_path, monkeypatch):
+    # 16 keys (kernel, min(l_f, reach)) over 28 configurations (27 rows and
+    # the local companion): the 4 exponential lengths reach at most 0.2, below
+    # every horizon, so each builds one key; 9 power-law rows below 1 and 3
+    # local horizons (local and power law 1, the companion among them) build
+    # the rest.  Each key builds the bending and the shear quadrature.
+    rules, quadrature = [], beam.AxisQuadrature
+
+    def counting(mesh, rule, *args):
+        rules.append(rule.points.size)
+        return quadrature(mesh, rule, *args)
+
+    monkeypatch.setattr(beam, "AxisQuadrature", counting)
+    config = ROOT / "configs" / "sweep_beam.yaml"
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(rules) == 32
+    assert sorted(rules) == [1] * 16 + [2] * 16
 
 
 def test_beam_run_is_a_single_softening_row(tmp_path):
@@ -187,6 +207,15 @@ def test_shipped_plate_sweep_matches_the_reference_csv(tmp_path):
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
     reference = ROOT / "perfbench" / "reference" / "plate_sweep.csv"
     assert (out / "sweep.csv").read_bytes() == reference.read_bytes()
+
+
+def test_shipped_plate_convergence_matches_the_reference_csv(tmp_path):
+    # the 48x48 level factors an 11,045-dof block: about 6 s and 0.6 GiB
+    out = tmp_path / "out"
+    config = ROOT / "configs" / "convergence_plate.yaml"
+    assert main(["convergence", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    reference = ROOT / "perfbench" / "reference" / "plate_convergence.csv"
+    assert (out / "convergence.csv").read_bytes() == reference.read_bytes()
 
 
 # ---------------------------------------------------------------------------

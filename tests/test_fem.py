@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -222,6 +224,12 @@ def test_bar_stiffness_matches_brute_force_energy_quadrature():
 # stiffness systems and their solve
 # ---------------------------------------------------------------------------
 
+def _dense_system(matrix, load, free):
+    """System whose product multiplies by a private copy of the symmetric block."""
+    K_ff = np.array(matrix, dtype=float)
+    return StiffnessSystem(matrix=matrix, load=load, free=free, product=lambda x: K_ff @ x)
+
+
 def _toy_system(n=4, seed=7, fixed=()):
     """Random SPD matrix K, its load F, and the system of the dofs outside `fixed`."""
     rng = np.random.default_rng(seed)
@@ -230,11 +238,11 @@ def _toy_system(n=4, seed=7, fixed=()):
     F = rng.standard_normal(n)
     free = np.setdiff1d(np.arange(n), fixed)
     block = np.asfortranarray(K[np.ix_(free, free)])
-    return K, StiffnessSystem(matrix=block, load=F, free=free)
+    return K, _dense_system(block, F, free)
 
 
 def test_solve_identity_system():
-    system = StiffnessSystem(matrix=np.eye(3), load=np.array([1.0, 0.0, 0.0]), free=np.arange(3))
+    system = _dense_system(np.eye(3), np.array([1.0, 0.0, 0.0]), np.arange(3))
     np.testing.assert_allclose(solve(system), [1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -246,19 +254,19 @@ def test_solve_matches_dense_oracle():
 
 def test_solve_zero_constraints_zero_solution():
     # every dof fixed: an empty block, and the solution is the fixed zeros
-    system = StiffnessSystem(matrix=np.zeros((0, 0)), load=np.ones(3), free=np.arange(0))
+    system = _dense_system(np.zeros((0, 0)), np.ones(3), np.arange(0))
     np.testing.assert_array_equal(solve(system), np.zeros(3))
 
 
 def test_indefinite_matrix_names_failing_pivot():
-    bad = StiffnessSystem(matrix=np.diag([2.0, -3.0]), load=np.zeros(2), free=np.arange(2))
+    bad = _dense_system(np.diag([2.0, -3.0]), np.zeros(2), np.arange(2))
     with pytest.raises(SolverError, match=r"not positive definite.*dof 1"):
         solve(bad)
 
 
 def test_failing_pivot_reported_in_global_indices():
     # dof 0 is fixed, so the first free pivot that fails is global dof 2
-    bad = StiffnessSystem(matrix=np.diag([4.0, -1.0]), load=np.zeros(3), free=np.array([1, 2]))
+    bad = _dense_system(np.diag([4.0, -1.0]), np.zeros(3), np.array([1, 2]))
     with pytest.raises(SolverError, match="dof 2"):
         solve(bad)
 
@@ -270,6 +278,14 @@ def test_solve_residual_guarantee():
     free = system.free
     r = (system.load - K @ u)[free]
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(system.load[free])
+
+
+def test_solve_reads_only_the_lower_triangle():
+    K, system = _toy_system(n=10, seed=11, fixed=[3])
+    expected = solve(system)
+    _, spoiled = _toy_system(n=10, seed=11, fixed=[3])
+    spoiled.matrix[np.triu_indices(9, 1)] = np.nan
+    np.testing.assert_array_equal(solve(spoiled), expected)
 
 
 def _perturb_first_cho_solve(monkeypatch):
@@ -287,7 +303,7 @@ def _perturb_first_cho_solve(monkeypatch):
 
 
 def test_forced_refinement_step_converges_on_the_symmetric_residual(monkeypatch):
-    # every dof free: the residual comes from the upper triangle of the whole K
+    # every dof free: the residual comes from the system's product with the whole K
     K, system = _toy_system(n=40, seed=13)
     expected = np.linalg.solve(K, system.load)
     calls = _perturb_first_cho_solve(monkeypatch)
@@ -336,7 +352,10 @@ def test_solve_factors_its_free_block_without_a_copy(monkeypatch):
 def test_solve_copies_a_block_that_is_not_column_major(monkeypatch):
     _, column_major = _toy_system(n=12, seed=37, fixed=[2, 3])
     row_major = StiffnessSystem(
-        np.ascontiguousarray(column_major.matrix), column_major.load, column_major.free
+        np.ascontiguousarray(column_major.matrix),
+        column_major.load,
+        column_major.free,
+        column_major.product,
     )
     before = row_major.matrix.copy()
     seen = _recording_cho_factor(monkeypatch)
@@ -347,7 +366,7 @@ def test_solve_copies_a_block_that_is_not_column_major(monkeypatch):
     np.testing.assert_array_equal(u, solve(column_major))
 
 
-def test_free_block_writer_places_and_mirrors_field_blocks():
+def test_free_block_writer_places_the_lower_field_blocks():
     # two fields on 3 nodes; field 0 fixed at node 0, field 1 at node 2
     writer = fem.FreeBlockWriter(3, [np.array([1, 2]), np.array([0, 1])])
     np.testing.assert_array_equal(writer.free, [1, 2, 3, 4])
@@ -355,16 +374,25 @@ def test_free_block_writer_places_and_mirrors_field_blocks():
     C = np.array([[3.0, -0.0], [6.0, 7.0]])
     writer.put(0, 0, A)
     writer.put(1, 1, 2 * A)
-    writer.put(0, 1, C)
-    writer.mirror(0, 1)
+    writer.put(1, 0, C.T)
+    with pytest.raises(ValueError, match="above the diagonal"):
+        writer.put(0, 1, C)
+    with pytest.raises(ValueError, match="above the diagonal"):
+        writer.columns(0, 1)
     load = np.arange(6.0)
-    system = writer.system(load)
+    system = writer.system(load, np.negative)
     assert system.matrix is writer.matrix and system.matrix.flags.f_contiguous
-    assert system.load is load
-    expected = np.block([[A, C], [C.T, 2 * A]])
+    assert system.load is load and system.product is np.negative
+    # the block above the diagonal stays zero
+    expected = np.block([[A, np.zeros((2, 2))], [C.T, 2 * A]])
     np.testing.assert_array_equal(system.matrix, expected)
-    # the mirror keeps the sign of C's -0.0, which only the bytes show
+    # the transposed put keeps the sign of C's -0.0, which only the bytes show
     assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
+    x = np.arange(4.0)
+    first, second = writer.split(x)
+    np.testing.assert_array_equal(first, [0.0, 1.0])
+    np.testing.assert_array_equal(second, [2.0, 3.0])
+    assert np.shares_memory(first, x) and np.shares_memory(second, x)
 
 
 def test_dense_block_is_checked_against_available_memory(monkeypatch):
@@ -375,6 +403,18 @@ def test_dense_block_is_checked_against_available_memory(monkeypatch):
         fem.dense_block(31)
     monkeypatch.setattr(fem, "available_memory", lambda: None)
     assert fem.dense_block(31).shape == (31, 31)
+
+
+def test_a_large_dense_block_gets_its_own_zeroed_mapping(monkeypatch):
+    # at or above the threshold the block lives in an anonymous mapping of its own
+    monkeypatch.setattr(fem, "_SMALL_PAGE_BYTES", 8 * 40 * 40)
+    small, large = fem.dense_block(39), fem.dense_block(40)
+    assert small.flags.owndata
+    assert not large.flags.owndata and large.ctypes.data % mmap.PAGESIZE == 0
+    assert large.shape == (40, 40) and large.flags.f_contiguous and large.flags.writeable
+    assert not large.any()
+    large[:, 3] = 1.0
+    assert large.sum() == 40.0
 
 
 def test_available_memory_is_a_byte_count_or_unknown():
@@ -399,7 +439,7 @@ class _BarModel:
         quad = quadratures[2]
         K = np.asfortranarray(gram(quad.B, quad.B, quad.weights))
         free = np.arange(self.mesh.n_nodes)
-        return StiffnessSystem(matrix=K, load=quad.load_vector(), free=free)
+        return _dense_system(K, quad.load_vector(), free)
 
 
 class _GrowingKernel(ExponentialKernel):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +140,7 @@ def test_local_delta_assembly_matches_textbook_q4():
         perm = _interleave_permutation(model.mesh.n_nodes)
         K_expected = K_texbook[np.ix_(perm, perm)][np.ix_(system.free, system.free)]
         scale = np.max(np.abs(K_expected))
-        assert np.max(np.abs(system.matrix - K_expected)) <= 1e-10 * scale
+        assert np.max(np.abs(np.tril(system.matrix) - np.tril(K_expected))) <= 1e-10 * scale
         np.testing.assert_allclose(system.load, 3.0 * F_unit[perm], rtol=1e-12, atol=1e-15)
 
 
@@ -148,8 +152,9 @@ def _full_kron_assembly(model, kernel, horizon_radius):
     """Full 5 n_nodes square stiffness as sums of np.kron terms, plus the fixed dofs.
 
     The assembly that the free-block construction replaced, kept as its
-    reference: every entry of the free block must equal K[free][:, free]
-    bit for bit, and the edge loops below must fix the dofs outside free.
+    reference: every entry of the free block's lower triangle must equal
+    K[free][:, free] bit for bit, and the edge loops below must fix the dofs
+    outside free.
     """
     mesh, s = model.mesh, model.section
     nn = mesh.n_nodes
@@ -222,15 +227,25 @@ def _full_kron_assembly(model, kernel, horizon_radius):
     return K, fixed
 
 
-@pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
-@pytest.mark.parametrize(
+def _lower(matrix):
+    """Bytes of the lower triangle, diagonal included, column by column."""
+    cols, rows = np.triu_indices(matrix.shape[0])
+    return matrix[rows, cols].tobytes()
+
+
+KERNELS = pytest.mark.parametrize(
     "kernel",
     [ExponentialKernel(2.5e-3), power_law(0.7), LocalDelta()],
     ids=["exponential", "power_law", "local"],
 )
-@pytest.mark.parametrize(
+SHAPES = pytest.mark.parametrize(
     "shape", [(6, 6, 1.0, 1.0), (4, 8, 1.3, 0.7)], ids=["square", "oblong"]
 )
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
+@KERNELS
+@SHAPES
 def test_free_block_equals_the_full_kronecker_assembly_bitwise(
     monkeypatch, boundary, kernel, shape
 ):
@@ -248,9 +263,28 @@ def test_free_block_equals_the_full_kronecker_assembly_bitwise(
         system = fem.assemble(model, kernel, 0.5)
         np.testing.assert_array_equal(system.free, free)
         assert system.matrix.flags.f_contiguous
-        assert np.array_equal(system.matrix, expected)
+        assert np.array_equal(np.tril(system.matrix), np.tril(expected))
         # array_equal takes -0.0 for +0.0; the bytes tell them apart
-        assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
+        assert _lower(system.matrix) == _lower(expected)
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
+@KERNELS
+@SHAPES
+def test_product_equals_the_full_kronecker_assembly(boundary, kernel, shape):
+    nx, ny, lx, ly = shape
+    model = MindlinPlateModel(
+        PlateSection(length_x=lx, length_y=ly), 2.0, boundary, nx=nx, ny=ny
+    )
+    K_full, fixed = _full_kron_assembly(model, kernel, 0.5)
+    free = np.setdiff1d(np.arange(K_full.shape[0]), sorted(fixed))
+    expected = K_full[np.ix_(free, free)]
+    system = fem.assemble(model, kernel, 0.5)
+    x = np.random.default_rng(3).standard_normal((free.size, 3))
+    for probe in (x[:, 0], x):
+        exact = expected @ probe
+        error = np.linalg.norm(system.product(probe) - exact)
+        assert error <= 1e-13 * np.linalg.norm(exact)
 
 
 @pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
@@ -301,6 +335,42 @@ def test_equal_axes_share_one_quadrature_per_rule(monkeypatch, shape, builds):
     model = MindlinPlateModel(PlateSection(length_x=lx, length_y=ly), 1.0, "clamped", nx=nx, ny=ny)
     model.quadratures(ExponentialKernel(2.5e-3), 0.5)
     assert len(rules) == len(set(rules)) == builds
+
+
+_BACKED_BYTES = """
+import resource
+from nle import fem, openblas, plate
+from nle.kernels import ExponentialKernel
+
+openblas.pin()
+fem._SMALL_PAGE_BYTES = 1 << 20
+model = plate.MindlinPlateModel(plate.PlateSection(), 1.0, "clamped", nx=32, ny=32)
+quadratures = fem.quadratures(model, ExponentialKernel(2.5e-3), 0.5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+system = model.assemble(quadratures)
+fem.solve(system)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(system.matrix.nbytes, 1024 * (after - before))
+"""
+
+
+def test_a_large_block_backs_little_more_than_its_lower_triangle():
+    # A fresh process, so that its peak resident memory starts near its
+    # resident memory, with the small-page threshold below this 176 MiB block.
+    # The pages holding the lower triangle are 60% of the block here, because
+    # each column's lower part starts mid-page; OpenBLAS's work buffers add
+    # about 16 MiB more.  With huge pages the growth exceeds the whole block.
+    proc = subprocess.run(
+        [sys.executable, "-c", _BACKED_BYTES],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(plate.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    block, growth = map(int, proc.stdout.split())
+    assert block == 8 * 4805**2
+    assert growth < 0.8 * block
 
 
 def test_plate_solve_factors_the_assembled_block_in_place(monkeypatch):

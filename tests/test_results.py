@@ -94,6 +94,50 @@ def test_sweep_values_equal_an_independent_solve_per_row(name, monkeypatch):
     assert [v.hex() for v in values] == [v.hex() for v in expected]
 
 
+# Horizons below, at and past the reach (40 l0) of the exponential kernels:
+# 5e-3 reaches 0.2, so its last three horizons share one key; 1e-3 reaches
+# 0.04, so all of its horizons do.  Power law and local have no reach.
+REACH_GRID = [
+    KernelSpec("exponential", 5e-3),
+    KernelSpec("exponential", 1e-3),
+    KernelSpec("power_law", 0.8),
+    KernelSpec("local"),
+]
+REACH_L_F = [0.1, 0.2, 0.3, 0.5]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sweep_cache_hits_have_the_bytes_of_a_fresh_build(name, monkeypatch):
+    build, _ = MODELS[name]
+    model = build()
+    quadratures = fem.quadratures
+    built = {}
+
+    def keep(model, kernel, horizon_radius):
+        q = built[kernel, horizon_radius] = quadratures(model, kernel, horizon_radius)
+        return q
+
+    monkeypatch.setattr(fem, "quadratures", keep)
+    sweep(model, REACH_GRID, REACH_L_F)
+    hits = 0
+    for spec in REACH_GRID:
+        kernel = spec.build()
+        for l_f in REACH_L_F:
+            if (kernel, l_f) in built:
+                continue
+            hits += 1
+            [first] = [
+                q for (k, h), q in built.items()
+                if k == kernel and min(h, k.reach) == min(l_f, kernel.reach)
+            ]
+            fresh = quadratures(model, kernel, l_f)
+            assert fresh.keys() == first.keys()
+            for rule in fresh:
+                assert fresh[rule].B.tobytes() == first[rule].B.tobytes()
+    # 2 horizons of exponential 5e-3 and 3 of 1e-3 reuse their key
+    assert hits == 5
+
+
 # CSV header and case column of each structure's sweep
 HEADERS = {
     "beam": (
