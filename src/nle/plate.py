@@ -23,9 +23,9 @@ diagonal, and holds no field-block-sized temporary.  The blocks below the
 diagonal take transposed views of the same Grams, so each entry has the
 bits of its mirror image.  The system's product K x applies the same
 restricted Grams term by term.  At 48x48 clamped the free block has 11,045
-dofs and spans 0.93 GiB, but only its lower triangle is ever written, and
-dense_block backs a block that large with small pages, so the untouched
-upper half costs no memory.
+dofs and spans 0.93 GiB, but above the diagonal only the small y-node
+blocks that the diagonal crosses are written, and dense_block backs a block
+that large with small pages, so the untouched upper half costs no memory.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
