@@ -15,7 +15,9 @@ DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes its supports at
 zero, so the assembly writes only the lower triangle of the free-free block,
 from the Grams restricted to each field's free nodes, and keeps those Grams
-for the system's product K x.
+for the system's product K x.  The hat rows of both rules and the shear
+rule's N-N Gram do not depend on the kernel: a model builds them once, on
+first use, and every quadrature and assembly after that reads them.
 """
 
 from __future__ import annotations
@@ -124,6 +126,20 @@ class TimoshenkoBeamModel:
         self.load = load
         self.mesh = IntervalMesh(section.length, n_elements)
 
+    @functools.cached_property
+    def _hats(self) -> dict[int, fem.HatRows]:
+        """The hat rows of the bending and shear rules, keyed by their point counts."""
+        return {
+            npts: fem.HatRows(self.mesh, gauss_rule(npts))
+            for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
+        }
+
+    @functools.cached_property
+    def _shear_mass(self) -> np.ndarray:
+        """The shear rule's N-N Gram, which every assembly reads."""
+        hats = self._hats[fem.SHEAR_POINTS]
+        return gram(hats.N, hats.N, hats.weights)
+
     @property
     def case(self) -> str:
         return self.load.name
@@ -157,15 +173,21 @@ class TimoshenkoBeamModel:
         """
         fem.check_fits(sum(s.stop - s.start for s in self._free_slices()))
         return {
-            npts: AxisQuadrature(self.mesh, gauss_rule(npts), kernel, horizon_radius)
-            for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
+            npts: AxisQuadrature(self.mesh, gauss_rule(npts), kernel, horizon_radius, hats)
+            for npts, hats in self._hats.items()
         }
 
-    def assemble(self, quadratures: dict[int, AxisQuadrature]) -> StiffnessSystem:
-        """Lower triangle of the free-free stiffness block and the full load, from quadratures()."""
+    def assemble(
+        self, quadratures: dict[int, AxisQuadrature], block: np.ndarray | None = None
+    ) -> StiffnessSystem:
+        """Lower triangle of the free-free stiffness block and the full load, from quadratures().
+
+        block, when given, is the matrix of an earlier system of this model,
+        which the new one reuses (fem.FreeBlockWriter).
+        """
         nn = self.mesh.n_nodes
         free = self._free_slices()
-        blocks = fem.FreeBlockWriter(nn, [np.arange(nn)[s] for s in free])
+        blocks = fem.FreeBlockWriter(nn, [np.arange(nn)[s] for s in free], block)
         bend, shear = quadratures[fem.BENDING_POINTS], quadratures[fem.SHEAR_POINTS]
         s = self.section
         EA = s.modulus * s.area
@@ -175,7 +197,7 @@ class TimoshenkoBeamModel:
         Sb = gram(bend.B, bend.B, bend.weights)
         Ss = gram(shear.B, shear.B, shear.weights)
         Cs = gram(shear.B, shear.N, shear.weights)
-        Ms = gram(shear.N, shear.N, shear.weights)
+        Ms = self._shear_mass
 
         # The field blocks on and below the diagonal, each a sum of scaled
         # Grams restricted to its fields' free nodes; (THETA, W0) takes the

@@ -9,11 +9,17 @@ Five subcommands, each driven by one validated YAML document:
     nle convergence ...
 
 Every run writes one CSV of data rows plus manifest.json describing the run
-(config digest, tool and commit versions, BLAS threads, wall time, peak
-resident memory).  Data rows are deterministic: re-running the same config,
-at any thread count, reproduces the CSV byte for byte; both OpenBLAS pools
-are pinned to a fixed count (nle.openblas).  The manifest is allowed to
-differ (it carries the wall time and the peak memory).  Exit codes: 0
+(config digest, tool and commit versions, BLAS threads, malloc thresholds,
+wall time, minor page faults, peak resident memory).  Data rows are
+deterministic: re-running the same config, at any thread count, reproduces
+the CSV byte for byte; both OpenBLAS pools are pinned to a fixed count
+(nle.openblas).  The manifest is allowed to differ (it carries the wall
+time, the page faults and the peak memory).
+
+A run also fixes glibc's malloc thresholds (_fix_malloc), so that the
+mid-size arrays of each sweep row reuse the heap pages of the row before
+instead of faulting in fresh ones; a library caller keeps its own allocator
+settings, because nothing is set at import.  Exit codes: 0
 success, 2 invalid configuration, 3 solver failure, 4 I/O failure, 5
 verification failure; failures also emit a final machine-readable line
 "error: category=<NAME>" on stderr.
@@ -22,6 +28,7 @@ verification failure; failures also emit a final machine-readable line
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import math
 import resource
@@ -51,6 +58,15 @@ CONVERGENCE_COLUMNS = ("target", "resolution", "w_metric", "rel_change")
 # a float64 solve grows with mesh resolution, so doubled meshes sit above the
 # production default.
 CONVERGENCE_RESIDUAL_TOL = 1e-9
+
+# glibc's mallopt(3) parameters and the values _fix_malloc gives them: the
+# largest that glibc's own dynamic threshold reaches on 64-bit.  Freed arrays
+# below 32 MiB stay in the heap for the next row, and the heap keeps up to
+# 64 MiB free at its top; larger arrays are still mapped and returned whole.
+_MALLOC_THRESHOLDS = (
+    ("mmap_threshold", -3, 32 << 20),  # M_MMAP_THRESHOLD
+    ("trim_threshold", -1, 64 << 20),  # M_TRIM_THRESHOLD
+)
 
 # A kernel this close to the delta produces softening below float visibility;
 # such rows are exempt from the strict-softening check and instead must sit
@@ -112,9 +128,12 @@ def _run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     blas = openblas.pin()
+    heap = _fix_malloc()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     started = time.perf_counter()
     result = _produce(cfg, threads)
     wall = time.perf_counter() - started
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
     csv_name = cfg.output or f"{args.subcommand}.csv"
     result.write_csv(out_dir / csv_name)
@@ -125,6 +144,7 @@ def _run(args) -> int:
         "rows": len(result.rows),
         "threads": threads,
         **blas,
+        "malloc": heap,
         "tool_version": __version__,
         "git_commit": _git_commit(),
         "config_path": str(config_path),
@@ -134,6 +154,8 @@ def _run(args) -> int:
         "wall_time_s": f"{wall:.3f}",
         # ru_maxrss counts KiB on Linux: the process's peak so far, imports included
         "peak_rss_mib": f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}",
+        # pages the kernel had to map in (and zero) while the run computed
+        "minor_faults": str(faults),
     }
     entries.update(result.metadata)
     write_manifest(out_dir / "manifest.json", entries)
@@ -151,6 +173,22 @@ def _run(args) -> int:
             print("error: category=VERIFY", file=sys.stderr)
             return EXIT_VERIFY
     return EXIT_OK
+
+
+def _fix_malloc() -> str:
+    """Set _MALLOC_THRESHOLDS through mallopt(3); return the manifest's `malloc` entry.
+
+    The entry lists each threshold that was set, or reads `unchanged` when
+    the C library has no mallopt or refuses the values.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return "unchanged"
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    fixed = [
+        f"{name}={value}" for name, param, value in _MALLOC_THRESHOLDS if mallopt(param, value)
+    ]
+    return " ".join(fixed) or "unchanged"
 
 
 def _git_commit() -> str:

@@ -18,7 +18,14 @@ block by Cholesky in place, takes its residuals from product(), refines once
 or twice if needed, and guarantees a small relative residual or raises.
 Every dense block is checked against the available memory before it is
 allocated, and a large one is backed by small pages, so that the pages of
-its untouched upper triangle cost no memory.
+its untouched upper triangle cost no memory.  A writer can also take the
+block of an earlier system of the same size: a sweep hands each row a block
+that a finished row left behind, instead of faulting in fresh pages, and
+the writer zeroes what the model does not overwrite.
+
+The hat rows N and the Gauss points and weights of a rule (HatRows) do not
+depend on the kernel, so a model builds them once per rule and hands them
+to every AxisQuadrature it builds.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import mmap
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import linalg
@@ -42,12 +50,15 @@ __all__ = [
     "gauss_rule",
     "BENDING_POINTS",
     "SHEAR_POINTS",
+    "HatRows",
     "AxisQuadrature",
     "gram",
     "hat_rows",
     "StiffnessSystem",
     "SolverError",
+    "BLAS_MARGIN",
     "available_memory",
+    "backed_bytes",
     "check_fits",
     "dense_block",
     "FreeBlockWriter",
@@ -66,6 +77,15 @@ SHEAR_POINTS = 1
 # Below it huge pages stay, which factor faster: on small pages a 24x24
 # plate's 53 MiB block solved in 0.12 s against 0.10 s (2-core Xeon).
 _SMALL_PAGE_BYTES = 256 << 20
+
+# Memory a solve needs beyond its block, for OpenBLAS's work buffers: on 2
+# threads the factorization raised the peak by 23 MiB over the block's pages
+# on the 48x48 plate and by 8 MiB on the 24x24 plate.
+BLAS_MARGIN = 48 << 20
+
+# Where available_memory finds the process's cgroups.
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 class SolverError(RuntimeError):
@@ -144,16 +164,17 @@ def gauss_rule(n_points: int) -> GaussRule:
     return GaussRule(points=p, weights=w)
 
 
-class AxisQuadrature:
-    """Gauss data of one rule over one axis mesh, with N and B row families.
+class HatRows:
+    """Gauss points and weights of one rule over an axis mesh, and the hat rows N there.
 
     points/weights are the global Gauss abscissae and weights (element
-    jacobian folded in).  N holds hat-function values, B the nonlocal
-    gradient rows for the given kernel and horizon radius; with the local
-    delta kernel B degenerates to the element-gradient rows.
+    jacobian folded in); row g of N holds the hat-function values at
+    points[g].  None of them depends on the kernel, so a model builds them
+    once per rule and passes them to each AxisQuadrature; the arrays are
+    read-only, because every quadrature of the model shares them.
     """
 
-    def __init__(self, mesh: IntervalMesh, rule: GaussRule, kernel: Kernel, horizon_radius: float):
+    def __init__(self, mesh: IntervalMesh, rule: GaussRule):
         h = mesh.spacing
         mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
         pts = (mids[:, None] + 0.5 * h * rule.points[None, :]).ravel()
@@ -165,8 +186,33 @@ class AxisQuadrature:
         rows = np.arange(pts.size)
         self.N[rows, element] = 1.0 - t
         self.N[rows, element + 1] = t
+        for array in (self.points, self.weights, self.N):
+            array.flags.writeable = False
+        self.mesh = mesh
+
+
+class AxisQuadrature:
+    """Gauss data of one rule over one axis mesh, with N and B row families.
+
+    points, weights and N come from hats, the HatRows of this mesh and rule,
+    which are built here when not given.  B holds the nonlocal gradient rows
+    for the given kernel and horizon radius; with the local delta kernel B
+    degenerates to the element-gradient rows.
+    """
+
+    def __init__(
+        self,
+        mesh: IntervalMesh,
+        rule: GaussRule,
+        kernel: Kernel,
+        horizon_radius: float,
+        hats: HatRows | None = None,
+    ):
+        if hats is None:
+            hats = HatRows(mesh, rule)
+        self.points, self.weights, self.N = hats.points, hats.weights, hats.N
         horizon = HorizonSpec(l_f=horizon_radius, x_min=0.0, x_max=mesh.length)
-        self.B = build_operator_matrix(mesh.nodes, pts, horizon, kernel).weights
+        self.B = build_operator_matrix(mesh.nodes, self.points, horizon, kernel).weights
         self.mesh = mesh
 
     def load_vector(self) -> np.ndarray:
@@ -222,7 +268,16 @@ class StiffnessSystem:
 
 
 def available_memory() -> int | None:
-    """Bytes the operating system reports as available, or None if unknown."""
+    """Bytes this process may still take, or None if unknown.
+
+    That is the smaller of what the operating system reports as available
+    and the headroom of the process's memory cgroups, when either is known.
+    """
+    known = [b for b in (_meminfo_available(), _cgroup_headroom()) if b is not None]
+    return min(known, default=None)
+
+
+def _meminfo_available() -> int | None:
     try:
         with open("/proc/meminfo", encoding="ascii") as fh:
             for line in fh:
@@ -233,13 +288,73 @@ def available_memory() -> int | None:
     return None
 
 
-def check_fits(n: int) -> None:
-    """Raise SolverError when an n x n float64 array would not fit in the available memory."""
-    need = 8 * n * n
+def _cgroup_headroom() -> int | None:
+    """Limit minus usage, the least over the process's memory cgroups and their ancestors.
+
+    cgroup v2 gives memory.max and memory.current; v1 gives
+    memory.limit_in_bytes and memory.usage_in_bytes under its memory
+    hierarchy.  None when no limit is set or none can be read.
+    """
+    try:
+        with open(_PROC_CGROUP, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return None
+    root = Path(_CGROUP_ROOT)
+    headroom = []
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if not controllers:
+            base, limit, usage = root, "memory.max", "memory.current"
+        elif "memory" in controllers.split(","):
+            base, limit, usage = root / "memory", "memory.limit_in_bytes", "memory.usage_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            group = base.joinpath(*parts[:depth])
+            try:
+                most = (group / limit).read_text(encoding="ascii").strip()
+                used = int((group / usage).read_text(encoding="ascii"))
+                if most != "max":
+                    headroom.append(int(most) - used)
+            except (OSError, ValueError):
+                continue
+    return min(headroom, default=None)
+
+
+def backed_bytes(n: int, upper: int = 0) -> int:
+    """Bytes of memory the n x n block of dense_block backs once its lower triangle is written.
+
+    Below _SMALL_PAGE_BYTES that is all 8 n^2 bytes: the block may sit on
+    huge pages, and each of them holds some lower-triangle entry.  From there
+    on the block has small pages, and only those written are backed: the
+    pages that hold rows max(0, j - upper) to n - 1 of each column j, where
+    upper is the most entries above the diagonal that the model writes in a
+    column (0 but for the plate, see plate.MindlinPlateModel.quadratures).
+    """
+    if 8 * n * n < _SMALL_PAGE_BYTES:
+        return 8 * n * n
+    j = np.arange(n, dtype=np.int64)
+    first = 8 * (j * n + np.maximum(j - upper, 0)) // mmap.PAGESIZE
+    last = (8 * (j + 1) * n - 1) // mmap.PAGESIZE
+    # consecutive columns share at most the page where one ends and the next begins
+    shared = np.count_nonzero(first[1:] == last[:-1])
+    return int(np.sum(last - first + 1) - shared) * mmap.PAGESIZE
+
+
+def check_fits(n: int, upper: int = 0, margin: int = BLAS_MARGIN) -> None:
+    """Raise SolverError when an n x n block and margin bytes would not fit in the available memory.
+
+    The block counts the bytes it will back (backed_bytes(n, upper)); margin
+    defaults to BLAS_MARGIN, the work buffers of the factorization.
+    """
+    block = backed_bytes(n, upper)
     have = available_memory()
-    if have is not None and need > have:
+    if have is not None and block + margin > have:
+        extra = f" and {margin / 2**20:.0f} MiB of BLAS buffers" if margin else ""
         raise SolverError(
-            f"dense system of {n} dofs needs {need / 2**30:.2f} GiB, "
+            f"dense system of {n} dofs needs {block / 2**30:.2f} GiB{extra}, "
             f"but only {have / 2**30:.2f} GiB of memory is available"
         )
 
@@ -247,15 +362,16 @@ def check_fits(n: int) -> None:
 def dense_block(n: int) -> np.ndarray:
     """Zeroed n x n float64 array in column-major (LAPACK) order.
 
-    Raises SolverError, before allocating, when the array would not fit in
-    the available memory.  A block of _SMALL_PAGE_BYTES or more gets its own
-    anonymous mapping, advised against transparent huge pages, so that only
-    the pages written are backed: the upper triangle of a block that stores
-    its lower triangle then costs no memory.  numpy advises huge pages for
-    every array from 4 MiB on, and every 2 MiB page of a column-major block
-    holds some lower-triangle entry, which would back all of it.
+    Raises SolverError, before allocating, when the pages the array will back
+    would not fit in the available memory.  A block of _SMALL_PAGE_BYTES or
+    more gets its own anonymous mapping, advised against transparent huge
+    pages, so that only the pages written are backed: the upper triangle of
+    a block that stores its lower triangle then costs no memory.  numpy
+    advises huge pages for every array from 4 MiB on, and every 2 MiB page
+    of a column-major block holds some lower-triangle entry, which would
+    back all of it.
     """
-    check_fits(n)
+    check_fits(n, margin=0)
     if 8 * n * n < _SMALL_PAGE_BYTES:
         return np.zeros((n, n), order="F")
     pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
@@ -268,25 +384,43 @@ class FreeBlockWriter:
     """The lower triangle of the free-free block of a field-major system.
 
     free_nodes[f] lists field f's free nodes in ascending order; with
-    dof(f, node) = f * n_nodes + node the free dofs ascend too.  The block is
-    allocated once by dense_block, so the memory check runs first.  Only the
+    dof(f, node) = f * n_nodes + node the free dofs ascend too.  Only the
     field blocks (f, g) with f >= g are written, so no field block above the
     diagonal is ever touched: put() writes one, and columns() gives one by
-    columns, for callers that stream it.  split() views a free vector field
-    by field.
+    columns, for callers that stream it, which must then write every entry
+    on and below the diagonal.  split() views a free vector field by field.
+
+    The array is allocated by dense_block, so the memory check runs first,
+    unless block is given: the array of an earlier system of the same free
+    block, such as a factor that solve() left behind.  It is then reused as
+    it is, and system() zeroes its lower field blocks that neither put() nor
+    columns() reached, so that its lower triangle holds what a fresh array's
+    would.
     """
 
-    def __init__(self, n_nodes: int, free_nodes: list[np.ndarray]):
+    def __init__(
+        self, n_nodes: int, free_nodes: list[np.ndarray], block: np.ndarray | None = None
+    ):
         self.free = np.concatenate([f * n_nodes + nodes for f, nodes in enumerate(free_nodes)])
         self._start = np.cumsum([0] + [nodes.size for nodes in free_nodes])
-        self.matrix = dense_block(self.free.size)
+        n = self.free.size
+        if block is None:
+            self.matrix, self._reused = dense_block(n), False
+        elif block.shape != (n, n) or block.dtype != float or not block.flags.f_contiguous:
+            raise ValueError(f"a reused block must be a column-major {n} x {n} float64 array")
+        else:
+            self.matrix, self._reused = block, True
+        self._written: set[tuple[int, int]] = set()
 
     def put(self, f: int, g: int, block: np.ndarray) -> None:
         self.matrix[self._block(f, g)] = block
+        self._written.add((f, g))
 
     def columns(self, f: int, g: int) -> np.ndarray:
         """Writable view of block (f, g) by columns: row c holds its column c, contiguous."""
-        return self.matrix[self._block(f, g)].T
+        view = self.matrix[self._block(f, g)].T
+        self._written.add((f, g))
+        return view
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """Views of each field's part of x, a free vector or a stack of them by columns."""
@@ -303,6 +437,12 @@ class FreeBlockWriter:
     def system(
         self, load: np.ndarray, product: Callable[[np.ndarray], np.ndarray]
     ) -> StiffnessSystem:
+        """The finished system; on a reused block, unwritten lower field blocks are zeroed first."""
+        if self._reused:
+            for f in range(self._start.size - 1):
+                for g in range(f + 1):
+                    if (f, g) not in self._written:
+                        self.matrix[self._block(f, g)] = 0.0
         return StiffnessSystem(self.matrix, load, self.free, product)
 
 

@@ -26,6 +26,8 @@ restricted Grams term by term.  At 48x48 clamped the free block has 11,045
 dofs and spans 0.93 GiB, but above the diagonal only the small y-node
 blocks that the diagonal crosses are written, and dense_block backs a block
 that large with small pages, so the untouched upper half costs no memory.
+The hat rows of each axis and rule, and their N-N Grams, do not depend on
+the kernel: a model builds them once, on first use, and keeps them.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
@@ -132,6 +134,20 @@ class MindlinPlateModel:
         self.boundary = boundary
         self.mesh = RectangleMesh(section.length_x, section.length_y, nx, ny)
 
+    @functools.cached_property
+    def _hats(self) -> dict[tuple[tuple[float, int], int], fem.HatRows]:
+        """The hat rows of each distinct axis mesh and rule, keyed as quadratures() keys them."""
+        return {
+            (ax, npts): fem.HatRows(fem.IntervalMesh(*ax), gauss_rule(npts))
+            for ax in dict.fromkeys(self._axis_keys())
+            for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
+        }
+
+    @functools.cached_property
+    def _masses(self) -> dict[tuple[tuple[float, int], int], np.ndarray]:
+        """The N-N Gram of each of _hats, which every assembly reads."""
+        return {key: gram(hats.N, hats.N, hats.weights) for key, hats in self._hats.items()}
+
     @property
     def case(self) -> str:
         return self.boundary
@@ -158,19 +174,25 @@ class MindlinPlateModel:
 
         On a square plate the x and y axes share theirs, and with them every
         Gram.  The memory check of the free block comes first, so an
-        oversized mesh fails before any quadrature work.
+        oversized mesh fails before any quadrature work.  Above the diagonal
+        the assembly writes, in each column, the rows of the column's y node
+        before it: at most one x row of free nodes less one.
         """
-        fem.check_fits(sum(jy.size * jx.size for jy, jx in self._free_axes()))
+        axes = self._free_axes()
+        fem.check_fits(
+            sum(jy.size * jx.size for jy, jx in axes), upper=max(jx.size for _, jx in axes) - 1
+        )
         return {
-            (ax, npts): AxisQuadrature(fem.IntervalMesh(*ax), gauss_rule(npts), kernel, horizon_radius)
-            for ax in dict.fromkeys(self._axis_keys())
-            for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
+            key: AxisQuadrature(hats.mesh, gauss_rule(key[1]), kernel, horizon_radius, hats)
+            for key, hats in self._hats.items()
         }
 
-    def assemble(self, quadratures: dict) -> StiffnessSystem:
+    def assemble(self, quadratures: dict, block: np.ndarray | None = None) -> StiffnessSystem:
         """Free-free block of the stiffness, streamed in LAPACK order, and the full load.
 
-        quadratures comes from quadratures().  Each field's free nodes are a
+        quadratures comes from quadratures(); block, when given, is the
+        matrix of an earlier system of this model, which the new one reuses
+        (fem.FreeBlockWriter).  Each field's free nodes are a
         tensor product of per-axis index sets, so the free block of every
         Kronecker term is the Kronecker product of restricted 1D Grams,
         kron(A, B)[J x I, J' x I'] = kron(A[J, J'], B[I, I'])
@@ -184,7 +206,9 @@ class MindlinPlateModel:
         nn = self.mesh.n_nodes
         axes = self._free_axes()
         n_x = self.mesh.x_axis.n_nodes
-        blocks = fem.FreeBlockWriter(nn, [(jy[:, None] * n_x + jx).ravel() for jy, jx in axes])
+        blocks = fem.FreeBlockWriter(
+            nn, [(jy[:, None] * n_x + jx).ravel() for jy, jx in axes], block
+        )
         s = self.section
         # Plane-stress moduli: c11*eps^2 couplings, c33 is the engineering
         # shear modulus acting on gamma_xy.
@@ -198,6 +222,8 @@ class MindlinPlateModel:
 
         @functools.cache
         def g(ax: tuple, npts: int, left: str, right: str) -> np.ndarray:
+            if left == right == "N":
+                return self._masses[ax, npts]
             q = quadratures[ax, npts]
             rows = {"N": q.N, "B": q.B}
             return gram(rows[left], rows[right], q.weights)

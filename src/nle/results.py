@@ -73,12 +73,15 @@ class Model(Protocol):
 
     quadratures(kernel, horizon_radius) checks that the free block fits in
     memory and then builds the kernel-dependent data, one fem.AxisQuadrature
-    per distinct axis mesh and rule; assemble(quadratures) builds from them
-    the free-free stiffness block and the full load (fem.StiffnessSystem,
-    every other dof fixed at zero).  The metric is |u| at metric_dof.  case
-    fills the fourth CSV column (load case or boundary set), sweep_columns
-    names the CSV columns, metadata holds the manifest entries of the model
-    and resolution is the mesh size as the convergence table prints it.
+    per distinct axis mesh and rule; assemble(quadratures, block) builds from
+    them the free-free stiffness block and the full load (fem.StiffnessSystem,
+    every other dof fixed at zero).  When block is given, the new system
+    takes it over through fem.FreeBlockWriter: it is the matrix of an earlier
+    system of the same model, holding whatever that system's solve left.
+    The metric is |u| at metric_dof.  case fills the fourth CSV column (load
+    case or boundary set), sweep_columns names the CSV columns, metadata
+    holds the manifest entries of the model and resolution is the mesh size
+    as the convergence table prints it.
     """
 
     metric_dof: int
@@ -89,7 +92,9 @@ class Model(Protocol):
 
     def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict: ...
 
-    def assemble(self, quadratures: dict) -> fem.StiffnessSystem: ...
+    def assemble(
+        self, quadratures: dict, block: np.ndarray | None = None
+    ) -> fem.StiffnessSystem: ...
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,11 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     count; threads that meet one key at once may both solve it, to the same
     bits.  The result's metadata adds `solves`, the number of distinct
     systems solved, to the model's.
+
+    Every system of one model has the same free block, so a solve hands its
+    matrix, the factor or a failed factorization's remains, to the next
+    assembly, which overwrites or zeroes every entry it reads: a sweep
+    allocates one block per thread instead of one per solve.
     """
     if not len(kernel_grid) or not len(l_f_grid):
         raise ValueError("sweep grids must be nonempty")
@@ -155,6 +165,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
     by_config: dict[tuple[Kernel, float], float] = {}
     deflections: dict[bytes, float] = {}
+    spare: list[np.ndarray] = []  # blocks of finished solves, at most one per thread
 
     def deflection(kernel: Kernel, l_f: float) -> float:
         config = (kernel, min(l_f, kernel.reach))
@@ -168,7 +179,15 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
         key = digest.digest()
         w = deflections.get(key)
         if w is None:
-            u = fem.solve(model.assemble(quadratures))
+            try:
+                block = spare.pop()
+            except IndexError:
+                block = None
+            system = model.assemble(quadratures, block=block)
+            try:
+                u = fem.solve(system)
+            finally:
+                spare.append(system.matrix)
             w = deflections[key] = float(np.abs(u[model.metric_dof]))
         by_config[config] = w
         return w

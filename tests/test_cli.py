@@ -1,13 +1,15 @@
+import ctypes
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from nle import beam, fem
+from nle import beam, cli, fem
 from nle.cli import (
     CONVERGENCE_RESIDUAL_TOL,
     EXIT_CONFIG,
@@ -93,6 +95,62 @@ def test_manifest_describes_the_run(tmp_path):
     assert "wall_time_s" in manifest
     assert float(manifest["peak_rss_mib"]) > 0.0
     assert all(isinstance(v, str) for v in manifest.values())
+
+
+def test_manifest_counts_page_faults_and_records_the_malloc_thresholds(tmp_path):
+    code, out = run(tmp_path, "sweep", SWEEP_YAML)
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert int(manifest["minor_faults"]) >= 0
+    assert manifest["malloc"] == "mmap_threshold=33554432 trim_threshold=67108864"
+
+
+def test_a_c_library_without_mallopt_leaves_malloc_unchanged(tmp_path, monkeypatch):
+    # only the CLI's view of ctypes loses mallopt; the BLAS pin keeps its own
+    monkeypatch.setattr(
+        cli, "ctypes", SimpleNamespace(CDLL=lambda name: object(), c_int=ctypes.c_int)
+    )
+    code, out = run(tmp_path, "sweep", SWEEP_YAML)
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["malloc"] == "unchanged"
+    assert manifest["rows"] == "10"
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    calls, fn = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config, threads, most",
+    [("sweep_beam.yaml", "1", 1), ("sweep_plate.yaml", "1", 1), ("sweep_beam.yaml", "2", 2)],
+)
+def test_a_shipped_sweep_allocates_one_block_per_thread(
+    tmp_path, monkeypatch, config, threads, most
+):
+    # 13 solves, each assembling into the block an earlier solve left behind
+    blocks = _count_calls(monkeypatch, fem, "dense_block")
+    path = ROOT / "configs" / config
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path), "--threads", threads])
+    assert code == EXIT_OK
+    assert 1 <= len(blocks) <= most
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["solves"] == "13"
+
+
+def test_shipped_beam_sweep_builds_the_shear_mass_once(tmp_path, monkeypatch):
+    # 13 assemblies of 3 kernel-dependent Grams each, plus the model's N-N Gram
+    grams = _count_calls(monkeypatch, beam, "gram")
+    config = ROOT / "configs" / "sweep_beam.yaml"
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(grams) == 40
 
 
 @pytest.mark.parametrize("config", ["sweep_beam.yaml", "sweep_plate.yaml"])
@@ -349,6 +407,77 @@ def test_oversized_beam_exits_3_before_allocating(tmp_path, capsys, monkeypatch)
     assert "dense system of 1200 dofs needs 0.01 GiB" in err
     assert "category=SOLVER" in err
     assert not (out / "beam.csv").exists()
+
+
+# 48 x 48 clamped: 5 * 47^2 = 11,045 free dofs; the block spans 0.91 GiB but
+# backs only its lower triangle and the upper entries of the diagonal y-node
+# blocks, at most 46 per column.
+PLATE_48_YAML = (
+    "kernel:\n  kind: exponential\n  l0: 2.5e-3\nhorizon:\n  l_f: 0.5\n"
+    "bc:\n  set: clamped\nmesh:\n  nx: 48\n  ny: 48\n"
+)
+PLATE_48_DOFS = 11045
+
+
+def test_a_48x48_plate_proceeds_with_memory_between_its_backed_and_spanned_bytes(
+    tmp_path, capsys, monkeypatch
+):
+    backed = fem.backed_bytes(PLATE_48_DOFS, upper=46)
+    span = 8 * PLATE_48_DOFS**2
+    assert backed + fem.BLAS_MARGIN < span
+    monkeypatch.setattr(fem, "available_memory", lambda: (backed + fem.BLAS_MARGIN + span) // 2)
+    factored = []
+
+    def stop(a, *args, **kwargs):
+        factored.append(a.shape)
+        raise fem.SolverError("stopped at the factorization")
+
+    monkeypatch.setattr(fem.linalg, "cho_factor", stop)
+    code, _ = run(tmp_path, "plate", PLATE_48_YAML)
+    assert code == EXIT_SOLVER
+    assert factored == [(PLATE_48_DOFS, PLATE_48_DOFS)]
+    assert "stopped at the factorization" in capsys.readouterr().err
+
+
+def test_a_48x48_plate_exits_3_before_allocating_below_its_backed_bytes(
+    tmp_path, capsys, monkeypatch
+):
+    backed = fem.backed_bytes(PLATE_48_DOFS, upper=46)
+    monkeypatch.setattr(fem, "available_memory", lambda: backed - 1)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored a system that does not fit")
+
+    monkeypatch.setattr(fem.linalg, "cho_factor", no_factor)
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, "plate", PLATE_48_YAML)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_SOLVER
+    assert peak < backed // 100
+    err = capsys.readouterr().err
+    assert "dense system of 11045 dofs needs 0.50 GiB and 48 MiB of BLAS buffers" in err
+    assert not (out / "plate.csv").exists()
+
+
+def test_a_cgroup_memory_limit_is_honoured(tmp_path, capsys, monkeypatch):
+    # 8 x 8 clamped: 245 free dofs, a 0.5 MB block, under a cgroup v2 limit
+    # that leaves 16 MiB, less than the BLAS margin on top of the block
+    proc = tmp_path / "cgroup"
+    proc.write_text("0::/job\n", encoding="ascii")
+    group = tmp_path / "fs" / "job"
+    group.mkdir(parents=True)
+    (group / "memory.max").write_text(f"{1 << 30}\n", encoding="ascii")
+    (group / "memory.current").write_text(f"{(1 << 30) - (16 << 20)}\n", encoding="ascii")
+    monkeypatch.setattr(fem, "_PROC_CGROUP", str(proc))
+    monkeypatch.setattr(fem, "_CGROUP_ROOT", str(tmp_path / "fs"))
+    text = PLATE_48_YAML.replace("48", "8")
+    code, _ = run(tmp_path, "plate", text)
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "dense system of 245 dofs" in err and "only 0.02 GiB of memory is available" in err
 
 
 def test_sweep_keeps_going_past_a_failed_row(tmp_path):

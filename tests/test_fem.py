@@ -422,6 +422,110 @@ def test_available_memory_is_a_byte_count_or_unknown():
     assert available is None or (isinstance(available, int) and available > 0)
 
 
+def test_free_block_writer_zeroes_what_a_reused_block_does_not_get_written():
+    # three fields on 2 nodes; the model writes the diagonal blocks and (2, 0)
+    writer = fem.FreeBlockWriter(2, [np.arange(2)] * 3, np.full((6, 6), np.nan, order="F"))
+    for f in range(3):
+        writer.put(f, f, np.eye(2))
+    writer.columns(2, 0)[...] = 5.0
+    K = writer.system(np.zeros(6), np.negative).matrix
+    lower = np.tril(K)
+    expected = np.eye(6)
+    expected[4:6, 0:2] = 5.0
+    np.testing.assert_array_equal(lower, expected)
+    # nothing above the diagonal field blocks is touched, even to zero it
+    assert np.isnan(K[0:2, 2:6]).all() and np.isnan(K[2:4, 4:6]).all()
+
+
+def _count_pages(n: int, upper: int) -> int:
+    """Pages holding rows max(0, j - upper) .. n - 1 of each column j, one column at a time."""
+    pages = set()
+    for j in range(n):
+        start, end = 8 * (j * n + max(0, j - upper)), 8 * (j + 1) * n
+        pages.update(range(start // mmap.PAGESIZE, (end - 1) // mmap.PAGESIZE + 1))
+    return len(pages) * mmap.PAGESIZE
+
+
+def test_a_block_backs_all_of_itself_below_the_small_page_threshold(monkeypatch):
+    monkeypatch.setattr(fem, "_SMALL_PAGE_BYTES", 8 * 400 * 400)
+    assert fem.backed_bytes(399) == fem.backed_bytes(399, upper=50) == 8 * 399**2
+    for n, upper in ((400, 0), (400, 25), (1000, 0), (1000, 47)):
+        assert fem.backed_bytes(n, upper) == _count_pages(n, upper)
+
+
+def test_a_large_block_backs_about_half_of_itself_and_a_little_more_per_upper_entry():
+    # the 48x48 clamped plate: 11,045 free dofs, 47 free nodes per x row
+    n = 5 * 47 * 47
+    lower, plate = fem.backed_bytes(n), fem.backed_bytes(n, upper=46)
+    span = 8 * n * n
+    assert 0.5 * span < lower < plate < 0.55 * span
+    assert plate - lower < 8 * 46 * n
+
+
+def test_check_fits_adds_the_blas_margin_to_the_backed_bytes(monkeypatch):
+    need = fem.backed_bytes(300) + fem.BLAS_MARGIN
+    monkeypatch.setattr(fem, "available_memory", lambda: need)
+    fem.check_fits(300)
+    monkeypatch.setattr(fem, "available_memory", lambda: need - 1)
+    with pytest.raises(SolverError, match=r"300 dofs needs 0\.00 GiB and 48 MiB of BLAS buffers"):
+        fem.check_fits(300)
+    fem.check_fits(300, margin=0)
+
+
+def _cgroups(tmp_path, monkeypatch, membership: str, files: dict[str, str]) -> None:
+    """Point the cgroup probe at a tree under tmp_path: /proc/self/cgroup and its files."""
+    proc = tmp_path / "cgroup"
+    proc.write_text(membership, encoding="ascii")
+    root = tmp_path / "fs"
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="ascii")
+    monkeypatch.setattr(fem, "_PROC_CGROUP", str(proc))
+    monkeypatch.setattr(fem, "_CGROUP_ROOT", str(root))
+
+
+def test_available_memory_honours_a_cgroup_v2_limit_on_the_group_or_an_ancestor(
+    tmp_path, monkeypatch
+):
+    _cgroups(
+        tmp_path,
+        monkeypatch,
+        "0::/jobs/run\n",
+        {
+            "memory.max": "max\n",
+            "memory.current": "900000000\n",
+            "jobs/memory.max": "300000000\n",
+            "jobs/memory.current": "120000000\n",
+            "jobs/run/memory.max": "max\n",
+            "jobs/run/memory.current": "100000000\n",
+        },
+    )
+    assert fem._cgroup_headroom() == 180_000_000
+    assert fem.available_memory() == 180_000_000
+
+
+def test_available_memory_honours_a_cgroup_v1_limit(tmp_path, monkeypatch):
+    _cgroups(
+        tmp_path,
+        monkeypatch,
+        "12:pids:/job\n4:memory:/job\n0::/\n",
+        {
+            "memory/job/memory.limit_in_bytes": "200000000\n",
+            "memory/job/memory.usage_in_bytes": "150000000\n",
+            "memory/memory.limit_in_bytes": "9223372036854771712\n",
+            "memory/memory.usage_in_bytes": "2000000000\n",
+        },
+    )
+    assert fem.available_memory() == 50_000_000
+
+
+def test_available_memory_without_a_cgroup_limit_is_the_system_figure(tmp_path, monkeypatch):
+    _cgroups(tmp_path, monkeypatch, "0::/\n", {"memory.max": "max\n", "memory.current": "1\n"})
+    assert fem._cgroup_headroom() is None
+    assert fem.available_memory() == fem._meminfo_available()
+
+
 # ---------------------------------------------------------------------------
 # assembly entry point validation
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import sys
+
+import numpy as np
 import pytest
 
 from nle import fem
-from nle.beam import BeamSection, CantileverTipLoad, TimoshenkoBeamModel
-from nle.kernels import LocalDelta
+from nle.beam import (
+    BeamSection,
+    CantileverTipLoad,
+    SimplySupportedUniformLoad,
+    TimoshenkoBeamModel,
+)
+from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
 from nle.plate import MindlinPlateModel, PlateSection
 from nle.results import KernelSpec, sweep
 
@@ -28,9 +36,9 @@ def _count_solves(monkeypatch, model) -> tuple[list, list]:
         built.append(kernel)
         return quadratures(model, kernel, horizon_radius)
 
-    def counting_assemble(quads):
+    def counting_assemble(quads, block=None):
         kernels.append(built[-1])
-        return assemble(quads)
+        return assemble(quads, block)
 
     def counting_solve(*args, **kwargs):
         solves.append(args[0])
@@ -199,3 +207,81 @@ def test_sweep_thread_count_does_not_change_rows(name):
         serial = sweep(build(), kernels, l_f_grid)
         threaded = sweep(build(), kernels, l_f_grid, threads=4)
         assert serial.rows == threaded.rows
+
+
+# Both load cases and both boundary sets, on small meshes, for the block reuse
+# of one model's systems.
+REUSE_MODELS = {
+    "beam-cantilever": lambda: TimoshenkoBeamModel(BeamSection(), CantileverTipLoad(), 20),
+    "beam-ss_udtl": lambda: TimoshenkoBeamModel(BeamSection(), SimplySupportedUniformLoad(), 20),
+    "plate-clamped": lambda: MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=6, ny=6),
+    "plate-simply_supported": lambda: MindlinPlateModel(
+        PlateSection(), 1.0, "simply_supported", nx=6, ny=6
+    ),
+}
+
+
+def _left_behind(model, how: str) -> np.ndarray:
+    """The matrix an earlier system of model leaves: a factor, a failed factorization's, or NaN."""
+    system = fem.assemble(model, PowerLawKernel(0.7), 0.5)
+    if how == "factored":
+        fem.solve(system)
+    elif how == "failed":
+        k = system.matrix.shape[0] // 2
+        system.matrix[k, k] = -system.matrix[k, k]
+        with pytest.raises(fem.SolverError, match="not positive definite"):
+            fem.solve(system)
+    else:
+        system.matrix[...] = np.nan
+    return system.matrix
+
+
+@pytest.mark.parametrize("how", ["factored", "failed", "nan"])
+@pytest.mark.parametrize(
+    "kernel", [ExponentialKernel(5e-2), PowerLawKernel(0.8), LocalDelta()], ids=repr
+)
+@pytest.mark.parametrize("name", sorted(REUSE_MODELS))
+def test_a_reused_block_has_the_lower_triangle_of_a_fresh_one(name, kernel, how):
+    model = REUSE_MODELS[name]()
+    block = _left_behind(model, how)
+    quadratures = fem.quadratures(model, kernel, 0.5)
+    reused = model.assemble(quadratures, block)
+    fresh = model.assemble(quadratures)
+    assert reused.matrix is block and fresh.matrix is not block
+    assert np.tril(reused.matrix).tobytes() == np.tril(fresh.matrix).tobytes()
+    assert fem.solve(reused).tobytes() == fem.solve(fresh).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_model_refuses_a_block_of_another_size(name):
+    build, spec = MODELS[name]
+    model = build()
+    quadratures = fem.quadratures(model, spec.build(), 0.5)
+    n = model.assemble(quadratures).matrix.shape[0]
+    for block in (np.zeros((n + 1, n + 1), order="F"), np.zeros((n, n), order="C")):
+        with pytest.raises(ValueError, match="reused block"):
+            model.assemble(quadratures, block)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_threads_never_share_a_block(name, monkeypatch):
+    # more workers than cores and a short switch interval: two rows that took
+    # the same spare block at once would overwrite each other's system
+    build, _ = MODELS[name]
+    serial = sweep(build(), MIXED_GRID, MIXED_L_F)
+    blocks = []
+    dense_block = fem.dense_block
+
+    def counting(n):
+        blocks.append(n)
+        return dense_block(n)
+
+    monkeypatch.setattr(fem, "dense_block", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sweep(build(), MIXED_GRID, MIXED_L_F, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.rows == serial.rows
+    assert 1 <= len(blocks) <= 4
