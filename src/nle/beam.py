@@ -125,6 +125,7 @@ class TimoshenkoBeamModel:
         self.section = section
         self.load = load
         self.mesh = IntervalMesh(section.length, n_elements)
+        self._fits = False  # set once the free block has passed its memory check
 
     @functools.cached_property
     def _hats(self) -> dict[int, fem.HatRows]:
@@ -146,7 +147,17 @@ class TimoshenkoBeamModel:
 
     @property
     def metadata(self) -> dict[str, str]:
-        return {"model": "beam", "load_case": self.load.name, "n_elements": self.resolution}
+        return {
+            "model": "beam",
+            "load_case": self.load.name,
+            "n_elements": self.resolution,
+            **fem.block_metadata(*self.free_block),
+        }
+
+    @property
+    def free_block(self) -> tuple[int, int]:
+        """Dofs of the free block, and the entries above its diagonal written per column: none."""
+        return sum(s.stop - s.start for s in self._free_slices()), 0
 
     @property
     def resolution(self) -> str:
@@ -168,10 +179,13 @@ class TimoshenkoBeamModel:
     def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict[int, AxisQuadrature]:
         """The bending and shear rules' quadratures, keyed by their point counts.
 
-        The memory check of the free block comes first, so an oversized mesh
-        fails before any quadrature work.
+        Every system of the model has the same free block, so its memory
+        check runs on the first call only, before any quadrature work: an
+        oversized mesh fails before it allocates.
         """
-        fem.check_fits(sum(s.stop - s.start for s in self._free_slices()))
+        if not self._fits:
+            fem.check_fits(*self.free_block)
+            self._fits = True
         return {
             npts: AxisQuadrature(self.mesh, gauss_rule(npts), kernel, horizon_radius, hats)
             for npts, hats in self._hats.items()

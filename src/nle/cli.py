@@ -10,7 +10,9 @@ Five subcommands, each driven by one validated YAML document:
 
 Every run writes one CSV of data rows plus manifest.json describing the run
 (config digest, tool and commit versions, BLAS threads, malloc thresholds,
-wall time, minor page faults, peak resident memory).  Data rows are
+wall time, minor page faults, peak resident memory, and the dofs, span and
+backed MiB of a beam's or plate's free block).  The commit comes from a
+`git rev-parse HEAD` child that runs while the run computes.  Data rows are
 deterministic: re-running the same config, at any thread count, reproduces
 the CSV byte for byte; both OpenBLAS pools are pinned to a fixed count
 (nle.openblas).  The manifest is allowed to differ (it carries the wall
@@ -67,6 +69,9 @@ _MALLOC_THRESHOLDS = (
     ("mmap_threshold", -3, 32 << 20),  # M_MMAP_THRESHOLD
     ("trim_threshold", -1, 64 << 20),  # M_TRIM_THRESHOLD
 )
+
+# How long the manifest waits for `git rev-parse HEAD` before recording `unknown`.
+_GIT_TIMEOUT_S = 5.0
 
 # A kernel this close to the delta produces softening below float visibility;
 # such rows are exempt from the strict-softening check and instead must sit
@@ -130,9 +135,13 @@ def _run(args) -> int:
     blas = openblas.pin()
     heap = _fix_malloc()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    started = time.perf_counter()
-    result = _produce(cfg, threads)
-    wall = time.perf_counter() - started
+    git = _start_git()  # runs beside the computation; the manifest takes its answer
+    try:
+        started = time.perf_counter()
+        result = _produce(cfg, threads)
+        wall = time.perf_counter() - started
+    finally:
+        commit = _git_commit(git)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
     csv_name = cfg.output or f"{args.subcommand}.csv"
@@ -146,7 +155,7 @@ def _run(args) -> int:
         **blas,
         "malloc": heap,
         "tool_version": __version__,
-        "git_commit": _git_commit(),
+        "git_commit": commit,
         "config_path": str(config_path),
         "config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "config_text": text,
@@ -191,18 +200,31 @@ def _fix_malloc() -> str:
     return " ".join(fixed) or "unchanged"
 
 
-def _git_commit() -> str:
+def _start_git() -> subprocess.Popen | None:
+    """`git rev-parse HEAD` started in the package's directory, or None when git cannot start."""
     try:
-        proc = subprocess.run(
+        return subprocess.Popen(
             ["git", "rev-parse", "HEAD"],
             cwd=Path(__file__).parent,
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
             text=True,
-            timeout=5,
         )
     except OSError:
+        return None
+
+
+def _git_commit(proc: subprocess.Popen | None) -> str:
+    """The commit proc printed, or `unknown` when git did not start, failed or timed out."""
+    if proc is None:
         return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    with proc:
+        try:
+            out, _ = proc.communicate(timeout=_GIT_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            return "unknown"
+    return out.strip() if proc.returncode == 0 else "unknown"
 
 
 def _produce(cfg: RunConfig, threads: int) -> SweepResult:
@@ -258,10 +280,16 @@ def _convergence_table(cfg: RunConfig) -> SweepResult:
         change = None if previous is None else abs(metric - previous) / abs(metric)
         rows.append((cfg.target, model.resolution, metric, change))
         previous = metric
+    # the block entries describe the last level's, the largest
     return SweepResult(
         columns=CONVERGENCE_COLUMNS,
         rows=rows,
-        metadata={"model": "convergence", "target": cfg.target, "kernel": spec.label},
+        metadata={
+            "model": "convergence",
+            "target": cfg.target,
+            "kernel": spec.label,
+            **fem.block_metadata(*model.free_block),
+        },
     )
 
 
@@ -337,7 +365,32 @@ def _verify_dispersion(cfg: RunConfig, result: SweepResult):
                 "local branch must equal E/rho at every wavenumber",
             )
         )
+    if spec.kind in ("exponential", "local"):
+        checks.append(_operator_check(cfg, ks, res, ims))
     return checks
+
+
+def _operator_check(cfg: RunConfig, ks, res, ims):
+    """The printed relation against the one read off the production operator (criterion 3).
+
+    The exponential oracle's horizon is 15 l0, where truncation is below
+    1e-6; the local operator does not depend on the horizon, which then
+    spans one wavelength.
+    """
+    material = dispersion.Material1D(cfg.beam_section.modulus, cfg.density)
+    spec = cfg.kernel_specs[0]
+    kernel = spec.build()
+    worst = 0.0
+    for k, real, imag in zip(ks, res, ims):
+        horizon = 15.0 * spec.param if spec.kind == "exponential" else 2.0 * math.pi / k
+        oracle = dispersion.numerical_dispersion(k, material, kernel, horizon)
+        printed = complex(real, imag)
+        worst = max(worst, abs(oracle.phase_velocity_sq - printed) / abs(printed))
+    return _check(
+        "dispersion_matches_operator",
+        worst <= 1e-4,
+        f"the operator's relation leaves the printed one by {worst:.2e} (> 1e-4)",
+    )
 
 
 def _verify_convergence(result: SweepResult):

@@ -329,8 +329,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     """Validate one YAML document for one subcommand; collect all errors."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"])
+    # libyaml's parser when PyYAML was built with it: the same documents, about 8x faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"not valid YAML: {exc}"]) from None
     if data is None:

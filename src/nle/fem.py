@@ -59,6 +59,7 @@ __all__ = [
     "BLAS_MARGIN",
     "available_memory",
     "backed_bytes",
+    "block_metadata",
     "check_fits",
     "dense_block",
     "FreeBlockWriter",
@@ -331,7 +332,7 @@ def backed_bytes(n: int, upper: int = 0) -> int:
     on the block has small pages, and only those written are backed: the
     pages that hold rows max(0, j - upper) to n - 1 of each column j, where
     upper is the most entries above the diagonal that the model writes in a
-    column (0 but for the plate, see plate.MindlinPlateModel.quadratures).
+    column (0 but for the plate, see plate.MindlinPlateModel.free_block).
     """
     if 8 * n * n < _SMALL_PAGE_BYTES:
         return 8 * n * n
@@ -341,6 +342,18 @@ def backed_bytes(n: int, upper: int = 0) -> int:
     # consecutive columns share at most the page where one ends and the next begins
     shared = np.count_nonzero(first[1:] == last[:-1])
     return int(np.sum(last - first + 1) - shared) * mmap.PAGESIZE
+
+
+def block_metadata(n: int, upper: int = 0) -> dict[str, str]:
+    """Manifest entries of an n x n free block: its dofs, and the MiB it spans and backs.
+
+    The backed figure is backed_bytes(n, upper), what check_fits counts.
+    """
+    return {
+        "block_dofs": str(n),
+        "block_span_mib": f"{8 * n * n / 2**20:.1f}",
+        "block_backed_mib": f"{backed_bytes(n, upper) / 2**20:.1f}",
+    }
 
 
 def check_fits(n: int, upper: int = 0, margin: int = BLAS_MARGIN) -> None:

@@ -133,6 +133,7 @@ class MindlinPlateModel:
         self.pressure = pressure
         self.boundary = boundary
         self.mesh = RectangleMesh(section.length_x, section.length_y, nx, ny)
+        self._fits = False  # set once the free block has passed its memory check
 
     @functools.cached_property
     def _hats(self) -> dict[tuple[tuple[float, int], int], fem.HatRows]:
@@ -155,7 +156,24 @@ class MindlinPlateModel:
     @property
     def metadata(self) -> dict[str, str]:
         nx, ny = self.mesh.x_axis.n_elements, self.mesh.y_axis.n_elements
-        return {"model": "plate", "bc": self.boundary, "nx": str(nx), "ny": str(ny)}
+        return {
+            "model": "plate",
+            "bc": self.boundary,
+            "nx": str(nx),
+            "ny": str(ny),
+            **fem.block_metadata(*self.free_block),
+        }
+
+    @property
+    def free_block(self) -> tuple[int, int]:
+        """Dofs of the free block, and the most entries above its diagonal written per column.
+
+        Above the diagonal the assembly writes, in each column, the rows of
+        the column's y node before it: at most one x row of free nodes less
+        one.
+        """
+        axes = self._free_axes()
+        return sum(jy.size * jx.size for jy, jx in axes), max(jx.size for _, jx in axes) - 1
 
     @property
     def resolution(self) -> str:
@@ -173,15 +191,13 @@ class MindlinPlateModel:
         """One quadrature per distinct axis mesh and rule, keyed by ((length, elements), points).
 
         On a square plate the x and y axes share theirs, and with them every
-        Gram.  The memory check of the free block comes first, so an
-        oversized mesh fails before any quadrature work.  Above the diagonal
-        the assembly writes, in each column, the rows of the column's y node
-        before it: at most one x row of free nodes less one.
+        Gram.  Every system of the model has the same free block, so its
+        memory check runs on the first call only, before any quadrature
+        work: an oversized mesh fails before it allocates.
         """
-        axes = self._free_axes()
-        fem.check_fits(
-            sum(jy.size * jx.size for jy, jx in axes), upper=max(jx.size for _, jx in axes) - 1
-        )
+        if not self._fits:
+            fem.check_fits(*self.free_block)
+            self._fits = True
         return {
             key: AxisQuadrature(hats.mesh, gauss_rule(key[1]), kernel, horizon_radius, hats)
             for key, hats in self._hats.items()

@@ -11,7 +11,6 @@ float values, which round-trips exactly and makes re-runs byte-identical.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,9 +70,9 @@ class KernelSpec:
 class Model(Protocol):
     """What `sweep` needs of a structural model (beam or plate).
 
-    quadratures(kernel, horizon_radius) checks that the free block fits in
-    memory and then builds the kernel-dependent data, one fem.AxisQuadrature
-    per distinct axis mesh and rule; assemble(quadratures, block) builds from
+    quadratures(kernel, horizon_radius) checks on its first call that the
+    free block fits in memory, and builds the kernel-dependent data, one
+    fem.AxisQuadrature per distinct axis mesh and rule; assemble(quadratures, block) builds from
     them the free-free stiffness block and the full load (fem.StiffnessSystem,
     every other dof fixed at zero).  When block is given, the new system
     takes it over through fem.FreeBlockWriter: it is the matrix of an earlier
@@ -129,24 +128,23 @@ def format_value(value) -> str:
 def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 1) -> SweepResult:
     """One row per (kernel, horizon) configuration, in listed grid order.
 
-    Rows are first keyed by (kernel, min(l_f, kernel.reach)): past its
-    reach a kernel's moments are saturated, so its operator rows no longer
-    depend on the horizon, and only the first row of each such key builds
-    them.  Kernels that take the short-horizon fallback to local rows are
+    Rows are keyed by (kernel, min(l_f, kernel.reach)): past its reach a
+    kernel's moments are saturated, so its operator rows no longer depend on
+    the horizon, and only the first row of each such key builds them and
+    solves.  Kernels that take the short-horizon fallback to local rows are
     singular at the origin, and their reach is infinite, so the key holds
-    their exact horizon.  The operator rows of a first row (the B of each of
-    the model's quadratures) are keyed in turn by a digest of their bytes.
-    Only the first row of each digest assembles and solves; later rows take
-    its deflection, which is bit for bit what their own solve would return.
-    The local companion, solved first at the first horizon radius, is one
-    more row of that map, so rows whose operators equal the local ones
-    (`local`, power law with alpha = 1, an exponential length far below the
-    mesh size) take its value without a solve of their own.  A failing
-    configuration keeps its row with an error status and leaves no entry,
-    and the sweep continues.  Rows come back in grid order at any thread
-    count; threads that meet one key at once may both solve it, to the same
-    bits.  The result's metadata adds `solves`, the number of distinct
-    systems solved, to the model's.
+    their exact horizon.  The local companion is solved first, at the first
+    horizon radius, and its operator rows (the B of each of the model's
+    quadratures) are kept for the whole sweep: a key whose rows equal them
+    (`local` at any horizon, power law with alpha = 1, an exponential length
+    far below the mesh size) takes its deflection without a solve of its
+    own, which is bit for bit what that solve would return.  Two nonlocal
+    keys with equal rows each solve; that needs a horizon past the whole
+    domain.  A failing configuration keeps its row with an error status and
+    leaves no entry, and the sweep continues.  Rows come back in grid order
+    at any thread count; threads that meet one key at once may both solve
+    it, to the same bits.  The result's metadata adds `solves`, the number
+    of keys that solved (distinct systems, not solve calls), to the model's.
 
     Every system of one model has the same free block, so a solve hands its
     matrix, the factor or a failed factorization's remains, to the next
@@ -163,9 +161,25 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
             raise ValueError(f"horizon radius must be positive (got {l_f!r})")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
-    by_config: dict[tuple[Kernel, float], float] = {}
-    deflections: dict[bytes, float] = {}
     spare: list[np.ndarray] = []  # blocks of finished solves, at most one per thread
+
+    def solve(quadratures: dict) -> float:
+        try:
+            block = spare.pop()
+        except IndexError:
+            block = None
+        system = model.assemble(quadratures, block=block)
+        try:
+            u = fem.solve(system)
+        finally:
+            spare.append(system.matrix)
+        return float(np.abs(u[model.metric_dof]))
+
+    local_config = (LocalDelta(), float(l_f_grid[0]))
+    local = fem.quadratures(model, *local_config)
+    w_local = solve(local)
+    by_config: dict[tuple[Kernel, float], float] = {local_config: w_local}
+    solved = {local_config}
 
     def deflection(kernel: Kernel, l_f: float) -> float:
         config = (kernel, min(l_f, kernel.reach))
@@ -173,26 +187,13 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
         if w is not None:
             return w
         quadratures = fem.quadratures(model, kernel, l_f)
-        digest = hashlib.sha256()
-        for quadrature in quadratures.values():
-            digest.update(np.ascontiguousarray(quadrature.B))
-        key = digest.digest()
-        w = deflections.get(key)
-        if w is None:
-            try:
-                block = spare.pop()
-            except IndexError:
-                block = None
-            system = model.assemble(quadratures, block=block)
-            try:
-                u = fem.solve(system)
-            finally:
-                spare.append(system.matrix)
-            w = deflections[key] = float(np.abs(u[model.metric_dof]))
+        if all(np.array_equal(q.B, local[key].B) for key, q in quadratures.items()):
+            w = w_local
+        else:
+            w = solve(quadratures)
+            solved.add(config)
         by_config[config] = w
         return w
-
-    w_local = deflection(LocalDelta(), float(l_f_grid[0]))
 
     def evaluate(config: tuple[KernelSpec, float]) -> tuple:
         spec, l_f = config
@@ -209,7 +210,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(evaluate, configs))
-    metadata = {**model.metadata, "solves": str(len(deflections))}
+    metadata = {**model.metadata, "solves": str(len(solved))}
     return SweepResult(columns=model.sweep_columns, rows=rows, metadata=metadata)
 
 

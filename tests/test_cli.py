@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from nle import beam, cli, fem
+from nle import beam, cli, dispersion, fem
 from nle.cli import (
     CONVERGENCE_RESIDUAL_TOL,
     EXIT_CONFIG,
@@ -20,6 +21,7 @@ from nle.cli import (
     main,
 )
 from nle.kernels import ExponentialKernel
+from nle.operator import NonlocalOperatorMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,6 +99,37 @@ def test_manifest_describes_the_run(tmp_path):
     assert all(isinstance(v, str) for v in manifest.values())
 
 
+def test_manifest_records_the_checkout_commit(tmp_path):
+    head = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=ROOT / "src" / "nle", capture_output=True, text=True
+    )
+    expected = head.stdout.strip() if head.returncode == 0 else "unknown"
+    code, out = run(tmp_path, "beam", BEAM_YAML)
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["git_commit"] == expected
+
+
+@pytest.mark.parametrize(
+    "git", [None, "#!/bin/sh\nexit 1\n", "#!/bin/sh\nexec /bin/sleep 60\n"],
+    ids=["absent", "failing", "hanging"],
+)
+def test_manifest_commit_is_unknown_without_a_working_git(tmp_path, monkeypatch, git):
+    monkeypatch.setattr(cli, "_GIT_TIMEOUT_S", 0.2)
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if git is not None:
+        (bin_dir / "git").write_text(git, encoding="ascii")
+        (bin_dir / "git").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    started = time.monotonic()
+    code, out = run(tmp_path, "beam", BEAM_YAML)
+    assert code == EXIT_OK
+    assert time.monotonic() - started < 30.0  # a hanging git is killed, not waited for
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["git_commit"] == "unknown"
+
+
 def test_manifest_counts_page_faults_and_records_the_malloc_thresholds(tmp_path):
     code, out = run(tmp_path, "sweep", SWEEP_YAML)
     assert code == EXIT_OK
@@ -163,6 +196,11 @@ def test_shipped_sweep_manifest_counts_its_distinct_solves(tmp_path, config):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["rows"] == "27"
     assert manifest["solves"] == "13"
+    # the free block: 3 * 201 - 3 beam dofs, 5 * 23^2 clamped plate dofs; both
+    # lie below the small-page threshold, so they back all they span
+    dofs, mib = {"sweep_beam.yaml": ("600", "2.7"), "sweep_plate.yaml": ("2645", "53.4")}[config]
+    assert manifest["block_dofs"] == dofs
+    assert manifest["block_span_mib"] == manifest["block_backed_mib"] == mib
 
 
 def test_shipped_beam_sweep_builds_quadratures_once_per_saturated_key(tmp_path, monkeypatch):
@@ -182,6 +220,15 @@ def test_shipped_beam_sweep_builds_quadratures_once_per_saturated_key(tmp_path, 
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(rules) == 32
     assert sorted(rules) == [1] * 16 + [2] * 16
+
+
+def test_shipped_beam_sweep_probes_memory_once_per_model_and_block(tmp_path, monkeypatch):
+    # every system of the model has the same free block: one check of the
+    # model before its first quadrature, one of dense_block's single block
+    probes = _count_calls(monkeypatch, fem, "available_memory")
+    config = ROOT / "configs" / "sweep_beam.yaml"
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert 1 <= len(probes) <= 2
 
 
 def test_beam_run_is_a_single_softening_row(tmp_path):
@@ -208,6 +255,15 @@ def test_convergence_table_shape(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[3] == ""
     assert float(lines[2].split(",")[3]) >= 0.0
+
+
+def test_convergence_manifest_describes_the_largest_block(tmp_path):
+    # 60 then 120 elements: the cantilever's last level has 3 * 121 - 3 dofs
+    code, out = run(tmp_path, "convergence", BEAM_YAML + "refinements: 1\n")
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["block_dofs"] == "360"
+    assert manifest["block_span_mib"] == manifest["block_backed_mib"] == "1.0"
 
 
 def test_convergence_solves_only_the_reported_systems(tmp_path, monkeypatch):
@@ -306,6 +362,36 @@ def test_verify_failure_exits_with_its_own_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "verify FAIL self_convergence" in captured.out
     assert "category=VERIFY" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (ROOT / "configs" / "dispersion_exponential.yaml").read_text(encoding="utf-8"),
+        DISPERSION_YAML.replace("kind: exponential\n  l0: 0.001", "kind: local"),
+    ],
+    ids=["exponential", "local"],
+)
+def test_dispersion_verify_compares_with_the_production_operator(tmp_path, capsys, text):
+    code, _ = run(tmp_path, "dispersion", text, "--verify")
+    assert code == EXIT_OK
+    assert "verify PASS dispersion_matches_operator" in capsys.readouterr().out
+
+
+def test_dispersion_verify_fails_on_a_scaled_operator(tmp_path, capsys, monkeypatch):
+    # operator weights 0.1% heavier move the oracle's relation by 0.2%; the
+    # CSV prints the closed form, unchanged
+    build = dispersion.build_operator_matrix
+
+    def scaled(*args):
+        op = build(*args)
+        return NonlocalOperatorMatrix(op.weights * (1.0 + 1e-3), op.eval_points, op.nodes)
+
+    monkeypatch.setattr(dispersion, "build_operator_matrix", scaled)
+    text = (ROOT / "configs" / "dispersion_exponential.yaml").read_text(encoding="utf-8")
+    code, _ = run(tmp_path, "dispersion", text, "--verify")
+    assert code == EXIT_VERIFY
+    assert "verify FAIL dispersion_matches_operator" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

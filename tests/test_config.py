@@ -1,6 +1,7 @@
 import pathlib
 
 import pytest
+import yaml
 
 from nle.config import ConfigError, parse_config
 from nle.results import ALPHA_FLOOR
@@ -285,3 +286,24 @@ def test_shipped_example_configs_are_valid(path):
     cfg = parse_config(path.read_text(encoding="utf-8"), subcommand)
     assert cfg.subcommand == subcommand
     assert cfg.kernel_specs
+
+
+# ---------------------------------------------------------------------------
+# YAML loaders: libyaml's when PyYAML has it, the pure-Python one otherwise
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name
+)
+def test_shipped_configs_parse_alike_with_either_loader(path, monkeypatch):
+    text, subcommand = path.read_text(encoding="utf-8"), path.name.split("_")[0]
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    with_c = parse_config(text, subcommand)
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert parse_config(text, subcommand) == with_c
+
+
+def test_the_pure_python_loader_refuses_invalid_yaml(monkeypatch):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    test_invalid_yaml_and_non_mapping_top_level()

@@ -367,6 +367,22 @@ def test_a_large_block_backs_little_more_than_its_lower_triangle():
     assert growth < 0.8 * block
 
 
+@pytest.mark.parametrize("boundary, dofs", [("clamped", 11045), ("simply_supported", 11421)])
+def test_metadata_gives_the_span_and_backed_size_of_the_free_block(boundary, dofs):
+    # 48 x 48: 47 free nodes per x row on the clamped plate, up to 49 (u and
+    # theta_x) on the simply supported one; the assembly writes at most one
+    # x row of free nodes less one above the diagonal per column
+    model = MindlinPlateModel(PlateSection(), 1.0, boundary, 48, 48)
+    n, upper = model.free_block
+    assert n == dofs
+    assert upper == {"clamped": 46, "simply_supported": 48}[boundary]
+    meta = model.metadata
+    assert meta["block_dofs"] == str(dofs)
+    assert meta["block_span_mib"] == f"{8 * dofs**2 / 2**20:.1f}"
+    assert meta["block_backed_mib"] == f"{fem.backed_bytes(dofs, upper) / 2**20:.1f}"
+    assert float(meta["block_backed_mib"]) < 0.6 * float(meta["block_span_mib"])
+
+
 def test_plate_solve_factors_the_assembled_block_in_place(monkeypatch):
     model = MindlinPlateModel(SECTION, 1.0, "clamped", nx=8, ny=8)
     assembled, factored = [], []
