@@ -17,11 +17,11 @@ K x on the free dofs from the model's own factors.  solve() factors the
 block by Cholesky in place, takes its residuals from product(), refines once
 or twice if needed, and guarantees a small relative residual or raises.
 Every dense block is checked against the available memory before it is
-allocated, and a large one is backed by small pages, so that the pages of
-its untouched upper triangle cost no memory.  A writer can also take the
-block of an earlier system of the same size: a sweep hands each row a block
-that a finished row left behind, instead of faulting in fresh pages, and
-the writer zeroes what the model does not overwrite.
+allocated, and is backed by small pages, so that the pages of its untouched
+upper triangle cost no memory.  A writer can also take the block of an
+earlier system of the same size: a sweep hands each row a block that a
+finished row left behind, instead of faulting in fresh pages, and the
+writer zeroes what the model does not overwrite.
 
 The hat rows N and the Gauss points and weights of a rule (HatRows) do not
 depend on the kernel, so a model builds them once per rule and hands them
@@ -56,9 +56,9 @@ __all__ = [
     "hat_rows",
     "StiffnessSystem",
     "SolverError",
-    "BLAS_MARGIN",
     "available_memory",
     "backed_bytes",
+    "blas_margin",
     "block_metadata",
     "check_fits",
     "dense_block",
@@ -73,16 +73,6 @@ __all__ = [
 # one point fewer for the transverse shear terms (locking control)
 BENDING_POINTS = 2
 SHEAR_POINTS = 1
-
-# Dense blocks of at least this many bytes get small pages (dense_block).
-# Below it huge pages stay, which factor faster: on small pages a 24x24
-# plate's 53 MiB block solved in 0.12 s against 0.10 s (2-core Xeon).
-_SMALL_PAGE_BYTES = 256 << 20
-
-# Memory a solve needs beyond its block, for OpenBLAS's work buffers: on 2
-# threads the factorization raised the peak by 23 MiB over the block's pages
-# on the 48x48 plate and by 8 MiB on the 24x24 plate.
-BLAS_MARGIN = 48 << 20
 
 # Where available_memory finds the process's cgroups.
 _PROC_CGROUP = "/proc/self/cgroup"
@@ -327,15 +317,12 @@ def _cgroup_headroom() -> int | None:
 def backed_bytes(n: int, upper: int = 0) -> int:
     """Bytes of memory the n x n block of dense_block backs once its lower triangle is written.
 
-    Below _SMALL_PAGE_BYTES that is all 8 n^2 bytes: the block may sit on
-    huge pages, and each of them holds some lower-triangle entry.  From there
-    on the block has small pages, and only those written are backed: the
-    pages that hold rows max(0, j - upper) to n - 1 of each column j, where
-    upper is the most entries above the diagonal that the model writes in a
-    column (0 but for the plate, see plate.MindlinPlateModel.free_block).
+    The block has small pages, and only those written are backed: the pages
+    that hold rows max(0, j - upper) to n - 1 of each column j, where upper
+    is the most entries above the diagonal that the model writes in a column
+    (0 but for the plate, see plate.MindlinPlateModel.free_block).  Whole
+    pages are counted, so a tiny block backs more than its 8 n^2 bytes.
     """
-    if 8 * n * n < _SMALL_PAGE_BYTES:
-        return 8 * n * n
     j = np.arange(n, dtype=np.int64)
     first = 8 * (j * n + np.maximum(j - upper, 0)) // mmap.PAGESIZE
     last = (8 * (j + 1) * n - 1) // mmap.PAGESIZE
@@ -356,12 +343,25 @@ def block_metadata(n: int, upper: int = 0) -> dict[str, str]:
     }
 
 
-def check_fits(n: int, upper: int = 0, margin: int = BLAS_MARGIN) -> None:
+def blas_margin(n: int) -> int:
+    """Bytes a solve of n dofs takes beyond its block, mostly the factorization's work buffers."""
+    # 8 MiB and 3 KiB per dof.  On 2 threads a solve lifted the peak RSS above
+    # the RSS before its block plus the block's backed pages by 3.7 MiB on the
+    # 12x12 plate (605 dofs), 7.6 MiB on the 600-dof beam sweep, 9.2 MiB on the
+    # 24x24 plate, 15.1 MiB on the 32x32 and 32.1 MiB on the 48x48 (11,045
+    # dofs): about 2.8 KiB more per dof, as OpenBLAS's panels of a few hundred
+    # columns would.
+    return (8 << 20) + (3 << 10) * n
+
+
+def check_fits(n: int, upper: int = 0, margin: int | None = None) -> None:
     """Raise SolverError when an n x n block and margin bytes would not fit in the available memory.
 
     The block counts the bytes it will back (backed_bytes(n, upper)); margin
-    defaults to BLAS_MARGIN, the work buffers of the factorization.
+    defaults to blas_margin(n), what the solve needs beyond the block.
     """
+    if margin is None:
+        margin = blas_margin(n)
     block = backed_bytes(n, upper)
     have = available_memory()
     if have is not None and block + margin > have:
@@ -376,17 +376,20 @@ def dense_block(n: int) -> np.ndarray:
     """Zeroed n x n float64 array in column-major (LAPACK) order.
 
     Raises SolverError, before allocating, when the pages the array will back
-    would not fit in the available memory.  A block of _SMALL_PAGE_BYTES or
-    more gets its own anonymous mapping, advised against transparent huge
-    pages, so that only the pages written are backed: the upper triangle of
-    a block that stores its lower triangle then costs no memory.  numpy
-    advises huge pages for every array from 4 MiB on, and every 2 MiB page
-    of a column-major block holds some lower-triangle entry, which would
-    back all of it.
+    would not fit in the available memory.  The block gets its own anonymous
+    mapping, advised against transparent huge pages, so that only the pages
+    written are backed: the upper triangle of a block that stores its lower
+    triangle then costs no memory.  numpy advises huge pages for every array
+    from 4 MiB on, and every 2 MiB page of a column-major block holds some
+    lower-triangle entry, which would back all of it.  Once its pages are
+    faulted in, a block factors about as fast on small pages as on huge ones:
+    cho_factor medians on 2 threads read 0.096-0.102 s against 0.094-0.100 s
+    for the 24x24 plate's 2,645 dofs, 0.46-0.50 s against 0.44-0.49 s for the
+    32x32 plate's 4,805, two runs each on a 2-core Xeon.
     """
     check_fits(n, margin=0)
-    if 8 * n * n < _SMALL_PAGE_BYTES:
-        return np.zeros((n, n), order="F")
+    if n == 0:  # mmap rejects a zero length
+        return np.zeros((0, 0), order="F")
     pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         pages.madvise(mmap.MADV_NOHUGEPAGE)

@@ -24,8 +24,8 @@ diagonal take transposed views of the same Grams, so each entry has the
 bits of its mirror image.  The system's product K x applies the same
 restricted Grams term by term.  At 48x48 clamped the free block has 11,045
 dofs and spans 0.93 GiB, but above the diagonal only the small y-node
-blocks that the diagonal crosses are written, and dense_block backs a block
-that large with small pages, so the untouched upper half costs no memory.
+blocks that the diagonal crosses are written, and dense_block backs every
+block with small pages, so the untouched upper half costs no memory.
 The hat rows of each axis and rule, and their N-N Grams, do not depend on
 the kernel: a model builds them once, on first use, and keeps them.
 

@@ -196,11 +196,17 @@ def test_shipped_sweep_manifest_counts_its_distinct_solves(tmp_path, config):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["rows"] == "27"
     assert manifest["solves"] == "13"
-    # the free block: 3 * 201 - 3 beam dofs, 5 * 23^2 clamped plate dofs; both
-    # lie below the small-page threshold, so they back all they span
-    dofs, mib = {"sweep_beam.yaml": ("600", "2.7"), "sweep_plate.yaml": ("2645", "53.4")}[config]
+    # the free block: 3 * 201 - 3 beam dofs, 5 * 23^2 clamped plate dofs.  The
+    # plate backs only the pages of its lower triangle and of the upper
+    # entries it writes; a beam column (4,800 bytes) is longer than a page,
+    # so the beam backs nearly all it spans (2.72 of 2.75 MiB).
+    dofs, span, backed = {
+        "sweep_beam.yaml": ("600", "2.7", "2.7"),
+        "sweep_plate.yaml": ("2645", "53.4", "36.3"),
+    }[config]
     assert manifest["block_dofs"] == dofs
-    assert manifest["block_span_mib"] == manifest["block_backed_mib"] == mib
+    assert manifest["block_span_mib"] == span
+    assert manifest["block_backed_mib"] == backed
 
 
 def test_shipped_beam_sweep_builds_quadratures_once_per_saturated_key(tmp_path, monkeypatch):
@@ -510,8 +516,9 @@ def test_a_48x48_plate_proceeds_with_memory_between_its_backed_and_spanned_bytes
 ):
     backed = fem.backed_bytes(PLATE_48_DOFS, upper=46)
     span = 8 * PLATE_48_DOFS**2
-    assert backed + fem.BLAS_MARGIN < span
-    monkeypatch.setattr(fem, "available_memory", lambda: (backed + fem.BLAS_MARGIN + span) // 2)
+    margin = fem.blas_margin(PLATE_48_DOFS)
+    assert backed + margin < span
+    monkeypatch.setattr(fem, "available_memory", lambda: (backed + margin + span) // 2)
     factored = []
 
     def stop(a, *args, **kwargs):
@@ -544,26 +551,28 @@ def test_a_48x48_plate_exits_3_before_allocating_below_its_backed_bytes(
     assert code == EXIT_SOLVER
     assert peak < backed // 100
     err = capsys.readouterr().err
-    assert "dense system of 11045 dofs needs 0.50 GiB and 48 MiB of BLAS buffers" in err
+    assert "dense system of 11045 dofs needs 0.50 GiB and 40 MiB of BLAS buffers" in err
     assert not (out / "plate.csv").exists()
 
 
 def test_a_cgroup_memory_limit_is_honoured(tmp_path, capsys, monkeypatch):
     # 8 x 8 clamped: 245 free dofs, a 0.5 MB block, under a cgroup v2 limit
-    # that leaves 16 MiB, less than the BLAS margin on top of the block
+    # that leaves one byte less than the block's backed pages and the BLAS
+    # margin (8.7 MiB)
+    headroom = fem.backed_bytes(245, upper=6) + fem.blas_margin(245) - 1
     proc = tmp_path / "cgroup"
     proc.write_text("0::/job\n", encoding="ascii")
     group = tmp_path / "fs" / "job"
     group.mkdir(parents=True)
     (group / "memory.max").write_text(f"{1 << 30}\n", encoding="ascii")
-    (group / "memory.current").write_text(f"{(1 << 30) - (16 << 20)}\n", encoding="ascii")
+    (group / "memory.current").write_text(f"{(1 << 30) - headroom}\n", encoding="ascii")
     monkeypatch.setattr(fem, "_PROC_CGROUP", str(proc))
     monkeypatch.setattr(fem, "_CGROUP_ROOT", str(tmp_path / "fs"))
     text = PLATE_48_YAML.replace("48", "8")
     code, _ = run(tmp_path, "plate", text)
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err
-    assert "dense system of 245 dofs" in err and "only 0.02 GiB of memory is available" in err
+    assert "dense system of 245 dofs" in err and "only 0.01 GiB of memory is available" in err
 
 
 def test_sweep_keeps_going_past_a_failed_row(tmp_path):

@@ -396,25 +396,29 @@ def test_free_block_writer_places_the_lower_field_blocks():
 
 
 def test_dense_block_is_checked_against_available_memory(monkeypatch):
-    monkeypatch.setattr(fem, "available_memory", lambda: 8 * 30 * 30)
+    # the exact boundary: the whole pages a 30 x 30 block backs
+    need = fem.backed_bytes(30)
+    monkeypatch.setattr(fem, "available_memory", lambda: need)
     block = fem.dense_block(30)
     assert block.shape == (30, 30) and block.flags.f_contiguous and not block.any()
-    with pytest.raises(SolverError, match=r"31 dofs needs 0\.00 GiB"):
-        fem.dense_block(31)
+    monkeypatch.setattr(fem, "available_memory", lambda: need - 1)
+    with pytest.raises(SolverError, match=r"30 dofs needs 0\.00 GiB"):
+        fem.dense_block(30)
     monkeypatch.setattr(fem, "available_memory", lambda: None)
     assert fem.dense_block(31).shape == (31, 31)
 
 
-def test_a_large_dense_block_gets_its_own_zeroed_mapping(monkeypatch):
-    # at or above the threshold the block lives in an anonymous mapping of its own
-    monkeypatch.setattr(fem, "_SMALL_PAGE_BYTES", 8 * 40 * 40)
-    small, large = fem.dense_block(39), fem.dense_block(40)
-    assert small.flags.owndata
-    assert not large.flags.owndata and large.ctypes.data % mmap.PAGESIZE == 0
-    assert large.shape == (40, 40) and large.flags.f_contiguous and large.flags.writeable
-    assert not large.any()
-    large[:, 3] = 1.0
-    assert large.sum() == 40.0
+@pytest.mark.parametrize("n", [0, 1, 39, 600])
+def test_every_dense_block_is_a_zeroed_mapping_of_its_own(n):
+    block = fem.dense_block(n)
+    assert block.shape == (n, n) and block.dtype == float
+    assert block.flags.f_contiguous and block.flags.writeable
+    assert not block.any()
+    if n:
+        # an anonymous mapping, not numpy's heap: page-aligned and not owned
+        assert not block.flags.owndata and block.ctypes.data % mmap.PAGESIZE == 0
+        block[:, n - 1] = 1.0
+        assert block.sum() == n
 
 
 def test_available_memory_is_a_byte_count_or_unknown():
@@ -446,11 +450,10 @@ def _count_pages(n: int, upper: int) -> int:
     return len(pages) * mmap.PAGESIZE
 
 
-def test_a_block_backs_all_of_itself_below_the_small_page_threshold(monkeypatch):
-    monkeypatch.setattr(fem, "_SMALL_PAGE_BYTES", 8 * 400 * 400)
-    assert fem.backed_bytes(399) == fem.backed_bytes(399, upper=50) == 8 * 399**2
-    for n, upper in ((400, 0), (400, 25), (1000, 0), (1000, 47)):
-        assert fem.backed_bytes(n, upper) == _count_pages(n, upper)
+@pytest.mark.parametrize("n, upper", [(1, 0), (30, 0), (600, 0), (2645, 0), (2645, 22)])
+def test_a_block_backs_the_pages_holding_what_is_written(n, upper):
+    # whole pages at every size: a tiny block backs more than its 8 n^2 bytes
+    assert fem.backed_bytes(n, upper) == _count_pages(n, upper)
 
 
 def test_a_large_block_backs_about_half_of_itself_and_a_little_more_per_upper_entry():
@@ -463,11 +466,13 @@ def test_a_large_block_backs_about_half_of_itself_and_a_little_more_per_upper_en
 
 
 def test_check_fits_adds_the_blas_margin_to_the_backed_bytes(monkeypatch):
-    need = fem.backed_bytes(300) + fem.BLAS_MARGIN
+    # 8 MiB and 3 KiB per dof: 8.9 MiB for 300 dofs
+    assert fem.blas_margin(300) == (8 << 20) + 300 * (3 << 10)
+    need = fem.backed_bytes(300) + fem.blas_margin(300)
     monkeypatch.setattr(fem, "available_memory", lambda: need)
     fem.check_fits(300)
     monkeypatch.setattr(fem, "available_memory", lambda: need - 1)
-    with pytest.raises(SolverError, match=r"300 dofs needs 0\.00 GiB and 48 MiB of BLAS buffers"):
+    with pytest.raises(SolverError, match=r"300 dofs needs 0\.00 GiB and 9 MiB of BLAS buffers"):
         fem.check_fits(300)
     fem.check_fits(300, margin=0)
 
