@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import pytest
@@ -231,6 +232,148 @@ def test_threads_must_be_at_least_one():
     assert "threads" in errors_of(BEAM_MINIMAL + "threads: 0\n", "beam")
 
 
+# Each document with the exact lines of its ConfigError, in order.  They pin
+# the messages, paths and order of every section, kernel, mesh, load and grid
+# check before any change to how the schema is read.
+LOCAL = "kernel: {kind: local}\nhorizon: {l_f: 0.5}\n"
+INVALID_DOCUMENTS = [
+    (
+        "beam_geometry",
+        "beam",
+        LOCAL + "geometry: {length: 0, width: -0.1, height: abc, depth: 1}\n",
+        [
+            "geometry.length: must be positive (got 0.0)",
+            "geometry.width: must be positive (got -0.1)",
+            "geometry.height: expected a number, got 'abc'",
+            "geometry.depth: unknown key",
+            "geometry/material: length must be positive (got 0.0)",
+        ],
+    ),
+    (
+        "beam_material",
+        "beam",
+        LOCAL + "material: {modulus: 0, poisson: 0.6, shear_correction: -1, density: 2500}\n",
+        [
+            "material.modulus: must be positive (got 0.0)",
+            "material.shear_correction: must be positive (got -1.0)",
+            "material.density: unknown key",
+            "geometry/material: modulus must be positive (got 0.0)",
+        ],
+    ),
+    (
+        "plate_geometry",
+        "plate",
+        LOCAL + "geometry: {length_x: -1.0, thickness: 0, length: 1.0}\n",
+        [
+            "geometry.length_x: must be positive (got -1.0)",
+            "geometry.thickness: must be positive (got 0.0)",
+            "geometry.length: unknown key",
+            "geometry/material: length_x must be positive (got -1.0)",
+        ],
+    ),
+    (
+        "plate_material",
+        "plate",
+        LOCAL + "material: {poisson: 0.5, modulus: 1.0e+9}\n",
+        ["geometry/material: poisson ratio must lie in [0, 0.5) (got 0.5)"],
+    ),
+    (
+        "single_kernel",
+        "beam",
+        "kernel: {kind: exponential, l0: -1.0, alpha: 0.5}\nhorizon: {l_f: 0}\n",
+        [
+            "kernel.l0: must be positive (got -1.0)",
+            "kernel.alpha: unknown key",
+            "horizon.l_f: must be positive (got 0.0)",
+        ],
+    ),
+    (
+        "single_power_law",
+        "plate",
+        "kernel: {kind: power_law, alpha: 1.5}\nhorizon: {}\n",
+        [
+            "kernel.alpha: power-law exponent must lie in (0, 1] (got 1.5)",
+            "horizon.l_f: required",
+        ],
+    ),
+    (
+        "kernel_grid",
+        "sweep",
+        """
+target: plate
+kernels:
+  - {kind: exponential, l0_grid: [1.0e-3, -1.0, x]}
+  - {kind: power_law}
+  - {kind: local, alpha_grid: [1.0]}
+  - 3
+horizon: {l_f_grid: []}
+""",
+        [
+            "kernels[0].l0_grid[1]: must be positive (got -1.0)",
+            "kernels[0].l0_grid[2]: expected a number, got 'x'",
+            "kernels[1].alpha_grid: required",
+            "kernels[2].alpha_grid: unknown key",
+            "kernels[3]: expected a mapping, got int",
+            "kernels[3].kind: required (one of exponential, power_law, local)",
+            "horizon.l_f_grid: expected a nonempty list of numbers",
+        ],
+    ),
+    (
+        "beam_mesh_and_zero_load",
+        "beam",
+        LOCAL + "load: {case: ss_udtl, intensity: 0}\nmesh: {n_elements: 201}\n",
+        [
+            "load: magnitude must be nonzero",
+            "mesh.n_elements: must be even for the midspan metric",
+        ],
+    ),
+    (
+        "plate_mesh_and_zero_pressure",
+        "plate",
+        LOCAL + "load: {pressure: 0}\nmesh: {nx: 9, ny: 7}\nbc: {set: free}\n",
+        [
+            "bc.set: must be one of clamped, simply_supported (got 'free')",
+            "load.pressure: must be nonzero",
+            "mesh.nx: must be even for the center-node metric",
+            "mesh.ny: must be even for the center-node metric",
+        ],
+    ),
+    (
+        "k_grid_order",
+        "dispersion",
+        "kernel: {kind: local}\nk_grid: {min: 10.0, max: 1.0, count: 0}\nmaterial: {density: 0}\n",
+        [
+            "material.density: must be positive (got 0.0)",
+            "k_grid.count: must be >= 1 (got 0)",
+            "k_grid.max: must be >= k_grid.min",
+        ],
+    ),
+    (
+        "unknown_keys",
+        "beam",
+        LOCAL + "mesh: {n_elemnts: 100}\nbc: {set: clamped}\nstray: 1\nthreads: 0\noutput: 3\n",
+        [
+            "threads: must be >= 1 (got 0)",
+            "output: expected a file name, got 3",
+            "mesh.n_elemnts: unknown key",
+            "bc: unknown key",
+            "stray: unknown key",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, lines",
+    [case[1:] for case in INVALID_DOCUMENTS],
+    ids=[case[0] for case in INVALID_DOCUMENTS],
+)
+def test_invalid_documents_give_exactly_these_errors(subcommand, text, lines):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, subcommand)
+    assert list(info.value.errors) == lines
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -286,6 +429,107 @@ def test_shipped_example_configs_are_valid(path):
     cfg = parse_config(path.read_text(encoding="utf-8"), subcommand)
     assert cfg.subcommand == subcommand
     assert cfg.kernel_specs
+
+
+BEAM_SECTION = dict(
+    length=1.0, width=0.1, height=0.1, modulus=30e9, poisson=0.3, shear_correction=5.0 / 6.0
+)
+PLATE_SECTION = dict(
+    length_x=1.0, length_y=1.0, thickness=0.1, modulus=30e9, poisson=0.3, shear_correction=5.0 / 6.0
+)
+GRID_KERNELS = (
+    [("exponential", l0) for l0 in (1e-6, 1e-3, 2.5e-3, 5e-3)]
+    + [("power_law", alpha) for alpha in (0.7, 0.8, 0.9, 1.0)]
+    + [("local", None)]
+)
+
+
+def _recorded(subcommand, target, kernels, **fields):
+    """Every field of a RunConfig as dataclasses.asdict gives it, unlisted ones at their defaults."""
+    return dict(
+        dict(
+            subcommand=subcommand,
+            target=target,
+            kernel_specs=tuple(dict(kind=kind, param=param) for kind, param in kernels),
+            l_f_grid=(),
+            beam_section=None,
+            plate_section=None,
+            density=2500.0,
+            k_values=(),
+            n_elements=200,
+            nx=24,
+            ny=24,
+            load_case="cantilever_tip",
+            load_value=1.0,
+            boundary="clamped",
+            pressure=1.0,
+            refinements=1,
+            threads=1,
+            output=None,
+        ),
+        **fields,
+    )
+
+
+def _k_grid(k_min, k_max, count):
+    step = (k_max - k_min) / (count - 1)
+    return tuple(k_min + step * i for i in range(count))
+
+
+SHIPPED_VALUES = {
+    "beam_cantilever.yaml": _recorded(
+        "beam", "beam", [("exponential", 2.5e-3)], l_f_grid=(0.5,), beam_section=BEAM_SECTION
+    ),
+    "convergence_beam.yaml": _recorded(
+        "convergence",
+        "beam",
+        [("exponential", 2.5e-3)],
+        l_f_grid=(0.5,),
+        beam_section=BEAM_SECTION,
+        refinements=2,
+    ),
+    "convergence_plate.yaml": _recorded(
+        "convergence", "plate", [("exponential", 2.5e-3)], l_f_grid=(0.5,), plate_section=PLATE_SECTION
+    ),
+    "dispersion_exponential.yaml": _recorded(
+        "dispersion",
+        "dispersion",
+        [("exponential", 2.5e-3)],
+        beam_section=BEAM_SECTION,
+        k_values=_k_grid(40.0, 2000.0, 100),
+    ),
+    "dispersion_power_law.yaml": _recorded(
+        "dispersion",
+        "dispersion",
+        [("power_law", 0.75)],
+        beam_section=BEAM_SECTION,
+        k_values=_k_grid(1.0, 10000.0, 100),
+    ),
+    "plate_simply_supported.yaml": _recorded(
+        "plate",
+        "plate",
+        [("power_law", 0.8)],
+        l_f_grid=(0.5,),
+        plate_section=PLATE_SECTION,
+        boundary="simply_supported",
+    ),
+    "sweep_beam.yaml": _recorded(
+        "sweep", "beam", GRID_KERNELS, l_f_grid=(0.5, 0.75, 1.0), beam_section=BEAM_SECTION
+    ),
+    "sweep_plate.yaml": _recorded(
+        "sweep", "plate", GRID_KERNELS, l_f_grid=(0.5, 0.75, 1.0), plate_section=PLATE_SECTION
+    ),
+}
+
+
+def test_every_shipped_config_is_recorded():
+    assert sorted(SHIPPED_VALUES) == sorted(p.name for p in CONFIG_DIR.glob("*.yaml"))
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_VALUES))
+def test_shipped_configs_parse_to_recorded_values(name):
+    text, subcommand = (CONFIG_DIR / name).read_text(encoding="utf-8"), name.split("_")[0]
+    assert dataclasses.asdict(parse_config(text, subcommand)) == SHIPPED_VALUES[name]
 
 
 # ---------------------------------------------------------------------------
