@@ -30,7 +30,6 @@ import numpy as np
 from . import fem
 from .fem import AxisQuadrature, IntervalMesh, StiffnessSystem, gauss_rule, gram
 from .kernels import Kernel
-from .operator import NonlocalOperatorMatrix
 
 __all__ = [
     "BeamSection",
@@ -38,7 +37,6 @@ __all__ = [
     "SimplySupportedUniformLoad",
     "TimoshenkoBeamModel",
     "BeamDisplacement",
-    "beam_strains",
     "BEAM_SWEEP_COLUMNS",
 ]
 
@@ -125,7 +123,6 @@ class TimoshenkoBeamModel:
         self.section = section
         self.load = load
         self.mesh = IntervalMesh(section.length, n_elements)
-        self._fits = False  # set once the free block has passed its memory check
 
     @functools.cached_property
     def _hats(self) -> dict[int, fem.HatRows]:
@@ -177,15 +174,7 @@ class TimoshenkoBeamModel:
         return W0 * self.mesh.n_nodes + self.metric_node
 
     def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict[int, AxisQuadrature]:
-        """The bending and shear rules' quadratures, keyed by their point counts.
-
-        Every system of the model has the same free block, so its memory
-        check runs on the first call only, before any quadrature work: an
-        oversized mesh fails before it allocates.
-        """
-        if not self._fits:
-            fem.check_fits(*self.free_block)
-            self._fits = True
+        """The bending and shear rules' quadratures, keyed by their point counts."""
         return {
             npts: AxisQuadrature(self.mesh, gauss_rule(npts), kernel, horizon_radius, hats)
             for npts, hats in self._hats.items()
@@ -276,17 +265,3 @@ class BeamDisplacement:
     def from_vector(cls, nodes: np.ndarray, u: np.ndarray) -> "BeamDisplacement":
         nn = nodes.size
         return cls(nodes, u[:nn], u[nn : 2 * nn], u[2 * nn :])
-
-
-def beam_strains(
-    displacement: BeamDisplacement, operator: NonlocalOperatorMatrix, z: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Axial strain and transverse shear at the operator's evaluation points.
-
-    eps_xx = Dbar u0 - z * Dbar theta; gamma_xz = Dbar w0 - theta, the
-    rotation interpolated pointwise (it enters the shear measure locally).
-    """
-    theta_at = np.interp(operator.eval_points, displacement.nodes, displacement.theta)
-    eps = operator.apply(displacement.u0) - z * operator.apply(displacement.theta)
-    gamma = operator.apply(displacement.w0) - theta_at
-    return eps, gamma

@@ -4,17 +4,19 @@ One YAML document per run.  Validation is schema-per-subcommand, collects
 every problem instead of stopping at the first, and rejects unknown keys so
 typos fail loudly rather than silently falling back to defaults.  Defaults
 mirror the production setup: E = 30 GPa, nu = 0.3, shear correction 5/6,
-unit spans, 200 beam elements, 24 x 24 plate elements.
+unit spans, 200 beam elements, 24 x 24 plate elements.  The keys, order and
+defaults of `geometry:` and `material:` are the fields of BeamSection and
+PlateSection, and each kernel's parameter is named by KERNEL_PARAMS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import yaml
 
 from .beam import FIXED_NODES, BeamSection
-from .kernels import KERNEL_KINDS, power_law
+from .kernels import KERNEL_KINDS, KERNEL_PARAMS, power_law
 from .plate import BOUNDARY_CONDITIONS, PlateSection
 from .results import KernelSpec, check_alpha_floor
 
@@ -22,6 +24,9 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "LOAD_CASE
 
 SUBCOMMANDS = ("dispersion", "beam", "plate", "sweep", "convergence")
 LOAD_CASES = tuple(FIXED_NODES)
+
+# The fields of BeamSection and PlateSection read under `material:`.
+_MATERIAL = ("modulus", "poisson", "shear_correction")
 
 
 class ConfigError(ValueError):
@@ -32,7 +37,7 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Fully validated inputs of one run."""
 
@@ -92,7 +97,11 @@ class _Block:
         self.seen.add(key)
         return self.data.get(key, default)
 
-    def number(self, key, default=None, *, positive=False, minimum=None, maximum=None):
+    def block(self, key: str) -> "_Block":
+        """The mapping under key, empty when absent."""
+        return _Block(self.raw(key, {}), self._at(key), self.errors)
+
+    def number(self, key, default=None, *, positive=False, minimum=None):
         self.seen.add(key)
         if key not in self.data:
             if default is None:
@@ -108,8 +117,6 @@ class _Block:
             self.errors.append(f"{self._at(key)}: must be positive (got {value!r})")
         if minimum is not None and value < minimum:
             self.errors.append(f"{self._at(key)}: must be >= {minimum} (got {value!r})")
-        if maximum is not None and value > maximum:
-            self.errors.append(f"{self._at(key)}: must be <= {maximum} (got {value!r})")
         return value
 
     def integer(self, key, default=None, *, minimum=None):
@@ -140,26 +147,27 @@ class _Block:
             return default
         return value
 
-    def number_list(self, key, *, positive=False):
+    def number_list(self, key, *, positive=False) -> dict[str, float]:
+        """The valid items of the list under key, keyed by their paths, in listed order."""
         self.seen.add(key)
         if key not in self.data:
             self.errors.append(f"{self._at(key)}: required")
-            return ()
+            return {}
         value = self.data[key]
         if not isinstance(value, list) or not value:
             self.errors.append(f"{self._at(key)}: expected a nonempty list of numbers")
-            return ()
-        out = []
+            return {}
+        out = {}
         for i, item in enumerate(value):
+            where = f"{self._at(key)}[{i}]"
             number = _to_number(item)
             if number is None:
-                self.errors.append(f"{self._at(key)}[{i}]: expected a number, got {item!r}")
-                continue
-            if positive and not number > 0.0:
-                self.errors.append(f"{self._at(key)}[{i}]: must be positive (got {item!r})")
-                continue
-            out.append(number)
-        return tuple(out)
+                self.errors.append(f"{where}: expected a number, got {item!r}")
+            elif positive and not number > 0.0:
+                self.errors.append(f"{where}: must be positive (got {item!r})")
+            else:
+                out[where] = number
+        return out
 
     def close(self) -> None:
         for key in sorted(set(self.data) - self.seen):
@@ -175,154 +183,86 @@ def _check_alpha(alpha: float, where: str, errors: list[str]) -> None:
         errors.append(f"{where}: {exc}")
 
 
-def _kernel_spec(block: _Block, errors: list[str]) -> KernelSpec | None:
-    kind = block.choice("kind", KERNEL_KINDS)
-    if kind == "exponential":
-        l0 = block.number("l0", positive=True)
-        block.close()
-        return None if l0 is None else KernelSpec("exponential", l0)
-    if kind == "power_law":
-        alpha = block.number("alpha")
-        if alpha is not None:
-            _check_alpha(alpha, block._at("alpha"), errors)
-        block.close()
-        return None if alpha is None else KernelSpec("power_law", alpha)
-    if kind == "local":
-        block.close()
-        return KernelSpec("local")
+def _kernels(block: _Block, grid: bool = False) -> list[KernelSpec]:
+    """The kernels of one `kernel:` mapping, or of one `kernels:` entry when grid is set.
+
+    KERNEL_PARAMS names each kind's parameter, `l0` or `alpha`; a sweep entry
+    lists its values under `<name>_grid`.  An exponential length must be
+    positive, and a power-law exponent must pass _check_alpha.
+    """
+    kind = block.choice("kind", tuple(KERNEL_KINDS))
+    name = KERNEL_PARAMS.get(kind)
+    specs = [] if kind is None or name is not None else [KernelSpec(kind)]
+    if name is not None:
+        positive = kind == "exponential"
+        if grid:
+            values = block.number_list(f"{name}_grid", positive=positive)
+        else:
+            value = block.number(name, positive=positive)
+            values = {} if value is None else {block._at(name): value}
+        if kind == "power_law":
+            for where, alpha in values.items():
+                _check_alpha(alpha, where, block.errors)
+        specs = [KernelSpec(kind, value) for value in values.values()]
     block.close()
-    return None
+    return specs
 
 
-def _kernel_grid(raw, path: str, errors: list[str]) -> tuple[KernelSpec, ...]:
-    if not isinstance(raw, list) or not raw:
-        errors.append(f"{path}: expected a nonempty list of kernel entries")
-        return ()
-    specs: list[KernelSpec] = []
-    for i, entry in enumerate(raw):
-        block = _Block(entry, f"{path}[{i}]", errors)
-        kind = block.choice("kind", KERNEL_KINDS)
-        if kind == "exponential":
-            for l0 in block.number_list("l0_grid", positive=True):
-                specs.append(KernelSpec("exponential", l0))
-        elif kind == "power_law":
-            for alpha in block.number_list("alpha_grid"):
-                _check_alpha(alpha, f"{path}[{i}].alpha_grid", errors)
-                specs.append(KernelSpec("power_law", alpha))
-        elif kind == "local":
-            specs.append(KernelSpec("local"))
+def _section(top: _Block, errors: list[str], cls):
+    """A BeamSection or PlateSection from `geometry:` and `material:`.
+
+    Each key, its order and its default come from the fields of cls: the
+    elastic constants go under `material:`, the rest under `geometry:`, and
+    every one but `poisson` must be positive.
+    """
+    blocks = {name: top.block(name) for name in ("geometry", "material")}
+    kwargs = {
+        field.name: blocks["material" if field.name in _MATERIAL else "geometry"].number(
+            field.name, field.default, positive=field.name != "poisson"
+        )
+        for field in dataclasses.fields(cls)
+    }
+    for block in blocks.values():
         block.close()
-    return tuple(specs)
-
-
-def _beam_section(top: _Block, errors: list[str]) -> BeamSection | None:
-    geo = _Block(top.raw("geometry", {}), "geometry", errors)
-    mat = _Block(top.raw("material", {}), "material", errors)
-    kwargs = dict(
-        length=geo.number("length", 1.0, positive=True),
-        width=geo.number("width", 0.1, positive=True),
-        height=geo.number("height", 0.1, positive=True),
-        modulus=mat.number("modulus", 30e9, positive=True),
-        poisson=mat.number("poisson", 0.3),
-        shear_correction=mat.number("shear_correction", 5.0 / 6.0, positive=True),
-    )
-    geo.close()
-    mat.close()
     try:
-        return BeamSection(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         errors.append(f"geometry/material: {exc}")
         return None
-
-
-def _plate_section(top: _Block, errors: list[str]) -> PlateSection | None:
-    geo = _Block(top.raw("geometry", {}), "geometry", errors)
-    mat = _Block(top.raw("material", {}), "material", errors)
-    kwargs = dict(
-        length_x=geo.number("length_x", 1.0, positive=True),
-        length_y=geo.number("length_y", 1.0, positive=True),
-        thickness=geo.number("thickness", 0.1, positive=True),
-        modulus=mat.number("modulus", 30e9, positive=True),
-        poisson=mat.number("poisson", 0.3),
-        shear_correction=mat.number("shear_correction", 5.0 / 6.0, positive=True),
-    )
-    geo.close()
-    mat.close()
-    try:
-        return PlateSection(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"geometry/material: {exc}")
-        return None
-
-
-def _beam_load(top: _Block, errors: list[str]) -> tuple[str, float]:
-    load = _Block(top.raw("load", {}), "load", errors)
-    case = load.choice("case", LOAD_CASES, "cantilever_tip")
-    if case == "ss_udtl":
-        value = load.number("intensity", 1.0)
-    else:
-        value = load.number("magnitude", 1.0)
-    if value is not None and value == 0.0:
-        errors.append("load: magnitude must be nonzero")
-    load.close()
-    return case, value if value is not None else 1.0
-
-
-def _beam_mesh(top: _Block, errors: list[str], case: str) -> int:
-    mesh = _Block(top.raw("mesh", {}), "mesh", errors)
-    n = mesh.integer("n_elements", 200, minimum=1)
-    mesh.close()
-    if case == "ss_udtl" and n is not None and n % 2:
-        errors.append("mesh.n_elements: must be even for the midspan metric")
-    return n if n is not None else 200
-
-
-def _plate_mesh(top: _Block, errors: list[str]) -> tuple[int, int]:
-    mesh = _Block(top.raw("mesh", {}), "mesh", errors)
-    nx = mesh.integer("nx", 24, minimum=2)
-    ny = mesh.integer("ny", 24, minimum=2)
-    mesh.close()
-    for name, n in (("nx", nx), ("ny", ny)):
-        if n is not None and n % 2:
-            errors.append(f"mesh.{name}: must be even for the center-node metric")
-    return (nx if nx is not None else 24, ny if ny is not None else 24)
-
-
-def _plate_bc(top: _Block, errors: list[str]) -> tuple[str, float]:
-    bc = _Block(top.raw("bc", {}), "bc", errors)
-    boundary = bc.choice("set", BOUNDARY_CONDITIONS, "clamped")
-    bc.close()
-    load = _Block(top.raw("load", {}), "load", errors)
-    pressure = load.number("pressure", 1.0)
-    if pressure is not None and pressure == 0.0:
-        errors.append("load.pressure: must be nonzero")
-    load.close()
-    return boundary, pressure if pressure is not None else 1.0
 
 
 def _structure(top: _Block, errors: list[str], target: str) -> dict:
     """Section, load or boundary set, and mesh of a beam or plate target."""
     if target == "beam":
-        section = _beam_section(top, errors)
-        case, value = _beam_load(top, errors)
-        n_elements = _beam_mesh(top, errors, case)
+        section = _section(top, errors, BeamSection)
+        load = top.block("load")
+        case = load.choice("case", LOAD_CASES, "cantilever_tip")
+        value = load.number("intensity" if case == "ss_udtl" else "magnitude", 1.0)
+        if value == 0.0:
+            errors.append("load: magnitude must be nonzero")
+        load.close()
+        mesh = top.block("mesh")
+        n_elements = mesh.integer("n_elements", 200, minimum=1)
+        mesh.close()
+        if case == "ss_udtl" and n_elements % 2:
+            errors.append("mesh.n_elements: must be even for the midspan metric")
         return dict(beam_section=section, load_case=case, load_value=value, n_elements=n_elements)
-    section = _plate_section(top, errors)
-    boundary, pressure = _plate_bc(top, errors)
-    nx, ny = _plate_mesh(top, errors)
-    return dict(plate_section=section, boundary=boundary, pressure=pressure, nx=nx, ny=ny)
-
-
-def _single_kernel(top: _Block, errors: list[str]) -> tuple[KernelSpec, ...]:
-    spec = _kernel_spec(_Block(top.raw("kernel", {}), "kernel", errors), errors)
-    return (spec,) if spec is not None else ()
-
-
-def _single_horizon(top: _Block, errors: list[str]) -> tuple[float, ...]:
-    horizon = _Block(top.raw("horizon", {}), "horizon", errors)
-    l_f = horizon.number("l_f", positive=True)
-    horizon.close()
-    return (l_f,) if l_f is not None else ()
+    section = _section(top, errors, PlateSection)
+    bc = top.block("bc")
+    boundary = bc.choice("set", BOUNDARY_CONDITIONS, "clamped")
+    bc.close()
+    load = top.block("load")
+    pressure = load.number("pressure", 1.0)
+    if pressure == 0.0:
+        errors.append("load.pressure: must be nonzero")
+    load.close()
+    mesh = top.block("mesh")
+    counts = {name: mesh.integer(name, 24, minimum=2) for name in ("nx", "ny")}
+    mesh.close()
+    for name, n in counts.items():
+        if n % 2:
+            errors.append(f"mesh.{name}: must be even for the center-node metric")
+    return dict(plate_section=section, boundary=boundary, pressure=pressure, **counts)
 
 
 def parse_config(text: str, subcommand: str) -> RunConfig:
@@ -347,20 +287,15 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     if output is not None and not isinstance(output, str):
         errors.append(f"output: expected a file name, got {output!r}")
         output = None
-
-    kwargs = dict(
-        subcommand=subcommand,
-        threads=threads if threads is not None else 1,
-        output=output,
-    )
+    kwargs = dict(subcommand=subcommand, threads=threads, output=output)
 
     if subcommand == "dispersion":
-        mat = _Block(top.raw("material", {}), "material", errors)
-        modulus = mat.number("modulus", 30e9, positive=True)
+        mat = top.block("material")
+        modulus = mat.number("modulus", BeamSection.modulus, positive=True)
         density = mat.number("density", 2500.0, positive=True)
         mat.close()
-        specs = _single_kernel(top, errors)
-        grid = _Block(top.raw("k_grid", {}), "k_grid", errors)
+        specs = _kernels(top.block("kernel"))
+        grid = top.block("k_grid")
         k_min = grid.number("min", positive=True)
         k_max = grid.number("max", positive=True)
         count = grid.integer("count", 100, minimum=1)
@@ -369,14 +304,14 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         if k_min is not None and k_max is not None:
             if k_max < k_min:
                 errors.append("k_grid.max: must be >= k_grid.min")
-            elif count is not None:
+            else:
                 step = (k_max - k_min) / (count - 1) if count > 1 else 0.0
                 k_values = tuple(k_min + step * i for i in range(count))
         kwargs.update(
             target="dispersion",
-            kernel_specs=specs,
+            kernel_specs=tuple(specs),
             k_values=k_values,
-            density=density if density is not None else 2500.0,
+            density=density,
             # a non-positive modulus is already an error; build no section then
             beam_section=BeamSection(modulus=modulus) if modulus > 0.0 else None,
         )
@@ -387,16 +322,27 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         else:
             target = top.choice("target", ("beam", "plate"), "beam")
         if subcommand == "sweep":
-            kwargs["kernel_specs"] = _kernel_grid(top.raw("kernels"), "kernels", errors)
-            horizon = _Block(top.raw("horizon", {}), "horizon", errors)
-            kwargs["l_f_grid"] = horizon.number_list("l_f_grid", positive=True)
-            horizon.close()
+            entries = top.raw("kernels")
+            if not isinstance(entries, list) or not entries:
+                errors.append("kernels: expected a nonempty list of kernel entries")
+                entries = []
+            specs = [
+                spec
+                for i, entry in enumerate(entries)
+                for spec in _kernels(_Block(entry, f"kernels[{i}]", errors), grid=True)
+            ]
         else:
-            kwargs["kernel_specs"] = _single_kernel(top, errors)
-            kwargs["l_f_grid"] = _single_horizon(top, errors)
+            specs = _kernels(top.block("kernel"))
+        horizon = top.block("horizon")
+        if subcommand == "sweep":
+            l_f_grid = tuple(horizon.number_list("l_f_grid", positive=True).values())
+        else:
+            l_f = horizon.number("l_f", positive=True)
+            l_f_grid = () if l_f is None else (l_f,)
+        horizon.close()
+        kwargs.update(kernel_specs=tuple(specs), l_f_grid=l_f_grid)
         if subcommand == "convergence":
-            refinements = top.integer("refinements", 1, minimum=1)
-            kwargs["refinements"] = refinements if refinements is not None else 1
+            kwargs["refinements"] = top.integer("refinements", 1, minimum=1)
         kwargs.update(target=target, **_structure(top, errors, target))
 
     top.close()

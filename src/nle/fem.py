@@ -53,7 +53,6 @@ __all__ = [
     "HatRows",
     "AxisQuadrature",
     "gram",
-    "hat_rows",
     "StiffnessSystem",
     "SolverError",
     "available_memory",
@@ -216,25 +215,6 @@ def gram(P: np.ndarray, Q: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return P.T @ (weights[:, None] * Q)
 
 
-def hat_rows(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Piecewise-linear basis values at points inside the node span.
-
-    Row r holds the hat-function values at points[r]; matrix-vector product
-    with nodal values interpolates the field.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if pts.size and (pts.min() < nodes[0] or pts.max() > nodes[-1]):
-        raise ValueError("interpolation points fall outside the mesh span")
-    el = np.clip(np.searchsorted(nodes, pts, side="right") - 1, 0, nodes.size - 2)
-    t = (pts - nodes[el]) / (nodes[el + 1] - nodes[el])
-    rows = np.zeros((pts.size, nodes.size))
-    idx = np.arange(pts.size)
-    rows[idx, el] = 1.0 - t
-    rows[idx, el + 1] = t
-    return rows
-
-
 @dataclass(frozen=True)
 class StiffnessSystem:
     """Free-free stiffness block, consistent load, free dofs, and K x.
@@ -354,20 +334,24 @@ def blas_margin(n: int) -> int:
     return (8 << 20) + (3 << 10) * n
 
 
-def check_fits(n: int, upper: int = 0, margin: int | None = None) -> None:
-    """Raise SolverError when an n x n block and margin bytes would not fit in the available memory.
+def check_fits(n: int, upper: int = 0, margin: int | None = None, blocks: int = 1) -> None:
+    """Raise SolverError when `blocks` n x n blocks and their margins would not fit in memory.
 
-    The block counts the bytes it will back (backed_bytes(n, upper)); margin
-    defaults to blas_margin(n), what the solve needs beyond the block.
+    Each block counts the bytes it will back (backed_bytes(n, upper)); margin
+    defaults to blas_margin(n), what its solve needs beyond it.  A sweep on
+    several threads holds up to one block per worker (results.sweep).
     """
     if margin is None:
         margin = blas_margin(n)
-    block = backed_bytes(n, upper)
+    block, margin = blocks * backed_bytes(n, upper), blocks * margin
     have = available_memory()
     if have is not None and block + margin > have:
         extra = f" and {margin / 2**20:.0f} MiB of BLAS buffers" if margin else ""
+        what = f"dense system of {n} dofs needs"
+        if blocks > 1:
+            what = f"{blocks} dense systems of {n} dofs need"
         raise SolverError(
-            f"dense system of {n} dofs needs {block / 2**30:.2f} GiB{extra}, "
+            f"{what} {block / 2**30:.2f} GiB{extra}, "
             f"but only {have / 2**30:.2f} GiB of memory is available"
         )
 
@@ -530,8 +514,11 @@ def solve_metric(
     """|u| at the model's metric dof after assembling and solving the system.
 
     The metric dof is the beam's tip or midspan deflection, or the plate's
-    center deflection.
+    center deflection.  The model's free block (model.free_block) is checked
+    against the available memory first, so an oversized mesh fails before
+    any quadrature work or allocation.
     """
+    check_fits(*model.free_block)
     u = solve(assemble(model, kernel, horizon_radius), residual_tol)
     return float(np.abs(u[model.metric_dof]))
 

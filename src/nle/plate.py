@@ -44,13 +44,11 @@ import numpy as np
 from . import fem
 from .fem import AxisQuadrature, RectangleMesh, StiffnessSystem, gauss_rule, gram
 from .kernels import Kernel
-from .operator import NonlocalOperatorMatrix
 
 __all__ = [
     "PlateSection",
     "MindlinPlateModel",
     "PlateDisplacement",
-    "plate_strains",
     "BOUNDARY_CONDITIONS",
     "PLATE_SWEEP_COLUMNS",
 ]
@@ -133,7 +131,6 @@ class MindlinPlateModel:
         self.pressure = pressure
         self.boundary = boundary
         self.mesh = RectangleMesh(section.length_x, section.length_y, nx, ny)
-        self._fits = False  # set once the free block has passed its memory check
 
     @functools.cached_property
     def _hats(self) -> dict[tuple[tuple[float, int], int], fem.HatRows]:
@@ -191,13 +188,8 @@ class MindlinPlateModel:
         """One quadrature per distinct axis mesh and rule, keyed by ((length, elements), points).
 
         On a square plate the x and y axes share theirs, and with them every
-        Gram.  Every system of the model has the same free block, so its
-        memory check runs on the first call only, before any quadrature
-        work: an oversized mesh fails before it allocates.
+        Gram.
         """
-        if not self._fits:
-            fem.check_fits(*self.free_block)
-            self._fits = True
         return {
             key: AxisQuadrature(hats.mesh, gauss_rule(key[1]), kernel, horizon_radius, hats)
             for key, hats in self._hats.items()
@@ -444,38 +436,3 @@ class PlateDisplacement:
         shape = (mesh.y_axis.n_nodes, mesh.x_axis.n_nodes)
         fields = [dofs[f * nn : (f + 1) * nn].reshape(shape) for f in range(5)]
         return cls(mesh.x_axis.nodes, mesh.y_axis.nodes, *fields)
-
-
-def plate_strains(
-    displacement: PlateDisplacement,
-    op_x: NonlocalOperatorMatrix,
-    op_y: NonlocalOperatorMatrix,
-    z: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Strains on the tensor grid op_y.eval_points x op_x.eval_points.
-
-    Each in-plane derivative is nonlocal along its own axis; the transverse
-    shear strains subtract the pointwise rotations.  Returned arrays are
-    indexed [y_point, x_point] in the order (eps_xx, eps_yy, gamma_xy,
-    gamma_xz, gamma_yz).
-    """
-    Nx = fem.hat_rows(displacement.x_nodes, op_x.eval_points)
-    Ny = fem.hat_rows(displacement.y_nodes, op_y.eval_points)
-    Wx, Wy = op_x.weights, op_y.weights
-
-    def d_x(f: np.ndarray) -> np.ndarray:
-        return Ny @ f @ Wx.T
-
-    def d_y(f: np.ndarray) -> np.ndarray:
-        return Wy @ f @ Nx.T
-
-    def at(f: np.ndarray) -> np.ndarray:
-        return Ny @ f @ Nx.T
-
-    d = displacement
-    eps_xx = d_x(d.u) - z * d_x(d.theta_x)
-    eps_yy = d_y(d.v) - z * d_y(d.theta_y)
-    gamma_xy = d_y(d.u) + d_x(d.v) - z * (d_y(d.theta_x) + d_x(d.theta_y))
-    gamma_xz = d_x(d.w) - at(d.theta_x)
-    gamma_yz = d_y(d.w) - at(d.theta_y)
-    return eps_xx, eps_yy, gamma_xy, gamma_xz, gamma_yz

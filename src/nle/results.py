@@ -70,19 +70,22 @@ class KernelSpec:
 class Model(Protocol):
     """What `sweep` needs of a structural model (beam or plate).
 
-    quadratures(kernel, horizon_radius) checks on its first call that the
-    free block fits in memory, and builds the kernel-dependent data, one
-    fem.AxisQuadrature per distinct axis mesh and rule; assemble(quadratures, block) builds from
-    them the free-free stiffness block and the full load (fem.StiffnessSystem,
-    every other dof fixed at zero).  When block is given, the new system
-    takes it over through fem.FreeBlockWriter: it is the matrix of an earlier
-    system of the same model, holding whatever that system's solve left.
-    The metric is |u| at metric_dof.  case fills the fourth CSV column (load
-    case or boundary set), sweep_columns names the CSV columns, metadata
-    holds the manifest entries of the model and resolution is the mesh size
-    as the convergence table prints it.
+    quadratures(kernel, horizon_radius) builds the kernel-dependent data, one
+    fem.AxisQuadrature per distinct axis mesh and rule; assemble(quadratures,
+    block) builds from them the free-free stiffness block and the full load
+    (fem.StiffnessSystem, every other dof fixed at zero).  When block is
+    given, the new system takes it over through fem.FreeBlockWriter: it is
+    the matrix of an earlier system of the same model, holding whatever that
+    system's solve left.  free_block is (dofs, most entries written above the
+    diagonal per column) of the one free block every system of the model
+    shares, what fem.check_fits counts.  The metric is |u| at metric_dof.
+    case fills the fourth CSV column (load case or boundary set),
+    sweep_columns names the CSV columns, metadata holds the manifest entries
+    of the model and resolution is the mesh size as the convergence table
+    prints it.
     """
 
+    free_block: tuple[int, int]
     metric_dof: int
     case: str
     sweep_columns: tuple[str, ...]
@@ -149,7 +152,11 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     Every system of one model has the same free block, so a solve hands its
     matrix, the factor or a failed factorization's remains, to the next
     assembly, which overwrites or zeroes every entry it reads: a sweep
-    allocates one block per thread instead of one per solve.
+    allocates one block per thread instead of one per solve.  Before its
+    first quadrature, the sweep checks that as many blocks as it may hold,
+    one per worker and at most one per configuration, fit in memory with
+    the BLAS margin of each (fem.check_fits): an oversized sweep fails
+    before it allocates.
     """
     if not len(kernel_grid) or not len(l_f_grid):
         raise ValueError("sweep grids must be nonempty")
@@ -161,6 +168,8 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
             raise ValueError(f"horizon radius must be positive (got {l_f!r})")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
+    configs = [(spec, float(l_f)) for spec in kernel_grid for l_f in l_f_grid]
+    fem.check_fits(*model.free_block, blocks=min(threads, len(configs)))
     spare: list[np.ndarray] = []  # blocks of finished solves, at most one per thread
 
     def solve(quadratures: dict) -> float:
@@ -204,7 +213,6 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
             return head + (None, None, None, f"error:{type(exc).__name__}")
         return head + (w, w_local, w / w_local, "ok")
 
-    configs = [(spec, float(l_f)) for spec in kernel_grid for l_f in l_f_grid]
     if threads == 1 or len(configs) <= 1:
         rows = [evaluate(c) for c in configs]
     else:

@@ -8,12 +8,12 @@ from nle.beam import (
     CantileverTipLoad,
     SimplySupportedUniformLoad,
     TimoshenkoBeamModel,
-    beam_strains,
 )
 from nle.fem import AxisQuadrature, gauss_rule, gram
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel, power_law
 from nle.operator import HorizonSpec, build_operator_matrix
 from nle.results import KernelSpec, sweep
+from strain_oracle import beam_strains
 
 SECTION = BeamSection()
 

@@ -237,6 +237,41 @@ def test_shipped_beam_sweep_probes_memory_once_per_model_and_block(tmp_path, mon
     assert 1 <= len(probes) <= 2
 
 
+# 8 x 8 clamped: 245 free dofs, at most 6 entries above the diagonal per
+# column; four configurations, so two threads may hold two blocks
+PLATE_8_SWEEP_YAML = """
+target: plate
+kernels:
+  - kind: exponential
+    l0_grid: [0.001, 0.0025]
+horizon:
+  l_f_grid: [0.5, 1.0]
+mesh:
+  nx: 8
+  ny: 8
+"""
+
+
+@pytest.mark.parametrize("threads, code", [("1", EXIT_OK), ("2", EXIT_SOLVER)])
+def test_a_sweep_checks_one_block_per_worker_before_it_factors(
+    tmp_path, capsys, monkeypatch, threads, code
+):
+    # memory for one block and its BLAS margin, not for two
+    one = fem.backed_bytes(245, upper=6) + fem.blas_margin(245)
+    monkeypatch.setattr(fem, "available_memory", lambda: one + one // 2)
+    factored = _count_calls(monkeypatch, fem.linalg, "cho_factor")
+    got, out = run(tmp_path, "sweep", PLATE_8_SWEEP_YAML, "--threads", threads)
+    assert got == code
+    if code == EXIT_OK:
+        assert factored
+        rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 4 and all(row.endswith(",ok") for row in rows)
+    else:
+        assert not factored
+        assert "2 dense systems of 245 dofs need" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+
 def test_beam_run_is_a_single_softening_row(tmp_path):
     code, out = run(tmp_path, "beam", BEAM_YAML)
     assert code == EXIT_OK

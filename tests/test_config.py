@@ -185,6 +185,13 @@ def test_local_kernel_takes_no_parameter():
     assert "kernel.l0: unknown key" in message
 
 
+def test_a_kernel_kind_that_is_not_a_name_is_rejected():
+    message = errors_of("kernel: {kind: [exponential]}\nhorizon: {l_f: 0.5}", "beam")
+    assert message == (
+        "kernel.kind: must be one of exponential, power_law, local (got ['exponential'])"
+    )
+
+
 def test_boolean_is_not_a_number():
     message = errors_of("kernel: {kind: exponential, l0: true}\nhorizon: {l_f: 0.5}", "beam")
     assert "expected a number" in message
@@ -414,6 +421,18 @@ horizon:
     assert "l_f_grid[1]" in message
 
 
+def test_alpha_grid_errors_name_the_item():
+    message = errors_of(
+        "target: beam\nkernels:\n  - {kind: power_law, alpha_grid: [0.8, 0.4]}\n"
+        "horizon: {l_f_grid: [0.5]}\n",
+        "sweep",
+    )
+    assert message.splitlines() == [
+        "kernels[0].alpha_grid[1]: power-law exponent 0.4 is below the admissibility "
+        f"floor {ALPHA_FLOOR}; the constitutive model degrades below it"
+    ]
+
+
 def test_convergence_config_carries_refinements():
     cfg = parse_config(BEAM_MINIMAL + "refinements: 3\n", "convergence")
     assert cfg.refinements == 3
@@ -445,7 +464,7 @@ GRID_KERNELS = (
 
 
 def _recorded(subcommand, target, kernels, **fields):
-    """Every field of a RunConfig as dataclasses.asdict gives it, unlisted ones at their defaults."""
+    """Every field of a RunConfig as dataclasses.asdict gives it; unlisted ones at defaults."""
     return dict(
         dict(
             subcommand=subcommand,
@@ -489,7 +508,11 @@ SHIPPED_VALUES = {
         refinements=2,
     ),
     "convergence_plate.yaml": _recorded(
-        "convergence", "plate", [("exponential", 2.5e-3)], l_f_grid=(0.5,), plate_section=PLATE_SECTION
+        "convergence",
+        "plate",
+        [("exponential", 2.5e-3)],
+        l_f_grid=(0.5,),
+        plate_section=PLATE_SECTION,
     ),
     "dispersion_exponential.yaml": _recorded(
         "dispersion",

@@ -13,10 +13,10 @@ from nle.fem import (
     StiffnessSystem,
     gauss_rule,
     gram,
-    hat_rows,
     solve,
 )
 from nle.kernels import ExponentialKernel, KernelError, LocalDelta, PowerLawKernel
+from strain_oracle import hat_rows
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +475,17 @@ def test_check_fits_adds_the_blas_margin_to_the_backed_bytes(monkeypatch):
     with pytest.raises(SolverError, match=r"300 dofs needs 0\.00 GiB and 9 MiB of BLAS buffers"):
         fem.check_fits(300)
     fem.check_fits(300, margin=0)
+
+
+def test_check_fits_counts_every_block_with_its_margin(monkeypatch):
+    # a sweep on two threads may hold two blocks, each solved with its own buffers
+    need = 2 * (fem.backed_bytes(300) + fem.blas_margin(300))
+    monkeypatch.setattr(fem, "available_memory", lambda: need)
+    fem.check_fits(300, blocks=2)
+    monkeypatch.setattr(fem, "available_memory", lambda: need - 1)
+    with pytest.raises(SolverError, match=r"2 dense systems of 300 dofs need 0\.00 GiB and 18 MiB"):
+        fem.check_fits(300, blocks=2)
+    fem.check_fits(300)
 
 
 def _cgroups(tmp_path, monkeypatch, membership: str, files: dict[str, str]) -> None:

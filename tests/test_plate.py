@@ -22,9 +22,9 @@ from nle.plate import (
     MindlinPlateModel,
     PlateDisplacement,
     PlateSection,
-    plate_strains,
 )
 from nle.results import KernelSpec, sweep
+from strain_oracle import plate_strains
 
 SECTION = PlateSection()
 
