@@ -13,11 +13,12 @@ direct terms integrate with the 2-point rule, transverse shear with 1 point.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes its supports at
-zero, so the assembly writes only the lower triangle of the free-free block,
-from the Grams restricted to each field's free nodes, and keeps those Grams
-for the system's product K x.  The hat rows of both rules and the shear
-rule's N-N Gram do not depend on the kernel: a model builds them once, on
-first use, and every quadrature and assembly after that reads them.
+zero, so the assembly streams only the lower triangle of the free-free block
+in column slabs, from the Grams restricted to each field's free nodes, and
+keeps those Grams for the system's product K x.  The hat rows of both rules
+and the shear rule's N-N Gram do not depend on the kernel: a model builds
+them once, on first use, and every quadrature and assembly after that reads
+them.
 """
 
 from __future__ import annotations
@@ -153,8 +154,22 @@ class TimoshenkoBeamModel:
 
     @property
     def free_block(self) -> tuple[int, int]:
-        """Dofs of the free block, and the entries above its diagonal written per column: none."""
-        return sum(s.stop - s.start for s in self._free_slices()), 0
+        """Dofs of the free block, and the most entries above its diagonal written per column."""
+        n = sum(s.stop - s.start for s in self._free_slices())
+        return n, max(1, fem.SLAB_ENTRIES // self.mesh.n_nodes) - 1  # a slab's width less one
+
+    @property
+    def held_bytes(self) -> int:
+        """Bytes a sweep of this model holds besides its block.
+
+        The hat rows N and operator rows B of both rules and the B of the
+        local companion, which a sweep keeps, each 3 n_el rows of n_el + 1
+        nodes; the weighted copy of the bending B, 2 n_el rows, that a Gram
+        product makes; and the Grams Sb, Ss, Cs and the shear mass,
+        (n_el + 1)^2 each.
+        """
+        n_el, nn = self.mesh.n_elements, self.mesh.n_nodes
+        return 8 * ((3 * 3 + 2) * n_el * nn + 4 * nn * nn)
 
     @property
     def resolution(self) -> str:
@@ -203,21 +218,25 @@ class TimoshenkoBeamModel:
         Ms = self._shear_mass
 
         # The field blocks on and below the diagonal, each a sum of scaled
-        # Grams restricted to its fields' free nodes; (THETA, W0) takes the
-        # transposed coupling Gram, so it holds the bits of the transpose of
-        # (W0, THETA).
+        # Grams restricted to its fields' free nodes, written by column slabs
+        # (a diagonal block's from its first column's row) with the operations
+        # of scale * G + scale2 * G2; (THETA, W0) takes Cs.T, so it holds the
+        # bits of the transpose of (W0, THETA).
         terms = {
             (U0, U0): [(EA, Sb)],
             (W0, W0): [(kGA, Ss)],
             (THETA, THETA): [(EI, Sb), (kGA, Ms)],
             (THETA, W0): [(-kGA, Cs.T)],
         }
+        step = max(1, fem.SLAB_ENTRIES // nn)
         for (f, g), parts in terms.items():
-            (scale, G), *rest = parts
-            block = scale * G[free[f], free[g]]
-            for scale, G in rest:
-                block = block + scale * G[free[f], free[g]]
-            blocks.put(f, g, block)
+            view = blocks.columns(f, g)
+            (scale, G), *rest = [(c, H[free[f], free[g]]) for c, H in parts]
+            for c0 in range(0, view.shape[0], step):
+                cols, rows = slice(c0, c0 + step), slice(c0 if f == g else 0, None)
+                np.multiply(G[rows, cols].T, scale, out=view[cols, rows])
+                for c, H in rest:
+                    view[cols, rows] += c * H[rows, cols].T
 
         F = np.zeros(3 * nn)
         if isinstance(self.load, CantileverTipLoad):

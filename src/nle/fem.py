@@ -9,8 +9,8 @@ an exact reordering of the Gauss-point sum over the tensor product rule.
 
 A StiffnessSystem holds only the lower triangle, diagonal included, of the
 free-free block of the stiffness, in column-major (LAPACK) order: every beam
-and plate case fixes its supports at zero, so each model writes the block of
-its free dofs through one FreeBlockWriter and never builds the full matrix.
+and plate case fixes its supports at zero, so each model streams the block
+of its free dofs through one FreeBlockWriter, in slabs of a few columns.
 K is symmetric, so Cholesky reads nothing else, and no field block above
 the diagonal is ever written.  The system also carries product(x),
 K x on the free dofs from the model's own factors.  solve() factors the
@@ -72,6 +72,10 @@ __all__ = [
 # one point fewer for the transverse shear terms (locking control)
 BENDING_POINTS = 2
 SHEAR_POINTS = 1
+
+# Most entries of a field block a model computes at once (128 kB, within L2),
+# in slabs of at least one column
+SLAB_ENTRIES = 1 << 14
 
 # Where available_memory finds the process's cgroups.
 _PROC_CGROUP = "/proc/self/cgroup"
@@ -300,8 +304,8 @@ def backed_bytes(n: int, upper: int = 0) -> int:
     The block has small pages, and only those written are backed: the pages
     that hold rows max(0, j - upper) to n - 1 of each column j, where upper
     is the most entries above the diagonal that the model writes in a column
-    (0 but for the plate, see plate.MindlinPlateModel.free_block).  Whole
-    pages are counted, so a tiny block backs more than its 8 n^2 bytes.
+    (its free_block).  Whole pages are counted, so a tiny block backs more
+    than its 8 n^2 bytes.
     """
     j = np.arange(n, dtype=np.int64)
     first = 8 * (j * n + np.maximum(j - upper, 0)) // mmap.PAGESIZE
@@ -334,19 +338,29 @@ def blas_margin(n: int) -> int:
     return (8 << 20) + (3 << 10) * n
 
 
-def check_fits(n: int, upper: int = 0, margin: int | None = None, blocks: int = 1) -> None:
-    """Raise SolverError when `blocks` n x n blocks and their margins would not fit in memory.
+def check_fits(
+    n: int, upper: int = 0, margin: int | None = None, blocks: int = 1, held: int = 0
+) -> None:
+    """Raise SolverError when `blocks` n x n blocks, a margin and `held` bytes would not fit.
 
-    Each block counts the bytes it will back (backed_bytes(n, upper)); margin
-    defaults to blas_margin(n), what its solve needs beyond it.  A sweep on
-    several threads holds up to one block per worker (results.sweep).
+    Each block counts the bytes it will back (backed_bytes(n, upper)) and
+    held, what the model keeps besides it (its rows and Grams); margin
+    defaults to blas_margin(n), what a solve needs beyond its block.  A sweep
+    on several threads holds up to one block per worker (results.sweep), each
+    with rows and Grams of its own, but one margin covers their solves: at 2
+    threads the 24x24 plate sweep peaked at 142.7 MiB against 147.3 MiB for
+    the RSS before its blocks, the blocks and one margin, the 32x32 one at
+    289.9 against 294.6 MiB, and an 800-element beam sweep at 269.5 against
+    281.5 MiB (208.1 with one copy of its rows and Grams).
     """
     if margin is None:
         margin = blas_margin(n)
-    block, margin = blocks * backed_bytes(n, upper), blocks * margin
+    block, held = blocks * backed_bytes(n, upper), blocks * held
     have = available_memory()
-    if have is not None and block + margin > have:
+    if have is not None and block + margin + held > have:
         extra = f" and {margin / 2**20:.0f} MiB of BLAS buffers" if margin else ""
+        if held:
+            extra += f" and {held / 2**20:.0f} MiB of model arrays"
         what = f"dense system of {n} dofs needs"
         if blocks > 1:
             what = f"{blocks} dense systems of {n} dofs need"
@@ -386,16 +400,15 @@ class FreeBlockWriter:
     free_nodes[f] lists field f's free nodes in ascending order; with
     dof(f, node) = f * n_nodes + node the free dofs ascend too.  Only the
     field blocks (f, g) with f >= g are written, so no field block above the
-    diagonal is ever touched: put() writes one, and columns() gives one by
-    columns, for callers that stream it, which must then write every entry
-    on and below the diagonal.  split() views a free vector field by field.
+    diagonal is ever touched: columns() gives one by columns, and the model
+    must then write every entry on and below its diagonal.  split() views a
+    free vector field by field.
 
     The array is allocated by dense_block, so the memory check runs first,
     unless block is given: the array of an earlier system of the same free
     block, such as a factor that solve() left behind.  It is then reused as
-    it is, and system() zeroes its lower field blocks that neither put() nor
-    columns() reached, so that its lower triangle holds what a fresh array's
-    would.
+    it is, and system() zeroes its lower field blocks that columns() did not
+    reach, so that its lower triangle holds what a fresh array's would.
     """
 
     def __init__(
@@ -411,10 +424,6 @@ class FreeBlockWriter:
         else:
             self.matrix, self._reused = block, True
         self._written: set[tuple[int, int]] = set()
-
-    def put(self, f: int, g: int, block: np.ndarray) -> None:
-        self.matrix[self._block(f, g)] = block
-        self._written.add((f, g))
 
     def columns(self, f: int, g: int) -> np.ndarray:
         """Writable view of block (f, g) by columns: row c holds its column c, contiguous."""
@@ -514,11 +523,12 @@ def solve_metric(
     """|u| at the model's metric dof after assembling and solving the system.
 
     The metric dof is the beam's tip or midspan deflection, or the plate's
-    center deflection.  The model's free block (model.free_block) is checked
-    against the available memory first, so an oversized mesh fails before
-    any quadrature work or allocation.
+    center deflection.  The model's free block (model.free_block) and the
+    arrays it holds besides (model.held_bytes) are checked against the
+    available memory first, so an oversized mesh fails before any quadrature
+    work or allocation.
     """
-    check_fits(*model.free_block)
+    check_fits(*model.free_block, held=model.held_bytes)
     u = solve(assemble(model, kernel, horizon_radius), residual_tol)
     return float(np.abs(u[model.metric_dof]))
 

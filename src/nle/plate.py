@@ -71,11 +71,6 @@ FIXED_EDGES = {
 }
 BOUNDARY_CONDITIONS = tuple(FIXED_EDGES)
 
-# Most entries of a field block computed at once (128 kB, within the L2
-# cache).  A slab takes its columns from one y node of the column field, so
-# on small meshes it is all of that node's columns, well below the cap.
-_SLAB_ENTRIES = 1 << 14
-
 
 @dataclass(frozen=True)
 class PlateSection:
@@ -171,6 +166,10 @@ class MindlinPlateModel:
         """
         axes = self._free_axes()
         return sum(jy.size * jx.size for jy, jx in axes), max(jx.size for _, jx in axes) - 1
+
+    # The per-axis rows and Grams hold under 1 MiB at 48x48, which the BLAS
+    # margin's fixed 8 MiB covers, so the memory check counts only blocks.
+    held_bytes = 0
 
     @property
     def resolution(self) -> str:
@@ -340,10 +339,11 @@ def _stream(
     the outer terms in the order of their inner sums, which cannot change
     the bits of a sum of at most two terms.
 
-    A slab is at most _SLAB_ENTRIES entries, or one column, of the columns
-    on one y node in the F-order view writer.columns(f, g), whose columns
-    are contiguous.  On diagonal blocks a slab of columns on y node cy
-    starts at the rows on y node cy; the rows before lie above the diagonal
+    A slab is at most fem.SLAB_ENTRIES entries, or one column, of the
+    columns on one y node in the F-order view writer.columns(f, g), whose
+    columns are contiguous; on small meshes it is all of that node's
+    columns.  On diagonal blocks a slab of columns on y node cy starts at
+    the rows on y node cy; the rows before lie above the diagonal
     and are never touched.  Each inner sum is built once per slab in a
     buffer of that size and scaled into every block that uses it: written
     the first time, added after that.
@@ -356,7 +356,7 @@ def _stream(
     for v, (_, _, outer) in enumerate(blocks):
         for scale, name in outer:
             uses.setdefault(name, []).append((v, scale))
-    x_step = max(1, _SLAB_ENTRIES // max(1, jy.size * jx.size))
+    x_step = max(1, fem.SLAB_ENTRIES // max(1, jy.size * jx.size))
     sum_buf, term_buf = np.empty((2, min(x_step, kx.size), jy.size, jx.size))
     for cy in range(ky.size):
         ry = slice(cy if diagonal else 0, None)

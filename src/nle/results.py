@@ -78,7 +78,8 @@ class Model(Protocol):
     the matrix of an earlier system of the same model, holding whatever that
     system's solve left.  free_block is (dofs, most entries written above the
     diagonal per column) of the one free block every system of the model
-    shares, what fem.check_fits counts.  The metric is |u| at metric_dof.
+    shares, and held_bytes what the model's rows and Grams take besides;
+    fem.check_fits counts both.  The metric is |u| at metric_dof.
     case fills the fourth CSV column (load case or boundary set),
     sweep_columns names the CSV columns, metadata holds the manifest entries
     of the model and resolution is the mesh size as the convergence table
@@ -86,6 +87,7 @@ class Model(Protocol):
     """
 
     free_block: tuple[int, int]
+    held_bytes: int
     metric_dof: int
     case: str
     sweep_columns: tuple[str, ...]
@@ -154,9 +156,9 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     assembly, which overwrites or zeroes every entry it reads: a sweep
     allocates one block per thread instead of one per solve.  Before its
     first quadrature, the sweep checks that as many blocks as it may hold,
-    one per worker and at most one per configuration, fit in memory with
-    the BLAS margin of each (fem.check_fits): an oversized sweep fails
-    before it allocates.
+    one per worker and at most one per configuration, fit in memory with a
+    BLAS margin and the arrays the model holds besides (fem.check_fits): an
+    oversized sweep fails before it allocates.
     """
     if not len(kernel_grid) or not len(l_f_grid):
         raise ValueError("sweep grids must be nonempty")
@@ -169,7 +171,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     if threads < 1:
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
     configs = [(spec, float(l_f)) for spec in kernel_grid for l_f in l_f_grid]
-    fem.check_fits(*model.free_block, blocks=min(threads, len(configs)))
+    fem.check_fits(*model.free_block, blocks=min(threads, len(configs)), held=model.held_bytes)
     spare: list[np.ndarray] = []  # blocks of finished solves, at most one per thread
 
     def solve(quadratures: dict) -> float:

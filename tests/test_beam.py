@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,55 @@ def test_product_equals_the_full_assembly(load, kernel):
         exact = expected @ probe
         error = np.linalg.norm(system.product(probe) - exact)
         assert error <= 1e-13 * np.linalg.norm(exact)
+
+
+@LOADS
+@pytest.mark.parametrize("slab_entries", [fem.SLAB_ENTRIES, 64, 5000], ids=["81", "1", "24"])
+def test_a_reused_block_gets_its_lower_triangle_and_a_staircase_above_it(
+    monkeypatch, load, slab_entries
+):
+    # 200 elements, slabs of 81, 1 and 24 columns: above the diagonal each
+    # column j gets at most the rows from j - upper on, every other entry of
+    # a reused block keeps what it held, and the lower triangle takes the
+    # bytes of a fresh assembly in the default slabs
+    model = TimoshenkoBeamModel(SECTION, load, 200)
+    kernel = ExponentialKernel(2.5e-3)
+    fresh = fem.assemble(model, kernel, 0.5).matrix
+    monkeypatch.setattr(fem, "SLAB_ENTRIES", slab_entries)
+    n, upper = model.free_block
+    block = np.full((n, n), np.nan, order="F")
+    system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
+    assert system.matrix is block
+    rows, columns = np.indices((n, n))
+    assert np.isnan(block[rows < columns - upper]).all()
+    assert np.tril(block).tobytes() == np.tril(fresh).tobytes()
+
+
+def _pages_written(block: np.ndarray) -> int:
+    """Bytes of the pages of a NaN-filled column-major block that hold an entry written since."""
+    per_page = mmap.PAGESIZE // 8
+    flat = block.ravel(order="F")
+    tail = np.full(-flat.size % per_page, np.nan)
+    pages = np.isnan(np.concatenate([flat, tail])).reshape(-1, per_page)
+    return int(np.count_nonzero(~pages.all(axis=1))) * mmap.PAGESIZE
+
+
+@LOADS
+@pytest.mark.parametrize("n_elements", [200, 800, 1600])
+def test_the_backed_figure_counts_the_pages_the_assembly_writes(load, n_elements):
+    # A reused block, filled with NaN: the assembly writes or zeroes every
+    # entry of its lower triangle, and the most entries above the diagonal of
+    # a column is the model's upper.  backed_bytes counts `upper` of them in
+    # every column, while the first column of a slab writes none, so it may
+    # count a page more for some columns: 5 of 704 pages at 200 elements.
+    model = TimoshenkoBeamModel(SECTION, load, n_elements)
+    n, upper = model.free_block
+    block = np.full((n, n), np.nan, order="F")
+    model.assemble(fem.quadratures(model, ExponentialKernel(2.5e-3), 0.5), block)
+    first_written = np.argmax(~np.isnan(block), axis=0)
+    assert np.max(np.arange(n) - first_written) == upper
+    written, backed = _pages_written(block), fem.backed_bytes(n, upper)
+    assert written <= backed < 1.01 * written
 
 
 def test_free_nodes_must_be_one_contiguous_range(monkeypatch):

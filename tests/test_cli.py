@@ -199,14 +199,26 @@ def test_shipped_sweep_manifest_counts_its_distinct_solves(tmp_path, config):
     # the free block: 3 * 201 - 3 beam dofs, 5 * 23^2 clamped plate dofs.  The
     # plate backs only the pages of its lower triangle and of the upper
     # entries it writes; a beam column (4,800 bytes) is longer than a page,
-    # so the beam backs nearly all it spans (2.72 of 2.75 MiB).
+    # and its slabs of 81 columns write up to 80 entries above the diagonal,
+    # so the beam's figure is every page of the block (2,883,584 bytes).
     dofs, span, backed = {
-        "sweep_beam.yaml": ("600", "2.7", "2.7"),
+        "sweep_beam.yaml": ("600", "2.7", "2.8"),
         "sweep_plate.yaml": ("2645", "53.4", "36.3"),
     }[config]
     assert manifest["block_dofs"] == dofs
     assert manifest["block_span_mib"] == span
     assert manifest["block_backed_mib"] == backed
+
+
+def test_shipped_beam_convergence_manifest_describes_its_largest_block(tmp_path):
+    # 800 elements at the last level: 3 * 801 - 3 dofs, written in slabs of
+    # 20 columns, so up to 19 entries above the diagonal per column
+    out = tmp_path / "out"
+    config = ROOT / "configs" / "convergence_beam.yaml"
+    assert main(["convergence", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    block = [manifest[key] for key in ("block_dofs", "block_span_mib", "block_backed_mib")]
+    assert block == ["2400", "43.9", "30.4"]
 
 
 def test_shipped_beam_sweep_builds_quadratures_once_per_saturated_key(tmp_path, monkeypatch):
@@ -256,9 +268,9 @@ mesh:
 def test_a_sweep_checks_one_block_per_worker_before_it_factors(
     tmp_path, capsys, monkeypatch, threads, code
 ):
-    # memory for one block and its BLAS margin, not for two
-    one = fem.backed_bytes(245, upper=6) + fem.blas_margin(245)
-    monkeypatch.setattr(fem, "available_memory", lambda: one + one // 2)
+    # memory for one block and the BLAS margin, not for two blocks and it
+    block, margin = fem.backed_bytes(245, upper=6), fem.blas_margin(245)
+    monkeypatch.setattr(fem, "available_memory", lambda: margin + block + block // 2)
     factored = _count_calls(monkeypatch, fem.linalg, "cho_factor")
     got, out = run(tmp_path, "sweep", PLATE_8_SWEEP_YAML, "--threads", threads)
     assert got == code
@@ -533,6 +545,27 @@ def test_oversized_beam_exits_3_before_allocating(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "dense system of 1200 dofs needs 0.01 GiB" in err
     assert "category=SOLVER" in err
+    assert not (out / "beam.csv").exists()
+
+
+def test_a_beam_exits_3_before_allocating_without_room_for_its_rows_and_grams(
+    tmp_path, capsys, monkeypatch
+):
+    # 1,600-element cantilever: 4,800 free dofs.  Memory for the block and
+    # its BLAS margin is not enough: the model's row families and Grams
+    # (held_bytes) come on top, and the check counts them first.
+    model = beam.TimoshenkoBeamModel(beam.BeamSection(), beam.CantileverTipLoad(), 1600)
+    n, upper = model.free_block
+    block_only = fem.backed_bytes(n) + fem.blas_margin(n)
+    need = fem.backed_bytes(n, upper) + fem.blas_margin(n) + model.held_bytes
+    monkeypatch.setattr(fem, "available_memory", lambda: (block_only + need) // 2)
+    quadratures = _count_calls(monkeypatch, beam, "AxisQuadrature")
+    blocks = _count_calls(monkeypatch, fem, "dense_block")
+    code, out = run(tmp_path, "beam", BEAM_YAML.replace("n_elements: 60", "n_elements: 1600"))
+    assert code == EXIT_SOLVER
+    assert not quadratures and not blocks
+    err = capsys.readouterr().err
+    assert "dense system of 4800 dofs needs" in err and "MiB of model arrays" in err
     assert not (out / "beam.csv").exists()
 
 

@@ -372,11 +372,10 @@ def test_free_block_writer_places_the_lower_field_blocks():
     np.testing.assert_array_equal(writer.free, [1, 2, 3, 4])
     A = np.array([[1.0, 2.0], [2.0, 5.0]])
     C = np.array([[3.0, -0.0], [6.0, 7.0]])
-    writer.put(0, 0, A)
-    writer.put(1, 1, 2 * A)
-    writer.put(1, 0, C.T)
-    with pytest.raises(ValueError, match="above the diagonal"):
-        writer.put(0, 1, C)
+    # row c of a columns view is column c of its block
+    writer.columns(0, 0)[...] = A.T
+    writer.columns(1, 1)[...] = (2 * A).T
+    writer.columns(1, 0)[...] = C
     with pytest.raises(ValueError, match="above the diagonal"):
         writer.columns(0, 1)
     load = np.arange(6.0)
@@ -386,7 +385,7 @@ def test_free_block_writer_places_the_lower_field_blocks():
     # the block above the diagonal stays zero
     expected = np.block([[A, np.zeros((2, 2))], [C.T, 2 * A]])
     np.testing.assert_array_equal(system.matrix, expected)
-    # the transposed put keeps the sign of C's -0.0, which only the bytes show
+    # the transposed write keeps the sign of C's -0.0, which only the bytes show
     assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
     x = np.arange(4.0)
     first, second = writer.split(x)
@@ -430,7 +429,7 @@ def test_free_block_writer_zeroes_what_a_reused_block_does_not_get_written():
     # three fields on 2 nodes; the model writes the diagonal blocks and (2, 0)
     writer = fem.FreeBlockWriter(2, [np.arange(2)] * 3, np.full((6, 6), np.nan, order="F"))
     for f in range(3):
-        writer.put(f, f, np.eye(2))
+        writer.columns(f, f)[...] = np.eye(2)
     writer.columns(2, 0)[...] = 5.0
     K = writer.system(np.zeros(6), np.negative).matrix
     lower = np.tril(K)
@@ -478,14 +477,27 @@ def test_check_fits_adds_the_blas_margin_to_the_backed_bytes(monkeypatch):
 
 
 def test_check_fits_counts_every_block_with_its_margin(monkeypatch):
-    # a sweep on two threads may hold two blocks, each solved with its own buffers
-    need = 2 * (fem.backed_bytes(300) + fem.blas_margin(300))
+    # a sweep on two threads may hold two blocks; one margin covers their
+    # solves, as the measured two-thread plate sweeps peak below it
+    need = 2 * fem.backed_bytes(300) + fem.blas_margin(300)
     monkeypatch.setattr(fem, "available_memory", lambda: need)
     fem.check_fits(300, blocks=2)
     monkeypatch.setattr(fem, "available_memory", lambda: need - 1)
-    with pytest.raises(SolverError, match=r"2 dense systems of 300 dofs need 0\.00 GiB and 18 MiB"):
+    with pytest.raises(SolverError, match=r"2 dense systems of 300 dofs need 0\.00 GiB and 9 MiB"):
         fem.check_fits(300, blocks=2)
     fem.check_fits(300)
+
+
+def test_check_fits_adds_what_the_model_holds_beside_each_block(monkeypatch):
+    # each worker of a sweep builds operator rows and Grams of its own
+    held = 5 << 20
+    need = 2 * (fem.backed_bytes(300) + held) + fem.blas_margin(300)
+    monkeypatch.setattr(fem, "available_memory", lambda: need)
+    fem.check_fits(300, blocks=2, held=held)
+    monkeypatch.setattr(fem, "available_memory", lambda: need - 1)
+    with pytest.raises(SolverError, match=r"9 MiB of BLAS buffers and 10 MiB of model arrays"):
+        fem.check_fits(300, blocks=2, held=held)
+    fem.check_fits(300, held=held)
 
 
 def _cgroups(tmp_path, monkeypatch, membership: str, files: dict[str, str]) -> None:

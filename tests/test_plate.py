@@ -252,8 +252,8 @@ def test_free_block_equals_the_full_kronecker_assembly_bitwise(
     expected = K_full[np.ix_(free, free)]
     # these meshes fit one y node's columns in the default slab; 1 entry
     # streams one column per slab, 64 a few, with a short last slab
-    for slab_entries in (plate._SLAB_ENTRIES, 1, 64):
-        monkeypatch.setattr(plate, "_SLAB_ENTRIES", slab_entries)
+    for slab_entries in (fem.SLAB_ENTRIES, 1, 64):
+        monkeypatch.setattr(fem, "SLAB_ENTRIES", slab_entries)
         system = fem.assemble(model, kernel, 0.5)
         np.testing.assert_array_equal(system.free, free)
         assert system.matrix.flags.f_contiguous
@@ -279,6 +279,27 @@ def test_product_equals_the_full_kronecker_assembly(boundary, kernel, shape):
         exact = expected @ probe
         error = np.linalg.norm(system.product(probe) - exact)
         assert error <= 1e-13 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
+@pytest.mark.parametrize("slab_entries", [fem.SLAB_ENTRIES, 64])
+def test_a_reused_block_gets_its_lower_triangle_and_a_staircase_above_it(
+    monkeypatch, boundary, slab_entries
+):
+    # above the diagonal each column j gets at most the rows from j - upper
+    # on, every other entry of a reused block keeps what it held, and the
+    # lower triangle takes the bytes of a fresh assembly in the default slabs
+    model = MindlinPlateModel(SECTION, 1.0, boundary, nx=8, ny=8)
+    kernel = ExponentialKernel(2.5e-3)
+    fresh = fem.assemble(model, kernel, 0.5).matrix
+    monkeypatch.setattr(fem, "SLAB_ENTRIES", slab_entries)
+    n, upper = model.free_block
+    block = np.full((n, n), np.nan, order="F")
+    system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
+    assert system.matrix is block
+    rows, columns = np.indices((n, n))
+    assert np.isnan(block[rows < columns - upper]).all()
+    assert np.tril(block).tobytes() == np.tril(fresh).tobytes()
 
 
 @pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
