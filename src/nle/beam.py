@@ -13,12 +13,12 @@ direct terms integrate with the 2-point rule, transverse shear with 1 point.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes its supports at
-zero, so the assembly streams only the lower triangle of the free-free block
-in column slabs, from the Grams restricted to each field's free nodes, and
-keeps those Grams for the system's product K x.  The hat rows of both rules
-and the shear rule's N-N Gram do not depend on the kernel: a model builds
-them once, on first use, and every quadrature and assembly after that reads
-them.
+zero.  A beam is a plate with one y node: its 4 field blocks on and below
+the diagonal are Kronecker sums of one term, kron(1, G), which
+fem.kronecker_system streams and applies as it does the plate's.  The hat
+rows of both rules and the shear rule's N-N Gram do not depend on the
+kernel: a model builds them once, on first use, and every quadrature and
+assembly after that reads them.
 """
 
 from __future__ import annotations
@@ -154,9 +154,8 @@ class TimoshenkoBeamModel:
 
     @property
     def free_block(self) -> tuple[int, int]:
-        """Dofs of the free block, and the most entries above its diagonal written per column."""
-        n = sum(s.stop - s.start for s in self._free_slices())
-        return n, max(1, fem.SLAB_ENTRIES // self.mesh.n_nodes) - 1  # a slab's width less one
+        """Dofs of the free block, and its staircase above the diagonal (fem.free_block)."""
+        return fem.free_block(self._free_axes())
 
     @property
     def held_bytes(self) -> int:
@@ -201,76 +200,49 @@ class TimoshenkoBeamModel:
         """Lower triangle of the free-free stiffness block and the full load, from quadratures().
 
         block, when given, is the matrix of an earlier system of this model,
-        which the new one reuses (fem.FreeBlockWriter).
+        which the new one reuses.
         """
         nn = self.mesh.n_nodes
-        free = self._free_slices()
-        blocks = fem.FreeBlockWriter(nn, [np.arange(nn)[s] for s in free], block)
         bend, shear = quadratures[fem.BENDING_POINTS], quadratures[fem.SHEAR_POINTS]
         s = self.section
         EA = s.modulus * s.area
         EI = s.modulus * s.inertia
         kGA = s.shear_correction * s.shear_modulus * s.area
 
-        Sb = gram(bend.B, bend.B, bend.weights)
-        Ss = gram(shear.B, shear.B, shear.weights)
-        Cs = gram(shear.B, shear.N, shear.weights)
-        Ms = self._shear_mass
-
-        # The field blocks on and below the diagonal, each a sum of scaled
-        # Grams restricted to its fields' free nodes, written by column slabs
-        # (a diagonal block's from its first column's row) with the operations
-        # of scale * G + scale2 * G2; (THETA, W0) takes Cs.T, so it holds the
-        # bits of the transpose of (W0, THETA).
-        terms = {
-            (U0, U0): [(EA, Sb)],
-            (W0, W0): [(kGA, Ss)],
-            (THETA, THETA): [(EI, Sb), (kGA, Ms)],
-            (THETA, W0): [(-kGA, Cs.T)],
+        # Each Gram is an inner sum kron(1, G); (THETA, W0) takes Cs.T, so it
+        # holds the bits of the transpose of (W0, THETA).
+        unit = np.ones((1, 1))
+        inner = {
+            "Sb": ((1.0, unit, gram(bend.B, bend.B, bend.weights)),),
+            "Ss": ((1.0, unit, gram(shear.B, shear.B, shear.weights)),),
+            "Ms": ((1.0, unit, self._shear_mass),),
+            "Cs_t": ((1.0, unit, gram(shear.B, shear.N, shear.weights).T),),
         }
-        step = max(1, fem.SLAB_ENTRIES // nn)
-        for (f, g), parts in terms.items():
-            view = blocks.columns(f, g)
-            (scale, G), *rest = [(c, H[free[f], free[g]]) for c, H in parts]
-            for c0 in range(0, view.shape[0], step):
-                cols, rows = slice(c0, c0 + step), slice(c0 if f == g else 0, None)
-                np.multiply(G[rows, cols].T, scale, out=view[cols, rows])
-                for c, H in rest:
-                    view[cols, rows] += c * H[rows, cols].T
+        streams = [
+            [(U0, U0, [(EA, "Sb")])],
+            [(W0, W0, [(kGA, "Ss")])],
+            [(THETA, THETA, [(EI, "Sb"), (kGA, "Ms")])],
+            [(THETA, W0, [(-kGA, "Cs_t")])],
+        ]
 
         F = np.zeros(3 * nn)
         if isinstance(self.load, CantileverTipLoad):
             F[W0 * nn + (nn - 1)] = self.load.magnitude
         else:
             F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * bend.load_vector()
-        return blocks.system(F, functools.partial(_product, blocks, free, terms))
+        return fem.kronecker_system((1, nn), self._free_axes(), inner, streams, F, block)
 
-    def _free_slices(self) -> list[slice]:
-        """Free nodes of each field as one slice: FIXED_NODES fixes only end nodes."""
+    def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Free (y, x) node ranges of each field: its one y node, and its unfixed x nodes."""
         nn = self.mesh.n_nodes
         fixed = FIXED_NODES[self.load.name]
-        slices = []
+        axes = []
         for f in FIELDS:
             ends = {node % nn for node in fixed[f]}
             if not ends <= {0, nn - 1}:
                 raise ValueError(f"load case {self.load.name!r} fixes interior nodes of field {f}")
-            slices.append(slice(int(0 in ends), nn - int(nn - 1 in ends)))
-        return slices
-
-
-def _product(
-    writer: fem.FreeBlockWriter, free: list[slice], terms: dict, x: np.ndarray
-) -> np.ndarray:
-    """K x on the free dofs: each stored field block, and below the diagonal its transpose too."""
-    y = np.zeros(np.shape(x))
-    xs, ys = writer.split(np.asarray(x, dtype=float)), writer.split(y)
-    for (f, g), parts in terms.items():
-        for scale, G in parts:
-            block = G[free[f], free[g]]
-            ys[f] += scale * (block @ xs[g])
-            if f != g:
-                ys[g] += scale * (block.T @ xs[f])
-    return y
+            axes.append((np.arange(1), np.arange(int(0 in ends), nn - int(nn - 1 in ends))))
+        return axes
 
 
 @dataclass(frozen=True)

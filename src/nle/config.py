@@ -12,6 +12,7 @@ PlateSection, and each kernel's parameter is named by KERNEL_PARAMS.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import yaml
 
@@ -113,6 +114,9 @@ class _Block:
                 f"{self._at(key)}: expected a number, got {self.data[key]!r}"
             )
             return default
+        if not math.isfinite(value):
+            self.errors.append(f"{self._at(key)}: must be finite (got {value!r})")
+            return default
         if positive and not value > 0.0:
             self.errors.append(f"{self._at(key)}: must be positive (got {value!r})")
         if minimum is not None and value < minimum:
@@ -163,6 +167,8 @@ class _Block:
             number = _to_number(item)
             if number is None:
                 self.errors.append(f"{where}: expected a number, got {item!r}")
+            elif not math.isfinite(number):
+                self.errors.append(f"{where}: must be finite (got {number!r})")
             elif positive and not number > 0.0:
                 self.errors.append(f"{where}: must be positive (got {item!r})")
             else:

@@ -3,25 +3,27 @@
 Energies of the structural models are sums over Gauss points of quadratic
 forms in two row families evaluated on 1D meshes: nodal interpolation rows N
 (hat-function values) and nonlocal gradient rows B (operator matrix rows).
-Stiffness blocks are therefore weighted Gram products of those families; the
-plate obtains its 2D blocks as Kronecker products of per-axis Grams, which is
-an exact reordering of the Gauss-point sum over the tensor product rule.
+Stiffness blocks are therefore weighted Gram products of those families, and
+each field block of either model is a sum of Kronecker products of per-axis
+Grams, an exact reordering of the Gauss-point sum over the tensor product
+rule; a beam is the case of a single y node.
 
 A StiffnessSystem holds only the lower triangle, diagonal included, of the
 free-free block of the stiffness, in column-major (LAPACK) order: every beam
-and plate case fixes its supports at zero, so each model streams the block
-of its free dofs through one FreeBlockWriter, in slabs of a few columns.
-K is symmetric, so Cholesky reads nothing else, and no field block above
-the diagonal is ever written.  The system also carries product(x),
-K x on the free dofs from the model's own factors.  solve() factors the
-block by Cholesky in place, takes its residuals from product(), refines once
-or twice if needed, and guarantees a small relative residual or raises.
-Every dense block is checked against the available memory before it is
-allocated, and is backed by small pages, so that the pages of its untouched
-upper triangle cost no memory.  A writer can also take the block of an
-earlier system of the same size: a sweep hands each row a block that a
-finished row left behind, instead of faulting in fresh pages, and the
-writer zeroes what the model does not overwrite.
+and plate case fixes its supports at zero, and K is symmetric, so Cholesky
+reads nothing else.  kronecker_system is the one writer of both models: it
+streams the field blocks on and below the diagonal through a
+FreeBlockWriter in slabs of a few columns, so a column gets at most one
+slab's width less one entries above the diagonal (free_block), and gives
+the system product(x), K x on the free dofs from the same restricted Grams.
+solve() factors the block by Cholesky in place, takes its residuals from
+product(), refines once or twice if needed, and guarantees a small relative
+residual or raises.  Every dense block is checked against the available
+memory before it is allocated, and is backed by small pages, so that the
+pages of its untouched upper triangle cost no memory.  A writer can also
+take the block of an earlier system of the same size: a sweep hands each
+row a block that a finished row left behind, instead of faulting in fresh
+pages, and the writer zeroes what the model does not overwrite.
 
 The hat rows N and the Gauss points and weights of a rule (HatRows) do not
 depend on the kernel, so a model builds them once per rule and hands them
@@ -62,6 +64,8 @@ __all__ = [
     "check_fits",
     "dense_block",
     "FreeBlockWriter",
+    "free_block",
+    "kronecker_system",
     "quadratures",
     "assemble",
     "solve",
@@ -455,6 +459,153 @@ class FreeBlockWriter:
         return StiffnessSystem(self.matrix, load, self.free, product)
 
 
+def free_block(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[int, int]:
+    """Dofs of the free block kronecker_system writes over these axes, and its `upper`.
+
+    upper is the most entries above the diagonal that a column gets: the
+    k-th column of a diagonal slab gets k, so upper is a slab's width less one.
+    """
+    n = sum(jy.size * jx.size for jy, jx in axes)
+    return n, max(min(_slab_columns(jy, jx), jx.size) for jy, jx in axes) - 1
+
+
+def _slab_columns(jy: np.ndarray, jx: np.ndarray) -> int:
+    """Columns of a slab of rows (jy, jx): at most SLAB_ENTRIES entries, at least one column."""
+    return max(1, SLAB_ENTRIES // max(1, jy.size * jx.size))
+
+
+def kronecker_system(
+    grid: tuple[int, int],
+    axes: list[tuple[np.ndarray, np.ndarray]],
+    inner: dict[str, tuple],
+    streams: list[list[tuple]],
+    load: np.ndarray,
+    block: np.ndarray | None = None,
+) -> StiffnessSystem:
+    """The system whose field blocks are sums of Kronecker products of 1D Grams.
+
+    Each field has grid = (n_y, n_x) nodes, node j * n_x + i, and its free
+    nodes are the product of the ranges axes[f] = (jy, jx).  inner names
+    inner sums sum_i c_i kron(Gy_i, Gx_i) as ((c_i, Gy_i, Gx_i), ...).  A
+    stream lists field blocks (f, g, ((scale, name), ...)), f >= g, that
+    share their free rows and columns, on which block (f, g) is
+    sum_o scale_o * inner[name_o].  Since kron(A, B)[J x I, J' x I'] =
+    kron(A[J, J'], B[I, I']) (Van Loan, "The ubiquitous Kronecker product",
+    2000), no full matrix or field-block-sized temporary exists.  block,
+    when given, is reused (FreeBlockWriter).
+    """
+    n_x = grid[1]
+    writer = FreeBlockWriter(
+        grid[0] * n_x, [(jy[:, None] * n_x + jx).ravel() for jy, jx in axes], block
+    )
+    terms = [(stream, _stream(writer, axes, inner, stream)) for stream in streams]
+    return writer.system(load, functools.partial(_product, writer, axes, terms))
+
+
+def _stream(
+    writer: FreeBlockWriter,
+    axes: list[tuple[np.ndarray, np.ndarray]],
+    inner: dict[str, tuple],
+    blocks: list[tuple],
+) -> dict[str, list[tuple[float, np.ndarray, np.ndarray]]]:
+    """Write blocks sum_o s_o * inner[name_o] into writer, one column slab at a time.
+
+    Every block (f, g) has the free rows J x I and columns K x K' of the
+    first block.  Returned by name, each inner sum they use is restricted
+    there: term c * kron(Gy, Gx) becomes (c, ly, lx) with ly = Gy[J, K].T
+    and lx = Gx[I, K'].T, views since free node sets are ranges, so that
+    entry (cy, cx, ry, rx) of the term is ly[cy, ry] * lx[cx, rx].
+    Each entry goes through the operations of
+    sum_o s_o * sum_i c_i * np.kron(Gy_i, Gx_i), the inner sum in order and
+    the outer terms in the order of their inner sums, which cannot change
+    the bits of a sum of at most two terms.
+
+    A slab is _slab_columns of the columns on one y node in the F-order
+    view writer.columns(f, g), whose columns are contiguous; on small meshes
+    it is all of that node's columns.  On diagonal blocks a slab of columns
+    (cy, x0), (cy, x0 + 1), ... starts at row (cy, x0), and the rows before
+    are never touched.  Each inner sum is built once per slab, from row
+    (cy, 0), in a buffer of that size, and scaled into every block that
+    uses it: written the first time, added after that.
+    """
+    (jy, jx), (ky, kx) = axes[blocks[0][0]], axes[blocks[0][1]]
+    (row_y, row_x), (col_y, col_x) = (
+        [slice(nodes[0], nodes[-1] + 1) for nodes in axes[f]] for f in blocks[0][:2]
+    )
+    diagonal = blocks[0][0] == blocks[0][1]
+    shape = (ky.size, kx.size, jy.size, jx.size)
+    views = [writer.columns(f, g).reshape(shape, copy=False) for f, g, _ in blocks]
+    uses: dict[str, list[tuple[int, float]]] = {}
+    for v, (_, _, outer) in enumerate(blocks):
+        for scale, name in outer:
+            uses.setdefault(name, []).append((v, scale))
+    factors = {
+        name: [(c, gy[row_y, col_y].T, gx[row_x, col_x].T) for c, gy, gx in inner[name]]
+        for name in uses
+    }
+    x_step = _slab_columns(jy, jx)
+    sum_buf, term_buf = np.empty((2, min(x_step, kx.size), jy.size, jx.size))
+    for cy in range(ky.size):
+        ry = slice(cy if diagonal else 0, None)
+        for x0 in range(0, kx.size, x_step):
+            cx = slice(x0, x0 + x_step)
+            slabs = [view[cy, cx, ry] for view in views]
+            n_cx, n_ry = slabs[0].shape[:2]
+            total, term = sum_buf[:n_cx, :n_ry], term_buf[:n_cx, :n_ry]
+            # buffers and slabs flattened over their rows, from the first row written
+            first = x0 if diagonal else 0
+            flat_total, flat_term, *slabs = (
+                a.reshape(n_cx, -1, copy=False)[:, first:] for a in (total, term, *slabs)
+            )
+            written = set()
+            for name, users in uses.items():
+                for i, (c, ly, lx) in enumerate(factors[name]):
+                    out = term if i else total
+                    np.multiply(ly[cy, None, ry, None], lx[cx, None, :], out=out)
+                    if c != 1.0:
+                        out *= c
+                    if i:
+                        total += term
+                for v, scale in users:
+                    if v in written:
+                        np.multiply(flat_total, scale, out=flat_term)
+                        slabs[v] += flat_term
+                    else:
+                        np.multiply(flat_total, scale, out=slabs[v])
+                        written.add(v)
+    return factors
+
+
+def _product(
+    writer: FreeBlockWriter,
+    axes: list[tuple[np.ndarray, np.ndarray]],
+    terms: list[tuple[list[tuple], dict[str, list[tuple]]]],
+    x: np.ndarray,
+) -> np.ndarray:
+    """K x on the free dofs, from the restricted factors of every stored block.
+
+    Field f's part X_f of x is an array (y node, x node, column of x) over
+    its free nodes.  A stored block (f, g) adds s * c * Gy[J, K] @ X_g @ Gx[I, K'].T
+    per term, for each column of X_g, to field f's part of K x and, below
+    the diagonal, the transposed term applied to X_f to field g's part.
+    """
+    x = np.asarray(x, dtype=float)
+    columns = x.reshape(x.shape[0], -1)
+    y = np.zeros(columns.shape)
+    xs, ys = writer.split(columns), writer.split(y)
+    part = [(jy.size, jx.size, columns.shape[1]) for jy, jx in axes]
+    for stream, factors in terms:
+        for f, g, outer in stream:
+            xf, xg = xs[f].reshape(part[f]), xs[g].reshape(part[g])
+            yf, yg = ys[f].reshape(part[f]), ys[g].reshape(part[g])
+            for scale, name in outer:
+                for c, ly, lx in factors[name]:
+                    yf += lx.T @ np.tensordot((scale * c) * ly.T, xg, 1)
+                    if f != g:
+                        yg += lx @ np.tensordot((scale * c) * ly, xf, 1)
+    return y.reshape(x.shape)
+
+
 def quadratures(model, kernel: Kernel, horizon_radius: float) -> dict:
     """Validate the kernel and horizon, then build the model's kernel-dependent quadratures.
 
@@ -480,7 +631,8 @@ def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
     holds the factor afterwards; np.asfortranarray copies only a block that
     is not column-major.  The residuals of iterative refinement come from
     system.product, which does not read the matrix, and must reach
-    ||K u - F|| <= residual_tol * ||F|| on the free rows.
+    ||K u - F|| <= residual_tol * ||F|| on the free rows; a residual that is
+    not finite, from a NaN load or product, never does.
     """
     free = system.free
     u = np.zeros(system.n_dofs)
@@ -509,7 +661,7 @@ def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
             break
         x = x + linalg.cho_solve(factor, r, check_finite=False)
         r = residual(x)
-    if np.linalg.norm(r) > residual_tol * denom:
+    if not np.linalg.norm(r) <= residual_tol * denom:
         raise SolverError(
             f"solve residual {np.linalg.norm(r) / denom:.3e} exceeds {residual_tol:.1e}"
         )

@@ -87,9 +87,9 @@ class ExponentialKernel(Kernel):
     kind: ClassVar[str] = "exponential"
 
     def __post_init__(self) -> None:
-        if not self.l0 > LOCAL_L0_FLOOR:
+        if not LOCAL_L0_FLOOR < self.l0 < math.inf:
             raise KernelError(
-                f"exponential internal length must exceed {LOCAL_L0_FLOOR:g} "
+                f"exponential internal length must be finite and exceed {LOCAL_L0_FLOOR:g} "
                 f"(got {self.l0!r}); use exponential() to collapse tiny "
                 "lengths to the local limit"
             )
@@ -187,8 +187,8 @@ class LocalDelta(Kernel):
 
 def exponential(l0: float) -> Kernel:
     """Exponential kernel; lengths at or below the floor collapse to LocalDelta."""
-    if not l0 > 0.0:
-        raise KernelError(f"exponential internal length must be positive (got {l0!r})")
+    if not 0.0 < l0 < math.inf:
+        raise KernelError(f"exponential internal length must be positive and finite (got {l0!r})")
     if l0 <= LOCAL_L0_FLOOR:
         return LocalDelta()
     return ExponentialKernel(l0)

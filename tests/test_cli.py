@@ -570,8 +570,8 @@ def test_a_beam_exits_3_before_allocating_without_room_for_its_rows_and_grams(
 
 
 # 48 x 48 clamped: 5 * 47^2 = 11,045 free dofs; the block spans 0.91 GiB but
-# backs only its lower triangle and the upper entries of the diagonal y-node
-# blocks, at most 46 per column.
+# backs only its lower triangle and the upper entries of the diagonal slabs
+# of 7 columns, at most 6 per column.
 PLATE_48_YAML = (
     "kernel:\n  kind: exponential\n  l0: 2.5e-3\nhorizon:\n  l_f: 0.5\n"
     "bc:\n  set: clamped\nmesh:\n  nx: 48\n  ny: 48\n"
@@ -582,7 +582,7 @@ PLATE_48_DOFS = 11045
 def test_a_48x48_plate_proceeds_with_memory_between_its_backed_and_spanned_bytes(
     tmp_path, capsys, monkeypatch
 ):
-    backed = fem.backed_bytes(PLATE_48_DOFS, upper=46)
+    backed = fem.backed_bytes(PLATE_48_DOFS, upper=6)
     span = 8 * PLATE_48_DOFS**2
     margin = fem.blas_margin(PLATE_48_DOFS)
     assert backed + margin < span
@@ -603,7 +603,7 @@ def test_a_48x48_plate_proceeds_with_memory_between_its_backed_and_spanned_bytes
 def test_a_48x48_plate_exits_3_before_allocating_below_its_backed_bytes(
     tmp_path, capsys, monkeypatch
 ):
-    backed = fem.backed_bytes(PLATE_48_DOFS, upper=46)
+    backed = fem.backed_bytes(PLATE_48_DOFS, upper=6)
     monkeypatch.setattr(fem, "available_memory", lambda: backed - 1)
 
     def no_factor(*args, **kwargs):

@@ -356,6 +356,45 @@ horizon: {l_f_grid: []}
         ],
     ),
     (
+        "non_finite_kernel_length",
+        "beam",
+        "kernel: {kind: exponential, l0: .inf}\nhorizon: {l_f: 0.5}\n",
+        ["kernel.l0: must be finite (got inf)"],
+    ),
+    (
+        "non_finite_section",
+        "beam",
+        LOCAL + "geometry: {length: .inf}\nmaterial: {modulus: -.inf}\n",
+        [
+            "geometry.length: must be finite (got inf)",
+            "material.modulus: must be finite (got -inf)",
+        ],
+    ),
+    (
+        "non_finite_horizon_and_pressure",
+        "plate",
+        "kernel: {kind: exponential, l0: 2.5e-3}\nhorizon: {l_f: .inf}\nload: {pressure: .nan}\n",
+        [
+            "horizon.l_f: must be finite (got inf)",
+            "load.pressure: must be finite (got nan)",
+        ],
+    ),
+    (
+        "non_finite_grids",
+        "sweep",
+        """
+kernels:
+  - {kind: exponential, l0_grid: [.inf, 1.0e-3]}
+  - {kind: power_law, alpha_grid: [.nan]}
+horizon: {l_f_grid: [.nan, 0.5]}
+""",
+        [
+            "kernels[0].l0_grid[0]: must be finite (got inf)",
+            "kernels[1].alpha_grid[0]: must be finite (got nan)",
+            "horizon.l_f_grid[0]: must be finite (got nan)",
+        ],
+    ),
+    (
         "unknown_keys",
         "beam",
         LOCAL + "mesh: {n_elemnts: 100}\nbc: {set: clamped}\nstray: 1\nthreads: 0\noutput: 3\n",

@@ -1,3 +1,4 @@
+import dataclasses
 import mmap
 
 import numpy as np
@@ -278,6 +279,18 @@ def test_solve_residual_guarantee():
     free = system.free
     r = (system.load - K @ u)[free]
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(system.load[free])
+
+
+@pytest.mark.parametrize("spoil", ["load", "product"])
+def test_a_nan_load_or_product_raises_instead_of_returning_nan(spoil):
+    # a NaN residual reads False in both `norm <= tol` and `norm > tol`
+    _, system = _toy_system(n=6, seed=3)
+    nan = {
+        "load": {"load": np.full(6, np.nan)},
+        "product": {"product": lambda x: np.full(np.shape(x), np.nan)},
+    }[spoil]
+    with pytest.raises(SolverError, match="residual nan"):
+        solve(dataclasses.replace(system, **nan))
 
 
 def test_solve_reads_only_the_lower_triangle():

@@ -167,7 +167,7 @@ def test_make_kernel_registry():
         make_kernel("exponential", alpha=0.7)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9])
+@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9, math.inf])
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(KernelError):
         exponential(bad)

@@ -385,7 +385,7 @@ def test_a_large_block_backs_little_more_than_its_lower_triangle(nx, share):
     # A fresh process, so that its peak resident memory starts near its
     # resident memory.  The pages holding the lower triangle and the upper
     # entries the plate writes are 68% of the 24x24 plate's 53 MiB block and
-    # 61% of the 32x32 plate's 176 MiB one, because each column's lower part
+    # 60% of the 32x32 plate's 176 MiB one, because each column's lower part
     # starts mid-page; the solve adds about 9 and 15 MiB, mostly OpenBLAS's
     # work buffers, which the memory check's margin covers.  On huge pages
     # the growth exceeds the whole block.
@@ -398,8 +398,8 @@ def test_a_large_block_backs_little_more_than_its_lower_triangle(nx, share):
     )
     assert proc.returncode == 0, proc.stderr
     block, growth = map(int, proc.stdout.split())
-    n, upper = 5 * (nx - 1) ** 2, nx - 2
-    assert block == 8 * n**2
+    n, upper = MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=nx, ny=nx).free_block
+    assert n == 5 * (nx - 1) ** 2 and block == 8 * n**2
     assert growth < share * block
     assert growth < fem.backed_bytes(n, upper) + fem.blas_margin(n)
 
@@ -407,12 +407,13 @@ def test_a_large_block_backs_little_more_than_its_lower_triangle(nx, share):
 @pytest.mark.parametrize("boundary, dofs", [("clamped", 11045), ("simply_supported", 11421)])
 def test_metadata_gives_the_span_and_backed_size_of_the_free_block(boundary, dofs):
     # 48 x 48: 47 free nodes per x row on the clamped plate, up to 49 (u and
-    # theta_x) on the simply supported one; the assembly writes at most one
-    # x row of free nodes less one above the diagonal per column
+    # theta_x) on the simply supported one, so a slab of 16,384 entries takes
+    # 7 columns of one y node in every field, and a column gets at most 6
+    # entries above the diagonal
     model = MindlinPlateModel(PlateSection(), 1.0, boundary, 48, 48)
     n, upper = model.free_block
     assert n == dofs
-    assert upper == {"clamped": 46, "simply_supported": 48}[boundary]
+    assert upper == 6
     meta = model.metadata
     assert meta["block_dofs"] == str(dofs)
     assert meta["block_span_mib"] == f"{8 * dofs**2 / 2**20:.1f}"

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -185,6 +186,24 @@ def test_sweep_error_rows_keep_sweep_alive(name):
     table = sweep(build(), grid, [0.5])
     assert table.rows[0][-1] == "error:KernelError"
     assert table.rows[0][4:7] == (None, None, None)
+    assert table.rows[1][-1] == "ok"
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_row_whose_solve_meets_nan_records_a_solver_error(name, monkeypatch):
+    build, nonlocal_spec = MODELS[name]
+    model = build()
+    assemble, systems = model.assemble, []
+
+    def nan_after_the_local_companion(quadratures, block=None):
+        systems.append(assemble(quadratures, block))
+        if len(systems) == 1:
+            return systems[0]
+        return dataclasses.replace(systems[-1], product=lambda x: np.full(np.shape(x), np.nan))
+
+    monkeypatch.setattr(model, "assemble", nan_after_the_local_companion)
+    table = sweep(model, [nonlocal_spec, KernelSpec("local")], [0.5])
+    assert table.rows[0][4:] == (None, None, None, "error:SolverError")
     assert table.rows[1][-1] == "ok"
 
 
