@@ -12,13 +12,14 @@ weighted Gram products of the interpolation rows N and operator rows B:
 direct terms integrate with the 2-point rule, transverse shear with 1 point.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
-fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes its supports at
-zero.  A beam is a plate with one y node: its 4 field blocks on and below
-the diagonal are Kronecker sums of one term, kron(1, G), which
-fem.kronecker_system streams and applies as it does the plate's.  The hat
-rows of both rules and the shear rule's N-N Gram do not depend on the
-kernel: a model builds them once, on first use, and every quadrature and
-assembly after that reads them.
+fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes a field at zero
+at one end, both or neither (FIXED_ENDS), so the free nodes of a field are
+one range.  A beam is a plate with one y node: its 4 field blocks on and
+below the diagonal are Kronecker sums of one term, kron(1, G), which
+fem.kronecker_system streams, lower triangle only, and applies as it does
+the plate's.  The hat rows of both rules and the shear rule's N-N Gram do
+not depend on the kernel: a model builds them once, on first use, and every
+quadrature and assembly after that reads them.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ __all__ = [
 
 U0, W0, THETA = FIELDS = 0, 1, 2
 
-# Nodes fixed at zero, per load case and field (-1 is the node at x = L).
+# Where each field is fixed at zero, per load case: (at x = 0, at x = L).
 # The cantilever is clamped at x = 0; the simply supported beam pins its
 # deflection at both ends and its axial displacement at x = 0.
-FIXED_NODES = {
-    "cantilever_tip": {U0: [0], W0: [0], THETA: [0]},
-    "ss_udtl": {U0: [0], W0: [0, -1], THETA: []},
+FIXED_ENDS = {
+    "cantilever_tip": {U0: (True, False), W0: (True, False), THETA: (True, False)},
+    "ss_udtl": {U0: (True, False), W0: (True, True), THETA: (False, False)},
 }
 
 
@@ -149,13 +150,13 @@ class TimoshenkoBeamModel:
             "model": "beam",
             "load_case": self.load.name,
             "n_elements": self.resolution,
-            **fem.block_metadata(*self.free_block),
+            **fem.block_metadata(self.free_dofs),
         }
 
     @property
-    def free_block(self) -> tuple[int, int]:
-        """Dofs of the free block, and its staircase above the diagonal (fem.free_block)."""
-        return fem.free_block(self._free_axes())
+    def free_dofs(self) -> int:
+        """Dofs of the free block (fem.free_dofs)."""
+        return fem.free_dofs(self._free_axes())
 
     @property
     def held_bytes(self) -> int:
@@ -190,7 +191,7 @@ class TimoshenkoBeamModel:
     def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict[int, AxisQuadrature]:
         """The bending and shear rules' quadratures, keyed by their point counts."""
         return {
-            npts: AxisQuadrature(self.mesh, gauss_rule(npts), kernel, horizon_radius, hats)
+            npts: AxisQuadrature(hats, kernel, horizon_radius)
             for npts, hats in self._hats.items()
         }
 
@@ -234,15 +235,8 @@ class TimoshenkoBeamModel:
 
     def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Free (y, x) node ranges of each field: its one y node, and its unfixed x nodes."""
-        nn = self.mesh.n_nodes
-        fixed = FIXED_NODES[self.load.name]
-        axes = []
-        for f in FIELDS:
-            ends = {node % nn for node in fixed[f]}
-            if not ends <= {0, nn - 1}:
-                raise ValueError(f"load case {self.load.name!r} fixes interior nodes of field {f}")
-            axes.append((np.arange(1), np.arange(int(0 in ends), nn - int(nn - 1 in ends))))
-        return axes
+        ends = FIXED_ENDS[self.load.name]
+        return [(np.arange(1), fem.free_range(self.mesh.n_nodes, ends[f])) for f in FIELDS]
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,7 @@ def _convergence_table(cfg: RunConfig) -> SweepResult:
             "model": "convergence",
             "target": cfg.target,
             "kernel": spec.label,
-            **fem.block_metadata(*model.free_block),
+            **fem.block_metadata(model.free_dofs),
         },
     )
 

@@ -16,7 +16,7 @@ import math
 
 import yaml
 
-from .beam import FIXED_NODES, BeamSection
+from .beam import FIXED_ENDS, BeamSection
 from .kernels import KERNEL_KINDS, KERNEL_PARAMS, power_law
 from .plate import BOUNDARY_CONDITIONS, PlateSection
 from .results import KernelSpec, check_alpha_floor
@@ -24,7 +24,7 @@ from .results import KernelSpec, check_alpha_floor
 __all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "LOAD_CASES"]
 
 SUBCOMMANDS = ("dispersion", "beam", "plate", "sweep", "convergence")
-LOAD_CASES = tuple(FIXED_NODES)
+LOAD_CASES = tuple(FIXED_ENDS)
 
 # The fields of BeamSection and PlateSection read under `material:`.
 _MATERIAL = ("modulus", "poisson", "shear_correction")

@@ -11,19 +11,19 @@ rule; a beam is the case of a single y node.
 A StiffnessSystem holds only the lower triangle, diagonal included, of the
 free-free block of the stiffness, in column-major (LAPACK) order: every beam
 and plate case fixes its supports at zero, and K is symmetric, so Cholesky
-reads nothing else.  kronecker_system is the one writer of both models: it
-streams the field blocks on and below the diagonal through a
-FreeBlockWriter in slabs of a few columns, so a column gets at most one
-slab's width less one entries above the diagonal (free_block), and gives
-the system product(x), K x on the free dofs from the same restricted Grams.
+reads nothing else, and nothing above the diagonal is ever written.
+kronecker_system is the one writer of both models: it streams the field
+blocks on and below the diagonal in slabs of a few columns, and gives the
+system product(x), K x on the free dofs from the same restricted Grams.
 solve() factors the block by Cholesky in place, takes its residuals from
 product(), refines once or twice if needed, and guarantees a small relative
 residual or raises.  Every dense block is checked against the available
 memory before it is allocated, and is backed by small pages, so that the
-pages of its untouched upper triangle cost no memory.  A writer can also
-take the block of an earlier system of the same size: a sweep hands each
-row a block that a finished row left behind, instead of faulting in fresh
-pages, and the writer zeroes what the model does not overwrite.
+pages of its untouched upper triangle cost no memory.  kronecker_system can
+also take the block of an earlier system of the same size: a sweep hands
+each row a block that a finished row left behind, instead of faulting in
+fresh pages, and the lower field blocks that the model does not write are
+zeroed.
 
 The hat rows N and the Gauss points and weights of a rule (HatRows) do not
 depend on the kernel, so a model builds them once per rule and hands them
@@ -63,8 +63,8 @@ __all__ = [
     "block_metadata",
     "check_fits",
     "dense_block",
-    "FreeBlockWriter",
-    "free_block",
+    "free_dofs",
+    "free_range",
     "kronecker_system",
     "quadratures",
     "assemble",
@@ -192,26 +192,17 @@ class HatRows:
 class AxisQuadrature:
     """Gauss data of one rule over one axis mesh, with N and B row families.
 
-    points, weights and N come from hats, the HatRows of this mesh and rule,
-    which are built here when not given.  B holds the nonlocal gradient rows
-    for the given kernel and horizon radius; with the local delta kernel B
-    degenerates to the element-gradient rows.
+    points, weights and N come from hats, the HatRows of the mesh and rule,
+    and mesh is hats.mesh.  B holds the nonlocal gradient rows for the given
+    kernel and horizon radius; with the local delta kernel B degenerates to
+    the element-gradient rows.
     """
 
-    def __init__(
-        self,
-        mesh: IntervalMesh,
-        rule: GaussRule,
-        kernel: Kernel,
-        horizon_radius: float,
-        hats: HatRows | None = None,
-    ):
-        if hats is None:
-            hats = HatRows(mesh, rule)
+    def __init__(self, hats: HatRows, kernel: Kernel, horizon_radius: float):
         self.points, self.weights, self.N = hats.points, hats.weights, hats.N
-        horizon = HorizonSpec(l_f=horizon_radius, x_min=0.0, x_max=mesh.length)
-        self.B = build_operator_matrix(mesh.nodes, self.points, horizon, kernel).weights
-        self.mesh = mesh
+        self.mesh = hats.mesh
+        horizon = HorizonSpec(l_f=horizon_radius, x_min=0.0, x_max=self.mesh.length)
+        self.B = build_operator_matrix(self.mesh.nodes, self.points, horizon, kernel).weights
 
     def load_vector(self) -> np.ndarray:
         """Consistent nodal load of a unit distributed intensity."""
@@ -302,32 +293,30 @@ def _cgroup_headroom() -> int | None:
     return min(headroom, default=None)
 
 
-def backed_bytes(n: int, upper: int = 0) -> int:
+def backed_bytes(n: int) -> int:
     """Bytes of memory the n x n block of dense_block backs once its lower triangle is written.
 
     The block has small pages, and only those written are backed: the pages
-    that hold rows max(0, j - upper) to n - 1 of each column j, where upper
-    is the most entries above the diagonal that the model writes in a column
-    (its free_block).  Whole pages are counted, so a tiny block backs more
-    than its 8 n^2 bytes.
+    that hold rows j to n - 1 of each column j.  Whole pages are counted, so
+    a tiny block backs more than its 8 n^2 bytes.
     """
     j = np.arange(n, dtype=np.int64)
-    first = 8 * (j * n + np.maximum(j - upper, 0)) // mmap.PAGESIZE
+    first = 8 * j * (n + 1) // mmap.PAGESIZE
     last = (8 * (j + 1) * n - 1) // mmap.PAGESIZE
     # consecutive columns share at most the page where one ends and the next begins
     shared = np.count_nonzero(first[1:] == last[:-1])
     return int(np.sum(last - first + 1) - shared) * mmap.PAGESIZE
 
 
-def block_metadata(n: int, upper: int = 0) -> dict[str, str]:
+def block_metadata(n: int) -> dict[str, str]:
     """Manifest entries of an n x n free block: its dofs, and the MiB it spans and backs.
 
-    The backed figure is backed_bytes(n, upper), what check_fits counts.
+    The backed figure is backed_bytes(n), what check_fits counts.
     """
     return {
         "block_dofs": str(n),
         "block_span_mib": f"{8 * n * n / 2**20:.1f}",
-        "block_backed_mib": f"{backed_bytes(n, upper) / 2**20:.1f}",
+        "block_backed_mib": f"{backed_bytes(n) / 2**20:.1f}",
     }
 
 
@@ -342,24 +331,22 @@ def blas_margin(n: int) -> int:
     return (8 << 20) + (3 << 10) * n
 
 
-def check_fits(
-    n: int, upper: int = 0, margin: int | None = None, blocks: int = 1, held: int = 0
-) -> None:
+def check_fits(n: int, margin: int | None = None, blocks: int = 1, held: int = 0) -> None:
     """Raise SolverError when `blocks` n x n blocks, a margin and `held` bytes would not fit.
 
-    Each block counts the bytes it will back (backed_bytes(n, upper)) and
-    held, what the model keeps besides it (its rows and Grams); margin
-    defaults to blas_margin(n), what a solve needs beyond its block.  A sweep
+    Each block counts the bytes it will back (backed_bytes(n)) and held,
+    what the model keeps besides it (its rows and Grams); margin defaults
+    to blas_margin(n), what a solve needs beyond its block.  A sweep
     on several threads holds up to one block per worker (results.sweep), each
     with rows and Grams of its own, but one margin covers their solves: at 2
-    threads the 24x24 plate sweep peaked at 142.7 MiB against 147.3 MiB for
+    threads the 24x24 plate sweep peaked at 142.7 MiB against 146.6 MiB for
     the RSS before its blocks, the blocks and one margin, the 32x32 one at
-    289.9 against 294.6 MiB, and an 800-element beam sweep at 269.5 against
-    281.5 MiB (208.1 with one copy of its rows and Grams).
+    289.9 against 293.6 MiB, and an 800-element beam sweep at 269.5 against
+    280.9 MiB (207.5 with one copy of its rows and Grams).
     """
     if margin is None:
         margin = blas_margin(n)
-    block, held = blocks * backed_bytes(n, upper), blocks * held
+    block, held = blocks * backed_bytes(n), blocks * held
     have = available_memory()
     if have is not None and block + margin + held > have:
         extra = f" and {margin / 2**20:.0f} MiB of BLAS buffers" if margin else ""
@@ -398,80 +385,14 @@ def dense_block(n: int) -> np.ndarray:
     return np.frombuffer(pages, dtype=float).reshape((n, n), order="F")
 
 
-class FreeBlockWriter:
-    """The lower triangle of the free-free block of a field-major system.
-
-    free_nodes[f] lists field f's free nodes in ascending order; with
-    dof(f, node) = f * n_nodes + node the free dofs ascend too.  Only the
-    field blocks (f, g) with f >= g are written, so no field block above the
-    diagonal is ever touched: columns() gives one by columns, and the model
-    must then write every entry on and below its diagonal.  split() views a
-    free vector field by field.
-
-    The array is allocated by dense_block, so the memory check runs first,
-    unless block is given: the array of an earlier system of the same free
-    block, such as a factor that solve() left behind.  It is then reused as
-    it is, and system() zeroes its lower field blocks that columns() did not
-    reach, so that its lower triangle holds what a fresh array's would.
-    """
-
-    def __init__(
-        self, n_nodes: int, free_nodes: list[np.ndarray], block: np.ndarray | None = None
-    ):
-        self.free = np.concatenate([f * n_nodes + nodes for f, nodes in enumerate(free_nodes)])
-        self._start = np.cumsum([0] + [nodes.size for nodes in free_nodes])
-        n = self.free.size
-        if block is None:
-            self.matrix, self._reused = dense_block(n), False
-        elif block.shape != (n, n) or block.dtype != float or not block.flags.f_contiguous:
-            raise ValueError(f"a reused block must be a column-major {n} x {n} float64 array")
-        else:
-            self.matrix, self._reused = block, True
-        self._written: set[tuple[int, int]] = set()
-
-    def columns(self, f: int, g: int) -> np.ndarray:
-        """Writable view of block (f, g) by columns: row c holds its column c, contiguous."""
-        view = self.matrix[self._block(f, g)].T
-        self._written.add((f, g))
-        return view
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Views of each field's part of x, a free vector or a stack of them by columns."""
-        return [x[self._dofs(f)] for f in range(self._start.size - 1)]
-
-    def _block(self, f: int, g: int) -> tuple[slice, slice]:
-        if f < g:
-            raise ValueError(f"block ({f}, {g}) lies above the diagonal, which is not stored")
-        return self._dofs(f), self._dofs(g)
-
-    def _dofs(self, f: int) -> slice:
-        return slice(self._start[f], self._start[f + 1])
-
-    def system(
-        self, load: np.ndarray, product: Callable[[np.ndarray], np.ndarray]
-    ) -> StiffnessSystem:
-        """The finished system; on a reused block, unwritten lower field blocks are zeroed first."""
-        if self._reused:
-            for f in range(self._start.size - 1):
-                for g in range(f + 1):
-                    if (f, g) not in self._written:
-                        self.matrix[self._block(f, g)] = 0.0
-        return StiffnessSystem(self.matrix, load, self.free, product)
+def free_range(n_nodes: int, fixed: tuple[bool, bool]) -> np.ndarray:
+    """Free nodes of an axis of n_nodes nodes whose first and last node are fixed or not."""
+    return np.arange(int(fixed[0]), n_nodes - int(fixed[1]))
 
 
-def free_block(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[int, int]:
-    """Dofs of the free block kronecker_system writes over these axes, and its `upper`.
-
-    upper is the most entries above the diagonal that a column gets: the
-    k-th column of a diagonal slab gets k, so upper is a slab's width less one.
-    """
-    n = sum(jy.size * jx.size for jy, jx in axes)
-    return n, max(min(_slab_columns(jy, jx), jx.size) for jy, jx in axes) - 1
-
-
-def _slab_columns(jy: np.ndarray, jx: np.ndarray) -> int:
-    """Columns of a slab of rows (jy, jx): at most SLAB_ENTRIES entries, at least one column."""
-    return max(1, SLAB_ENTRIES // max(1, jy.size * jx.size))
+def free_dofs(axes: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """Dofs of the free block kronecker_system writes over these free (y, x) node ranges."""
+    return sum(jy.size * jx.size for jy, jx in axes)
 
 
 def kronecker_system(
@@ -485,30 +406,55 @@ def kronecker_system(
     """The system whose field blocks are sums of Kronecker products of 1D Grams.
 
     Each field has grid = (n_y, n_x) nodes, node j * n_x + i, and its free
-    nodes are the product of the ranges axes[f] = (jy, jx).  inner names
-    inner sums sum_i c_i kron(Gy_i, Gx_i) as ((c_i, Gy_i, Gx_i), ...).  A
-    stream lists field blocks (f, g, ((scale, name), ...)), f >= g, that
-    share their free rows and columns, on which block (f, g) is
+    nodes are the product of the ranges axes[f] = (jy, jx); with
+    dof(f, node) = f * n_y * n_x + node the free dofs ascend field by field.
+    inner names inner sums sum_i c_i kron(Gy_i, Gx_i) as ((c_i, Gy_i, Gx_i),
+    ...).  A stream lists field blocks (f, g, ((scale, name), ...)), f >= g,
+    that share their free rows and columns, on which block (f, g) is
     sum_o scale_o * inner[name_o].  Since kron(A, B)[J x I, J' x I'] =
     kron(A[J, J'], B[I, I']) (Van Loan, "The ubiquitous Kronecker product",
-    2000), no full matrix or field-block-sized temporary exists.  block,
-    when given, is reused (FreeBlockWriter).
+    2000), no full matrix or field-block-sized temporary exists.
+
+    The block is allocated by dense_block, so the memory check runs first,
+    unless block is given: the matrix of an earlier system of the same free
+    block, such as a factor that solve() left behind.  It is then reused as
+    it is, and its lower field blocks that no stream lists are zeroed, so
+    that its lower triangle holds what a fresh block's would.  Nothing above
+    the diagonal is written.
     """
-    n_x = grid[1]
-    writer = FreeBlockWriter(
-        grid[0] * n_x, [(jy[:, None] * n_x + jx).ravel() for jy, jx in axes], block
+    listed = {(f, g) for stream in streams for f, g, _ in stream}
+    for f, g in listed:
+        if f < g:
+            raise ValueError(f"block ({f}, {g}) lies above the diagonal, which is not stored")
+    n_x, n_nodes = grid[1], grid[0] * grid[1]
+    free = np.concatenate(
+        [f * n_nodes + (jy[:, None] * n_x + jx).ravel() for f, (jy, jx) in enumerate(axes)]
     )
-    terms = [(stream, _stream(writer, axes, inner, stream)) for stream in streams]
-    return writer.system(load, functools.partial(_product, writer, axes, terms))
+    start = np.cumsum([0] + [jy.size * jx.size for jy, jx in axes])
+    dofs = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
+    n = free.size
+    if block is None:
+        matrix = dense_block(n)
+    elif block.shape != (n, n) or block.dtype != float or not block.flags.f_contiguous:
+        raise ValueError(f"a reused block must be a column-major {n} x {n} float64 array")
+    else:
+        matrix = block
+        for f in range(len(axes)):
+            for g in range(f + 1):
+                if (f, g) not in listed:
+                    matrix[dofs[f], dofs[g]] = 0.0
+    terms = [(stream, _stream(matrix, dofs, axes, inner, stream)) for stream in streams]
+    return StiffnessSystem(matrix, load, free, functools.partial(_product, dofs, axes, terms))
 
 
 def _stream(
-    writer: FreeBlockWriter,
+    matrix: np.ndarray,
+    dofs: list[slice],
     axes: list[tuple[np.ndarray, np.ndarray]],
     inner: dict[str, tuple],
     blocks: list[tuple],
 ) -> dict[str, list[tuple[float, np.ndarray, np.ndarray]]]:
-    """Write blocks sum_o s_o * inner[name_o] into writer, one column slab at a time.
+    """Write blocks sum_o s_o * inner[name_o] into matrix, one column slab at a time.
 
     Every block (f, g) has the free rows J x I and columns K x K' of the
     first block.  Returned by name, each inner sum they use is restricted
@@ -520,13 +466,15 @@ def _stream(
     the outer terms in the order of their inner sums, which cannot change
     the bits of a sum of at most two terms.
 
-    A slab is _slab_columns of the columns on one y node in the F-order
-    view writer.columns(f, g), whose columns are contiguous; on small meshes
-    it is all of that node's columns.  On diagonal blocks a slab of columns
-    (cy, x0), (cy, x0 + 1), ... starts at row (cy, x0), and the rows before
-    are never touched.  Each inner sum is built once per slab, from row
-    (cy, 0), in a buffer of that size, and scaled into every block that
-    uses it: written the first time, added after that.
+    A slab is SLAB_ENTRIES // (rows of a column) columns, at least one, on
+    one y node of the block's F-order view matrix[dofs[f], dofs[g]].T, whose
+    columns are contiguous; on small meshes it is all of that node's
+    columns.  On diagonal blocks a slab of columns (cy, x0), (cy, x0 + 1),
+    ... starts at row (cy, x0), and its head, the rows of its own columns, is
+    written through an upper-triangular mask over (column, row), so that no
+    entry above the diagonal is touched.  Each inner sum is built once per
+    slab, from row (cy, 0), in a buffer of that size, and scaled into every
+    block that uses it: written the first time, added after that.
     """
     (jy, jx), (ky, kx) = axes[blocks[0][0]], axes[blocks[0][1]]
     (row_y, row_x), (col_y, col_x) = (
@@ -534,7 +482,7 @@ def _stream(
     )
     diagonal = blocks[0][0] == blocks[0][1]
     shape = (ky.size, kx.size, jy.size, jx.size)
-    views = [writer.columns(f, g).reshape(shape, copy=False) for f, g, _ in blocks]
+    views = [matrix[dofs[f], dofs[g]].T.reshape(shape, copy=False) for f, g, _ in blocks]
     uses: dict[str, list[tuple[int, float]]] = {}
     for v, (_, _, outer) in enumerate(blocks):
         for scale, name in outer:
@@ -543,8 +491,11 @@ def _stream(
         name: [(c, gy[row_y, col_y].T, gx[row_x, col_x].T) for c, gy, gx in inner[name]]
         for name in uses
     }
-    x_step = _slab_columns(jy, jx)
+    x_step = max(1, SLAB_ENTRIES // max(1, jy.size * jx.size))
     sum_buf, term_buf = np.empty((2, min(x_step, kx.size), jy.size, jx.size))
+    # entry [k, p] of a diagonal slab's head, row x0 + p of column x0 + k,
+    # lies on or below the diagonal when p >= k
+    on_or_below = np.triu(np.ones((sum_buf.shape[0],) * 2, dtype=bool))
     for cy in range(ky.size):
         ry = slice(cy if diagonal else 0, None)
         for x0 in range(0, kx.size, x_step):
@@ -554,9 +505,11 @@ def _stream(
             total, term = sum_buf[:n_cx, :n_ry], term_buf[:n_cx, :n_ry]
             # buffers and slabs flattened over their rows, from the first row written
             first = x0 if diagonal else 0
-            flat_total, flat_term, *slabs = (
-                a.reshape(n_cx, -1, copy=False)[:, first:] for a in (total, term, *slabs)
-            )
+            flat = [a.reshape(n_cx, -1, copy=False)[:, first:] for a in (total, term, *slabs)]
+            parts = [(flat, True)]
+            if diagonal:  # the head masked, the rows after it whole
+                parts = [([a[:, :n_cx] for a in flat], on_or_below[:n_cx, :n_cx]),
+                         ([a[:, n_cx:] for a in flat], True)]
             written = set()
             for name, users in uses.items():
                 for i, (c, ly, lx) in enumerate(factors[name]):
@@ -567,42 +520,43 @@ def _stream(
                     if i:
                         total += term
                 for v, scale in users:
-                    if v in written:
-                        np.multiply(flat_total, scale, out=flat_term)
-                        slabs[v] += flat_term
-                    else:
-                        np.multiply(flat_total, scale, out=slabs[v])
-                        written.add(v)
+                    for (flat_total, flat_term, *flat_slabs), where in parts:
+                        if v in written:
+                            np.multiply(flat_total, scale, out=flat_term)
+                            np.add(flat_slabs[v], flat_term, out=flat_slabs[v], where=where)
+                        else:
+                            np.multiply(flat_total, scale, out=flat_slabs[v], where=where)
+                    written.add(v)
     return factors
 
 
 def _product(
-    writer: FreeBlockWriter,
+    dofs: list[slice],
     axes: list[tuple[np.ndarray, np.ndarray]],
     terms: list[tuple[list[tuple], dict[str, list[tuple]]]],
     x: np.ndarray,
 ) -> np.ndarray:
     """K x on the free dofs, from the restricted factors of every stored block.
 
-    Field f's part X_f of x is an array (y node, x node, column of x) over
-    its free nodes.  A stored block (f, g) adds s * c * Gy[J, K] @ X_g @ Gx[I, K'].T
-    per term, for each column of X_g, to field f's part of K x and, below
-    the diagonal, the transposed term applied to X_f to field g's part.
+    Field f's part X_f of x, x[dofs[f]], is an array (y node, x node, column
+    of x) over its free nodes.  A stored block (f, g) adds
+    s * c * Gy[J, K] @ X_g @ Gx[I, K'].T per term, for each column of X_g, to
+    field f's part of K x and, below the diagonal, the transposed term
+    applied to X_f to field g's part.
     """
     x = np.asarray(x, dtype=float)
     columns = x.reshape(x.shape[0], -1)
     y = np.zeros(columns.shape)
-    xs, ys = writer.split(columns), writer.split(y)
     part = [(jy.size, jx.size, columns.shape[1]) for jy, jx in axes]
+    xs = [columns[s].reshape(p) for s, p in zip(dofs, part)]
+    ys = [y[s].reshape(p) for s, p in zip(dofs, part)]
     for stream, factors in terms:
         for f, g, outer in stream:
-            xf, xg = xs[f].reshape(part[f]), xs[g].reshape(part[g])
-            yf, yg = ys[f].reshape(part[f]), ys[g].reshape(part[g])
             for scale, name in outer:
                 for c, ly, lx in factors[name]:
-                    yf += lx.T @ np.tensordot((scale * c) * ly.T, xg, 1)
+                    ys[f] += lx.T @ np.tensordot((scale * c) * ly.T, xs[g], 1)
                     if f != g:
-                        yg += lx @ np.tensordot((scale * c) * ly, xf, 1)
+                        ys[g] += lx @ np.tensordot((scale * c) * ly, xs[f], 1)
     return y.reshape(x.shape)
 
 
@@ -675,12 +629,12 @@ def solve_metric(
     """|u| at the model's metric dof after assembling and solving the system.
 
     The metric dof is the beam's tip or midspan deflection, or the plate's
-    center deflection.  The model's free block (model.free_block) and the
+    center deflection.  The model's free block (model.free_dofs) and the
     arrays it holds besides (model.held_bytes) are checked against the
     available memory first, so an oversized mesh fails before any quadrature
     work or allocation.
     """
-    check_fits(*model.free_block, held=model.held_bytes)
+    check_fits(model.free_dofs, held=model.held_bytes)
     u = solve(assemble(model, kernel, horizon_radius), residual_tol)
     return float(np.abs(u[model.metric_dof]))
 

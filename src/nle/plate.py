@@ -20,9 +20,9 @@ diagonal as data, and fem.kronecker_system streams their lower triangle
 from restricted 1D Grams and applies them in product K x.  The blocks below
 the diagonal take transposed views of the same Grams, so each entry has the
 bits of its mirror image.  At 48x48 clamped the free block has 11,045 dofs
-and spans 0.91 GiB, but a column gets at most 6 entries above the diagonal
-(fem.free_block), and dense_block backs every block with small pages, so the
-untouched upper half costs no memory.
+and spans 0.91 GiB, but no entry above its diagonal is written, and
+dense_block backs every block with small pages, so the untouched upper half
+costs no memory.
 The hat rows of each axis and rule, and their N-N Grams, do not depend on
 the kernel: a model builds them once, on first use, and keeps them.
 
@@ -150,13 +150,13 @@ class MindlinPlateModel:
             "bc": self.boundary,
             "nx": str(nx),
             "ny": str(ny),
-            **fem.block_metadata(*self.free_block),
+            **fem.block_metadata(self.free_dofs),
         }
 
     @property
-    def free_block(self) -> tuple[int, int]:
-        """Dofs of the free block, and its staircase above the diagonal (fem.free_block)."""
-        return fem.free_block(self._free_axes())
+    def free_dofs(self) -> int:
+        """Dofs of the free block (fem.free_dofs)."""
+        return fem.free_dofs(self._free_axes())
 
     # The per-axis rows and Grams hold under 1 MiB at 48x48, which the BLAS
     # margin's fixed 8 MiB covers, so the memory check counts only blocks.
@@ -181,7 +181,7 @@ class MindlinPlateModel:
         Gram.
         """
         return {
-            key: AxisQuadrature(hats.mesh, gauss_rule(key[1]), kernel, horizon_radius, hats)
+            key: AxisQuadrature(hats, kernel, horizon_radius)
             for key, hats in self._hats.items()
         }
 
@@ -272,12 +272,11 @@ class MindlinPlateModel:
     def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Free (y, x) node ranges of each field; its free nodes are their product."""
         n_x, n_y = self.mesh.x_axis.n_nodes, self.mesh.y_axis.n_nodes
-
-        def axis(n: int, fixed: bool) -> np.ndarray:
-            return np.arange(1, n - 1) if fixed else np.arange(n)
-
         edges = FIXED_EDGES[self.boundary]
-        return [(axis(n_y, edges[f][1]), axis(n_x, edges[f][0])) for f in FIELDS]
+        return [
+            (fem.free_range(n_y, (on_y, on_y)), fem.free_range(n_x, (on_x, on_x)))
+            for on_x, on_y in (edges[f] for f in FIELDS)
+        ]
 
 
 @dataclass(frozen=True)

@@ -74,19 +74,18 @@ class Model(Protocol):
     fem.AxisQuadrature per distinct axis mesh and rule; assemble(quadratures,
     block) builds from them the free-free stiffness block and the full load
     (fem.StiffnessSystem, every other dof fixed at zero).  When block is
-    given, the new system takes it over through fem.FreeBlockWriter: it is
-    the matrix of an earlier system of the same model, holding whatever that
-    system's solve left.  free_block is (dofs, most entries written above the
-    diagonal per column) of the one free block every system of the model
-    shares, and held_bytes what the model's rows and Grams take besides;
-    fem.check_fits counts both.  The metric is |u| at metric_dof.
-    case fills the fourth CSV column (load case or boundary set),
+    given, the new system takes it over (fem.kronecker_system): it is the
+    matrix of an earlier system of the same model, holding whatever that
+    system's solve left.  free_dofs is the size of the one free block every
+    system of the model shares, and held_bytes what the model's rows and
+    Grams take besides; fem.check_fits counts both.  The metric is |u| at
+    metric_dof.  case fills the fourth CSV column (load case or boundary set),
     sweep_columns names the CSV columns, metadata holds the manifest entries
     of the model and resolution is the mesh size as the convergence table
     prints it.
     """
 
-    free_block: tuple[int, int]
+    free_dofs: int
     held_bytes: int
     metric_dof: int
     case: str
@@ -171,7 +170,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     if threads < 1:
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
     configs = [(spec, float(l_f)) for spec in kernel_grid for l_f in l_f_grid]
-    fem.check_fits(*model.free_block, blocks=min(threads, len(configs)), held=model.held_bytes)
+    fem.check_fits(model.free_dofs, blocks=min(threads, len(configs)), held=model.held_bytes)
     spare: list[np.ndarray] = []  # blocks of finished solves, at most one per thread
 
     def solve(quadratures: dict) -> float:

@@ -5,15 +5,15 @@ import pytest
 
 from nle import fem
 from nle.beam import (
-    FIXED_NODES,
     BeamSection,
     CantileverTipLoad,
     SimplySupportedUniformLoad,
     TimoshenkoBeamModel,
 )
-from nle.fem import AxisQuadrature, gauss_rule, gram
+from nle.fem import AxisQuadrature, HatRows, gauss_rule, gram
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel, power_law
 from nle.operator import HorizonSpec, build_operator_matrix
+from nle.plate import BOUNDARY_CONDITIONS, MindlinPlateModel, PlateSection
 from nle.results import KernelSpec, sweep
 from strain_oracle import beam_strains
 
@@ -64,8 +64,8 @@ def _full_beam_assembly(model, kernel, horizon_radius):
     """
     mesh, s = model.mesh, model.section
     nn = mesh.n_nodes
-    bend = AxisQuadrature(mesh, gauss_rule(fem.BENDING_POINTS), kernel, horizon_radius)
-    shear = AxisQuadrature(mesh, gauss_rule(fem.SHEAR_POINTS), kernel, horizon_radius)
+    bend = AxisQuadrature(HatRows(mesh, gauss_rule(fem.BENDING_POINTS)), kernel, horizon_radius)
+    shear = AxisQuadrature(HatRows(mesh, gauss_rule(fem.SHEAR_POINTS)), kernel, horizon_radius)
     EA = s.modulus * s.area
     EI = s.modulus * s.inertia
     kGA = s.shear_correction * s.shear_modulus * s.area
@@ -132,23 +132,22 @@ def test_product_equals_the_full_assembly(load, kernel):
 
 @LOADS
 @pytest.mark.parametrize("slab_entries", [fem.SLAB_ENTRIES, 64, 5000], ids=["81", "1", "24"])
-def test_a_reused_block_gets_its_lower_triangle_and_a_staircase_above_it(
+def test_a_reused_block_gets_its_lower_triangle_and_nothing_above_it(
     monkeypatch, load, slab_entries
 ):
-    # 200 elements, slabs of 81, 1 and 24 columns: above the diagonal each
-    # column j gets at most the rows from j - upper on, every other entry of
-    # a reused block keeps what it held, and the lower triangle takes the
-    # bytes of a fresh assembly in the default slabs
+    # 200 elements, slabs of 81, 1 and 24 columns: every entry above the
+    # diagonal of a reused block keeps what it held, and the lower triangle
+    # takes the bytes of a fresh assembly in the default slabs
     model = TimoshenkoBeamModel(SECTION, load, 200)
     kernel = ExponentialKernel(2.5e-3)
     fresh = fem.assemble(model, kernel, 0.5).matrix
     monkeypatch.setattr(fem, "SLAB_ENTRIES", slab_entries)
-    n, upper = model.free_block
+    n = model.free_dofs
     block = np.full((n, n), np.nan, order="F")
     system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
     assert system.matrix is block
     rows, columns = np.indices((n, n))
-    assert np.isnan(block[rows < columns - upper]).all()
+    assert np.isnan(block[rows < columns]).all()
     assert np.tril(block).tobytes() == np.tril(fresh).tobytes()
 
 
@@ -161,29 +160,27 @@ def _pages_written(block: np.ndarray) -> int:
     return int(np.count_nonzero(~pages.all(axis=1))) * mmap.PAGESIZE
 
 
-@LOADS
-@pytest.mark.parametrize("n_elements", [200, 800, 1600])
-def test_the_backed_figure_counts_the_pages_the_assembly_writes(load, n_elements):
+@pytest.mark.parametrize(
+    "model",
+    [
+        TimoshenkoBeamModel(SECTION, load, n_elements)
+        for load in (CantileverTipLoad(), SimplySupportedUniformLoad())
+        for n_elements in (200, 800, 1600)
+    ]
+    + [MindlinPlateModel(PlateSection(), 1.0, boundary) for boundary in BOUNDARY_CONDITIONS],
+    ids=lambda model: f"{model.case}-{model.resolution}",
+)
+def test_the_backed_figure_counts_the_pages_the_assembly_writes(model):
     # A reused block, filled with NaN: the assembly writes or zeroes every
-    # entry of its lower triangle, and the most entries above the diagonal of
-    # a column is the model's upper.  backed_bytes counts `upper` of them in
-    # every column, while the first column of a slab writes none, so it may
-    # count a page more for some columns: 5 of 704 pages at 200 elements.
-    model = TimoshenkoBeamModel(SECTION, load, n_elements)
-    n, upper = model.free_block
+    # entry of its lower triangle and none above it, so the first entry
+    # written in each column is its diagonal, and backed_bytes counts exactly
+    # the pages written
+    n = model.free_dofs
     block = np.full((n, n), np.nan, order="F")
     model.assemble(fem.quadratures(model, ExponentialKernel(2.5e-3), 0.5), block)
     first_written = np.argmax(~np.isnan(block), axis=0)
-    assert np.max(np.arange(n) - first_written) == upper
-    written, backed = _pages_written(block), fem.backed_bytes(n, upper)
-    assert written <= backed < 1.01 * written
-
-
-def test_free_nodes_must_be_one_contiguous_range(monkeypatch):
-    model = TimoshenkoBeamModel(SECTION, CantileverTipLoad(), 8)
-    monkeypatch.setitem(FIXED_NODES, "cantilever_tip", {0: [0], 1: [0, 4], 2: [0]})
-    with pytest.raises(ValueError, match="interior"):
-        fem.assemble(model, LocalDelta(), 0.5)
+    np.testing.assert_array_equal(first_written, np.arange(n))
+    assert _pages_written(block) == fem.backed_bytes(n)
 
 
 # ---------------------------------------------------------------------------

@@ -196,14 +196,13 @@ def test_shipped_sweep_manifest_counts_its_distinct_solves(tmp_path, config):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["rows"] == "27"
     assert manifest["solves"] == "13"
-    # the free block: 3 * 201 - 3 beam dofs, 5 * 23^2 clamped plate dofs.  The
-    # plate backs only the pages of its lower triangle and of the upper
-    # entries it writes; a beam column (4,800 bytes) is longer than a page,
-    # and its slabs of 81 columns write up to 80 entries above the diagonal,
-    # so the beam's figure is every page of the block (2,883,584 bytes).
+    # the free block: 3 * 201 - 3 beam dofs, 5 * 23^2 clamped plate dofs.
+    # Each backs only the pages of its lower triangle; a beam column (4,800
+    # bytes) is longer than a page, so the beam's figure (2,850,816 bytes)
+    # is nearly every page of the block.
     dofs, span, backed = {
-        "sweep_beam.yaml": ("600", "2.7", "2.8"),
-        "sweep_plate.yaml": ("2645", "53.4", "36.3"),
+        "sweep_beam.yaml": ("600", "2.7", "2.7"),
+        "sweep_plate.yaml": ("2645", "53.4", "36.0"),
     }[config]
     assert manifest["block_dofs"] == dofs
     assert manifest["block_span_mib"] == span
@@ -211,14 +210,14 @@ def test_shipped_sweep_manifest_counts_its_distinct_solves(tmp_path, config):
 
 
 def test_shipped_beam_convergence_manifest_describes_its_largest_block(tmp_path):
-    # 800 elements at the last level: 3 * 801 - 3 dofs, written in slabs of
-    # 20 columns, so up to 19 entries above the diagonal per column
+    # 800 elements at the last level: 3 * 801 - 3 dofs, of which the pages
+    # of the lower triangle are backed
     out = tmp_path / "out"
     config = ROOT / "configs" / "convergence_beam.yaml"
     assert main(["convergence", "--config", str(config), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     block = [manifest[key] for key in ("block_dofs", "block_span_mib", "block_backed_mib")]
-    assert block == ["2400", "43.9", "30.4"]
+    assert block == ["2400", "43.9", "30.1"]
 
 
 def test_shipped_beam_sweep_builds_quadratures_once_per_saturated_key(tmp_path, monkeypatch):
@@ -229,9 +228,9 @@ def test_shipped_beam_sweep_builds_quadratures_once_per_saturated_key(tmp_path, 
     # the rest.  Each key builds the bending and the shear quadrature.
     rules, quadrature = [], beam.AxisQuadrature
 
-    def counting(mesh, rule, *args):
-        rules.append(rule.points.size)
-        return quadrature(mesh, rule, *args)
+    def counting(hats, *args):
+        rules.append(hats.points.size // hats.mesh.n_elements)
+        return quadrature(hats, *args)
 
     monkeypatch.setattr(beam, "AxisQuadrature", counting)
     config = ROOT / "configs" / "sweep_beam.yaml"
@@ -269,7 +268,7 @@ def test_a_sweep_checks_one_block_per_worker_before_it_factors(
     tmp_path, capsys, monkeypatch, threads, code
 ):
     # memory for one block and the BLAS margin, not for two blocks and it
-    block, margin = fem.backed_bytes(245, upper=6), fem.blas_margin(245)
+    block, margin = fem.backed_bytes(245), fem.blas_margin(245)
     monkeypatch.setattr(fem, "available_memory", lambda: margin + block + block // 2)
     factored = _count_calls(monkeypatch, fem.linalg, "cho_factor")
     got, out = run(tmp_path, "sweep", PLATE_8_SWEEP_YAML, "--threads", threads)
@@ -555,9 +554,9 @@ def test_a_beam_exits_3_before_allocating_without_room_for_its_rows_and_grams(
     # its BLAS margin is not enough: the model's row families and Grams
     # (held_bytes) come on top, and the check counts them first.
     model = beam.TimoshenkoBeamModel(beam.BeamSection(), beam.CantileverTipLoad(), 1600)
-    n, upper = model.free_block
+    n = model.free_dofs
     block_only = fem.backed_bytes(n) + fem.blas_margin(n)
-    need = fem.backed_bytes(n, upper) + fem.blas_margin(n) + model.held_bytes
+    need = block_only + model.held_bytes
     monkeypatch.setattr(fem, "available_memory", lambda: (block_only + need) // 2)
     quadratures = _count_calls(monkeypatch, beam, "AxisQuadrature")
     blocks = _count_calls(monkeypatch, fem, "dense_block")
@@ -570,8 +569,7 @@ def test_a_beam_exits_3_before_allocating_without_room_for_its_rows_and_grams(
 
 
 # 48 x 48 clamped: 5 * 47^2 = 11,045 free dofs; the block spans 0.91 GiB but
-# backs only its lower triangle and the upper entries of the diagonal slabs
-# of 7 columns, at most 6 per column.
+# backs only its lower triangle.
 PLATE_48_YAML = (
     "kernel:\n  kind: exponential\n  l0: 2.5e-3\nhorizon:\n  l_f: 0.5\n"
     "bc:\n  set: clamped\nmesh:\n  nx: 48\n  ny: 48\n"
@@ -582,7 +580,7 @@ PLATE_48_DOFS = 11045
 def test_a_48x48_plate_proceeds_with_memory_between_its_backed_and_spanned_bytes(
     tmp_path, capsys, monkeypatch
 ):
-    backed = fem.backed_bytes(PLATE_48_DOFS, upper=6)
+    backed = fem.backed_bytes(PLATE_48_DOFS)
     span = 8 * PLATE_48_DOFS**2
     margin = fem.blas_margin(PLATE_48_DOFS)
     assert backed + margin < span
@@ -603,7 +601,7 @@ def test_a_48x48_plate_proceeds_with_memory_between_its_backed_and_spanned_bytes
 def test_a_48x48_plate_exits_3_before_allocating_below_its_backed_bytes(
     tmp_path, capsys, monkeypatch
 ):
-    backed = fem.backed_bytes(PLATE_48_DOFS, upper=6)
+    backed = fem.backed_bytes(PLATE_48_DOFS)
     monkeypatch.setattr(fem, "available_memory", lambda: backed - 1)
 
     def no_factor(*args, **kwargs):
@@ -627,7 +625,7 @@ def test_a_cgroup_memory_limit_is_honoured(tmp_path, capsys, monkeypatch):
     # 8 x 8 clamped: 245 free dofs, a 0.5 MB block, under a cgroup v2 limit
     # that leaves one byte less than the block's backed pages and the BLAS
     # margin (8.7 MiB)
-    headroom = fem.backed_bytes(245, upper=6) + fem.blas_margin(245) - 1
+    headroom = fem.backed_bytes(245) + fem.blas_margin(245) - 1
     proc = tmp_path / "cgroup"
     proc.write_text("0::/job\n", encoding="ascii")
     group = tmp_path / "fs" / "job"

@@ -8,6 +8,7 @@ from scipy import integrate
 from nle import fem
 from nle.fem import (
     AxisQuadrature,
+    HatRows,
     IntervalMesh,
     RectangleMesh,
     SolverError,
@@ -107,7 +108,7 @@ def test_hat_rows_reject_outside_span():
 
 def test_axis_quadrature_weights_and_points():
     mesh = IntervalMesh(1.0, 5)
-    quad = AxisQuadrature(mesh, gauss_rule(2), LocalDelta(), 0.3)
+    quad = AxisQuadrature(HatRows(mesh, gauss_rule(2)), LocalDelta(), 0.3)
     assert quad.points.size == 10
     assert np.sum(quad.weights) == pytest.approx(1.0, rel=1e-14)
     # points stay strictly inside their elements, in ascending element order
@@ -118,7 +119,7 @@ def test_axis_quadrature_weights_and_points():
 
 def test_axis_quadrature_interpolation_rows():
     mesh = IntervalMesh(1.0, 4)
-    quad = AxisQuadrature(mesh, gauss_rule(2), LocalDelta(), 0.3)
+    quad = AxisQuadrature(HatRows(mesh, gauss_rule(2)), LocalDelta(), 0.3)
     nodal = 2.0 * mesh.nodes + 0.5
     np.testing.assert_allclose(quad.N @ nodal, 2.0 * quad.points + 0.5, rtol=1e-14)
 
@@ -127,14 +128,14 @@ def test_axis_quadrature_local_gradient_rows():
     # with the delta kernel the B rows are the element gradients, so the
     # nodal square function maps to twice the element midpoints
     mesh = IntervalMesh(1.0, 4)
-    quad = AxisQuadrature(mesh, gauss_rule(1), LocalDelta(), 0.3)
+    quad = AxisQuadrature(HatRows(mesh, gauss_rule(1)), LocalDelta(), 0.3)
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     np.testing.assert_allclose(quad.B @ mesh.nodes ** 2, 2.0 * mids, rtol=1e-13)
 
 
 def test_axis_quadrature_consistent_unit_load():
     mesh = IntervalMesh(1.0, 5)
-    quad = AxisQuadrature(mesh, gauss_rule(2), LocalDelta(), 0.3)
+    quad = AxisQuadrature(HatRows(mesh, gauss_rule(2)), LocalDelta(), 0.3)
     h = mesh.spacing
     expected = np.full(6, h)
     expected[[0, -1]] = h / 2
@@ -192,7 +193,7 @@ def test_bar_stiffness_matches_brute_force_energy_quadrature():
     kernel = ExponentialKernel(1.0)
     l_f = 1.0
     mesh = IntervalMesh(1.0, 2)
-    quad = AxisQuadrature(mesh, gauss_rule(2), kernel, l_f)
+    quad = AxisQuadrature(HatRows(mesh, gauss_rule(2)), kernel, l_f)
     K = gram(quad.B, quad.B, quad.weights)
 
     def energy(vals):
@@ -379,32 +380,30 @@ def test_solve_copies_a_block_that_is_not_column_major(monkeypatch):
     np.testing.assert_array_equal(u, solve(column_major))
 
 
-def test_free_block_writer_places_the_lower_field_blocks():
-    # two fields on 3 nodes; field 0 fixed at node 0, field 1 at node 2
-    writer = fem.FreeBlockWriter(3, [np.array([1, 2]), np.array([0, 1])])
-    np.testing.assert_array_equal(writer.free, [1, 2, 3, 4])
-    A = np.array([[1.0, 2.0], [2.0, 5.0]])
-    C = np.array([[3.0, -0.0], [6.0, 7.0]])
-    # row c of a columns view is column c of its block
-    writer.columns(0, 0)[...] = A.T
-    writer.columns(1, 1)[...] = (2 * A).T
-    writer.columns(1, 0)[...] = C
-    with pytest.raises(ValueError, match="above the diagonal"):
-        writer.columns(0, 1)
+def test_kronecker_system_places_the_lower_field_blocks():
+    # two fields on 3 nodes of one y node; field 0 fixed at node 0, field 1 at node 2
+    axes = [(np.arange(1), np.array([1, 2])), (np.arange(1), np.array([0, 1]))]
+    unit = np.ones((1, 1))
+    G = np.array([[9.0, 8.0, 7.0], [8.0, 1.0, 2.0], [7.0, 2.0, 5.0]])
+    C = np.array([[4.0, 3.0, -0.0], [5.0, 6.0, 7.0], [0.5, 0.25, 0.125]])
+    inner = {"G": ((1.0, unit, G),), "C": ((1.0, unit, C),)}
+    streams = [[(0, 0, [(1.0, "G")])], [(1, 1, [(2.0, "G")])], [(1, 0, [(1.0, "C")])]]
     load = np.arange(6.0)
-    system = writer.system(load, np.negative)
-    assert system.matrix is writer.matrix and system.matrix.flags.f_contiguous
-    assert system.load is load and system.product is np.negative
+    system = fem.kronecker_system((1, 3), axes, inner, streams, load)
+    np.testing.assert_array_equal(system.free, [1, 2, 3, 4])
+    assert system.matrix.flags.f_contiguous and system.load is load
+    # block (1, 0) takes field 1's free rows and field 0's free columns of C
+    lower = C[0:2, 1:3]
+    K = np.block([[G[1:, 1:], lower.T], [lower, 2 * G[:2, :2]]])
     # the block above the diagonal stays zero
-    expected = np.block([[A, np.zeros((2, 2))], [C.T, 2 * A]])
-    np.testing.assert_array_equal(system.matrix, expected)
-    # the transposed write keeps the sign of C's -0.0, which only the bytes show
-    assert system.matrix.tobytes(order="F") == expected.tobytes(order="F")
-    x = np.arange(4.0)
-    first, second = writer.split(x)
-    np.testing.assert_array_equal(first, [0.0, 1.0])
-    np.testing.assert_array_equal(second, [2.0, 3.0])
-    assert np.shares_memory(first, x) and np.shares_memory(second, x)
+    np.testing.assert_array_equal(system.matrix, np.tril(K))
+    # the write keeps the sign of C's -0.0, which only the bytes show
+    assert system.matrix.tobytes(order="F") == np.tril(K).tobytes(order="F")
+    x = np.arange(8.0).reshape(4, 2)
+    np.testing.assert_array_equal(system.product(x), K @ x)
+    np.testing.assert_array_equal(system.product(x[:, 1]), K @ x[:, 1])
+    with pytest.raises(ValueError, match="above the diagonal"):
+        fem.kronecker_system((1, 3), axes, inner, [[(0, 1, [(1.0, "C")])]], load)
 
 
 def test_dense_block_is_checked_against_available_memory(monkeypatch):
@@ -438,43 +437,44 @@ def test_available_memory_is_a_byte_count_or_unknown():
     assert available is None or (isinstance(available, int) and available > 0)
 
 
-def test_free_block_writer_zeroes_what_a_reused_block_does_not_get_written():
+def test_kronecker_system_zeroes_what_a_reused_block_does_not_get_written():
     # three fields on 2 nodes; the model writes the diagonal blocks and (2, 0)
-    writer = fem.FreeBlockWriter(2, [np.arange(2)] * 3, np.full((6, 6), np.nan, order="F"))
-    for f in range(3):
-        writer.columns(f, f)[...] = np.eye(2)
-    writer.columns(2, 0)[...] = 5.0
-    K = writer.system(np.zeros(6), np.negative).matrix
-    lower = np.tril(K)
+    axes = [(np.arange(1), np.arange(2))] * 3
+    unit = np.ones((1, 1))
+    inner = {"I": ((1.0, unit, np.eye(2)),), "F": ((1.0, unit, np.full((2, 2), 5.0)),)}
+    streams = [[(f, f, [(1.0, "I")])] for f in range(3)] + [[(2, 0, [(1.0, "F")])]]
+    block = np.full((6, 6), np.nan, order="F")
+    K = fem.kronecker_system((1, 2), axes, inner, streams, np.zeros(6), block).matrix
+    assert K is block
     expected = np.eye(6)
     expected[4:6, 0:2] = 5.0
-    np.testing.assert_array_equal(lower, expected)
-    # nothing above the diagonal field blocks is touched, even to zero it
-    assert np.isnan(K[0:2, 2:6]).all() and np.isnan(K[2:4, 4:6]).all()
+    np.testing.assert_array_equal(np.tril(K), expected)
+    # nothing above the diagonal is touched, even to zero it
+    assert np.isnan(K[np.triu_indices(6, 1)]).all()
+    with pytest.raises(ValueError, match="column-major 6 x 6"):
+        fem.kronecker_system((1, 2), axes, inner, streams, np.zeros(6), np.zeros((6, 6)))
 
 
-def _count_pages(n: int, upper: int) -> int:
-    """Pages holding rows max(0, j - upper) .. n - 1 of each column j, one column at a time."""
+def _count_pages(n: int) -> int:
+    """Pages holding rows j .. n - 1 of each column j, one column at a time."""
     pages = set()
     for j in range(n):
-        start, end = 8 * (j * n + max(0, j - upper)), 8 * (j + 1) * n
+        start, end = 8 * (j * n + j), 8 * (j + 1) * n
         pages.update(range(start // mmap.PAGESIZE, (end - 1) // mmap.PAGESIZE + 1))
     return len(pages) * mmap.PAGESIZE
 
 
-@pytest.mark.parametrize("n, upper", [(1, 0), (30, 0), (600, 0), (2645, 0), (2645, 22)])
-def test_a_block_backs_the_pages_holding_what_is_written(n, upper):
+@pytest.mark.parametrize("n", [1, 30, 600, 2645])
+def test_a_block_backs_the_pages_holding_what_is_written(n):
     # whole pages at every size: a tiny block backs more than its 8 n^2 bytes
-    assert fem.backed_bytes(n, upper) == _count_pages(n, upper)
+    assert fem.backed_bytes(n) == _count_pages(n)
 
 
-def test_a_large_block_backs_about_half_of_itself_and_a_little_more_per_upper_entry():
-    # the 48x48 clamped plate: 11,045 free dofs, 47 free nodes per x row
+def test_a_large_block_backs_about_half_of_itself():
+    # the 48x48 clamped plate: 11,045 free dofs
     n = 5 * 47 * 47
-    lower, plate = fem.backed_bytes(n), fem.backed_bytes(n, upper=46)
     span = 8 * n * n
-    assert 0.5 * span < lower < plate < 0.55 * span
-    assert plate - lower < 8 * 46 * n
+    assert 0.5 * span < fem.backed_bytes(n) < 0.5 * span + mmap.PAGESIZE * n
 
 
 def test_check_fits_adds_the_blas_margin_to_the_backed_bytes(monkeypatch):
@@ -578,7 +578,7 @@ class _BarModel:
         self.mesh = IntervalMesh(1.0, n_elements)
 
     def quadratures(self, kernel, horizon_radius):
-        return {2: AxisQuadrature(self.mesh, gauss_rule(2), kernel, horizon_radius)}
+        return {2: AxisQuadrature(HatRows(self.mesh, gauss_rule(2)), kernel, horizon_radius)}
 
     def assemble(self, quadratures):
         quad = quadratures[2]

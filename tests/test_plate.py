@@ -12,6 +12,7 @@ from nle.fem import (
     BENDING_POINTS,
     SHEAR_POINTS,
     AxisQuadrature,
+    HatRows,
     RectangleMesh,
     gauss_rule,
     gram,
@@ -165,7 +166,7 @@ def _full_kron_assembly(model, kernel, horizon_radius):
     bend_scale = s.thickness ** 3 / 12.0
     shear_scale = s.shear_correction * s.shear_modulus * s.thickness
     quads = {
-        (ax, npts): AxisQuadrature(axis, gauss_rule(npts), kernel, horizon_radius)
+        (ax, npts): AxisQuadrature(HatRows(axis, gauss_rule(npts)), kernel, horizon_radius)
         for ax, axis in (("x", mesh.x_axis), ("y", mesh.y_axis))
         for npts in (BENDING_POINTS, SHEAR_POINTS)
     }
@@ -283,22 +284,22 @@ def test_product_equals_the_full_kronecker_assembly(boundary, kernel, shape):
 
 @pytest.mark.parametrize("boundary", ["clamped", "simply_supported"])
 @pytest.mark.parametrize("slab_entries", [fem.SLAB_ENTRIES, 64])
-def test_a_reused_block_gets_its_lower_triangle_and_a_staircase_above_it(
+def test_a_reused_block_gets_its_lower_triangle_and_nothing_above_it(
     monkeypatch, boundary, slab_entries
 ):
-    # above the diagonal each column j gets at most the rows from j - upper
-    # on, every other entry of a reused block keeps what it held, and the
-    # lower triangle takes the bytes of a fresh assembly in the default slabs
+    # every entry above the diagonal of a reused block keeps what it held,
+    # and the lower triangle takes the bytes of a fresh assembly in the
+    # default slabs
     model = MindlinPlateModel(SECTION, 1.0, boundary, nx=8, ny=8)
     kernel = ExponentialKernel(2.5e-3)
     fresh = fem.assemble(model, kernel, 0.5).matrix
     monkeypatch.setattr(fem, "SLAB_ENTRIES", slab_entries)
-    n, upper = model.free_block
+    n = model.free_dofs
     block = np.full((n, n), np.nan, order="F")
     system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
     assert system.matrix is block
     rows, columns = np.indices((n, n))
-    assert np.isnan(block[rows < columns - upper]).all()
+    assert np.isnan(block[rows < columns]).all()
     assert np.tril(block).tobytes() == np.tril(fresh).tobytes()
 
 
@@ -309,7 +310,7 @@ def test_assembly_never_allocates_the_full_matrix(boundary):
     fem.assemble(model, kernel, 0.5)  # warm caches outside the measurement
     # tracemalloc does not see a block in its own mapping, so the block is
     # allocated before the measurement and the assembly writes into it
-    block = fem.dense_block(model.free_block[0])
+    block = fem.dense_block(model.free_dofs)
     tracemalloc.start()
     try:
         system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
@@ -330,7 +331,7 @@ def test_assembly_temporaries_stay_below_one_field_block(boundary):
     fem.assemble(model, kernel, 0.5)  # warm caches outside the measurement
     # tracemalloc does not see a block in its own mapping, so the block is
     # allocated before the measurement and the assembly writes into it
-    block = fem.dense_block(model.free_block[0])
+    block = fem.dense_block(model.free_dofs)
     tracemalloc.start()
     try:
         system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
@@ -351,9 +352,9 @@ def test_assembly_temporaries_stay_below_one_field_block(boundary):
 def test_equal_axes_share_one_quadrature_per_rule(monkeypatch, shape, builds):
     rules = []
 
-    def counting(axis, rule, *args):
-        rules.append((axis.length, axis.n_elements, rule.points.size))
-        return AxisQuadrature(axis, rule, *args)
+    def counting(hats, *args):
+        rules.append((hats.mesh.length, hats.mesh.n_elements, hats.points.size))
+        return AxisQuadrature(hats, *args)
 
     monkeypatch.setattr(plate, "AxisQuadrature", counting)
     nx, ny, lx, ly = shape
@@ -383,12 +384,11 @@ print(system.matrix.nbytes, 1024 * (after - before))
 @pytest.mark.parametrize("nx, share", [(24, 0.9), (32, 0.8)])
 def test_a_large_block_backs_little_more_than_its_lower_triangle(nx, share):
     # A fresh process, so that its peak resident memory starts near its
-    # resident memory.  The pages holding the lower triangle and the upper
-    # entries the plate writes are 68% of the 24x24 plate's 53 MiB block and
-    # 60% of the 32x32 plate's 176 MiB one, because each column's lower part
-    # starts mid-page; the solve adds about 9 and 15 MiB, mostly OpenBLAS's
-    # work buffers, which the memory check's margin covers.  On huge pages
-    # the growth exceeds the whole block.
+    # resident memory.  The pages holding the lower triangle are 67% of the
+    # 24x24 plate's 53 MiB block and 60% of the 32x32 plate's 176 MiB one,
+    # because each column's lower part starts mid-page; the solve adds about
+    # 9 and 15 MiB, mostly OpenBLAS's work buffers, which the memory check's
+    # margin covers.  On huge pages the growth exceeds the whole block.
     proc = subprocess.run(
         [sys.executable, "-c", _BACKED_BYTES, str(nx)],
         capture_output=True,
@@ -398,26 +398,22 @@ def test_a_large_block_backs_little_more_than_its_lower_triangle(nx, share):
     )
     assert proc.returncode == 0, proc.stderr
     block, growth = map(int, proc.stdout.split())
-    n, upper = MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=nx, ny=nx).free_block
+    n = MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=nx, ny=nx).free_dofs
     assert n == 5 * (nx - 1) ** 2 and block == 8 * n**2
     assert growth < share * block
-    assert growth < fem.backed_bytes(n, upper) + fem.blas_margin(n)
+    assert growth < fem.backed_bytes(n) + fem.blas_margin(n)
 
 
 @pytest.mark.parametrize("boundary, dofs", [("clamped", 11045), ("simply_supported", 11421)])
 def test_metadata_gives_the_span_and_backed_size_of_the_free_block(boundary, dofs):
     # 48 x 48: 47 free nodes per x row on the clamped plate, up to 49 (u and
-    # theta_x) on the simply supported one, so a slab of 16,384 entries takes
-    # 7 columns of one y node in every field, and a column gets at most 6
-    # entries above the diagonal
+    # theta_x) on the simply supported one
     model = MindlinPlateModel(PlateSection(), 1.0, boundary, 48, 48)
-    n, upper = model.free_block
-    assert n == dofs
-    assert upper == 6
+    assert model.free_dofs == dofs
     meta = model.metadata
     assert meta["block_dofs"] == str(dofs)
     assert meta["block_span_mib"] == f"{8 * dofs**2 / 2**20:.1f}"
-    assert meta["block_backed_mib"] == f"{fem.backed_bytes(dofs, upper) / 2**20:.1f}"
+    assert meta["block_backed_mib"] == f"{fem.backed_bytes(dofs) / 2**20:.1f}"
     assert float(meta["block_backed_mib"]) < 0.6 * float(meta["block_span_mib"])
 
 
