@@ -15,11 +15,12 @@ DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes a field at zero
 at one end, both or neither (FIXED_ENDS), so the free nodes of a field are
 one range.  A beam is a plate with one y node: its 4 field blocks on and
-below the diagonal are Kronecker sums of one term, kron(1, G), which
-fem.kronecker_system streams, lower triangle only, and applies as it does
-the plate's.  The hat rows of both rules and the shear rule's N-N Gram do
-not depend on the kernel: a model builds them once, on first use, and every
-quadrature and assembly after that reads them.
+below the diagonal, Kronecker sums of one term kron(1, G), form a flat
+table, which fem.kronecker_system writes, lower triangle only, and applies
+as it does the plate's; the blocks on the same free nodes share each Gram.
+The hat rows of both rules and the shear rule's N-N Gram do not depend on
+the kernel: a model builds them once, on first use, and every quadrature
+and assembly after that reads them.
 """
 
 from __future__ import annotations
@@ -219,11 +220,11 @@ class TimoshenkoBeamModel:
             "Ms": ((1.0, unit, self._shear_mass),),
             "Cs_t": ((1.0, unit, gram(shear.B, shear.N, shear.weights).T),),
         }
-        streams = [
-            [(U0, U0, [(EA, "Sb")])],
-            [(W0, W0, [(kGA, "Ss")])],
-            [(THETA, THETA, [(EI, "Sb"), (kGA, "Ms")])],
-            [(THETA, W0, [(-kGA, "Cs_t")])],
+        blocks = [
+            (U0, U0, [(EA, "Sb")]),
+            (W0, W0, [(kGA, "Ss")]),
+            (THETA, THETA, [(EI, "Sb"), (kGA, "Ms")]),
+            (THETA, W0, [(-kGA, "Cs_t")]),
         ]
 
         F = np.zeros(3 * nn)
@@ -231,12 +232,12 @@ class TimoshenkoBeamModel:
             F[W0 * nn + (nn - 1)] = self.load.magnitude
         else:
             F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * bend.load_vector()
-        return fem.kronecker_system((1, nn), self._free_axes(), inner, streams, F, block)
+        return fem.kronecker_system((1, nn), self._free_axes(), inner, blocks, F, block)
 
-    def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _free_axes(self) -> list[tuple[range, range]]:
         """Free (y, x) node ranges of each field: its one y node, and its unfixed x nodes."""
         ends = FIXED_ENDS[self.load.name]
-        return [(np.arange(1), fem.free_range(self.mesh.n_nodes, ends[f])) for f in FIELDS]
+        return [(range(1), fem.free_range(self.mesh.n_nodes, ends[f])) for f in FIELDS]
 
 
 @dataclass(frozen=True)

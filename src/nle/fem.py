@@ -12,9 +12,9 @@ A StiffnessSystem holds only the lower triangle, diagonal included, of the
 free-free block of the stiffness, in column-major (LAPACK) order: every beam
 and plate case fixes its supports at zero, and K is symmetric, so Cholesky
 reads nothing else, and nothing above the diagonal is ever written.
-kronecker_system is the one writer of both models: it streams the field
-blocks on and below the diagonal in slabs of a few columns, and gives the
-system product(x), K x on the free dofs from the same restricted Grams.
+kronecker_system is the one writer of both models: it streams a flat table
+of field blocks, each inner sum shared by those on the same free nodes, and
+gives the system product(x), K x on the free dofs from the same Grams.
 solve() factors the block by Cholesky in place, takes its residuals from
 product(), refines once or twice if needed, and guarantees a small relative
 residual or raises.  Every dense block is checked against the available
@@ -22,7 +22,7 @@ memory before it is allocated, and is backed by small pages, so that the
 pages of its untouched upper triangle cost no memory.  kronecker_system can
 also take the block of an earlier system of the same size: a sweep hands
 each row a block that a finished row left behind, instead of faulting in
-fresh pages, and the lower field blocks that the model does not write are
+fresh pages, and the lower field blocks that the table does not list are
 zeroed.
 
 The hat rows N and the Gauss points and weights of a rule (HatRows) do not
@@ -385,21 +385,21 @@ def dense_block(n: int) -> np.ndarray:
     return np.frombuffer(pages, dtype=float).reshape((n, n), order="F")
 
 
-def free_range(n_nodes: int, fixed: tuple[bool, bool]) -> np.ndarray:
+def free_range(n_nodes: int, fixed: tuple[bool, bool]) -> range:
     """Free nodes of an axis of n_nodes nodes whose first and last node are fixed or not."""
-    return np.arange(int(fixed[0]), n_nodes - int(fixed[1]))
+    return range(int(fixed[0]), n_nodes - int(fixed[1]))
 
 
-def free_dofs(axes: list[tuple[np.ndarray, np.ndarray]]) -> int:
+def free_dofs(axes: list[tuple[range, range]]) -> int:
     """Dofs of the free block kronecker_system writes over these free (y, x) node ranges."""
-    return sum(jy.size * jx.size for jy, jx in axes)
+    return sum(len(jy) * len(jx) for jy, jx in axes)
 
 
 def kronecker_system(
     grid: tuple[int, int],
-    axes: list[tuple[np.ndarray, np.ndarray]],
+    axes: list[tuple[range, range]],
     inner: dict[str, tuple],
-    streams: list[list[tuple]],
+    blocks: list[tuple],
     load: np.ndarray,
     block: np.ndarray | None = None,
 ) -> StiffnessSystem:
@@ -409,28 +409,37 @@ def kronecker_system(
     nodes are the product of the ranges axes[f] = (jy, jx); with
     dof(f, node) = f * n_y * n_x + node the free dofs ascend field by field.
     inner names inner sums sum_i c_i kron(Gy_i, Gx_i) as ((c_i, Gy_i, Gx_i),
-    ...).  A stream lists field blocks (f, g, ((scale, name), ...)), f >= g,
-    that share their free rows and columns, on which block (f, g) is
-    sum_o scale_o * inner[name_o].  Since kron(A, B)[J x I, J' x I'] =
-    kron(A[J, J'], B[I, I']) (Van Loan, "The ubiquitous Kronecker product",
-    2000), no full matrix or field-block-sized temporary exists.
+    ...).  blocks lists field blocks (f, g, ((scale, name), ...)), f >= g,
+    each once, block (f, g) being sum_o scale_o * inner[name_o]; the diagonal
+    blocks on the same free nodes form one stream, as do those below it on
+    the same free rows and columns, and a stream builds each inner sum once
+    per slab.  Since kron(A, B)[J x I, J' x I'] = kron(A[J, J'], B[I, I'])
+    (Van Loan, "The ubiquitous Kronecker product", 2000), no full matrix or
+    field-block-sized temporary exists.  Streams and K x take the blocks
+    column by column, the last field's first, each from the diagonal down,
+    so no bit depends on the order of the table.
 
     The block is allocated by dense_block, so the memory check runs first,
     unless block is given: the matrix of an earlier system of the same free
     block, such as a factor that solve() left behind.  It is then reused as
-    it is, and its lower field blocks that no stream lists are zeroed, so
-    that its lower triangle holds what a fresh block's would.  Nothing above
-    the diagonal is written.
+    it is, and its lower field blocks that the table does not list are
+    zeroed, so that its lower triangle holds what a fresh block's would.
+    Nothing above the diagonal is written.
     """
-    listed = {(f, g) for stream in streams for f, g, _ in stream}
+    listed = [(f, g) for f, g, _ in blocks]
     for f, g in listed:
         if f < g:
             raise ValueError(f"block ({f}, {g}) lies above the diagonal, which is not stored")
-    n_x, n_nodes = grid[1], grid[0] * grid[1]
+        if listed.count((f, g)) > 1:
+            raise ValueError(f"block ({f}, {g}) is listed twice")
+    streams: dict[tuple, list[tuple]] = {}
+    for f, g, outer in sorted(blocks, key=lambda b: (-b[1], b[0])):
+        streams.setdefault((f == g, axes[f], axes[g]), []).append((f, g, outer))
+    nodes = np.arange(grid[0] * grid[1]).reshape(grid)
     free = np.concatenate(
-        [f * n_nodes + (jy[:, None] * n_x + jx).ravel() for f, (jy, jx) in enumerate(axes)]
+        [f * nodes.size + nodes[np.ix_(jy, jx)].ravel() for f, (jy, jx) in enumerate(axes)]
     )
-    start = np.cumsum([0] + [jy.size * jx.size for jy, jx in axes])
+    start = np.cumsum([0] + [len(jy) * len(jx) for jy, jx in axes])
     dofs = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
     n = free.size
     if block is None:
@@ -439,32 +448,31 @@ def kronecker_system(
         raise ValueError(f"a reused block must be a column-major {n} x {n} float64 array")
     else:
         matrix = block
-        for f in range(len(axes)):
-            for g in range(f + 1):
-                if (f, g) not in listed:
-                    matrix[dofs[f], dofs[g]] = 0.0
-    terms = [(stream, _stream(matrix, dofs, axes, inner, stream)) for stream in streams]
+        for f, g in {(f, g) for f in range(len(axes)) for g in range(f + 1)} - set(listed):
+            matrix[dofs[f], dofs[g]] = 0.0
+    terms = [t for key, group in streams.items() for t in _stream(matrix, dofs, inner, key, group)]
     return StiffnessSystem(matrix, load, free, functools.partial(_product, dofs, axes, terms))
 
 
 def _stream(
     matrix: np.ndarray,
     dofs: list[slice],
-    axes: list[tuple[np.ndarray, np.ndarray]],
     inner: dict[str, tuple],
+    key: tuple[bool, tuple[range, range], tuple[range, range]],
     blocks: list[tuple],
-) -> dict[str, list[tuple[float, np.ndarray, np.ndarray]]]:
+) -> list[tuple[int, int, float, np.ndarray, np.ndarray]]:
     """Write blocks sum_o s_o * inner[name_o] into matrix, one column slab at a time.
 
     Every block (f, g) has the free rows J x I and columns K x K' of the
-    first block.  Returned by name, each inner sum they use is restricted
-    there: term c * kron(Gy, Gx) becomes (c, ly, lx) with ly = Gy[J, K].T
-    and lx = Gx[I, K'].T, views since free node sets are ranges, so that
-    entry (cy, cx, ry, rx) of the term is ly[cy, ry] * lx[cx, rx].
+    node ranges of key = (diagonal, (jy, jx), (ky, kx)), where each inner
+    sum they use is restricted: term c * kron(Gy, Gx) becomes (c, ly, lx)
+    with ly = Gy[J, K].T and lx = Gx[I, K'].T, views since free node sets
+    are ranges, so that entry (cy, cx, ry, rx) of the term is
+    ly[cy, ry] * lx[cx, rx].  Returned are K x's terms (f, g, s * c, ly, lx).
     Each entry goes through the operations of
     sum_o s_o * sum_i c_i * np.kron(Gy_i, Gx_i), the inner sum in order and
-    the outer terms in the order of their inner sums, which cannot change
-    the bits of a sum of at most two terms.
+    the outer terms in the order of first use of their inner sums in the
+    stream, which cannot change the bits of a sum of at most two terms.
 
     A slab is SLAB_ENTRIES // (rows of a column) columns, at least one, on
     one y node of the block's F-order view matrix[dofs[f], dofs[g]].T, whose
@@ -476,12 +484,9 @@ def _stream(
     slab, from row (cy, 0), in a buffer of that size, and scaled into every
     block that uses it: written the first time, added after that.
     """
-    (jy, jx), (ky, kx) = axes[blocks[0][0]], axes[blocks[0][1]]
-    (row_y, row_x), (col_y, col_x) = (
-        [slice(nodes[0], nodes[-1] + 1) for nodes in axes[f]] for f in blocks[0][:2]
-    )
-    diagonal = blocks[0][0] == blocks[0][1]
-    shape = (ky.size, kx.size, jy.size, jx.size)
+    diagonal, (jy, jx), (ky, kx) = key
+    row_y, row_x, col_y, col_x = (slice(r.start, r.stop) for r in (jy, jx, ky, kx))
+    shape = (len(ky), len(kx), len(jy), len(jx))
     views = [matrix[dofs[f], dofs[g]].T.reshape(shape, copy=False) for f, g, _ in blocks]
     uses: dict[str, list[tuple[int, float]]] = {}
     for v, (_, _, outer) in enumerate(blocks):
@@ -491,14 +496,14 @@ def _stream(
         name: [(c, gy[row_y, col_y].T, gx[row_x, col_x].T) for c, gy, gx in inner[name]]
         for name in uses
     }
-    x_step = max(1, SLAB_ENTRIES // max(1, jy.size * jx.size))
-    sum_buf, term_buf = np.empty((2, min(x_step, kx.size), jy.size, jx.size))
+    x_step = max(1, SLAB_ENTRIES // max(1, len(jy) * len(jx)))
+    sum_buf, term_buf = np.empty((2, min(x_step, len(kx)), len(jy), len(jx)))
     # entry [k, p] of a diagonal slab's head, row x0 + p of column x0 + k,
     # lies on or below the diagonal when p >= k
     on_or_below = np.triu(np.ones((sum_buf.shape[0],) * 2, dtype=bool))
-    for cy in range(ky.size):
+    for cy in range(len(ky)):
         ry = slice(cy if diagonal else 0, None)
-        for x0 in range(0, kx.size, x_step):
+        for x0 in range(0, len(kx), x_step):
             cx = slice(x0, x0 + x_step)
             slabs = [view[cy, cx, ry] for view in views]
             n_cx, n_ry = slabs[0].shape[:2]
@@ -527,36 +532,35 @@ def _stream(
                         else:
                             np.multiply(flat_total, scale, out=flat_slabs[v], where=where)
                     written.add(v)
-    return factors
+    return [(f, g, s * c, ly, lx)
+            for f, g, outer in blocks for s, name in outer for c, ly, lx in factors[name]]
 
 
 def _product(
     dofs: list[slice],
-    axes: list[tuple[np.ndarray, np.ndarray]],
-    terms: list[tuple[list[tuple], dict[str, list[tuple]]]],
+    axes: list[tuple[range, range]],
+    terms: list[tuple[int, int, float, np.ndarray, np.ndarray]],
     x: np.ndarray,
 ) -> np.ndarray:
     """K x on the free dofs, from the restricted factors of every stored block.
 
     Field f's part X_f of x, x[dofs[f]], is an array (y node, x node, column
-    of x) over its free nodes.  A stored block (f, g) adds
-    s * c * Gy[J, K] @ X_g @ Gx[I, K'].T per term, for each column of X_g, to
-    field f's part of K x and, below the diagonal, the transposed term
-    applied to X_f to field g's part.
+    of x) over its free nodes.  A term (f, g, c, ly, lx) of block (f, g),
+    with c its outer scale times its inner coefficient, adds
+    c * Gy[J, K] @ X_g @ Gx[I, K'].T, for each column of X_g, to field f's
+    part of K x and, below the diagonal, the transposed term applied to X_f
+    to field g's part.
     """
     x = np.asarray(x, dtype=float)
     columns = x.reshape(x.shape[0], -1)
     y = np.zeros(columns.shape)
-    part = [(jy.size, jx.size, columns.shape[1]) for jy, jx in axes]
+    part = [(len(jy), len(jx), columns.shape[1]) for jy, jx in axes]
     xs = [columns[s].reshape(p) for s, p in zip(dofs, part)]
     ys = [y[s].reshape(p) for s, p in zip(dofs, part)]
-    for stream, factors in terms:
-        for f, g, outer in stream:
-            for scale, name in outer:
-                for c, ly, lx in factors[name]:
-                    ys[f] += lx.T @ np.tensordot((scale * c) * ly.T, xs[g], 1)
-                    if f != g:
-                        ys[g] += lx @ np.tensordot((scale * c) * ly, xs[f], 1)
+    for f, g, c, ly, lx in terms:
+        ys[f] += lx.T @ np.tensordot(c * ly.T, xs[g], 1)
+        if f != g:
+            ys[g] += lx @ np.tensordot(c * ly, xs[f], 1)
     return y.reshape(x.shape)
 
 

@@ -40,6 +40,8 @@ __all__ = [
 # the factory collapses it to the exact local limit instead.
 LOCAL_L0_FLOOR = 1e-9
 
+ADMISSIBLE_SAMPLES = 64  # distances at which check_admissible samples a kernel
+
 
 class KernelError(ValueError):
     """Invalid kernel parameters, or an evaluation the kernel does not define."""
@@ -230,7 +232,7 @@ def make_kernel(kind: str, **params: float) -> Kernel:
         raise KernelError(f"bad parameters for kernel {kind!r}: {exc}") from None
 
 
-def check_admissible(kernel: Kernel, horizon_length: float, samples: int = 64) -> None:
+def check_admissible(kernel: Kernel, horizon_length: float) -> None:
     """Verify positive, non-increasing decay over (0, horizon_length].
 
     The built-in kernels satisfy this by construction; the sampled check is
@@ -242,9 +244,7 @@ def check_admissible(kernel: Kernel, horizon_length: float, samples: int = 64) -
     if not horizon_length > 0.0:
         raise KernelError("admissibility check needs a positive horizon length")
     lo = horizon_length * 1e-9 if kernel.is_singular_at_origin else 0.0
-    grid = np.linspace(lo, horizon_length, samples) if lo == 0.0 else np.geomspace(
-        lo, horizon_length, samples
-    )
+    grid = (np.linspace if lo == 0.0 else np.geomspace)(lo, horizon_length, ADMISSIBLE_SAMPLES)
     values = np.array([kernel.eval(float(s)) for s in grid])
     # A sharply peaked kernel may underflow to exact zero far from the
     # origin; that tail is still admissible.  What is not: vanishing near

@@ -16,15 +16,13 @@ Kronecker products of 1D Gram matrices; assembly never touches a 2D
 quadrature loop.  Membrane and bending blocks integrate with the 2x2 rule,
 transverse shear with 1x1.  Each boundary set fixes every field on whole
 edges, so the assembly declares the 9 nonzero field blocks on and below the
-diagonal as data, and fem.kronecker_system streams their lower triangle
-from restricted 1D Grams and applies them in product K x.  The blocks below
-the diagonal take transposed views of the same Grams, so each entry has the
-bits of its mirror image.  At 48x48 clamped the free block has 11,045 dofs
-and spans 0.91 GiB, but no entry above its diagonal is written, and
-dense_block backs every block with small pages, so the untouched upper half
-costs no memory.
-The hat rows of each axis and rule, and their N-N Grams, do not depend on
-the kernel: a model builds them once, on first use, and keeps them.
+diagonal as one flat table, and fem.kronecker_system writes their lower
+triangle from restricted 1D Grams, the blocks on the same free nodes
+sharing each inner sum, and applies them in product K x.  At 48x48 clamped
+the free block has 11,045 dofs and spans 0.91 GiB, but dense_block backs
+only the pages of its lower triangle.  The hat rows of each axis and rule,
+and their N-N Grams, do not depend on the kernel: a model builds them once,
+on first use, and keeps them.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
@@ -190,9 +188,8 @@ class MindlinPlateModel:
 
         quadratures comes from quadratures(); block, when given, is the
         matrix of an earlier system of this model, which the new one reuses.
-        The 9 nonzero field blocks on and below the diagonal are listed below
-        as data for fem.kronecker_system, each a scaled sum of inner sums of
-        Kronecker products of 1D Grams.
+        The 9 nonzero field blocks on and below the diagonal are listed as
+        (f, g, ((scale, inner sum), ...)) for fem.kronecker_system.
         """
         nn = self.mesh.n_nodes
         s = self.section
@@ -246,30 +243,28 @@ class MindlinPlateModel:
             "tx_w": ((1.0, g(y, sh, "N", "N").T, g(x, sh, "B", "N").T),),
             "ty_w": ((1.0, g(y, sh, "B", "N").T, g(x, sh, "N", "N").T),),
         }
-        # Field blocks as (f, g, ((scale, inner sum), ...)) with f >= g.  The
-        # blocks of one stream share their free sets in both boundary sets
-        # (FIXED_EDGES), so each inner sum is built once per slab.
-        streams = [
-            [(TX, TX, [(shear_scale, "shear_mass"), (bend_scale, "direct_x")]),
-             (U, U, [(memb, "direct_x")])],
-            [(TY, TY, [(shear_scale, "shear_mass"), (bend_scale, "direct_y")]),
-             (V, V, [(memb, "direct_y")])],
-            [(V, U, [(memb, "cross_t")]), (TY, TX, [(bend_scale, "cross_t")])],
-            [(W, W, [(shear_scale, "w_w")])],
-            [(TX, W, [(-shear_scale, "tx_w")])],
-            [(TY, W, [(-shear_scale, "ty_w")])],
+        blocks = [
+            (U, U, [(memb, "direct_x")]),
+            (V, U, [(memb, "cross_t")]),
+            (V, V, [(memb, "direct_y")]),
+            (W, W, [(shear_scale, "w_w")]),
+            (TX, W, [(-shear_scale, "tx_w")]),
+            (TX, TX, [(shear_scale, "shear_mass"), (bend_scale, "direct_x")]),
+            (TY, W, [(-shear_scale, "ty_w")]),
+            (TY, TX, [(bend_scale, "cross_t")]),
+            (TY, TY, [(shear_scale, "shear_mass"), (bend_scale, "direct_y")]),
         ]
         F = np.zeros(5 * nn)
         fx, fy = quadratures[x, b].load_vector(), quadratures[y, b].load_vector()
         F[W * nn : (W + 1) * nn] = self.pressure * np.outer(fy, fx).ravel()
         grid = (self.mesh.y_axis.n_nodes, self.mesh.x_axis.n_nodes)
-        return fem.kronecker_system(grid, self._free_axes(), inner, streams, F, block)
+        return fem.kronecker_system(grid, self._free_axes(), inner, blocks, F, block)
 
     def _axis_keys(self) -> tuple[tuple[float, int], tuple[float, int]]:
         """(length, elements) of the x and y axes, equal on a square plate."""
         return tuple((axis.length, axis.n_elements) for axis in (self.mesh.x_axis, self.mesh.y_axis))
 
-    def _free_axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _free_axes(self) -> list[tuple[range, range]]:
         """Free (y, x) node ranges of each field; its free nodes are their product."""
         n_x, n_y = self.mesh.x_axis.n_nodes, self.mesh.y_axis.n_nodes
         edges = FIXED_EDGES[self.boundary]

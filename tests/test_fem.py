@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from nle import fem
+from nle.beam import BeamSection, CantileverTipLoad, SimplySupportedUniformLoad, TimoshenkoBeamModel
 from nle.fem import (
     AxisQuadrature,
     HatRows,
@@ -18,6 +19,7 @@ from nle.fem import (
     solve,
 )
 from nle.kernels import ExponentialKernel, KernelError, LocalDelta, PowerLawKernel
+from nle.plate import MindlinPlateModel, PlateSection
 from strain_oracle import hat_rows
 
 
@@ -382,14 +384,14 @@ def test_solve_copies_a_block_that_is_not_column_major(monkeypatch):
 
 def test_kronecker_system_places_the_lower_field_blocks():
     # two fields on 3 nodes of one y node; field 0 fixed at node 0, field 1 at node 2
-    axes = [(np.arange(1), np.array([1, 2])), (np.arange(1), np.array([0, 1]))]
+    axes = [(range(1), range(1, 3)), (range(1), range(2))]
     unit = np.ones((1, 1))
     G = np.array([[9.0, 8.0, 7.0], [8.0, 1.0, 2.0], [7.0, 2.0, 5.0]])
     C = np.array([[4.0, 3.0, -0.0], [5.0, 6.0, 7.0], [0.5, 0.25, 0.125]])
     inner = {"G": ((1.0, unit, G),), "C": ((1.0, unit, C),)}
-    streams = [[(0, 0, [(1.0, "G")])], [(1, 1, [(2.0, "G")])], [(1, 0, [(1.0, "C")])]]
+    blocks = [(0, 0, [(1.0, "G")]), (1, 1, [(2.0, "G")]), (1, 0, [(1.0, "C")])]
     load = np.arange(6.0)
-    system = fem.kronecker_system((1, 3), axes, inner, streams, load)
+    system = fem.kronecker_system((1, 3), axes, inner, blocks, load)
     np.testing.assert_array_equal(system.free, [1, 2, 3, 4])
     assert system.matrix.flags.f_contiguous and system.load is load
     # block (1, 0) takes field 1's free rows and field 0's free columns of C
@@ -403,7 +405,90 @@ def test_kronecker_system_places_the_lower_field_blocks():
     np.testing.assert_array_equal(system.product(x), K @ x)
     np.testing.assert_array_equal(system.product(x[:, 1]), K @ x[:, 1])
     with pytest.raises(ValueError, match="above the diagonal"):
-        fem.kronecker_system((1, 3), axes, inner, [[(0, 1, [(1.0, "C")])]], load)
+        fem.kronecker_system((1, 3), axes, inner, [(0, 1, [(1.0, "C")])], load)
+
+
+def test_kronecker_system_rejects_a_block_listed_twice_before_allocating(monkeypatch):
+    # (0, 0) listed twice would write G then 2 G, while product added both
+    def no_block(n):
+        raise AssertionError("a block was allocated")
+
+    monkeypatch.setattr(fem, "dense_block", no_block)
+    axes = [(range(1), range(3))] * 2
+    inner = {"G": ((1.0, np.ones((1, 1)), np.eye(3)),)}
+    twice = [(0, 0, [(1.0, "G")]), (1, 1, [(1.0, "G")]), (0, 0, [(2.0, "G")])]
+    with pytest.raises(ValueError, match=r"block \(0, 0\) is listed twice"):
+        fem.kronecker_system((1, 3), axes, inner, twice, np.zeros(6))
+    with pytest.raises(ValueError, match="above the diagonal"):
+        fem.kronecker_system((1, 3), axes, inner, [(0, 1, [(1.0, "G")])], np.zeros(6))
+
+
+def _counting_streams(monkeypatch) -> list:
+    """The blocks of every stream kronecker_system writes, in the order written."""
+    seen = []
+    stream = fem._stream
+    monkeypatch.setattr(fem, "_stream", lambda *args: seen.append(args[-1]) or stream(*args))
+    return seen
+
+
+def test_kronecker_system_keeps_equal_sized_fields_on_other_nodes_apart(monkeypatch):
+    # two fields on a 3 x 3 grid, 6 free dofs each, but field 0 is fixed on
+    # the edge y = 0 and field 1 on x = 0; both diagonal blocks use one inner sum
+    axes = [(range(1, 3), range(3)), (range(3), range(1, 3))]
+    Gy = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    Gx = np.array([[5.0, 2.0, 1.0], [2.0, 6.0, -2.0], [1.0, -2.0, 7.0]])
+    inner = {"A": ((1.0, Gy, Gx), (0.5, Gx, Gy))}
+    seen = _counting_streams(monkeypatch)
+    blocks = [(0, 0, [(1.0, "A")]), (1, 1, [(2.0, "A")])]
+    system = fem.kronecker_system((3, 3), axes, inner, blocks, np.zeros(18))
+    assert len(seen) == 2
+    nodes = [(np.asarray(jy)[:, None] * 3 + np.asarray(jx)).ravel() for jy, jx in axes]
+    np.testing.assert_array_equal(system.free, np.concatenate([nodes[0], 9 + nodes[1]]))
+    full = np.kron(Gy, Gx) + 0.5 * np.kron(Gx, Gy)
+    zero = np.zeros((6, 6))
+    K = np.block(
+        [[full[np.ix_(nodes[0], nodes[0])], zero], [zero, 2.0 * full[np.ix_(nodes[1], nodes[1])]]]
+    )
+    assert system.matrix.tobytes(order="F") == np.tril(K).tobytes(order="F")
+    x = np.arange(24.0).reshape(12, 2)
+    np.testing.assert_array_equal(system.product(x), K @ x)
+
+
+MODELS = pytest.mark.parametrize(
+    "model, streams",
+    [
+        (TimoshenkoBeamModel(BeamSection(), CantileverTipLoad(), 20), 2),
+        (TimoshenkoBeamModel(BeamSection(), SimplySupportedUniformLoad(), 20), 4),
+        (MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=6, ny=6), 2),
+        (MindlinPlateModel(PlateSection(), 1.0, "simply_supported", nx=6, ny=6), 6),
+    ],
+    ids=["cantilever", "ss_beam", "clamped", "ss_plate"],
+)
+
+
+@MODELS
+def test_blocks_on_the_same_free_nodes_share_one_stream(monkeypatch, model, streams):
+    # the clamped cases have one free node set, one stream on the diagonal
+    # and one below it; the simply supported ones differ field by field
+    seen = _counting_streams(monkeypatch)
+    fem.assemble(model, ExponentialKernel(2.5e-3), 0.5)
+    assert len(seen) == streams
+
+
+@MODELS
+def test_a_reversed_block_table_gives_the_same_bytes(monkeypatch, model, streams):
+    quadratures = fem.quadratures(model, ExponentialKernel(2.5e-3), 0.5)
+    system = model.assemble(quadratures)
+    writer = fem.kronecker_system
+
+    def reversed_table(grid, axes, inner, blocks, *rest):
+        return writer(grid, axes, inner, blocks[::-1], *rest)
+
+    monkeypatch.setattr(fem, "kronecker_system", reversed_table)
+    reversed_system = model.assemble(quadratures)
+    assert reversed_system.matrix.tobytes(order="F") == system.matrix.tobytes(order="F")
+    x = np.random.default_rng(2).standard_normal((system.free.size, 3))
+    assert reversed_system.product(x).tobytes() == system.product(x).tobytes()
 
 
 def test_dense_block_is_checked_against_available_memory(monkeypatch):
@@ -439,12 +524,12 @@ def test_available_memory_is_a_byte_count_or_unknown():
 
 def test_kronecker_system_zeroes_what_a_reused_block_does_not_get_written():
     # three fields on 2 nodes; the model writes the diagonal blocks and (2, 0)
-    axes = [(np.arange(1), np.arange(2))] * 3
+    axes = [(range(1), range(2))] * 3
     unit = np.ones((1, 1))
     inner = {"I": ((1.0, unit, np.eye(2)),), "F": ((1.0, unit, np.full((2, 2), 5.0)),)}
-    streams = [[(f, f, [(1.0, "I")])] for f in range(3)] + [[(2, 0, [(1.0, "F")])]]
+    blocks = [(f, f, [(1.0, "I")]) for f in range(3)] + [(2, 0, [(1.0, "F")])]
     block = np.full((6, 6), np.nan, order="F")
-    K = fem.kronecker_system((1, 2), axes, inner, streams, np.zeros(6), block).matrix
+    K = fem.kronecker_system((1, 2), axes, inner, blocks, np.zeros(6), block).matrix
     assert K is block
     expected = np.eye(6)
     expected[4:6, 0:2] = 5.0
@@ -452,7 +537,7 @@ def test_kronecker_system_zeroes_what_a_reused_block_does_not_get_written():
     # nothing above the diagonal is touched, even to zero it
     assert np.isnan(K[np.triu_indices(6, 1)]).all()
     with pytest.raises(ValueError, match="column-major 6 x 6"):
-        fem.kronecker_system((1, 2), axes, inner, streams, np.zeros(6), np.zeros((6, 6)))
+        fem.kronecker_system((1, 2), axes, inner, blocks, np.zeros(6), np.zeros((6, 6)))
 
 
 def _count_pages(n: int) -> int:

@@ -252,7 +252,8 @@ def test_free_block_equals_the_full_kronecker_assembly_bitwise(
     free = np.setdiff1d(np.arange(K_full.shape[0]), sorted(fixed))
     expected = K_full[np.ix_(free, free)]
     # these meshes fit one y node's columns in the default slab; 1 entry
-    # streams one column per slab, 64 a few, with a short last slab
+    # writes one column per slab, and 64 one to three, with a short last
+    # slab where they do not divide a y node's columns
     for slab_entries in (fem.SLAB_ENTRIES, 1, 64):
         monkeypatch.setattr(fem, "SLAB_ENTRIES", slab_entries)
         system = fem.assemble(model, kernel, 0.5)
