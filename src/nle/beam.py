@@ -18,9 +18,9 @@ one range.  A beam is a plate with one y node: its 4 field blocks on and
 below the diagonal, Kronecker sums of one term kron(1, G), form a flat
 table, which fem.kronecker_system writes, lower triangle only, and applies
 as it does the plate's; the blocks on the same free nodes share each Gram.
-The hat rows of both rules and the shear rule's N-N Gram do not depend on
-the kernel: a model builds them once, on first use, and every quadrature
-and assembly after that reads them.
+The HatRows of both rules (Gauss rule, hat rows and load) and the shear
+rule's N-N Gram do not depend on the kernel: a model builds them once, on
+first use, and every quadrature and assembly after that reads them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .fem import AxisQuadrature, IntervalMesh, StiffnessSystem, gauss_rule, gram
+from .fem import AxisQuadrature, IntervalMesh, StiffnessSystem, gram
 from .kernels import Kernel
 
 __all__ = [
@@ -131,7 +131,7 @@ class TimoshenkoBeamModel:
     def _hats(self) -> dict[int, fem.HatRows]:
         """The hat rows of the bending and shear rules, keyed by their point counts."""
         return {
-            npts: fem.HatRows(self.mesh, gauss_rule(npts))
+            npts: fem.HatRows(self.mesh, npts)
             for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
         }
 
@@ -231,7 +231,7 @@ class TimoshenkoBeamModel:
         if isinstance(self.load, CantileverTipLoad):
             F[W0 * nn + (nn - 1)] = self.load.magnitude
         else:
-            F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * bend.load_vector()
+            F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * self._hats[fem.BENDING_POINTS].load
         return fem.kronecker_system((1, nn), self._free_axes(), inner, blocks, F, block)
 
     def _free_axes(self) -> list[tuple[range, range]]:

@@ -25,9 +25,9 @@ each row a block that a finished row left behind, instead of faulting in
 fresh pages, and the lower field blocks that the table does not list are
 zeroed.
 
-The hat rows N and the Gauss points and weights of a rule (HatRows) do not
-depend on the kernel, so a model builds them once per rule and hands them
-to every AxisQuadrature it builds.
+HatRows builds an axis's Gauss rule, the hat rows N at its points and the
+consistent load N^T w.  None of them depends on the kernel, so a model
+builds one HatRows per rule and hands it to every AxisQuadrature it builds.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .operator import HorizonSpec, build_operator_matrix
 __all__ = [
     "IntervalMesh",
     "RectangleMesh",
-    "GaussRule",
-    "gauss_rule",
     "BENDING_POINTS",
     "SHEAR_POINTS",
     "HatRows",
@@ -144,41 +142,26 @@ class RectangleMesh:
         )
 
 
-@dataclass(frozen=True)
-class GaussRule:
-    """Gauss-Legendre points and weights on the reference interval [-1, 1]."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-@functools.cache
-def gauss_rule(n_points: int) -> GaussRule:
-    """The n-point rule, computed once per point count; its arrays are read-only."""
-    if n_points < 1:
-        raise ValueError("quadrature rule needs at least one point")
-    p, w = np.polynomial.legendre.leggauss(n_points)
-    p.flags.writeable = w.flags.writeable = False
-    return GaussRule(points=p, weights=w)
-
-
 class HatRows:
-    """Gauss points and weights of one rule over an axis mesh, and the hat rows N there.
+    """An axis mesh's n-point Gauss rule, its hat rows N, and its consistent load.
 
-    points/weights are the global Gauss abscissae and weights (element
-    jacobian folded in); row g of N holds the hat-function values at
-    points[g].  None of them depends on the kernel, so a model builds them
-    once per rule and passes them to each AxisQuadrature; the arrays are
-    read-only, because every quadrature of the model shares them.
+    points/weights are the global Gauss-Legendre abscissae and weights
+    (element jacobian folded in); row g of N holds the hat-function values
+    at points[g].  None of them depends on the kernel, so a model builds
+    them once per rule and passes them to each AxisQuadrature; the arrays
+    are read-only, because every quadrature of the model shares them.
     """
 
-    def __init__(self, mesh: IntervalMesh, rule: GaussRule):
+    def __init__(self, mesh: IntervalMesh, n_points: int):
+        if n_points < 1:
+            raise ValueError("quadrature rule needs at least one point")
+        p, w = np.polynomial.legendre.leggauss(n_points)
         h = mesh.spacing
         mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-        pts = (mids[:, None] + 0.5 * h * rule.points[None, :]).ravel()
+        pts = (mids[:, None] + 0.5 * h * p[None, :]).ravel()
         self.points = pts
-        self.weights = np.tile(0.5 * h * rule.weights, mesh.n_elements)
-        element = np.repeat(np.arange(mesh.n_elements), rule.points.size)
+        self.weights = np.tile(0.5 * h * w, mesh.n_elements)
+        element = np.repeat(np.arange(mesh.n_elements), n_points)
         t = (pts - mesh.nodes[element]) / h
         self.N = np.zeros((pts.size, mesh.n_nodes))
         rows = np.arange(pts.size)
@@ -188,6 +171,13 @@ class HatRows:
             array.flags.writeable = False
         self.mesh = mesh
 
+    @functools.cached_property
+    def load(self) -> np.ndarray:
+        """Consistent nodal load of a unit distributed intensity, N^T w; read-only."""
+        load = self.N.T @ self.weights
+        load.flags.writeable = False
+        return load
+
 
 class AxisQuadrature:
     """Gauss data of one rule over one axis mesh, with N and B row families.
@@ -195,7 +185,8 @@ class AxisQuadrature:
     points, weights and N come from hats, the HatRows of the mesh and rule,
     and mesh is hats.mesh.  B holds the nonlocal gradient rows for the given
     kernel and horizon radius; with the local delta kernel B degenerates to
-    the element-gradient rows.
+    the element-gradient rows.  The consistent load is hats.load, which
+    does not depend on the kernel either.
     """
 
     def __init__(self, hats: HatRows, kernel: Kernel, horizon_radius: float):
@@ -203,10 +194,6 @@ class AxisQuadrature:
         self.mesh = hats.mesh
         horizon = HorizonSpec(l_f=horizon_radius, x_min=0.0, x_max=self.mesh.length)
         self.B = build_operator_matrix(self.mesh.nodes, self.points, horizon, kernel).weights
-
-    def load_vector(self) -> np.ndarray:
-        """Consistent nodal load of a unit distributed intensity."""
-        return self.N.T @ self.weights
 
 
 def gram(P: np.ndarray, Q: np.ndarray, weights: np.ndarray) -> np.ndarray:

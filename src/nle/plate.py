@@ -20,9 +20,9 @@ diagonal as one flat table, and fem.kronecker_system writes their lower
 triangle from restricted 1D Grams, the blocks on the same free nodes
 sharing each inner sum, and applies them in product K x.  At 48x48 clamped
 the free block has 11,045 dofs and spans 0.91 GiB, but dense_block backs
-only the pages of its lower triangle.  The hat rows of each axis and rule,
-and their N-N Grams, do not depend on the kernel: a model builds them once,
-on first use, and keeps them.
+only the pages of its lower triangle.  The HatRows of each axis and rule
+(Gauss rule, hat rows and load) and their N-N Grams do not depend on the
+kernel: a model builds them once, on first use, and keeps them.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .fem import AxisQuadrature, RectangleMesh, StiffnessSystem, gauss_rule, gram
+from .fem import AxisQuadrature, RectangleMesh, StiffnessSystem, gram
 from .kernels import Kernel
 
 __all__ = [
@@ -126,7 +126,7 @@ class MindlinPlateModel:
     def _hats(self) -> dict[tuple[tuple[float, int], int], fem.HatRows]:
         """The hat rows of each distinct axis mesh and rule, keyed as quadratures() keys them."""
         return {
-            (ax, npts): fem.HatRows(fem.IntervalMesh(*ax), gauss_rule(npts))
+            (ax, npts): fem.HatRows(fem.IntervalMesh(*ax), npts)
             for ax in dict.fromkeys(self._axis_keys())
             for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
         }
@@ -255,7 +255,7 @@ class MindlinPlateModel:
             (TY, TY, [(shear_scale, "shear_mass"), (bend_scale, "direct_y")]),
         ]
         F = np.zeros(5 * nn)
-        fx, fy = quadratures[x, b].load_vector(), quadratures[y, b].load_vector()
+        fx, fy = self._hats[x, b].load, self._hats[y, b].load
         F[W * nn : (W + 1) * nn] = self.pressure * np.outer(fy, fx).ravel()
         grid = (self.mesh.y_axis.n_nodes, self.mesh.x_axis.n_nodes)
         return fem.kronecker_system(grid, self._free_axes(), inner, blocks, F, block)

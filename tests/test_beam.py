@@ -10,7 +10,7 @@ from nle.beam import (
     SimplySupportedUniformLoad,
     TimoshenkoBeamModel,
 )
-from nle.fem import AxisQuadrature, HatRows, gauss_rule, gram
+from nle.fem import AxisQuadrature, HatRows, gram
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel, power_law
 from nle.operator import HorizonSpec, build_operator_matrix
 from nle.plate import BOUNDARY_CONDITIONS, MindlinPlateModel, PlateSection
@@ -64,8 +64,8 @@ def _full_beam_assembly(model, kernel, horizon_radius):
     """
     mesh, s = model.mesh, model.section
     nn = mesh.n_nodes
-    bend = AxisQuadrature(HatRows(mesh, gauss_rule(fem.BENDING_POINTS)), kernel, horizon_radius)
-    shear = AxisQuadrature(HatRows(mesh, gauss_rule(fem.SHEAR_POINTS)), kernel, horizon_radius)
+    bend = AxisQuadrature(HatRows(mesh, fem.BENDING_POINTS), kernel, horizon_radius)
+    shear = AxisQuadrature(HatRows(mesh, fem.SHEAR_POINTS), kernel, horizon_radius)
     EA = s.modulus * s.area
     EI = s.modulus * s.inertia
     kGA = s.shear_correction * s.shear_modulus * s.area

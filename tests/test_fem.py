@@ -14,7 +14,6 @@ from nle.fem import (
     RectangleMesh,
     SolverError,
     StiffnessSystem,
-    gauss_rule,
     gram,
     solve,
 )
@@ -56,28 +55,31 @@ def test_rectangle_center_node():
         RectangleMesh(1.0, 1.0, 3, 4).center_node()
 
 
+# One element on [0, 2] has unit jacobian, so its Gauss points less 1 are
+# the reference points on [-1, 1] and its weights the reference weights.
+
 def test_gauss_rule_low_orders():
-    one = gauss_rule(1)
-    np.testing.assert_allclose(one.points, [0.0])
+    one = HatRows(IntervalMesh(2.0, 1), 1)
+    np.testing.assert_allclose(one.points - 1, [0.0])
     np.testing.assert_allclose(one.weights, [2.0])
-    two = gauss_rule(2)
-    np.testing.assert_allclose(np.abs(two.points), [1 / np.sqrt(3)] * 2)
+    two = HatRows(IntervalMesh(2.0, 1), 2)
+    np.testing.assert_allclose(np.abs(two.points - 1), [1 / np.sqrt(3)] * 2)
     np.testing.assert_allclose(two.weights, [1.0, 1.0])
     with pytest.raises(ValueError):
-        gauss_rule(0)
+        HatRows(IntervalMesh(2.0, 1), 0)
 
 
-def test_gauss_rule_is_computed_once_and_read_only():
-    rule = gauss_rule(2)
-    assert gauss_rule(2) is rule
+def test_gauss_rule_is_read_only():
+    rule = HatRows(IntervalMesh(2.0, 1), 2)
     with pytest.raises(ValueError, match="read-only"):
         rule.points[0] = 0.0
 
 
 def test_gauss_two_point_exact_to_cubics():
-    rule = gauss_rule(2)
-    assert np.sum(rule.weights * rule.points ** 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert np.sum(rule.weights * rule.points ** 3) == pytest.approx(0.0, abs=1e-15)
+    rule = HatRows(IntervalMesh(2.0, 1), 2)
+    points = rule.points - 1
+    assert np.sum(rule.weights * points ** 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert np.sum(rule.weights * points ** 3) == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,7 @@ def test_hat_rows_reject_outside_span():
 
 def test_axis_quadrature_weights_and_points():
     mesh = IntervalMesh(1.0, 5)
-    quad = AxisQuadrature(HatRows(mesh, gauss_rule(2)), LocalDelta(), 0.3)
+    quad = AxisQuadrature(HatRows(mesh, 2), LocalDelta(), 0.3)
     assert quad.points.size == 10
     assert np.sum(quad.weights) == pytest.approx(1.0, rel=1e-14)
     # points stay strictly inside their elements, in ascending element order
@@ -121,7 +123,7 @@ def test_axis_quadrature_weights_and_points():
 
 def test_axis_quadrature_interpolation_rows():
     mesh = IntervalMesh(1.0, 4)
-    quad = AxisQuadrature(HatRows(mesh, gauss_rule(2)), LocalDelta(), 0.3)
+    quad = AxisQuadrature(HatRows(mesh, 2), LocalDelta(), 0.3)
     nodal = 2.0 * mesh.nodes + 0.5
     np.testing.assert_allclose(quad.N @ nodal, 2.0 * quad.points + 0.5, rtol=1e-14)
 
@@ -130,18 +132,45 @@ def test_axis_quadrature_local_gradient_rows():
     # with the delta kernel the B rows are the element gradients, so the
     # nodal square function maps to twice the element midpoints
     mesh = IntervalMesh(1.0, 4)
-    quad = AxisQuadrature(HatRows(mesh, gauss_rule(1)), LocalDelta(), 0.3)
+    quad = AxisQuadrature(HatRows(mesh, 1), LocalDelta(), 0.3)
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     np.testing.assert_allclose(quad.B @ mesh.nodes ** 2, 2.0 * mids, rtol=1e-13)
 
 
-def test_axis_quadrature_consistent_unit_load():
+def test_hat_rows_consistent_unit_load():
     mesh = IntervalMesh(1.0, 5)
-    quad = AxisQuadrature(HatRows(mesh, gauss_rule(2)), LocalDelta(), 0.3)
+    hats = HatRows(mesh, 2)
     h = mesh.spacing
     expected = np.full(6, h)
     expected[[0, -1]] = h / 2
-    np.testing.assert_allclose(quad.load_vector(), expected, rtol=1e-14)
+    np.testing.assert_allclose(hats.load, expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("structure", ["beam", "plate"])
+def test_a_model_computes_its_load_once_and_every_assembly_reads_it(structure):
+    if structure == "beam":
+        model = TimoshenkoBeamModel(BeamSection(), SimplySupportedUniformLoad(intensity=2.5e3))
+        hats = model._hats[fem.BENDING_POINTS]
+        rows, expected = 1, 2.5e3 * hats.load
+    else:
+        model = MindlinPlateModel(PlateSection(), 4.0e3, "clamped", nx=12, ny=12)
+        x, y = model._axis_keys()
+        hats = model._hats[x, fem.BENDING_POINTS]
+        fx, fy = hats.load, model._hats[y, fem.BENDING_POINTS].load
+        rows, expected = 2, 4.0e3 * np.outer(fy, fx).ravel()
+    load = hats.load
+    assert hats.load is load
+    assert not load.flags.writeable
+    assert load.tobytes() == (hats.N.T @ hats.weights).tobytes()
+
+    systems = [
+        fem.assemble(model, ExponentialKernel(0.05), 0.2),
+        fem.assemble(model, PowerLawKernel(0.75), 0.3),
+    ]
+    assert hats.load is load
+    assert systems[0].load.tobytes() == systems[1].load.tobytes()
+    nn = expected.size
+    assert systems[0].load[rows * nn : (rows + 1) * nn].tobytes() == expected.tobytes()
 
 
 def test_gram_is_weighted_product():
@@ -195,7 +224,7 @@ def test_bar_stiffness_matches_brute_force_energy_quadrature():
     kernel = ExponentialKernel(1.0)
     l_f = 1.0
     mesh = IntervalMesh(1.0, 2)
-    quad = AxisQuadrature(HatRows(mesh, gauss_rule(2)), kernel, l_f)
+    quad = AxisQuadrature(HatRows(mesh, 2), kernel, l_f)
     K = gram(quad.B, quad.B, quad.weights)
 
     def energy(vals):
@@ -663,13 +692,13 @@ class _BarModel:
         self.mesh = IntervalMesh(1.0, n_elements)
 
     def quadratures(self, kernel, horizon_radius):
-        return {2: AxisQuadrature(HatRows(self.mesh, gauss_rule(2)), kernel, horizon_radius)}
+        return {2: AxisQuadrature(HatRows(self.mesh, 2), kernel, horizon_radius)}
 
     def assemble(self, quadratures):
         quad = quadratures[2]
         K = np.asfortranarray(gram(quad.B, quad.B, quad.weights))
         free = np.arange(self.mesh.n_nodes)
-        return _dense_system(K, quad.load_vector(), free)
+        return _dense_system(K, quad.N.T @ quad.weights, free)
 
 
 class _GrowingKernel(ExponentialKernel):

@@ -9,7 +9,7 @@ from continuous_operator import clipped_sides, continuous_gradient, side_integra
 from scipy import integrate
 
 from nle import operator as operator_module
-from nle.fem import AxisQuadrature, HatRows, IntervalMesh, gauss_rule
+from nle.fem import AxisQuadrature, HatRows, IntervalMesh
 from nle.kernels import (
     ExponentialKernel,
     LocalDelta,
@@ -391,7 +391,7 @@ def _moment_entries(kernel, monkeypatch):
         return moment(self, length)
 
     monkeypatch.setattr(type(kernel), "interval_integral", counting)
-    quadrature = AxisQuadrature(HatRows(IntervalMesh(1.0, 200), gauss_rule(2)), kernel, 0.5)
+    quadrature = AxisQuadrature(HatRows(IntervalMesh(1.0, 200), 2), kernel, 0.5)
     return sum(entries), quadrature.B.shape
 
 

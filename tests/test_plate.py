@@ -14,7 +14,6 @@ from nle.fem import (
     AxisQuadrature,
     HatRows,
     RectangleMesh,
-    gauss_rule,
     gram,
 )
 from nle.kernels import ExponentialKernel, LocalDelta, power_law
@@ -166,7 +165,7 @@ def _full_kron_assembly(model, kernel, horizon_radius):
     bend_scale = s.thickness ** 3 / 12.0
     shear_scale = s.shear_correction * s.shear_modulus * s.thickness
     quads = {
-        (ax, npts): AxisQuadrature(HatRows(axis, gauss_rule(npts)), kernel, horizon_radius)
+        (ax, npts): AxisQuadrature(HatRows(axis, npts), kernel, horizon_radius)
         for ax, axis in (("x", mesh.x_axis), ("y", mesh.y_axis))
         for npts in (BENDING_POINTS, SHEAR_POINTS)
     }
