@@ -17,12 +17,7 @@ import os
 # set is kept.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
-from .beam import (
-    BeamSection,
-    CantileverTipLoad,
-    SimplySupportedUniformLoad,
-    TimoshenkoBeamModel,
-)
+from .beam import BeamSection, TimoshenkoBeamModel
 from .config import ConfigError, RunConfig, parse_config
 from .dispersion import (
     Material1D,
@@ -49,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA_FLOOR",
     "BeamSection",
-    "CantileverTipLoad",
     "ConfigError",
     "ExponentialKernel",
     "HorizonSpec",
@@ -61,7 +55,6 @@ __all__ = [
     "PlateSection",
     "PowerLawKernel",
     "RunConfig",
-    "SimplySupportedUniformLoad",
     "SweepResult",
     "TimoshenkoBeamModel",
     "__version__",

@@ -12,15 +12,18 @@ weighted Gram products of the interpolation rows N and operator rows B:
 direct terms integrate with the 2-point rule, transverse shear with 1 point.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
-fields (u0, w0, theta) = (0, 1, 2).  Every load case fixes a field at zero
-at one end, both or neither (FIXED_ENDS), so the free nodes of a field are
-one range.  A beam is a plate with one y node: its 4 field blocks on and
-below the diagonal, Kronecker sums of one term kron(1, G), form a flat
-table, which fem.kronecker_system writes, lower triangle only, and applies
-as it does the plate's; the blocks on the same free nodes share each Gram.
-The HatRows of both rules (Gauss rule, hat rows and load) and the shear
-rule's N-N Gram do not depend on the kernel: a model builds them once, on
-first use, and every quadrature and assembly after that reads them.
+fields (u0, w0, theta) = (0, 1, 2).  The load case is a name, a tip force on
+a cantilever or a uniform load on a simply supported beam, and FIXED_ENDS,
+VALUE_KEYS and MIDSPAN_CASES hold all else that tells the cases apart.
+Every case fixes a field at zero at one end, both or neither, so the free
+nodes of a field are one range.  A beam is a plate with one y node: its 4
+field blocks on and below the diagonal, Kronecker sums of one term
+kron(1, G), form a flat table, which fem.kronecker_system writes, lower
+triangle only, and applies as it does the plate's; the blocks on the same
+free nodes share each Gram.  The HatRows of both rules (Gauss rule, hat
+rows and load) and the shear rule's N-N Gram do not depend on the kernel:
+a model builds them once, on first use, and every quadrature and assembly
+after that reads them.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from .kernels import Kernel
 
 __all__ = [
     "BeamSection",
-    "CantileverTipLoad",
-    "SimplySupportedUniformLoad",
     "TimoshenkoBeamModel",
     "BeamDisplacement",
+    "LOAD_CASES",
     "BEAM_SWEEP_COLUMNS",
 ]
 
@@ -52,6 +54,12 @@ FIXED_ENDS = {
     "cantilever_tip": {U0: (True, False), W0: (True, False), THETA: (True, False)},
     "ss_udtl": {U0: (True, False), W0: (True, True), THETA: (False, False)},
 }
+LOAD_CASES = tuple(FIXED_ENDS)
+# The config key of each case's load value.
+VALUE_KEYS = {"cantilever_tip": "magnitude", "ss_udtl": "intensity"}
+# The cases whose metric is the midspan deflection, which needs an even
+# element count, rather than the tip's.
+MIDSPAN_CASES = ("ss_udtl",)
 
 
 @dataclass(frozen=True)
@@ -85,24 +93,6 @@ class BeamSection:
         return self.modulus / (2.0 * (1.0 + self.poisson))
 
 
-@dataclass(frozen=True)
-class CantileverTipLoad:
-    """Clamp at x=0, transverse point force at the tip."""
-
-    magnitude: float = 1.0
-    name = "cantilever_tip"
-
-
-@dataclass(frozen=True)
-class SimplySupportedUniformLoad:
-    """Pinned deflection at both ends, uniformly distributed transverse load."""
-
-    intensity: float = 1.0
-    name = "ss_udtl"
-
-
-BeamLoad = CantileverTipLoad | SimplySupportedUniformLoad
-
 BEAM_SWEEP_COLUMNS = (
     "kernel",
     "param",
@@ -118,13 +108,14 @@ BEAM_SWEEP_COLUMNS = (
 class TimoshenkoBeamModel:
     sweep_columns = BEAM_SWEEP_COLUMNS
 
-    def __init__(self, section: BeamSection, load: BeamLoad, n_elements: int = 200):
-        if isinstance(load, SimplySupportedUniformLoad) and n_elements % 2:
-            raise ValueError("simply supported case needs an even element count (midspan node)")
-        if not isinstance(load, (CantileverTipLoad, SimplySupportedUniformLoad)):
-            raise ValueError(f"unknown load case {load!r}")
+    def __init__(self, section: BeamSection, load: float, load_case: str, n_elements: int = 200):
+        if load_case not in LOAD_CASES:
+            raise ValueError(f"load case must be one of {LOAD_CASES} (got {load_case!r})")
+        if load_case in MIDSPAN_CASES and n_elements % 2:
+            raise ValueError(f"{load_case} needs an even element count (midspan node)")
         self.section = section
         self.load = load
+        self.case = load_case
         self.mesh = IntervalMesh(section.length, n_elements)
 
     @functools.cached_property
@@ -142,14 +133,10 @@ class TimoshenkoBeamModel:
         return gram(hats.N, hats.N, hats.weights)
 
     @property
-    def case(self) -> str:
-        return self.load.name
-
-    @property
     def metadata(self) -> dict[str, str]:
         return {
             "model": "beam",
-            "load_case": self.load.name,
+            "load_case": self.case,
             "n_elements": self.resolution,
             **fem.block_metadata(self.free_dofs),
         }
@@ -180,9 +167,8 @@ class TimoshenkoBeamModel:
     @property
     def metric_node(self) -> int:
         """Node whose deflection defines w_max: tip or midspan by load case."""
-        if isinstance(self.load, CantileverTipLoad):
-            return self.mesh.n_nodes - 1
-        return (self.mesh.n_nodes - 1) // 2
+        last = self.mesh.n_nodes - 1
+        return last // 2 if self.case in MIDSPAN_CASES else last
 
     @property
     def metric_dof(self) -> int:
@@ -228,15 +214,15 @@ class TimoshenkoBeamModel:
         ]
 
         F = np.zeros(3 * nn)
-        if isinstance(self.load, CantileverTipLoad):
-            F[W0 * nn + (nn - 1)] = self.load.magnitude
+        if self.case == "cantilever_tip":
+            F[W0 * nn + (nn - 1)] = self.load
         else:
-            F[W0 * nn : (W0 + 1) * nn] = self.load.intensity * self._hats[fem.BENDING_POINTS].load
+            F[W0 * nn : (W0 + 1) * nn] = self.load * self._hats[fem.BENDING_POINTS].load
         return fem.kronecker_system((1, nn), self._free_axes(), inner, blocks, F, block)
 
     def _free_axes(self) -> list[tuple[range, range]]:
         """Free (y, x) node ranges of each field: its one y node, and its unfixed x nodes."""
-        ends = FIXED_ENDS[self.load.name]
+        ends = FIXED_ENDS[self.case]
         return [(range(1), fem.free_range(self.mesh.n_nodes, ends[f])) for f in FIELDS]
 
 

@@ -238,11 +238,9 @@ def _produce(cfg: RunConfig, threads: int) -> SweepResult:
 def _model(cfg: RunConfig, factor: int = 1):
     """The configured beam or plate model, with its mesh refined `factor` times."""
     if cfg.target == "beam":
-        if cfg.load_case == "ss_udtl":
-            load = beam.SimplySupportedUniformLoad(intensity=cfg.load_value)
-        else:
-            load = beam.CantileverTipLoad(magnitude=cfg.load_value)
-        return beam.TimoshenkoBeamModel(cfg.beam_section, load, cfg.n_elements * factor)
+        return beam.TimoshenkoBeamModel(
+            cfg.beam_section, cfg.load_value, cfg.load_case, cfg.n_elements * factor
+        )
     return plate.MindlinPlateModel(
         cfg.plate_section, cfg.pressure, cfg.boundary, cfg.nx * factor, cfg.ny * factor
     )

@@ -16,7 +16,7 @@ import math
 
 import yaml
 
-from .beam import FIXED_ENDS, BeamSection
+from .beam import LOAD_CASES, MIDSPAN_CASES, VALUE_KEYS, BeamSection
 from .kernels import KERNEL_KINDS, KERNEL_PARAMS, power_law
 from .plate import BOUNDARY_CONDITIONS, PlateSection
 from .results import KernelSpec, check_alpha_floor
@@ -24,7 +24,6 @@ from .results import KernelSpec, check_alpha_floor
 __all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "LOAD_CASES"]
 
 SUBCOMMANDS = ("dispersion", "beam", "plate", "sweep", "convergence")
-LOAD_CASES = tuple(FIXED_ENDS)
 
 # The fields of BeamSection and PlateSection read under `material:`.
 _MATERIAL = ("modulus", "poisson", "shear_correction")
@@ -243,14 +242,14 @@ def _structure(top: _Block, errors: list[str], target: str) -> dict:
         section = _section(top, errors, BeamSection)
         load = top.block("load")
         case = load.choice("case", LOAD_CASES, "cantilever_tip")
-        value = load.number("intensity" if case == "ss_udtl" else "magnitude", 1.0)
+        value = load.number(VALUE_KEYS[case], 1.0)
         if value == 0.0:
-            errors.append("load: magnitude must be nonzero")
+            errors.append(f"load.{VALUE_KEYS[case]}: must be nonzero")
         load.close()
         mesh = top.block("mesh")
         n_elements = mesh.integer("n_elements", 200, minimum=1)
         mesh.close()
-        if case == "ss_udtl" and n_elements % 2:
+        if case in MIDSPAN_CASES and n_elements % 2:
             errors.append("mesh.n_elements: must be even for the midspan metric")
         return dict(beam_section=section, load_case=case, load_value=value, n_elements=n_elements)
     section = _section(top, errors, PlateSection)

@@ -14,12 +14,7 @@ import pytest
 from continuous_operator import continuous_gradient
 
 from nle import fem
-from nle.beam import (
-    BeamSection,
-    CantileverTipLoad,
-    SimplySupportedUniformLoad,
-    TimoshenkoBeamModel,
-)
+from nle.beam import BeamSection, TimoshenkoBeamModel
 from nle.cli import main as cli_main
 from nle.dispersion import (
     Material1D,
@@ -105,23 +100,40 @@ def _solve_record(system, w_dof, w_local, width=256):
     }
 
 
+def _grid_records(model, case, w_dof, w_local, records):
+    """The record of each (case, kind, param, l_f) key of the grid, into records.
+
+    A key whose quadratures all hold the same B, bit for bit, as an earlier
+    key's gets that key's record: its system is the same, so its record
+    would be too.  In this grid each exponential kernel repeats its rows at
+    the wider horizons, and the power law at alpha = 1, the local delta,
+    has the rows of the exponential at l0 = 1e-6: 11 of each case's 24 keys.
+    """
+    solved = []
+    for spec in _grid_specs():
+        kernel = spec.build()
+        for l_f in GRID_LF:
+            quads = fem.quadratures(model, kernel, l_f)
+            for seen, record in solved:
+                if all(np.array_equal(seen[k].B, quads[k].B) for k in quads):
+                    break
+            else:
+                record = _solve_record(model.assemble(quads), w_dof, w_local)
+                solved.append((quads, record))
+            records[(case, spec.kind, spec.param, l_f)] = record
+
+
 @pytest.fixture(scope="session")
 def beam_grid():
     started = time.perf_counter()
     records = {}
     local = {}
-    for load in (CantileverTipLoad(), SimplySupportedUniformLoad()):
-        model = TimoshenkoBeamModel(BeamSection(), load, 200)
+    for case in ("cantilever_tip", "ss_udtl"):
+        model = TimoshenkoBeamModel(BeamSection(), 1.0, case, 200)
         w_dof = model.mesh.n_nodes + model.metric_node
         u_loc = fem.solve(fem.assemble(model, LocalDelta(), GRID_LF[0]))
-        local[load.name] = abs(float(u_loc[w_dof]))
-        for spec in _grid_specs():
-            kernel = spec.build()
-            for l_f in GRID_LF:
-                system = fem.assemble(model, kernel, l_f)
-                records[(load.name, spec.kind, spec.param, l_f)] = _solve_record(
-                    system, w_dof, local[load.name]
-                )
+        local[case] = abs(float(u_loc[w_dof]))
+        _grid_records(model, case, w_dof, local[case], records)
     return {"records": records, "local": local, "build_s": time.perf_counter() - started}
 
 
@@ -135,13 +147,7 @@ def plate_grid():
         w_dof = W_FIELD * model.mesh.n_nodes + model.mesh.center_node()
         u_loc = fem.solve(fem.assemble(model, LocalDelta(), GRID_LF[0]))
         local[boundary] = abs(float(u_loc[w_dof]))
-        for spec in _grid_specs():
-            kernel = spec.build()
-            for l_f in GRID_LF:
-                system = fem.assemble(model, kernel, l_f)
-                records[(boundary, spec.kind, spec.param, l_f)] = _solve_record(
-                    system, w_dof, local[boundary]
-                )
+        _grid_records(model, boundary, w_dof, local[boundary], records)
     return {"records": records, "local": local, "build_s": time.perf_counter() - started}
 
 
@@ -386,7 +392,7 @@ def test_criterion_7_parameter_trends(beam_grid):
     # rise to an interior peak and decline past it.
     scan_l0 = np.logspace(-4.0, math.log10(5e-3), 9)
     scan = sweep(
-        TimoshenkoBeamModel(BeamSection(), CantileverTipLoad(), 200),
+        TimoshenkoBeamModel(BeamSection(), 1.0, "cantilever_tip", 200),
         [KernelSpec("exponential", float(v)) for v in scan_l0],
         [0.5],
     )

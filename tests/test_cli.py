@@ -333,7 +333,7 @@ def test_convergence_solves_only_the_reported_systems(tmp_path, monkeypatch):
     assert len(solves) == 2
     lines = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()
     coarse = fem.solve_metric(
-        beam.TimoshenkoBeamModel(beam.BeamSection(), beam.CantileverTipLoad(), 60),
+        beam.TimoshenkoBeamModel(beam.BeamSection(), 1.0, "cantilever_tip", 60),
         ExponentialKernel(0.0025),
         0.5,
         CONVERGENCE_RESIDUAL_TOL,
@@ -553,7 +553,7 @@ def test_a_beam_exits_3_before_allocating_without_room_for_its_rows_and_grams(
     # 1,600-element cantilever: 4,800 free dofs.  Memory for the block and
     # its BLAS margin is not enough: the model's row families and Grams
     # (held_bytes) come on top, and the check counts them first.
-    model = beam.TimoshenkoBeamModel(beam.BeamSection(), beam.CantileverTipLoad(), 1600)
+    model = beam.TimoshenkoBeamModel(beam.BeamSection(), 1.0, "cantilever_tip", 1600)
     n = model.free_dofs
     block_only = fem.backed_bytes(n) + fem.blas_margin(n)
     need = block_only + model.held_bytes

@@ -330,9 +330,15 @@ horizon: {l_f_grid: []}
         "beam",
         LOCAL + "load: {case: ss_udtl, intensity: 0}\nmesh: {n_elements: 201}\n",
         [
-            "load: magnitude must be nonzero",
+            "load.intensity: must be nonzero",
             "mesh.n_elements: must be even for the midspan metric",
         ],
+    ),
+    (
+        "cantilever_zero_load",
+        "beam",
+        LOCAL + "load: {case: cantilever_tip, magnitude: 0}\nmesh: {n_elements: 201}\n",
+        ["load.magnitude: must be nonzero"],
     ),
     (
         "plate_mesh_and_zero_pressure",

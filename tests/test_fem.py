@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from nle import fem
-from nle.beam import BeamSection, CantileverTipLoad, SimplySupportedUniformLoad, TimoshenkoBeamModel
+from nle.beam import BeamSection, TimoshenkoBeamModel
 from nle.fem import (
     AxisQuadrature,
     HatRows,
@@ -149,7 +149,7 @@ def test_hat_rows_consistent_unit_load():
 @pytest.mark.parametrize("structure", ["beam", "plate"])
 def test_a_model_computes_its_load_once_and_every_assembly_reads_it(structure):
     if structure == "beam":
-        model = TimoshenkoBeamModel(BeamSection(), SimplySupportedUniformLoad(intensity=2.5e3))
+        model = TimoshenkoBeamModel(BeamSection(), 2.5e3, "ss_udtl")
         hats = model._hats[fem.BENDING_POINTS]
         rows, expected = 1, 2.5e3 * hats.load
     else:
@@ -486,8 +486,8 @@ def test_kronecker_system_keeps_equal_sized_fields_on_other_nodes_apart(monkeypa
 MODELS = pytest.mark.parametrize(
     "model, streams",
     [
-        (TimoshenkoBeamModel(BeamSection(), CantileverTipLoad(), 20), 2),
-        (TimoshenkoBeamModel(BeamSection(), SimplySupportedUniformLoad(), 20), 4),
+        (TimoshenkoBeamModel(BeamSection(), 1.0, "cantilever_tip", 20), 2),
+        (TimoshenkoBeamModel(BeamSection(), 1.0, "ss_udtl", 20), 4),
         (MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=6, ny=6), 2),
         (MindlinPlateModel(PlateSection(), 1.0, "simply_supported", nx=6, ny=6), 6),
     ],

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from nle import fem
-from nle.beam import (
-    BeamSection,
-    CantileverTipLoad,
-    SimplySupportedUniformLoad,
-    TimoshenkoBeamModel,
-)
+from nle.beam import BeamSection, TimoshenkoBeamModel
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
 from nle.plate import MindlinPlateModel, PlateSection
 from nle.results import KernelSpec, sweep
@@ -18,7 +13,7 @@ from nle.results import KernelSpec, sweep
 # model and kernel grid of each structure; the grid's first kernel needs a solve
 MODELS = {
     "beam": (
-        lambda: TimoshenkoBeamModel(BeamSection(), CantileverTipLoad(), n_elements=20),
+        lambda: TimoshenkoBeamModel(BeamSection(), 1.0, "cantilever_tip", n_elements=20),
         KernelSpec("exponential", 1e-3),
     ),
     "plate": (
@@ -231,8 +226,8 @@ def test_sweep_thread_count_does_not_change_rows(name):
 # Both load cases and both boundary sets, on small meshes, for the block reuse
 # of one model's systems.
 REUSE_MODELS = {
-    "beam-cantilever": lambda: TimoshenkoBeamModel(BeamSection(), CantileverTipLoad(), 20),
-    "beam-ss_udtl": lambda: TimoshenkoBeamModel(BeamSection(), SimplySupportedUniformLoad(), 20),
+    "beam-cantilever": lambda: TimoshenkoBeamModel(BeamSection(), 1.0, "cantilever_tip", 20),
+    "beam-ss_udtl": lambda: TimoshenkoBeamModel(BeamSection(), 1.0, "ss_udtl", 20),
     "plate-clamped": lambda: MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=6, ny=6),
     "plate-simply_supported": lambda: MindlinPlateModel(
         PlateSection(), 1.0, "simply_supported", nx=6, ny=6
