@@ -15,14 +15,15 @@ DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u0, w0, theta) = (0, 1, 2).  The load case is a name, a tip force on
 a cantilever or a uniform load on a simply supported beam, and FIXED_ENDS,
 VALUE_KEYS and MIDSPAN_CASES hold all else that tells the cases apart.
-Every case fixes a field at zero at one end, both or neither, so the free
-nodes of a field are one range.  A beam is a plate with one y node: its 4
-field blocks on and below the diagonal, Kronecker sums of one term
-kron(1, G), form a flat table, which fem.kronecker_system writes, lower
-triangle only, and applies as it does the plate's; the blocks on the same
-free nodes share each Gram.  The HatRows of both rules (Gauss rule, hat
-rows and load) and the shear rule's N-N Gram do not depend on the kernel:
-a model builds them once, on first use, and every quadrature and assembly
+Every case fixes a field at zero at one end, both or neither.  A beam is a
+plate with one y node: its fem.Axes holds the x mesh, no y mesh and the
+case's fixed ends, and gives the grid, the free node ranges and the HatRows
+of both rules (Gauss rule, hat rows and load).  Its 4 field blocks on and
+below the diagonal, Kronecker sums of one term kron(1, G), form a flat
+table, which fem.kronecker_system writes, lower triangle only, and applies
+as it does the plate's; the blocks on the same free nodes share each Gram.
+The hat rows and the shear rule's N-N Gram do not depend on the kernel: a
+model builds them once, on first use, and every quadrature and assembly
 after that reads them.
 """
 
@@ -40,19 +41,23 @@ from .kernels import Kernel
 __all__ = [
     "BeamSection",
     "TimoshenkoBeamModel",
-    "BeamDisplacement",
     "LOAD_CASES",
     "BEAM_SWEEP_COLUMNS",
 ]
 
 U0, W0, THETA = FIELDS = 0, 1, 2
 
-# Where each field is fixed at zero, per load case: (at x = 0, at x = L).
+# Where each field is fixed at zero, per load case, as fem.Axes takes it:
+# ((at x = 0, at x = L), (first, last) y node), the beam's one y node never.
 # The cantilever is clamped at x = 0; the simply supported beam pins its
 # deflection at both ends and its axial displacement at x = 0.
 FIXED_ENDS = {
-    "cantilever_tip": {U0: (True, False), W0: (True, False), THETA: (True, False)},
-    "ss_udtl": {U0: (True, False), W0: (True, True), THETA: (False, False)},
+    "cantilever_tip": {f: ((True, False), (False, False)) for f in FIELDS},
+    "ss_udtl": {
+        U0: ((True, False), (False, False)),
+        W0: ((True, True), (False, False)),
+        THETA: ((False, False), (False, False)),
+    },
 }
 LOAD_CASES = tuple(FIXED_ENDS)
 # The config key of each case's load value.
@@ -116,20 +121,15 @@ class TimoshenkoBeamModel:
         self.section = section
         self.load = load
         self.case = load_case
-        self.mesh = IntervalMesh(section.length, n_elements)
-
-    @functools.cached_property
-    def _hats(self) -> dict[int, fem.HatRows]:
-        """The hat rows of the bending and shear rules, keyed by their point counts."""
-        return {
-            npts: fem.HatRows(self.mesh, npts)
-            for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
-        }
+        ends = FIXED_ENDS[load_case]
+        self.axes = fem.Axes(
+            IntervalMesh(section.length, n_elements), None, tuple(ends[f] for f in FIELDS)
+        )
 
     @functools.cached_property
     def _shear_mass(self) -> np.ndarray:
         """The shear rule's N-N Gram, which every assembly reads."""
-        hats = self._hats[fem.SHEAR_POINTS]
+        hats = self.axes.hats[self.axes.x_axis, fem.SHEAR_POINTS]
         return gram(hats.N, hats.N, hats.weights)
 
     @property
@@ -143,8 +143,8 @@ class TimoshenkoBeamModel:
 
     @property
     def free_dofs(self) -> int:
-        """Dofs of the free block (fem.free_dofs)."""
-        return fem.free_dofs(self._free_axes())
+        """Dofs of the free block (fem.Axes.free_dofs)."""
+        return self.axes.free_dofs
 
     @property
     def held_bytes(self) -> int:
@@ -156,42 +156,40 @@ class TimoshenkoBeamModel:
         product makes; and the Grams Sb, Ss, Cs and the shear mass,
         (n_el + 1)^2 each.
         """
-        n_el, nn = self.mesh.n_elements, self.mesh.n_nodes
+        n_el, nn = self.axes.x_axis.n_elements, self.axes.n_nodes
         return 8 * ((3 * 3 + 2) * n_el * nn + 4 * nn * nn)
 
     @property
     def resolution(self) -> str:
         """Mesh size as the convergence table prints it."""
-        return str(self.mesh.n_elements)
+        return str(self.axes.x_axis.n_elements)
 
     @property
     def metric_node(self) -> int:
         """Node whose deflection defines w_max: tip or midspan by load case."""
-        last = self.mesh.n_nodes - 1
-        return last // 2 if self.case in MIDSPAN_CASES else last
+        return self.axes.center_node() if self.case in MIDSPAN_CASES else self.axes.n_nodes - 1
 
     @property
     def metric_dof(self) -> int:
         """Deflection dof of the metric node."""
-        return W0 * self.mesh.n_nodes + self.metric_node
+        return W0 * self.axes.n_nodes + self.metric_node
 
-    def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict[int, AxisQuadrature]:
-        """The bending and shear rules' quadratures, keyed by their point counts."""
+    def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict:
+        """The bending and shear rules' quadratures, keyed (mesh, points) as axes.hats."""
         return {
-            npts: AxisQuadrature(hats, kernel, horizon_radius)
-            for npts, hats in self._hats.items()
+            key: AxisQuadrature(hats, kernel, horizon_radius)
+            for key, hats in self.axes.hats.items()
         }
 
-    def assemble(
-        self, quadratures: dict[int, AxisQuadrature], block: np.ndarray | None = None
-    ) -> StiffnessSystem:
+    def assemble(self, quadratures: dict, block: np.ndarray | None = None) -> StiffnessSystem:
         """Lower triangle of the free-free stiffness block and the full load, from quadratures().
 
         block, when given, is the matrix of an earlier system of this model,
         which the new one reuses.
         """
-        nn = self.mesh.n_nodes
-        bend, shear = quadratures[fem.BENDING_POINTS], quadratures[fem.SHEAR_POINTS]
+        axes = self.axes
+        nn, x = axes.n_nodes, axes.x_axis
+        bend, shear = quadratures[x, fem.BENDING_POINTS], quadratures[x, fem.SHEAR_POINTS]
         s = self.section
         EA = s.modulus * s.area
         EI = s.modulus * s.inertia
@@ -217,23 +215,5 @@ class TimoshenkoBeamModel:
         if self.case == "cantilever_tip":
             F[W0 * nn + (nn - 1)] = self.load
         else:
-            F[W0 * nn : (W0 + 1) * nn] = self.load * self._hats[fem.BENDING_POINTS].load
-        return fem.kronecker_system((1, nn), self._free_axes(), inner, blocks, F, block)
-
-    def _free_axes(self) -> list[tuple[range, range]]:
-        """Free (y, x) node ranges of each field: its one y node, and its unfixed x nodes."""
-        ends = FIXED_ENDS[self.case]
-        return [(range(1), fem.free_range(self.mesh.n_nodes, ends[f])) for f in FIELDS]
-
-
-@dataclass(frozen=True)
-class BeamDisplacement:
-    nodes: np.ndarray
-    u0: np.ndarray
-    w0: np.ndarray
-    theta: np.ndarray
-
-    @classmethod
-    def from_vector(cls, nodes: np.ndarray, u: np.ndarray) -> "BeamDisplacement":
-        nn = nodes.size
-        return cls(nodes, u[:nn], u[nn : 2 * nn], u[2 * nn :])
+            F[W0 * nn : (W0 + 1) * nn] = self.load * axes.hats[x, fem.BENDING_POINTS].load
+        return fem.kronecker_system(axes.grid, axes.free, inner, blocks, F, block)

@@ -25,9 +25,11 @@ each row a block that a finished row left behind, instead of faulting in
 fresh pages, and the lower field blocks that the table does not list are
 zeroed.
 
-HatRows builds an axis's Gauss rule, the hat rows N at its points and the
-consistent load N^T w.  None of them depends on the kernel, so a model
-builds one HatRows per rule and hands it to every AxisQuadrature it builds.
+Axes turns a model's axis meshes and fixed ends into its node grid and
+numbering, each field's free (y, x) node ranges, and one HatRows per
+distinct axis mesh and rule: the Gauss rule, the hat rows N at its points
+and the consistent load N^T w.  None of them depends on the kernel, so a
+model builds them once and hands them to every AxisQuadrature it builds.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .operator import HorizonSpec, build_operator_matrix
 
 __all__ = [
     "IntervalMesh",
-    "RectangleMesh",
+    "Axes",
     "BENDING_POINTS",
     "SHEAR_POINTS",
     "HatRows",
@@ -61,8 +63,6 @@ __all__ = [
     "block_metadata",
     "check_fits",
     "dense_block",
-    "free_dofs",
-    "free_range",
     "kronecker_system",
     "quadratures",
     "assemble",
@@ -88,17 +88,26 @@ class SolverError(RuntimeError):
     """Constrained system could not be factored or solved to tolerance."""
 
 
+@dataclass(frozen=True)
 class IntervalMesh:
-    """Uniform 1D mesh on [0, length] with linear elements."""
+    """Uniform 1D mesh on [0, length] with linear elements.
 
-    def __init__(self, length: float, n_elements: int):
-        if not length > 0.0:
-            raise ValueError(f"mesh length must be positive (got {length!r})")
-        if n_elements < 1:
-            raise ValueError(f"need at least one element (got {n_elements!r})")
-        self.length = float(length)
-        self.n_elements = int(n_elements)
-        self.nodes = np.linspace(0.0, self.length, self.n_elements + 1)
+    Meshes of equal length and element count are equal, and hash alike, so
+    a mesh is its own key.
+    """
+
+    length: float
+    n_elements: int
+
+    def __post_init__(self) -> None:
+        if not self.length > 0.0:
+            raise ValueError(f"mesh length must be positive (got {self.length!r})")
+        if self.n_elements < 1:
+            raise ValueError(f"need at least one element (got {self.n_elements!r})")
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(0.0, self.length, self.n_elements + 1)
 
     @property
     def n_nodes(self) -> int:
@@ -107,39 +116,6 @@ class IntervalMesh:
     @property
     def spacing(self) -> float:
         return self.length / self.n_elements
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"IntervalMesh(length={self.length}, n_elements={self.n_elements})"
-
-
-class RectangleMesh:
-    """Tensor-product mesh on [0, lx] x [0, ly].
-
-    Node numbering is lexicographic with x fastest: node(i, j) = j*(nx+1) + i.
-    """
-
-    def __init__(self, lx: float, ly: float, nx: int, ny: int):
-        self.x_axis = IntervalMesh(lx, nx)
-        self.y_axis = IntervalMesh(ly, ny)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.x_axis.n_nodes * self.y_axis.n_nodes
-
-    def node(self, i: int, j: int) -> int:
-        return j * self.x_axis.n_nodes + i
-
-    def center_node(self) -> int:
-        nx, ny = self.x_axis.n_elements, self.y_axis.n_elements
-        if nx % 2 or ny % 2:
-            raise ValueError("center node needs even element counts in both directions")
-        return self.node(nx // 2, ny // 2)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RectangleMesh(lx={self.x_axis.length}, ly={self.y_axis.length}, "
-            f"nx={self.x_axis.n_elements}, ny={self.y_axis.n_elements})"
-        )
 
 
 class HatRows:
@@ -177,6 +153,60 @@ class HatRows:
         load = self.N.T @ self.weights
         load.flags.writeable = False
         return load
+
+
+@dataclass(frozen=True)
+class Axes:
+    """A model's axis meshes and fixed ends: its node grid, hat rows and free nodes.
+
+    x_axis is the x mesh and y_axis the y mesh, or None for a single y node
+    (a beam).  fixed holds, for each field in dof order, its fixed ends on
+    each axis, ((first, last) x node, (first, last) y node): whether the
+    field is fixed at zero on every node of that end, so the free nodes of a
+    field are one (y, x) range pair.  Nodes are numbered lexicographically, x
+    fastest: node(i, j) = j * n_x + i.  hats holds one HatRows per distinct
+    axis mesh and rule, so a square plate's two axes share theirs.
+    """
+
+    x_axis: IntervalMesh
+    y_axis: IntervalMesh | None
+    fixed: tuple[tuple[tuple[bool, bool], tuple[bool, bool]], ...]
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        """(n_y, n_x) nodes."""
+        return (1 if self.y_axis is None else self.y_axis.n_nodes, self.x_axis.n_nodes)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.grid[0] * self.grid[1]
+
+    def node(self, i: int, j: int = 0) -> int:
+        return j * self.x_axis.n_nodes + i
+
+    def center_node(self) -> int:
+        counts = [axis.n_elements for axis in (self.x_axis, self.y_axis) if axis is not None]
+        if any(n % 2 for n in counts):
+            raise ValueError("center node needs even element counts on every axis")
+        return self.node(*(n // 2 for n in counts))
+
+    @functools.cached_property
+    def hats(self) -> dict[tuple[IntervalMesh, int], HatRows]:
+        """The HatRows of each distinct axis mesh and rule, keyed (mesh, points), x axis first."""
+        meshes = dict.fromkeys(axis for axis in (self.x_axis, self.y_axis) if axis is not None)
+        rules = (BENDING_POINTS, SHEAR_POINTS)
+        return {(mesh, npts): HatRows(mesh, npts) for mesh in meshes for npts in rules}
+
+    @property
+    def free(self) -> list[tuple[range, range]]:
+        """Free (y, x) node ranges of each field; its free nodes are their product."""
+        n_y, n_x = self.grid
+        return [(range(y0, n_y - y1), range(x0, n_x - x1)) for (x0, x1), (y0, y1) in self.fixed]
+
+    @property
+    def free_dofs(self) -> int:
+        """Dofs of the free block kronecker_system writes over these free nodes."""
+        return sum(len(jy) * len(jx) for jy, jx in self.free)
 
 
 class AxisQuadrature:
@@ -372,19 +402,9 @@ def dense_block(n: int) -> np.ndarray:
     return np.frombuffer(pages, dtype=float).reshape((n, n), order="F")
 
 
-def free_range(n_nodes: int, fixed: tuple[bool, bool]) -> range:
-    """Free nodes of an axis of n_nodes nodes whose first and last node are fixed or not."""
-    return range(int(fixed[0]), n_nodes - int(fixed[1]))
-
-
-def free_dofs(axes: list[tuple[range, range]]) -> int:
-    """Dofs of the free block kronecker_system writes over these free (y, x) node ranges."""
-    return sum(len(jy) * len(jx) for jy, jx in axes)
-
-
 def kronecker_system(
     grid: tuple[int, int],
-    axes: list[tuple[range, range]],
+    ranges: list[tuple[range, range]],
     inner: dict[str, tuple],
     blocks: list[tuple],
     load: np.ndarray,
@@ -393,10 +413,10 @@ def kronecker_system(
     """The system whose field blocks are sums of Kronecker products of 1D Grams.
 
     Each field has grid = (n_y, n_x) nodes, node j * n_x + i, and its free
-    nodes are the product of the ranges axes[f] = (jy, jx); with
-    dof(f, node) = f * n_y * n_x + node the free dofs ascend field by field.
-    inner names inner sums sum_i c_i kron(Gy_i, Gx_i) as ((c_i, Gy_i, Gx_i),
-    ...).  blocks lists field blocks (f, g, ((scale, name), ...)), f >= g,
+    nodes are the product of the ranges ranges[f] = (jy, jx), as Axes gives
+    both; with dof(f, node) = f * n_y * n_x + node the free dofs ascend
+    field by field.  inner names inner sums sum_i c_i kron(Gy_i, Gx_i) as
+    ((c_i, Gy_i, Gx_i), ...).  blocks lists field blocks (f, g, ((scale, name), ...)), f >= g,
     each once, block (f, g) being sum_o scale_o * inner[name_o]; the diagonal
     blocks on the same free nodes form one stream, as do those below it on
     the same free rows and columns, and a stream builds each inner sum once
@@ -421,12 +441,12 @@ def kronecker_system(
             raise ValueError(f"block ({f}, {g}) is listed twice")
     streams: dict[tuple, list[tuple]] = {}
     for f, g, outer in sorted(blocks, key=lambda b: (-b[1], b[0])):
-        streams.setdefault((f == g, axes[f], axes[g]), []).append((f, g, outer))
+        streams.setdefault((f == g, ranges[f], ranges[g]), []).append((f, g, outer))
     nodes = np.arange(grid[0] * grid[1]).reshape(grid)
     free = np.concatenate(
-        [f * nodes.size + nodes[np.ix_(jy, jx)].ravel() for f, (jy, jx) in enumerate(axes)]
+        [f * nodes.size + nodes[np.ix_(jy, jx)].ravel() for f, (jy, jx) in enumerate(ranges)]
     )
-    start = np.cumsum([0] + [len(jy) * len(jx) for jy, jx in axes])
+    start = np.cumsum([0] + [len(jy) * len(jx) for jy, jx in ranges])
     dofs = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
     n = free.size
     if block is None:
@@ -435,10 +455,10 @@ def kronecker_system(
         raise ValueError(f"a reused block must be a column-major {n} x {n} float64 array")
     else:
         matrix = block
-        for f, g in {(f, g) for f in range(len(axes)) for g in range(f + 1)} - set(listed):
+        for f, g in {(f, g) for f in range(len(ranges)) for g in range(f + 1)} - set(listed):
             matrix[dofs[f], dofs[g]] = 0.0
     terms = [t for key, group in streams.items() for t in _stream(matrix, dofs, inner, key, group)]
-    return StiffnessSystem(matrix, load, free, functools.partial(_product, dofs, axes, terms))
+    return StiffnessSystem(matrix, load, free, functools.partial(_product, dofs, ranges, terms))
 
 
 def _stream(
@@ -525,7 +545,7 @@ def _stream(
 
 def _product(
     dofs: list[slice],
-    axes: list[tuple[range, range]],
+    ranges: list[tuple[range, range]],
     terms: list[tuple[int, int, float, np.ndarray, np.ndarray]],
     x: np.ndarray,
 ) -> np.ndarray:
@@ -541,7 +561,7 @@ def _product(
     x = np.asarray(x, dtype=float)
     columns = x.reshape(x.shape[0], -1)
     y = np.zeros(columns.shape)
-    part = [(len(jy), len(jx), columns.shape[1]) for jy, jx in axes]
+    part = [(len(jy), len(jx), columns.shape[1]) for jy, jx in ranges]
     xs = [columns[s].reshape(p) for s, p in zip(dofs, part)]
     ys = [y[s].reshape(p) for s, p in zip(dofs, part)]
     for f, g, c, ly, lx in terms:

@@ -20,9 +20,12 @@ diagonal as one flat table, and fem.kronecker_system writes their lower
 triangle from restricted 1D Grams, the blocks on the same free nodes
 sharing each inner sum, and applies them in product K x.  At 48x48 clamped
 the free block has 11,045 dofs and spans 0.91 GiB, but dense_block backs
-only the pages of its lower triangle.  The HatRows of each axis and rule
-(Gauss rule, hat rows and load) and their N-N Grams do not depend on the
-kernel: a model builds them once, on first use, and keeps them.
+only the pages of its lower triangle.  The model's fem.Axes holds both axis
+meshes and the boundary set's fixed edges, and gives the grid, the node
+numbering, the center node, the free node ranges and the HatRows of each
+distinct axis mesh and rule (Gauss rule, hat rows and load).  Those and
+their N-N Grams do not depend on the kernel: a model builds them once, on
+first use, and keeps them.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
@@ -37,31 +40,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .fem import AxisQuadrature, RectangleMesh, StiffnessSystem, gram
+from .fem import AxisQuadrature, IntervalMesh, StiffnessSystem, gram
 from .kernels import Kernel
 
 __all__ = [
     "PlateSection",
     "MindlinPlateModel",
-    "PlateDisplacement",
     "BOUNDARY_CONDITIONS",
     "PLATE_SWEEP_COLUMNS",
 ]
 
 U, V, W, TX, TY = FIELDS = 0, 1, 2, 3, 4
 
-# Where each field is fixed, per boundary set: (on the edges x = 0 and
-# x = lx, on the edges y = 0 and y = ly).  Hard simple support fixes the
-# tangential displacement, the deflection and the tangential rotation on
-# each edge; clamping fixes every field.
+# Where each field is fixed, per boundary set, as fem.Axes takes it:
+# ((on the edge x = 0, on x = lx), (on y = 0, on y = ly)).  Hard simple
+# support fixes the tangential displacement, the deflection and the
+# tangential rotation on each edge; clamping fixes every field.
 FIXED_EDGES = {
-    "clamped": {f: (True, True) for f in FIELDS},
+    "clamped": {f: ((True, True), (True, True)) for f in FIELDS},
     "simply_supported": {
-        U: (False, True),
-        V: (True, False),
-        W: (True, True),
-        TX: (False, True),
-        TY: (True, False),
+        U: ((False, False), (True, True)),
+        V: ((True, True), (False, False)),
+        W: ((True, True), (True, True)),
+        TX: ((False, False), (True, True)),
+        TY: ((True, True), (False, False)),
     },
 }
 BOUNDARY_CONDITIONS = tuple(FIXED_EDGES)
@@ -120,21 +122,17 @@ class MindlinPlateModel:
         self.section = section
         self.pressure = pressure
         self.boundary = boundary
-        self.mesh = RectangleMesh(section.length_x, section.length_y, nx, ny)
+        edges = FIXED_EDGES[boundary]
+        self.axes = fem.Axes(
+            IntervalMesh(section.length_x, nx),
+            IntervalMesh(section.length_y, ny),
+            tuple(edges[f] for f in FIELDS),
+        )
 
     @functools.cached_property
-    def _hats(self) -> dict[tuple[tuple[float, int], int], fem.HatRows]:
-        """The hat rows of each distinct axis mesh and rule, keyed as quadratures() keys them."""
-        return {
-            (ax, npts): fem.HatRows(fem.IntervalMesh(*ax), npts)
-            for ax in dict.fromkeys(self._axis_keys())
-            for npts in (fem.BENDING_POINTS, fem.SHEAR_POINTS)
-        }
-
-    @functools.cached_property
-    def _masses(self) -> dict[tuple[tuple[float, int], int], np.ndarray]:
-        """The N-N Gram of each of _hats, which every assembly reads."""
-        return {key: gram(hats.N, hats.N, hats.weights) for key, hats in self._hats.items()}
+    def _masses(self) -> dict[tuple[IntervalMesh, int], np.ndarray]:
+        """The N-N Gram of each of axes.hats, which every assembly reads."""
+        return {key: gram(hats.N, hats.N, hats.weights) for key, hats in self.axes.hats.items()}
 
     @property
     def case(self) -> str:
@@ -142,7 +140,7 @@ class MindlinPlateModel:
 
     @property
     def metadata(self) -> dict[str, str]:
-        nx, ny = self.mesh.x_axis.n_elements, self.mesh.y_axis.n_elements
+        nx, ny = self.axes.x_axis.n_elements, self.axes.y_axis.n_elements
         return {
             "model": "plate",
             "bc": self.boundary,
@@ -153,8 +151,8 @@ class MindlinPlateModel:
 
     @property
     def free_dofs(self) -> int:
-        """Dofs of the free block (fem.free_dofs)."""
-        return fem.free_dofs(self._free_axes())
+        """Dofs of the free block (fem.Axes.free_dofs)."""
+        return self.axes.free_dofs
 
     # The per-axis rows and Grams hold under 1 MiB at 48x48, which the BLAS
     # margin's fixed 8 MiB covers, so the memory check counts only blocks.
@@ -163,24 +161,22 @@ class MindlinPlateModel:
     @property
     def resolution(self) -> str:
         """Mesh size as the convergence table prints it."""
-        return f"{self.mesh.x_axis.n_elements}x{self.mesh.y_axis.n_elements}"
+        return f"{self.axes.x_axis.n_elements}x{self.axes.y_axis.n_elements}"
 
     @property
     def metric_dof(self) -> int:
         """Deflection dof of the center node."""
-        return W * self.mesh.n_nodes + self.mesh.center_node()
+        return W * self.axes.n_nodes + self.axes.center_node()
 
-    def quadratures(
-        self, kernel: Kernel, horizon_radius: float
-    ) -> dict[tuple[tuple[float, int], int], AxisQuadrature]:
-        """One quadrature per distinct axis mesh and rule, keyed by ((length, elements), points).
+    def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict:
+        """One quadrature per distinct axis mesh and rule, keyed (mesh, points) as axes.hats.
 
         On a square plate the x and y axes share theirs, and with them every
         Gram.
         """
         return {
             key: AxisQuadrature(hats, kernel, horizon_radius)
-            for key, hats in self._hats.items()
+            for key, hats in self.axes.hats.items()
         }
 
     def assemble(self, quadratures: dict, block: np.ndarray | None = None) -> StiffnessSystem:
@@ -191,7 +187,8 @@ class MindlinPlateModel:
         The 9 nonzero field blocks on and below the diagonal are listed as
         (f, g, ((scale, inner sum), ...)) for fem.kronecker_system.
         """
-        nn = self.mesh.n_nodes
+        axes = self.axes
+        nn, x, y = axes.n_nodes, axes.x_axis, axes.y_axis
         s = self.section
         # Plane-stress moduli: c11*eps^2 couplings, c33 is the engineering
         # shear modulus acting on gamma_xy.
@@ -201,10 +198,9 @@ class MindlinPlateModel:
         memb = s.thickness
         bend_scale = s.thickness ** 3 / 12.0
         shear_scale = s.shear_correction * s.shear_modulus * s.thickness
-        x, y = self._axis_keys()
 
         @functools.cache
-        def g(ax: tuple, npts: int, left: str, right: str) -> np.ndarray:
+        def g(ax: IntervalMesh, npts: int, left: str, right: str) -> np.ndarray:
             if left == right == "N":
                 return self._masses[ax, npts]
             q = quadratures[ax, npts]
@@ -255,40 +251,6 @@ class MindlinPlateModel:
             (TY, TY, [(shear_scale, "shear_mass"), (bend_scale, "direct_y")]),
         ]
         F = np.zeros(5 * nn)
-        fx, fy = self._hats[x, b].load, self._hats[y, b].load
+        fx, fy = axes.hats[x, b].load, axes.hats[y, b].load
         F[W * nn : (W + 1) * nn] = self.pressure * np.outer(fy, fx).ravel()
-        grid = (self.mesh.y_axis.n_nodes, self.mesh.x_axis.n_nodes)
-        return fem.kronecker_system(grid, self._free_axes(), inner, blocks, F, block)
-
-    def _axis_keys(self) -> tuple[tuple[float, int], tuple[float, int]]:
-        """(length, elements) of the x and y axes, equal on a square plate."""
-        return tuple((axis.length, axis.n_elements) for axis in (self.mesh.x_axis, self.mesh.y_axis))
-
-    def _free_axes(self) -> list[tuple[range, range]]:
-        """Free (y, x) node ranges of each field; its free nodes are their product."""
-        n_x, n_y = self.mesh.x_axis.n_nodes, self.mesh.y_axis.n_nodes
-        edges = FIXED_EDGES[self.boundary]
-        return [
-            (fem.free_range(n_y, (on_y, on_y)), fem.free_range(n_x, (on_x, on_x)))
-            for on_x, on_y in (edges[f] for f in FIELDS)
-        ]
-
-
-@dataclass(frozen=True)
-class PlateDisplacement:
-    """Five nodal fields stored as 2D grids indexed [j, i] (y row, x column)."""
-
-    x_nodes: np.ndarray
-    y_nodes: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    theta_x: np.ndarray
-    theta_y: np.ndarray
-
-    @classmethod
-    def from_vector(cls, mesh: RectangleMesh, dofs: np.ndarray) -> "PlateDisplacement":
-        nn = mesh.n_nodes
-        shape = (mesh.y_axis.n_nodes, mesh.x_axis.n_nodes)
-        fields = [dofs[f * nn : (f + 1) * nn].reshape(shape) for f in range(5)]
-        return cls(mesh.x_axis.nodes, mesh.y_axis.nodes, *fields)
+        return fem.kronecker_system(axes.grid, axes.free, inner, blocks, F, block)

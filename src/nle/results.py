@@ -71,14 +71,16 @@ class Model(Protocol):
     """What `sweep` needs of a structural model (beam or plate).
 
     quadratures(kernel, horizon_radius) builds the kernel-dependent data, one
-    fem.AxisQuadrature per distinct axis mesh and rule; assemble(quadratures,
-    block) builds from them the free-free stiffness block and the full load
-    (fem.StiffnessSystem, every other dof fixed at zero).  When block is
-    given, the new system takes it over (fem.kronecker_system): it is the
-    matrix of an earlier system of the same model, holding whatever that
-    system's solve left.  free_dofs is the size of the one free block every
-    system of the model shares, and held_bytes what the model's rows and
-    Grams take besides; fem.check_fits counts both.  The metric is |u| at
+    fem.AxisQuadrature per HatRows of the model's fem.Axes (one per distinct
+    axis mesh and rule), keyed (mesh, points) as the Axes keys them;
+    assemble(quadratures, block) builds from them the free-free stiffness
+    block and the full load (fem.StiffnessSystem, every other dof fixed at
+    zero).  When block is given, the new system takes it over
+    (fem.kronecker_system): it is the matrix of an earlier system of the
+    same model, holding whatever that system's solve left.  free_dofs is the
+    size of the one free block every system of the model shares, which its
+    Axes derives from the fixed ends, and held_bytes what the model's rows
+    and Grams take besides; fem.check_fits counts both.  The metric is |u| at
     metric_dof.  case fills the fourth CSV column (load case or boundary set),
     sweep_columns names the CSV columns, metadata holds the manifest entries
     of the model and resolution is the mesh size as the convergence table

@@ -7,10 +7,43 @@ docstrings of nle.beam and nle.plate directly at an operator's evaluation
 points, so tests can check that rigid motions give no strain and that the
 local operator recovers the pointwise gradient.
 
-Not collected by pytest (no test_ prefix); tests import it by module name.
+The displacement types split nodal fields out for these functions.  Not
+collected by pytest (no test_ prefix); tests import it by module name.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class BeamDisplacement:
+    """Nodal axial displacement, deflection and rotation of a beam."""
+
+    nodes: np.ndarray
+    u0: np.ndarray
+    w0: np.ndarray
+    theta: np.ndarray
+
+
+@dataclass(frozen=True)
+class PlateDisplacement:
+    """Five nodal fields stored as 2D grids indexed [j, i] (y row, x column)."""
+
+    x_nodes: np.ndarray
+    y_nodes: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    theta_x: np.ndarray
+    theta_y: np.ndarray
+
+    @classmethod
+    def from_vector(cls, axes, dofs):
+        """The fields of a plate solution vector on the model's nle.fem.Axes."""
+        nn = axes.n_nodes
+        fields = [dofs[f * nn : (f + 1) * nn].reshape(axes.grid) for f in range(5)]
+        return cls(axes.x_axis.nodes, axes.y_axis.nodes, *fields)
 
 
 def hat_rows(nodes, points):
@@ -35,7 +68,7 @@ def hat_rows(nodes, points):
 def beam_strains(displacement, operator, z):
     """Axial strain and transverse shear at the operator's evaluation points.
 
-    displacement is an nle.beam.BeamDisplacement and operator an
+    displacement is a BeamDisplacement and operator an
     nle.operator.NonlocalOperatorMatrix.  eps_xx = Dbar u0 - z * Dbar theta;
     gamma_xz = Dbar w0 - theta, the rotation interpolated pointwise (it
     enters the shear measure locally).
@@ -49,7 +82,7 @@ def beam_strains(displacement, operator, z):
 def plate_strains(displacement, op_x, op_y, z):
     """Strains on the tensor grid op_y.eval_points x op_x.eval_points.
 
-    displacement is an nle.plate.PlateDisplacement.  Each in-plane
+    displacement is a PlateDisplacement.  Each in-plane
     derivative is nonlocal along its own axis; the transverse shear strains
     subtract the pointwise rotations.  Returned arrays are indexed
     [y_point, x_point] in the order (eps_xx, eps_yy, gamma_xy, gamma_xz,

@@ -130,7 +130,7 @@ def beam_grid():
     local = {}
     for case in ("cantilever_tip", "ss_udtl"):
         model = TimoshenkoBeamModel(BeamSection(), 1.0, case, 200)
-        w_dof = model.mesh.n_nodes + model.metric_node
+        w_dof = model.axes.n_nodes + model.metric_node
         u_loc = fem.solve(fem.assemble(model, LocalDelta(), GRID_LF[0]))
         local[case] = abs(float(u_loc[w_dof]))
         _grid_records(model, case, w_dof, local[case], records)
@@ -144,7 +144,7 @@ def plate_grid():
     local = {}
     for boundary in ("clamped", "simply_supported"):
         model = MindlinPlateModel(PlateSection(), 1.0, boundary, 24, 24)
-        w_dof = W_FIELD * model.mesh.n_nodes + model.mesh.center_node()
+        w_dof = W_FIELD * model.axes.n_nodes + model.axes.center_node()
         u_loc = fem.solve(fem.assemble(model, LocalDelta(), GRID_LF[0]))
         local[boundary] = abs(float(u_loc[w_dof]))
         _grid_records(model, boundary, w_dof, local[boundary], records)

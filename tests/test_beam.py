@@ -63,7 +63,7 @@ def _full_beam_assembly(model, kernel, horizon_radius):
     reference: the lower triangle of the free block must equal
     K[free][:, free] bit for bit.
     """
-    mesh, s = model.mesh, model.section
+    mesh, s = model.axes.x_axis, model.section
     nn = mesh.n_nodes
     bend = AxisQuadrature(HatRows(mesh, fem.BENDING_POINTS), kernel, horizon_radius)
     shear = AxisQuadrature(HatRows(mesh, fem.SHEAR_POINTS), kernel, horizon_radius)
@@ -277,7 +277,7 @@ def test_rigid_body_modes_annihilated():
     model = TimoshenkoBeamModel(SECTION, 1.0, "cantilever_tip", 16)
     K, _ = _full_beam_assembly(model, ExponentialKernel(0.05), 0.3)
     nn = 17
-    x = model.mesh.nodes
+    x = model.axes.x_axis.nodes
     translation = np.zeros(3 * nn)
     translation[nn : 2 * nn] = 1.0
     rotation = np.zeros(3 * nn)
@@ -294,8 +294,8 @@ def test_row_support_bounded_by_horizon_window():
     model = TimoshenkoBeamModel(SECTION, 1.0, "cantilever_tip", 40)
     l_f = 0.05
     K, _ = _full_beam_assembly(model, ExponentialKernel(0.02), l_f)
-    nodes = model.mesh.nodes
-    h = model.mesh.spacing
+    nodes = model.axes.x_axis.nodes
+    h = model.axes.x_axis.spacing
     nn = nodes.size
     for row in range(3 * nn):
         x_row = nodes[row % nn]
@@ -382,11 +382,11 @@ def _operator_on_mesh(mesh, kernel, l_f, points):
 def test_strains_vanish_for_rigid_translation():
     model = TimoshenkoBeamModel(SECTION, 1.0, "cantilever_tip", 8)
     pts = np.linspace(0.07, 0.93, 11)
-    op = _operator_on_mesh(model.mesh, ExponentialKernel(0.1), 0.3, pts)
-    from nle.beam import BeamDisplacement
+    op = _operator_on_mesh(model.axes.x_axis, ExponentialKernel(0.1), 0.3, pts)
+    from strain_oracle import BeamDisplacement
 
     disp = BeamDisplacement(
-        nodes=model.mesh.nodes,
+        nodes=model.axes.x_axis.nodes,
         u0=np.zeros(9),
         w0=np.full(9, 0.37),
         theta=np.zeros(9),
@@ -399,14 +399,14 @@ def test_strains_vanish_for_rigid_translation():
 def test_strains_vanish_for_rigid_rotation():
     model = TimoshenkoBeamModel(SECTION, 1.0, "cantilever_tip", 8)
     pts = np.linspace(0.07, 0.93, 11)
-    op = _operator_on_mesh(model.mesh, ExponentialKernel(0.1), 0.3, pts)
-    from nle.beam import BeamDisplacement
+    op = _operator_on_mesh(model.axes.x_axis, ExponentialKernel(0.1), 0.3, pts)
+    from strain_oracle import BeamDisplacement
 
     a = 0.004
     disp = BeamDisplacement(
-        nodes=model.mesh.nodes,
+        nodes=model.axes.x_axis.nodes,
         u0=np.zeros(9),
-        w0=a * model.mesh.nodes,
+        w0=a * model.axes.x_axis.nodes,
         theta=np.full(9, a),
     )
     eps, gamma = beam_strains(disp, op, z=0.02)
@@ -418,10 +418,10 @@ def test_local_axial_strain_of_square_field():
     # nodal x^2 interpolant has slope 2*midpoint inside each element, which
     # the one-point rule samples exactly
     model = TimoshenkoBeamModel(SECTION, 1.0, "cantilever_tip", 5)
-    mesh = model.mesh
+    mesh = model.axes.x_axis
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     op = _operator_on_mesh(mesh, LocalDelta(), 0.3, mids)
-    from nle.beam import BeamDisplacement
+    from strain_oracle import BeamDisplacement
 
     disp = BeamDisplacement(
         nodes=mesh.nodes, u0=mesh.nodes ** 2, w0=np.zeros(6), theta=np.zeros(6)

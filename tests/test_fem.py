@@ -6,19 +6,19 @@ import pytest
 from scipy import integrate
 
 from nle import fem
-from nle.beam import BeamSection, TimoshenkoBeamModel
+from nle.beam import FIXED_ENDS, BeamSection, TimoshenkoBeamModel
 from nle.fem import (
+    Axes,
     AxisQuadrature,
     HatRows,
     IntervalMesh,
-    RectangleMesh,
     SolverError,
     StiffnessSystem,
     gram,
     solve,
 )
 from nle.kernels import ExponentialKernel, KernelError, LocalDelta, PowerLawKernel
-from nle.plate import MindlinPlateModel, PlateSection
+from nle.plate import FIXED_EDGES, MindlinPlateModel, PlateSection
 from strain_oracle import hat_rows
 
 
@@ -40,19 +40,75 @@ def test_interval_mesh_validation():
         IntervalMesh(1.0, 0)
 
 
-def test_rectangle_mesh_numbering_x_fastest():
-    mesh = RectangleMesh(1.2, 0.9, 4, 3)
-    assert mesh.n_nodes == 20
-    assert mesh.node(0, 0) == 0
-    assert mesh.node(4, 0) == 4
-    assert mesh.node(0, 1) == 5
-    assert mesh.node(3, 2) == 13
+def test_equal_interval_meshes_are_one_key():
+    assert IntervalMesh(1.0, 24) == IntervalMesh(1.0, 24)
+    assert len({IntervalMesh(1.0, 24), IntervalMesh(1.0, 24), IntervalMesh(1.0, 12)}) == 2
 
 
-def test_rectangle_center_node():
-    assert RectangleMesh(1.0, 1.0, 4, 4).center_node() == 12
+def test_axes_number_nodes_x_fastest():
+    axes = Axes(IntervalMesh(1.2, 4), IntervalMesh(0.9, 3), ())
+    assert axes.grid == (4, 5)
+    assert axes.n_nodes == 20
+    assert axes.node(0, 0) == 0
+    assert axes.node(4, 0) == 4
+    assert axes.node(0, 1) == 5
+    assert axes.node(3, 2) == 13
+
+
+def test_axes_center_node():
+    assert Axes(IntervalMesh(1.0, 4), IntervalMesh(1.0, 4), ()).center_node() == 12
     with pytest.raises(ValueError, match="even"):
-        RectangleMesh(1.0, 1.0, 3, 4).center_node()
+        Axes(IntervalMesh(1.0, 3), IntervalMesh(1.0, 4), ()).center_node()
+    # a single y node: the midspan node of the x axis
+    assert Axes(IntervalMesh(1.0, 200), None, ()).center_node() == 100
+
+
+@pytest.mark.parametrize(
+    "case, per_field, total",
+    [
+        ("cantilever_tip", [200, 200, 200], 600),
+        ("ss_udtl", [200, 199, 201], 600),
+        ("clamped", [529] * 5, 2645),
+        ("simply_supported", [575, 575, 529, 575, 575], 2829),
+    ],
+    ids=["cantilever_tip", "ss_udtl", "clamped", "simply_supported"],
+)
+def test_axes_free_ranges_follow_the_fixed_ends_tables(case, per_field, total):
+    if case in FIXED_ENDS:
+        model, ends = TimoshenkoBeamModel(BeamSection(), 1.0, case, 200), FIXED_ENDS[case]
+    else:
+        model, ends = MindlinPlateModel(PlateSection(), 1.0, case, 24, 24), FIXED_EDGES[case]
+    axes = model.axes
+    assert axes.fixed == tuple(ends[f] for f in range(len(ends)))
+    n_y, n_x = axes.grid
+    for (jy, jx), ((x0, x1), (y0, y1)) in zip(axes.free, axes.fixed):
+        assert (jx, jy) == (range(x0, n_x - x1), range(y0, n_y - y1))
+    assert [len(jy) * len(jx) for jy, jx in axes.free] == per_field
+    assert axes.free_dofs == model.free_dofs == total
+
+
+@pytest.mark.parametrize(
+    "build, meshes",
+    [
+        (lambda: TimoshenkoBeamModel(BeamSection(), 1.0, "cantilever_tip", 200), [(1.0, 200)]),
+        (lambda: MindlinPlateModel(PlateSection(), 1.0, "clamped", 24, 24), [(1.0, 24)]),
+        (
+            lambda: MindlinPlateModel(PlateSection(), 1.0, "clamped", 24, 12),
+            [(1.0, 24), (1.0, 12)],
+        ),
+    ],
+    ids=["beam", "square", "24x12"],
+)
+def test_axes_hold_one_hat_rows_per_distinct_axis_mesh_and_rule(build, meshes):
+    axes = build().axes
+    hats = axes.hats
+    assert axes.hats is hats
+    assert len(hats) == 2 * len(meshes)
+    for mesh in (IntervalMesh(length, n) for length, n in meshes):
+        for rule in (fem.BENDING_POINTS, fem.SHEAR_POINTS):
+            built, direct = hats[mesh, rule], HatRows(mesh, rule)
+            for name in ("points", "weights", "N", "load"):
+                assert getattr(built, name).tobytes() == getattr(direct, name).tobytes()
 
 
 # One element on [0, 2] has unit jacobian, so its Gauss points less 1 are
@@ -150,13 +206,13 @@ def test_hat_rows_consistent_unit_load():
 def test_a_model_computes_its_load_once_and_every_assembly_reads_it(structure):
     if structure == "beam":
         model = TimoshenkoBeamModel(BeamSection(), 2.5e3, "ss_udtl")
-        hats = model._hats[fem.BENDING_POINTS]
+        hats = model.axes.hats[model.axes.x_axis, fem.BENDING_POINTS]
         rows, expected = 1, 2.5e3 * hats.load
     else:
         model = MindlinPlateModel(PlateSection(), 4.0e3, "clamped", nx=12, ny=12)
-        x, y = model._axis_keys()
-        hats = model._hats[x, fem.BENDING_POINTS]
-        fx, fy = hats.load, model._hats[y, fem.BENDING_POINTS].load
+        x, y = model.axes.x_axis, model.axes.y_axis
+        hats = model.axes.hats[x, fem.BENDING_POINTS]
+        fx, fy = hats.load, model.axes.hats[y, fem.BENDING_POINTS].load
         rows, expected = 2, 4.0e3 * np.outer(fy, fx).ravel()
     load = hats.load
     assert hats.load is load

@@ -11,20 +11,20 @@ from nle import fem, plate
 from nle.fem import (
     BENDING_POINTS,
     SHEAR_POINTS,
+    Axes,
     AxisQuadrature,
     HatRows,
-    RectangleMesh,
+    IntervalMesh,
     gram,
 )
 from nle.kernels import ExponentialKernel, LocalDelta, power_law
 from nle.operator import HorizonSpec, build_operator_matrix
 from nle.plate import (
     MindlinPlateModel,
-    PlateDisplacement,
     PlateSection,
 )
 from nle.results import KernelSpec, sweep
-from strain_oracle import plate_strains
+from strain_oracle import PlateDisplacement, plate_strains
 
 SECTION = PlateSection()
 
@@ -136,8 +136,8 @@ def test_local_delta_assembly_matches_textbook_q4():
     for boundary in ("clamped", "simply_supported"):
         model = MindlinPlateModel(section, pressure=3.0, boundary=boundary, nx=4, ny=2)
         system = fem.assemble(model, LocalDelta(), 0.5)
-        K_texbook, F_unit = _textbook_local_mindlin(section, model.mesh)
-        perm = _interleave_permutation(model.mesh.n_nodes)
+        K_texbook, F_unit = _textbook_local_mindlin(section, model.axes)
+        perm = _interleave_permutation(model.axes.n_nodes)
         K_expected = K_texbook[np.ix_(perm, perm)][np.ix_(system.free, system.free)]
         scale = np.max(np.abs(K_expected))
         assert np.max(np.abs(np.tril(system.matrix) - np.tril(K_expected))) <= 1e-10 * scale
@@ -156,7 +156,7 @@ def _full_kron_assembly(model, kernel, horizon_radius):
     K[free][:, free] bit for bit, and the edge loops below must fix the dofs
     outside free.
     """
-    mesh, s = model.mesh, model.section
+    mesh, s = model.axes, model.section
     nn = mesh.n_nodes
     c11 = s.modulus / (1.0 - s.poisson ** 2)
     c12 = s.poisson * c11
@@ -318,9 +318,9 @@ def test_assembly_never_allocates_the_full_matrix(boundary):
     finally:
         tracemalloc.stop()
     assert system.matrix is block
-    free_per_field = np.bincount(system.free // model.mesh.n_nodes, minlength=5)
+    free_per_field = np.bincount(system.free // model.axes.n_nodes, minlength=5)
     smallest_field_block = 8 * int(free_per_field.min()) ** 2
-    full_bytes = 8 * (5 * model.mesh.n_nodes) ** 2
+    full_bytes = 8 * (5 * model.axes.n_nodes) ** 2
     assert peak < smallest_field_block < full_bytes
 
 
@@ -339,7 +339,7 @@ def test_assembly_temporaries_stay_below_one_field_block(boundary):
     finally:
         tracemalloc.stop()
     assert system.matrix is block
-    free_per_field = np.bincount(system.free // model.mesh.n_nodes, minlength=5)
+    free_per_field = np.bincount(system.free // model.axes.n_nodes, minlength=5)
     smallest_field_block = 8 * int(free_per_field.min()) ** 2
     assert peak < smallest_field_block
 
@@ -450,7 +450,7 @@ def _fixed_dofs(system):
 def test_clamped_constraints_fix_all_dofs_on_all_edges():
     model = MindlinPlateModel(SECTION, 1.0, "clamped", nx=4, ny=2)
     fixed = _fixed_dofs(fem.assemble(model, LocalDelta(), 0.5))
-    mesh = model.mesh
+    mesh = model.axes
     nn = mesh.n_nodes
     boundary_nodes = {
         mesh.node(i, j)
@@ -468,7 +468,7 @@ def test_clamped_constraints_fix_all_dofs_on_all_edges():
 def test_simply_supported_constraints_per_edge():
     model = MindlinPlateModel(SECTION, 1.0, "simply_supported", nx=4, ny=2)
     fixed = _fixed_dofs(fem.assemble(model, LocalDelta(), 0.5))
-    mesh = model.mesh
+    mesh = model.axes
     nn = mesh.n_nodes
     U, V, W, TX, TY = range(5)
     # midpoint of the x = 0 edge: tangential displacement v, deflection w
@@ -549,7 +549,7 @@ def test_nonlocal_kernels_soften_both_boundary_sets(boundary):
 def test_ssss_deflection_field_symmetric_under_reflections():
     model = MindlinPlateModel(SECTION, 1.0, "simply_supported", nx=12, ny=12)
     u = fem.solve(fem.assemble(model, ExponentialKernel(2.5e-3), 0.5))
-    w = PlateDisplacement.from_vector(model.mesh, u).w
+    w = PlateDisplacement.from_vector(model.axes, u).w
     peak = np.max(np.abs(w))
     assert np.max(np.abs(w - w[::-1, :])) <= 1e-8 * peak
     assert np.max(np.abs(w - w[:, ::-1])) <= 1e-8 * peak
@@ -574,7 +574,7 @@ def _displacement(mesh, **fields):
 
 
 def test_plate_strains_vanish_for_rigid_translation():
-    mesh = RectangleMesh(1.0, 1.0, 6, 6)
+    mesh = Axes(IntervalMesh(1.0, 6), IntervalMesh(1.0, 6), ())
     pts = np.linspace(0.1, 0.9, 7)
     op_x = _axis_operator(mesh.x_axis, ExponentialKernel(0.08), 0.3, pts)
     op_y = _axis_operator(mesh.y_axis, ExponentialKernel(0.08), 0.3, pts)
@@ -584,7 +584,7 @@ def test_plate_strains_vanish_for_rigid_translation():
 
 
 def test_plate_strains_vanish_for_in_plane_rotation():
-    mesh = RectangleMesh(1.0, 1.0, 6, 6)
+    mesh = Axes(IntervalMesh(1.0, 6), IntervalMesh(1.0, 6), ())
     pts = np.linspace(0.1, 0.9, 7)
     op_x = _axis_operator(mesh.x_axis, ExponentialKernel(0.08), 0.3, pts)
     op_y = _axis_operator(mesh.y_axis, ExponentialKernel(0.08), 0.3, pts)
@@ -600,7 +600,7 @@ def test_plate_strains_vanish_for_in_plane_rotation():
 
 
 def test_plate_local_axial_strain_of_square_field():
-    mesh = RectangleMesh(1.0, 1.0, 5, 5)
+    mesh = Axes(IntervalMesh(1.0, 5), IntervalMesh(1.0, 5), ())
     x_mids = 0.5 * (mesh.x_axis.nodes[:-1] + mesh.x_axis.nodes[1:])
     y_mids = 0.5 * (mesh.y_axis.nodes[:-1] + mesh.y_axis.nodes[1:])
     op_x = _axis_operator(mesh.x_axis, LocalDelta(), 0.3, x_mids)
