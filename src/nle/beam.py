@@ -116,15 +116,16 @@ class TimoshenkoBeamModel:
     def __init__(self, section: BeamSection, load: float, load_case: str, n_elements: int = 200):
         if load_case not in LOAD_CASES:
             raise ValueError(f"load case must be one of {LOAD_CASES} (got {load_case!r})")
-        if load_case in MIDSPAN_CASES and n_elements % 2:
-            raise ValueError(f"{load_case} needs an even element count (midspan node)")
         self.section = section
         self.load = load
         self.case = load_case
         ends = FIXED_ENDS[load_case]
-        self.axes = fem.Axes(
+        self.axes = axes = fem.Axes(
             IntervalMesh(section.length, n_elements), None, tuple(ends[f] for f in FIELDS)
         )
+        # the node whose deflection defines w_max: midspan or tip by load case
+        self.metric_node = axes.center_node() if load_case in MIDSPAN_CASES else axes.n_nodes - 1
+        self.metric_dof = W0 * axes.n_nodes + self.metric_node
 
     @functools.cached_property
     def _shear_mass(self) -> np.ndarray:
@@ -137,14 +138,8 @@ class TimoshenkoBeamModel:
         return {
             "model": "beam",
             "load_case": self.case,
-            "n_elements": self.resolution,
-            **fem.block_metadata(self.free_dofs),
+            "n_elements": self.axes.resolution,
         }
-
-    @property
-    def free_dofs(self) -> int:
-        """Dofs of the free block (fem.Axes.free_dofs)."""
-        return self.axes.free_dofs
 
     @property
     def held_bytes(self) -> int:
@@ -158,21 +153,6 @@ class TimoshenkoBeamModel:
         """
         n_el, nn = self.axes.x_axis.n_elements, self.axes.n_nodes
         return 8 * ((3 * 3 + 2) * n_el * nn + 4 * nn * nn)
-
-    @property
-    def resolution(self) -> str:
-        """Mesh size as the convergence table prints it."""
-        return str(self.axes.x_axis.n_elements)
-
-    @property
-    def metric_node(self) -> int:
-        """Node whose deflection defines w_max: tip or midspan by load case."""
-        return self.axes.center_node() if self.case in MIDSPAN_CASES else self.axes.n_nodes - 1
-
-    @property
-    def metric_dof(self) -> int:
-        """Deflection dof of the metric node."""
-        return W0 * self.axes.n_nodes + self.metric_node
 
     def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict:
         """The bending and shear rules' quadratures, keyed (mesh, points) as axes.hats."""

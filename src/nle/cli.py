@@ -41,7 +41,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, beam, dispersion, fem, openblas, plate
-from .config import ConfigError, RunConfig, SUBCOMMANDS, parse_config
+from .config import MANIFEST_NAME, ConfigError, RunConfig, SUBCOMMANDS, parse_config
 from .kernels import KernelError
 from .results import SweepResult, sweep, write_manifest
 
@@ -167,7 +167,7 @@ def _run(args) -> int:
         "minor_faults": str(faults),
     }
     entries.update(result.metadata)
-    write_manifest(out_dir / "manifest.json", entries)
+    write_manifest(out_dir / MANIFEST_NAME, entries)
 
     if args.verify:
         checks = _verify(args.subcommand, cfg, result)
@@ -276,7 +276,7 @@ def _convergence_table(cfg: RunConfig) -> SweepResult:
         # the table reports the nonlocal metric only: no local companion solve
         metric = fem.solve_metric(model, kernel, l_f, CONVERGENCE_RESIDUAL_TOL)
         change = None if previous is None else abs(metric - previous) / abs(metric)
-        rows.append((cfg.target, model.resolution, metric, change))
+        rows.append((cfg.target, model.axes.resolution, metric, change))
         previous = metric
     # the block entries describe the last level's, the largest
     return SweepResult(
@@ -286,7 +286,7 @@ def _convergence_table(cfg: RunConfig) -> SweepResult:
             "model": "convergence",
             "target": cfg.target,
             "kernel": spec.label,
-            **fem.block_metadata(model.free_dofs),
+            **fem.block_metadata(model.axes.free_dofs),
         },
     )
 

@@ -25,6 +25,9 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "LOAD_CASE
 
 SUBCOMMANDS = ("dispersion", "beam", "plate", "sweep", "convergence")
 
+# The run's manifest, written beside its CSV, so no CSV may take its name.
+MANIFEST_NAME = "manifest.json"
+
 # The fields of BeamSection and PlateSection read under `material:`.
 _MATERIAL = ("modulus", "poisson", "shear_correction")
 
@@ -289,9 +292,15 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     top = _Block(data, "", errors)
     threads = top.integer("threads", 1, minimum=1)
     output = top.raw("output")
-    if output is not None and not isinstance(output, str):
-        errors.append(f"output: expected a file name, got {output!r}")
-        output = None
+    if output is not None:
+        if not isinstance(output, str):
+            errors.append(f"output: expected a file name, got {output!r}")
+        elif not output:
+            errors.append("output: must be a nonempty file name")
+        elif "/" in output or output in (".", ".."):
+            errors.append(f"output: must be a file name without a directory (got {output!r})")
+        elif output == MANIFEST_NAME:
+            errors.append(f"output: {MANIFEST_NAME} is the run's manifest")
     kwargs = dict(subcommand=subcommand, threads=threads, output=output)
 
     if subcommand == "dispersion":

@@ -30,6 +30,8 @@ numbering, each field's free (y, x) node ranges, and one HatRows per
 distinct axis mesh and rule: the Gauss rule, the hat rows N at its points
 and the consistent load N^T w.  None of them depends on the kernel, so a
 model builds them once and hands them to every AxisQuadrature it builds.
+The entry points (assemble, solve_metric, results.sweep) read a model's free
+block size from its Axes too, so a model keeps only its physics.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ __all__ = [
     "check_fits",
     "dense_block",
     "kronecker_system",
-    "quadratures",
     "assemble",
     "solve",
     "solve_metric",
@@ -184,17 +185,26 @@ class Axes:
     def node(self, i: int, j: int = 0) -> int:
         return j * self.x_axis.n_nodes + i
 
+    @property
+    def meshes(self) -> tuple[IntervalMesh, ...]:
+        """The axis meshes, x first: one for a beam, two for a plate."""
+        return (self.x_axis,) if self.y_axis is None else (self.x_axis, self.y_axis)
+
+    @property
+    def resolution(self) -> str:
+        """Element counts, x first, as the convergence table prints them: 200, 24x24."""
+        return "x".join(str(mesh.n_elements) for mesh in self.meshes)
+
     def center_node(self) -> int:
-        counts = [axis.n_elements for axis in (self.x_axis, self.y_axis) if axis is not None]
+        counts = [mesh.n_elements for mesh in self.meshes]
         if any(n % 2 for n in counts):
-            raise ValueError("center node needs even element counts on every axis")
+            raise ValueError(f"center node needs even element counts (got {self.resolution})")
         return self.node(*(n // 2 for n in counts))
 
     @functools.cached_property
     def hats(self) -> dict[tuple[IntervalMesh, int], HatRows]:
         """The HatRows of each distinct axis mesh and rule, keyed (mesh, points), x axis first."""
-        meshes = dict.fromkeys(axis for axis in (self.x_axis, self.y_axis) if axis is not None)
-        rules = (BENDING_POINTS, SHEAR_POINTS)
+        meshes, rules = dict.fromkeys(self.meshes), (BENDING_POINTS, SHEAR_POINTS)
         return {(mesh, npts): HatRows(mesh, npts) for mesh in meshes for npts in rules}
 
     @property
@@ -216,13 +226,16 @@ class AxisQuadrature:
     and mesh is hats.mesh.  B holds the nonlocal gradient rows for the given
     kernel and horizon radius; with the local delta kernel B degenerates to
     the element-gradient rows.  The consistent load is hats.load, which
-    does not depend on the kernel either.
+    does not depend on the kernel either.  A horizon radius that is not
+    positive, or a kernel that does not decay positively over it
+    (kernels.check_admissible), is rejected before any row is built.
     """
 
     def __init__(self, hats: HatRows, kernel: Kernel, horizon_radius: float):
         self.points, self.weights, self.N = hats.points, hats.weights, hats.N
         self.mesh = hats.mesh
         horizon = HorizonSpec(l_f=horizon_radius, x_min=0.0, x_max=self.mesh.length)
+        check_admissible(kernel, horizon_radius)
         self.B = build_operator_matrix(self.mesh.nodes, self.points, horizon, kernel).weights
 
 
@@ -571,22 +584,9 @@ def _product(
     return y.reshape(x.shape)
 
 
-def quadratures(model, kernel: Kernel, horizon_radius: float) -> dict:
-    """Validate the kernel and horizon, then build the model's kernel-dependent quadratures.
-
-    The model provides its own quadratures (one AxisQuadrature per distinct
-    axis mesh and rule); this entry point enforces the shared admissibility
-    contract: a positive horizon radius and a positively decaying kernel.
-    """
-    if not horizon_radius > 0.0:
-        raise ValueError(f"horizon radius must be positive (got {horizon_radius!r})")
-    check_admissible(kernel, horizon_radius)
-    return model.quadratures(kernel, horizon_radius)
-
-
 def assemble(model, kernel: Kernel, horizon_radius: float) -> StiffnessSystem:
-    """The model's system for the kernel and horizon, from its validated quadratures."""
-    return model.assemble(quadratures(model, kernel, horizon_radius))
+    """The model's system for the kernel and horizon, from its quadratures."""
+    return model.assemble(model.quadratures(kernel, horizon_radius))
 
 
 def solve(system: StiffnessSystem, residual_tol: float = 1e-10) -> np.ndarray:
@@ -640,12 +640,12 @@ def solve_metric(
     """|u| at the model's metric dof after assembling and solving the system.
 
     The metric dof is the beam's tip or midspan deflection, or the plate's
-    center deflection.  The model's free block (model.free_dofs) and the
+    center deflection.  The model's free block (model.axes.free_dofs) and the
     arrays it holds besides (model.held_bytes) are checked against the
     available memory first, so an oversized mesh fails before any quadrature
     work or allocation.
     """
-    check_fits(model.free_dofs, held=model.held_bytes)
+    check_fits(model.axes.free_dofs, held=model.held_bytes)
     u = solve(assemble(model, kernel, horizon_radius), residual_tol)
     return float(np.abs(u[model.metric_dof]))
 

@@ -236,8 +236,9 @@ def check_admissible(kernel: Kernel, horizon_length: float) -> None:
     """Verify positive, non-increasing decay over (0, horizon_length].
 
     The built-in kernels satisfy this by construction; the sampled check is
-    what stands between a custom registered kernel and the assembly routines,
-    which assume monotone attenuation.
+    what stands between a Kernel subclass of the caller's own and the
+    assembly routines, which assume monotone attenuation.  Every
+    fem.AxisQuadrature runs it before building its rows.
     """
     if isinstance(kernel, LocalDelta):
         return

@@ -117,8 +117,6 @@ class MindlinPlateModel:
     ):
         if boundary not in BOUNDARY_CONDITIONS:
             raise ValueError(f"boundary must be one of {BOUNDARY_CONDITIONS} (got {boundary!r})")
-        if nx % 2 or ny % 2:
-            raise ValueError(f"center node needs even element counts (got nx={nx}, ny={ny})")
         self.section = section
         self.pressure = pressure
         self.boundary = boundary
@@ -128,6 +126,8 @@ class MindlinPlateModel:
             IntervalMesh(section.length_y, ny),
             tuple(edges[f] for f in FIELDS),
         )
+        # the center node's deflection
+        self.metric_dof = W * self.axes.n_nodes + self.axes.center_node()
 
     @functools.cached_property
     def _masses(self) -> dict[tuple[IntervalMesh, int], np.ndarray]:
@@ -146,27 +146,11 @@ class MindlinPlateModel:
             "bc": self.boundary,
             "nx": str(nx),
             "ny": str(ny),
-            **fem.block_metadata(self.free_dofs),
         }
-
-    @property
-    def free_dofs(self) -> int:
-        """Dofs of the free block (fem.Axes.free_dofs)."""
-        return self.axes.free_dofs
 
     # The per-axis rows and Grams hold under 1 MiB at 48x48, which the BLAS
     # margin's fixed 8 MiB covers, so the memory check counts only blocks.
     held_bytes = 0
-
-    @property
-    def resolution(self) -> str:
-        """Mesh size as the convergence table prints it."""
-        return f"{self.axes.x_axis.n_elements}x{self.axes.y_axis.n_elements}"
-
-    @property
-    def metric_dof(self) -> int:
-        """Deflection dof of the center node."""
-        return W * self.axes.n_nodes + self.axes.center_node()
 
     def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict:
         """One quadrature per distinct axis mesh and rule, keyed (mesh, points) as axes.hats.

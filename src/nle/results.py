@@ -70,30 +70,31 @@ class KernelSpec:
 class Model(Protocol):
     """What `sweep` needs of a structural model (beam or plate).
 
+    axes is the model's fem.Axes: its meshes, node grid, free nodes and the
+    size of the one free block every system of the model shares (free_dofs),
+    and the mesh size as the convergence table prints it (resolution).
     quadratures(kernel, horizon_radius) builds the kernel-dependent data, one
-    fem.AxisQuadrature per HatRows of the model's fem.Axes (one per distinct
-    axis mesh and rule), keyed (mesh, points) as the Axes keys them;
+    fem.AxisQuadrature per HatRows of the Axes (one per distinct axis mesh
+    and rule), keyed (mesh, points) as the Axes keys them, and rejects a
+    horizon radius that is not positive or a kernel that is not admissible;
     assemble(quadratures, block) builds from them the free-free stiffness
     block and the full load (fem.StiffnessSystem, every other dof fixed at
     zero).  When block is given, the new system takes it over
     (fem.kronecker_system): it is the matrix of an earlier system of the
-    same model, holding whatever that system's solve left.  free_dofs is the
-    size of the one free block every system of the model shares, which its
-    Axes derives from the fixed ends, and held_bytes what the model's rows
-    and Grams take besides; fem.check_fits counts both.  The metric is |u| at
-    metric_dof.  case fills the fourth CSV column (load case or boundary set),
-    sweep_columns names the CSV columns, metadata holds the manifest entries
-    of the model and resolution is the mesh size as the convergence table
-    prints it.
+    same model, holding whatever that system's solve left.  held_bytes is
+    what the model's rows and Grams take besides the block; fem.check_fits
+    counts both.  The metric is |u| at metric_dof.  case fills the fourth
+    CSV column (load case or boundary set), sweep_columns names the CSV
+    columns and metadata holds the manifest entries of the model's physics,
+    to which sweep adds those of its free block.
     """
 
-    free_dofs: int
+    axes: fem.Axes
     held_bytes: int
     metric_dof: int
     case: str
     sweep_columns: tuple[str, ...]
     metadata: dict[str, str]
-    resolution: str
 
     def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict: ...
 
@@ -149,8 +150,9 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     domain.  A failing configuration keeps its row with an error status and
     leaves no entry, and the sweep continues.  Rows come back in grid order
     at any thread count; threads that meet one key at once may both solve
-    it, to the same bits.  The result's metadata adds `solves`, the number
-    of keys that solved (distinct systems, not solve calls), to the model's.
+    it, to the same bits.  The result's metadata adds to the model's the
+    entries of its free block (fem.block_metadata) and `solves`, the number
+    of keys that solved (distinct systems, not solve calls).
 
     Every system of one model has the same free block, so a solve hands its
     matrix, the factor or a failed factorization's remains, to the next
@@ -172,7 +174,8 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     if threads < 1:
         raise ValueError(f"thread count must be at least 1 (got {threads!r})")
     configs = [(spec, float(l_f)) for spec in kernel_grid for l_f in l_f_grid]
-    fem.check_fits(model.free_dofs, blocks=min(threads, len(configs)), held=model.held_bytes)
+    n = model.axes.free_dofs
+    fem.check_fits(n, blocks=min(threads, len(configs)), held=model.held_bytes)
     spare: list[np.ndarray] = []  # blocks of finished solves, at most one per thread
 
     def solve(quadratures: dict) -> float:
@@ -188,7 +191,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
         return float(np.abs(u[model.metric_dof]))
 
     local_config = (LocalDelta(), float(l_f_grid[0]))
-    local = fem.quadratures(model, *local_config)
+    local = model.quadratures(*local_config)
     w_local = solve(local)
     by_config: dict[tuple[Kernel, float], float] = {local_config: w_local}
     solved = {local_config}
@@ -198,7 +201,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
         w = by_config.get(config)
         if w is not None:
             return w
-        quadratures = fem.quadratures(model, kernel, l_f)
+        quadratures = model.quadratures(kernel, l_f)
         if all(np.array_equal(q.B, local[key].B) for key, q in quadratures.items()):
             w = w_local
         else:
@@ -221,7 +224,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(evaluate, configs))
-    metadata = {**model.metadata, "solves": str(len(solved))}
+    metadata = {**model.metadata, **fem.block_metadata(n), "solves": str(len(solved))}
     return SweepResult(columns=model.sweep_columns, rows=rows, metadata=metadata)
 
 

@@ -113,7 +113,7 @@ def _grid_records(model, case, w_dof, w_local, records):
     for spec in _grid_specs():
         kernel = spec.build()
         for l_f in GRID_LF:
-            quads = fem.quadratures(model, kernel, l_f)
+            quads = model.quadratures(kernel, l_f)
             for seen, record in solved:
                 if all(np.array_equal(seen[k].B, quads[k].B) for k in quads):
                     break

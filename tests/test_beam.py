@@ -143,9 +143,9 @@ def test_a_reused_block_gets_its_lower_triangle_and_nothing_above_it(
     kernel = ExponentialKernel(2.5e-3)
     fresh = fem.assemble(model, kernel, 0.5).matrix
     monkeypatch.setattr(fem, "SLAB_ENTRIES", slab_entries)
-    n = model.free_dofs
+    n = model.axes.free_dofs
     block = np.full((n, n), np.nan, order="F")
-    system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
+    system = model.assemble(model.quadratures(kernel, 0.5), block)
     assert system.matrix is block
     rows, columns = np.indices((n, n))
     assert np.isnan(block[rows < columns]).all()
@@ -169,16 +169,16 @@ def _pages_written(block: np.ndarray) -> int:
         for n_elements in (200, 800, 1600)
     ]
     + [MindlinPlateModel(PlateSection(), 1.0, boundary) for boundary in BOUNDARY_CONDITIONS],
-    ids=lambda model: f"{model.case}-{model.resolution}",
+    ids=lambda model: f"{model.case}-{model.axes.resolution}",
 )
 def test_the_backed_figure_counts_the_pages_the_assembly_writes(model):
     # A reused block, filled with NaN: the assembly writes or zeroes every
     # entry of its lower triangle and none above it, so the first entry
     # written in each column is its diagonal, and backed_bytes counts exactly
     # the pages written
-    n = model.free_dofs
+    n = model.axes.free_dofs
     block = np.full((n, n), np.nan, order="F")
-    model.assemble(fem.quadratures(model, ExponentialKernel(2.5e-3), 0.5), block)
+    model.assemble(model.quadratures(ExponentialKernel(2.5e-3), 0.5), block)
     first_written = np.argmax(~np.isnan(block), axis=0)
     np.testing.assert_array_equal(first_written, np.arange(n))
     assert _pages_written(block) == fem.backed_bytes(n)

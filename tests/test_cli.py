@@ -554,7 +554,7 @@ def test_a_beam_exits_3_before_allocating_without_room_for_its_rows_and_grams(
     # its BLAS margin is not enough: the model's row families and Grams
     # (held_bytes) come on top, and the check counts them first.
     model = beam.TimoshenkoBeamModel(beam.BeamSection(), 1.0, "cantilever_tip", 1600)
-    n = model.free_dofs
+    n = model.axes.free_dofs
     block_only = fem.backed_bytes(n) + fem.blas_margin(n)
     need = block_only + model.held_bytes
     monkeypatch.setattr(fem, "available_memory", lambda: (block_only + need) // 2)

@@ -412,6 +412,24 @@ horizon: {l_f_grid: [.nan, 0.5]}
             "stray: unknown key",
         ],
     ),
+    (
+        "empty_output",
+        "beam",
+        LOCAL + 'output: ""\n',
+        ["output: must be a nonempty file name"],
+    ),
+    (
+        "output_in_a_directory",
+        "beam",
+        LOCAL + "output: runs/tip.csv\n",
+        ["output: must be a file name without a directory (got 'runs/tip.csv')"],
+    ),
+    (
+        "output_over_the_manifest",
+        "beam",
+        LOCAL + "output: manifest.json\n",
+        ["output: manifest.json is the run's manifest"],
+    ),
 ]
 
 

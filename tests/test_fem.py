@@ -61,6 +61,15 @@ def test_axes_center_node():
         Axes(IntervalMesh(1.0, 3), IntervalMesh(1.0, 4), ()).center_node()
     # a single y node: the midspan node of the x axis
     assert Axes(IntervalMesh(1.0, 200), None, ()).center_node() == 100
+    # the element counts, x first, as the convergence table prints them
+    assert Axes(IntervalMesh(1.0, 200), None, ()).resolution == "200"
+    assert Axes(IntervalMesh(1.0, 24), IntervalMesh(1.0, 24), ()).resolution == "24x24"
+    assert Axes(IntervalMesh(1.0, 24), IntervalMesh(1.0, 12), ()).resolution == "24x12"
+    # a model whose metric is the center node fails at construction on odd counts
+    with pytest.raises(ValueError, match=r"even element counts \(got 199\)"):
+        TimoshenkoBeamModel(BeamSection(), 1.0, "ss_udtl", 199)
+    with pytest.raises(ValueError, match=r"even element counts \(got 24x23\)"):
+        MindlinPlateModel(PlateSection(), 1.0, "clamped", 24, 23)
 
 
 @pytest.mark.parametrize(
@@ -84,7 +93,7 @@ def test_axes_free_ranges_follow_the_fixed_ends_tables(case, per_field, total):
     for (jy, jx), ((x0, x1), (y0, y1)) in zip(axes.free, axes.fixed):
         assert (jx, jy) == (range(x0, n_x - x1), range(y0, n_y - y1))
     assert [len(jy) * len(jx) for jy, jx in axes.free] == per_field
-    assert axes.free_dofs == model.free_dofs == total
+    assert axes.free_dofs == total
 
 
 @pytest.mark.parametrize(
@@ -562,7 +571,7 @@ def test_blocks_on_the_same_free_nodes_share_one_stream(monkeypatch, model, stre
 
 @MODELS
 def test_a_reversed_block_table_gives_the_same_bytes(monkeypatch, model, streams):
-    quadratures = fem.quadratures(model, ExponentialKernel(2.5e-3), 0.5)
+    quadratures = model.quadratures(ExponentialKernel(2.5e-3), 0.5)
     system = model.assemble(quadratures)
     writer = fem.kronecker_system
 

@@ -294,9 +294,9 @@ def test_a_reused_block_gets_its_lower_triangle_and_nothing_above_it(
     kernel = ExponentialKernel(2.5e-3)
     fresh = fem.assemble(model, kernel, 0.5).matrix
     monkeypatch.setattr(fem, "SLAB_ENTRIES", slab_entries)
-    n = model.free_dofs
+    n = model.axes.free_dofs
     block = np.full((n, n), np.nan, order="F")
-    system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
+    system = model.assemble(model.quadratures(kernel, 0.5), block)
     assert system.matrix is block
     rows, columns = np.indices((n, n))
     assert np.isnan(block[rows < columns]).all()
@@ -310,10 +310,10 @@ def test_assembly_never_allocates_the_full_matrix(boundary):
     fem.assemble(model, kernel, 0.5)  # warm caches outside the measurement
     # tracemalloc does not see a block in its own mapping, so the block is
     # allocated before the measurement and the assembly writes into it
-    block = fem.dense_block(model.free_dofs)
+    block = fem.dense_block(model.axes.free_dofs)
     tracemalloc.start()
     try:
-        system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
+        system = model.assemble(model.quadratures(kernel, 0.5), block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,10 +331,10 @@ def test_assembly_temporaries_stay_below_one_field_block(boundary):
     fem.assemble(model, kernel, 0.5)  # warm caches outside the measurement
     # tracemalloc does not see a block in its own mapping, so the block is
     # allocated before the measurement and the assembly writes into it
-    block = fem.dense_block(model.free_dofs)
+    block = fem.dense_block(model.axes.free_dofs)
     tracemalloc.start()
     try:
-        system = model.assemble(fem.quadratures(model, kernel, 0.5), block)
+        system = model.assemble(model.quadratures(kernel, 0.5), block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -372,7 +372,7 @@ from nle.kernels import ExponentialKernel
 openblas.pin()
 nx = int(sys.argv[1])
 model = plate.MindlinPlateModel(plate.PlateSection(), 1.0, "clamped", nx=nx, ny=nx)
-quadratures = fem.quadratures(model, ExponentialKernel(2.5e-3), 0.5)
+quadratures = model.quadratures(ExponentialKernel(2.5e-3), 0.5)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 system = model.assemble(quadratures)
 fem.solve(system)
@@ -398,7 +398,7 @@ def test_a_large_block_backs_little_more_than_its_lower_triangle(nx, share):
     )
     assert proc.returncode == 0, proc.stderr
     block, growth = map(int, proc.stdout.split())
-    n = MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=nx, ny=nx).free_dofs
+    n = MindlinPlateModel(PlateSection(), 1.0, "clamped", nx=nx, ny=nx).axes.free_dofs
     assert n == 5 * (nx - 1) ** 2 and block == 8 * n**2
     assert growth < share * block
     assert growth < fem.backed_bytes(n) + fem.blas_margin(n)
@@ -409,8 +409,8 @@ def test_metadata_gives_the_span_and_backed_size_of_the_free_block(boundary, dof
     # 48 x 48: 47 free nodes per x row on the clamped plate, up to 49 (u and
     # theta_x) on the simply supported one
     model = MindlinPlateModel(PlateSection(), 1.0, boundary, 48, 48)
-    assert model.free_dofs == dofs
-    meta = model.metadata
+    assert model.axes.free_dofs == dofs
+    meta = fem.block_metadata(model.axes.free_dofs)
     assert meta["block_dofs"] == str(dofs)
     assert meta["block_span_mib"] == f"{8 * dofs**2 / 2**20:.1f}"
     assert meta["block_backed_mib"] == f"{fem.backed_bytes(dofs) / 2**20:.1f}"

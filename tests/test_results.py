@@ -8,7 +8,7 @@ from nle import fem
 from nle.beam import BeamSection, TimoshenkoBeamModel
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
 from nle.plate import MindlinPlateModel, PlateSection
-from nle.results import KernelSpec, sweep
+from nle.results import KernelSpec, Model, sweep
 
 # model and kernel grid of each structure; the grid's first kernel needs a solve
 MODELS = {
@@ -26,11 +26,11 @@ MODELS = {
 def _count_solves(monkeypatch, model) -> tuple[list, list]:
     """Record the kernel of every system a serial sweep assembles, and every solve."""
     built, kernels, solves = [], [], []
-    quadratures, assemble, solve = fem.quadratures, model.assemble, fem.solve
+    quadratures, assemble, solve = model.quadratures, model.assemble, fem.solve
 
-    def keep_kernel(model, kernel, horizon_radius):
+    def keep_kernel(kernel, horizon_radius):
         built.append(kernel)
-        return quadratures(model, kernel, horizon_radius)
+        return quadratures(kernel, horizon_radius)
 
     def counting_assemble(quads, block=None):
         kernels.append(built[-1])
@@ -40,10 +40,21 @@ def _count_solves(monkeypatch, model) -> tuple[list, list]:
         solves.append(args[0])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "quadratures", keep_kernel)
+    monkeypatch.setattr(model, "quadratures", keep_kernel)
     monkeypatch.setattr(model, "assemble", counting_assemble)
     monkeypatch.setattr(fem, "solve", counting_solve)
     return kernels, solves
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_models_provide_every_member_of_the_protocol(name):
+    model = MODELS[name][0]()
+    methods = [m for m in vars(Model) if not m.startswith("_") and callable(getattr(Model, m))]
+    assert sorted(methods) == ["assemble", "quadratures"]
+    for member in [*Model.__annotations__, *methods]:
+        assert hasattr(model, member), member
+    assert isinstance(model.axes, fem.Axes)
+    assert all(callable(getattr(model, m)) for m in methods)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -114,14 +125,14 @@ REACH_L_F = [0.1, 0.2, 0.3, 0.5]
 def test_sweep_cache_hits_have_the_bytes_of_a_fresh_build(name, monkeypatch):
     build, _ = MODELS[name]
     model = build()
-    quadratures = fem.quadratures
+    quadratures = model.quadratures
     built = {}
 
-    def keep(model, kernel, horizon_radius):
-        q = built[kernel, horizon_radius] = quadratures(model, kernel, horizon_radius)
+    def keep(kernel, horizon_radius):
+        q = built[kernel, horizon_radius] = quadratures(kernel, horizon_radius)
         return q
 
-    monkeypatch.setattr(fem, "quadratures", keep)
+    monkeypatch.setattr(model, "quadratures", keep)
     sweep(model, REACH_GRID, REACH_L_F)
     hits = 0
     for spec in REACH_GRID:
@@ -134,7 +145,7 @@ def test_sweep_cache_hits_have_the_bytes_of_a_fresh_build(name, monkeypatch):
                 q for (k, h), q in built.items()
                 if k == kernel and min(h, k.reach) == min(l_f, kernel.reach)
             ]
-            fresh = quadratures(model, kernel, l_f)
+            fresh = quadratures(kernel, l_f)
             assert fresh.keys() == first.keys()
             for rule in fresh:
                 assert fresh[rule].B.tobytes() == first[rule].B.tobytes()
@@ -258,7 +269,7 @@ def _left_behind(model, how: str) -> np.ndarray:
 def test_a_reused_block_has_the_lower_triangle_of_a_fresh_one(name, kernel, how):
     model = REUSE_MODELS[name]()
     block = _left_behind(model, how)
-    quadratures = fem.quadratures(model, kernel, 0.5)
+    quadratures = model.quadratures(kernel, 0.5)
     reused = model.assemble(quadratures, block)
     fresh = model.assemble(quadratures)
     assert reused.matrix is block and fresh.matrix is not block
@@ -270,7 +281,7 @@ def test_a_reused_block_has_the_lower_triangle_of_a_fresh_one(name, kernel, how)
 def test_a_model_refuses_a_block_of_another_size(name):
     build, spec = MODELS[name]
     model = build()
-    quadratures = fem.quadratures(model, spec.build(), 0.5)
+    quadratures = model.quadratures(spec.build(), 0.5)
     n = model.assemble(quadratures).matrix.shape[0]
     for block in (np.zeros((n + 1, n + 1), order="F"), np.zeros((n, n), order="C")):
         with pytest.raises(ValueError, match="reused block"):
