@@ -31,8 +31,6 @@ from .kernels import (
     LocalDelta,
     PowerLawKernel,
     exponential,
-    local,
-    make_kernel,
     power_law,
 )
 from .operator import HorizonSpec, build_operator_matrix
@@ -62,8 +60,6 @@ __all__ = [
     "dispersion_exponential",
     "dispersion_powerlaw",
     "exponential",
-    "local",
-    "make_kernel",
     "numerical_dispersion",
     "parse_config",
     "power_law",

@@ -17,6 +17,7 @@ import math
 import yaml
 
 from .beam import LOAD_CASES, MIDSPAN_CASES, VALUE_KEYS, BeamSection
+from .dispersion import Material1D
 from .kernels import KERNEL_KINDS, KERNEL_PARAMS, power_law
 from .plate import BOUNDARY_CONDITIONS, PlateSection
 from .results import KernelSpec, check_alpha_floor
@@ -50,7 +51,7 @@ class RunConfig:
     l_f_grid: tuple[float, ...] = ()
     beam_section: BeamSection | None = None
     plate_section: PlateSection | None = None
-    density: float = 2500.0
+    material: Material1D | None = None
     k_values: tuple[float, ...] = ()
     n_elements: int = 200
     nx: int = 24
@@ -297,6 +298,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             errors.append(f"output: expected a file name, got {output!r}")
         elif not output:
             errors.append("output: must be a nonempty file name")
+        elif "\0" in output:
+            errors.append("output: must be a file name without a NUL byte")
         elif "/" in output or output in (".", ".."):
             errors.append(f"output: must be a file name without a directory (got {output!r})")
         elif output == MANIFEST_NAME:
@@ -325,9 +328,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             target="dispersion",
             kernel_specs=tuple(specs),
             k_values=k_values,
-            density=density,
-            # a non-positive modulus is already an error; build no section then
-            beam_section=BeamSection(modulus=modulus) if modulus > 0.0 else None,
+            # a non-positive constant is already an error; build no material then
+            material=Material1D(modulus, density) if min(modulus, density) > 0.0 else None,
         )
 
     else:

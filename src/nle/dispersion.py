@@ -2,7 +2,8 @@
 
 The balance law E * Dtilde(Dbar u) = rho * u_tt acting on a plane wave
 exp(i(kx - wt)) multiplies the wave by the squared operator symbol, giving a
-closed-form squared phase velocity for each kernel:
+closed-form squared phase velocity for each kernel, which every function
+here returns as a complex number:
 
     exponential:  (w/k)^2 = (E/rho) * (1 + k^2 l0^2)^(-2)
     power law:    (w/k)^2 = (E/rho) * (cos(pi + alpha*pi)
@@ -34,7 +35,6 @@ from .operator import HorizonSpec, build_operator_matrix
 
 __all__ = [
     "Material1D",
-    "DispersionPoint",
     "LongWaveDivergence",
     "ResolutionError",
     "dispersion_exponential",
@@ -66,21 +66,13 @@ class Material1D:
 
 
 @dataclass(frozen=True)
-class DispersionPoint:
-    """Squared phase velocity (possibly complex) at wavenumber k."""
-
-    k: float
-    phase_velocity_sq: complex
-
-
-@dataclass(frozen=True)
 class LongWaveDivergence:
     """Marker: the power-law squared phase velocity is unbounded as k -> 0."""
 
     alpha: float
 
 
-def dispersion_exponential(k: float, material: Material1D, l0: float) -> DispersionPoint:
+def dispersion_exponential(k: float, material: Material1D, l0: float) -> complex:
     """Closed-form squared phase velocity for the exponential kernel.
 
     Real for every wavenumber (no attenuation) and bounded by the local
@@ -90,12 +82,12 @@ def dispersion_exponential(k: float, material: Material1D, l0: float) -> Dispers
     if not l0 > 0.0:
         raise ValueError(f"internal length must be positive (got {l0!r})")
     factor = 1.0 / (1.0 + (k * l0) ** 2)
-    return DispersionPoint(k, complex(material.local_velocity_sq * factor * factor, 0.0))
+    return complex(material.local_velocity_sq * factor * factor, 0.0)
 
 
 def dispersion_powerlaw(
     k: float, material: Material1D, alpha: float, l_star: float = 1.0
-) -> DispersionPoint | LongWaveDivergence:
+) -> complex | LongWaveDivergence:
     """Closed-form squared phase velocity for the power-law kernel.
 
     alpha = 1 is the local limit (exactly E/rho at every k).  For alpha < 1
@@ -108,12 +100,12 @@ def dispersion_powerlaw(
         raise ValueError(f"reference length must be positive (got {l_star!r})")
     _require_wavenumber(k)
     if alpha == 1.0:
-        return DispersionPoint(k, complex(material.local_velocity_sq, 0.0))
+        return complex(material.local_velocity_sq, 0.0)
     if k == 0.0:
         return LongWaveDivergence(alpha=alpha)
     phase = cmath.exp(1j * (math.pi + alpha * math.pi))
     magnitude = (k * l_star) ** (2.0 * (alpha - 1.0))
-    return DispersionPoint(k, material.local_velocity_sq * phase * magnitude)
+    return material.local_velocity_sq * phase * magnitude
 
 
 def numerical_dispersion(
@@ -122,7 +114,7 @@ def numerical_dispersion(
     kernel: Kernel,
     horizon_length: float,
     points_per_wavelength: int = 64,
-) -> DispersionPoint:
+) -> complex:
     """Squared phase velocity read off the production operator matrix.
 
     One row of build_operator_matrix, at the midpoint of a uniform element
@@ -157,7 +149,7 @@ def numerical_dispersion(
         h = min(h, kernel.l0 / 12.0)
     coarse, fine = (_symbol(k, kernel, horizon_length, step) ** 2 for step in (h, h / 2.0))
     symbol_sq = (4.0 * fine - coarse) / 3.0
-    return DispersionPoint(k, -material.local_velocity_sq * symbol_sq / (k * k))
+    return -material.local_velocity_sq * symbol_sq / (k * k)
 
 
 def _symbol(k: float, kernel: Kernel, horizon_length: float, h: float) -> complex:

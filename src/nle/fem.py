@@ -372,13 +372,20 @@ def check_fits(n: int, margin: int | None = None, blocks: int = 1, held: int = 0
     threads the 24x24 plate sweep peaked at 142.7 MiB against 146.6 MiB for
     the RSS before its blocks, the blocks and one margin, the 32x32 one at
     289.9 against 293.6 MiB, and an 800-element beam sweep at 269.5 against
-    280.9 MiB (207.5 with one copy of its rows and Grams).
+    280.9 MiB (207.5 with one copy of its rows and Grams).  Blocks whose
+    lower triangles alone, 4 n (n + 1) bytes each, exceed the memory are
+    refused on that figure, which backed_bytes never undercuts: its numpy
+    temporaries, about 32 bytes per dof, may not fit either.
     """
+    have = available_memory()
+    if have is None:
+        return
     if margin is None:
         margin = blas_margin(n)
-    block, held = blocks * backed_bytes(n), blocks * held
-    have = available_memory()
-    if have is not None and block + margin + held > have:
+    block, held = blocks * 4 * n * (n + 1), blocks * held
+    if block <= have:
+        block = blocks * backed_bytes(n)
+    if block + margin + held > have:
         extra = f" and {margin / 2**20:.0f} MiB of BLAS buffers" if margin else ""
         if held:
             extra += f" and {held / 2**20:.0f} MiB of model arrays"

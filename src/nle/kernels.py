@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "KernelError",
     "exponential",
     "power_law",
-    "local",
-    "make_kernel",
     "check_admissible",
     "KERNEL_KINDS",
     "KERNEL_PARAMS",
@@ -56,8 +54,6 @@ class Kernel(abc.ABC):
     no such distance.
     """
 
-    kind: ClassVar[str]
-
     @abc.abstractmethod
     def eval(self, distance: float) -> float:
         """Kernel value at the given separation distance (>= 0)."""
@@ -76,17 +72,12 @@ class Kernel(abc.ABC):
         """Distance from which interval_integral(L) equals its L -> inf limit bit for bit."""
         return math.inf
 
-    def describe(self) -> str:
-        """Compact parameter string used in result tables."""
-        return self.kind
-
 
 @dataclass(frozen=True)
 class ExponentialKernel(Kernel):
     """K(s) = exp(-s / l0) with internal length l0."""
 
     l0: float
-    kind: ClassVar[str] = "exponential"
 
     def __post_init__(self) -> None:
         if not LOCAL_L0_FLOOR < self.l0 < math.inf:
@@ -116,9 +107,6 @@ class ExponentialKernel(Kernel):
         # l0 past 40 l0, with margin for the rounding of L / l0
         return 40.0 * self.l0
 
-    def describe(self) -> str:
-        return f"l0={self.l0:g}"
-
 
 @dataclass(frozen=True)
 class PowerLawKernel(Kernel):
@@ -131,7 +119,6 @@ class PowerLawKernel(Kernel):
     """
 
     alpha: float
-    kind: ClassVar[str] = "power_law"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -154,9 +141,6 @@ class PowerLawKernel(Kernel):
     def is_singular_at_origin(self) -> bool:
         return True
 
-    def describe(self) -> str:
-        return f"alpha={self.alpha:g}"
-
 
 @dataclass(frozen=True)
 class LocalDelta(Kernel):
@@ -166,8 +150,6 @@ class LocalDelta(Kernel):
     is the alpha -> 1 limit of the power-law moments and makes both frame
     multipliers exactly 1/2.
     """
-
-    kind: ClassVar[str] = "local"
 
     def eval(self, distance: float) -> float:
         _require_nonnegative_distance(distance)
@@ -182,9 +164,6 @@ class LocalDelta(Kernel):
     @property
     def is_singular_at_origin(self) -> bool:
         return True
-
-    def describe(self) -> str:
-        return "local"
 
 
 def exponential(l0: float) -> Kernel:
@@ -205,31 +184,14 @@ def power_law(alpha: float) -> Kernel:
     return PowerLawKernel(alpha)
 
 
-def local() -> Kernel:
-    return LocalDelta()
-
-
+# Each kernel kind's factory, and the shape parameter it takes (None: no
+# parameter); results.KernelSpec builds a kernel from the two.
 KERNEL_KINDS: dict[str, Callable[..., Kernel]] = {
     "exponential": exponential,
     "power_law": power_law,
-    "local": local,
+    "local": LocalDelta,
 }
-
-# The shape parameter each kernel kind takes by keyword (None: no parameter).
 KERNEL_PARAMS: dict[str, str | None] = {"exponential": "l0", "power_law": "alpha", "local": None}
-
-
-def make_kernel(kind: str, **params: float) -> Kernel:
-    """Build a kernel from its registry name, e.g. make_kernel('exponential', l0=0.005)."""
-    try:
-        factory = KERNEL_KINDS[kind]
-    except KeyError:
-        known = ", ".join(sorted(KERNEL_KINDS))
-        raise KernelError(f"unknown kernel kind {kind!r} (known: {known})") from None
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise KernelError(f"bad parameters for kernel {kind!r}: {exc}") from None
 
 
 def check_admissible(kernel: Kernel, horizon_length: float) -> None:
@@ -251,11 +213,11 @@ def check_admissible(kernel: Kernel, horizon_length: float) -> None:
     # origin; that tail is still admissible.  What is not: vanishing near
     # the origin, negative values, or growth.
     if not values[0] > 0.0:
-        raise KernelError(f"kernel {kernel.describe()} is not positive near the origin")
+        raise KernelError(f"kernel {kernel!r} is not positive near the origin")
     if np.any(values < 0.0):
-        raise KernelError(f"kernel {kernel.describe()} is negative on the horizon")
+        raise KernelError(f"kernel {kernel!r} is negative on the horizon")
     if np.any(np.diff(values) > 0.0):
-        raise KernelError(f"kernel {kernel.describe()} does not decay monotonically")
+        raise KernelError(f"kernel {kernel!r} does not decay monotonically")
 
 
 def _require_nonnegative_distance(distance: float) -> None:

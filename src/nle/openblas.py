@@ -1,7 +1,8 @@
 """The two OpenBLAS copies that numpy and scipy bundle: pin and record their threads.
 
 numpy's wheel ships ``libscipy_openblas64_`` (the ``@`` products of the
-Grams) and scipy's ships ``libscipy_openblas`` (``cho_factor``, ``dsymv``).
+Grams) and scipy's ships ``libscipy_openblas`` (``cho_factor`` and
+``cho_solve``).
 Each runs its calls on its own pool of threads, sized from the core count
 unless OPENBLAS_NUM_THREADS says otherwise, and the count decides how each
 call is partitioned, so it reaches the last bits of the results.  `pin`

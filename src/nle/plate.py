@@ -119,7 +119,7 @@ class MindlinPlateModel:
             raise ValueError(f"boundary must be one of {BOUNDARY_CONDITIONS} (got {boundary!r})")
         self.section = section
         self.pressure = pressure
-        self.boundary = boundary
+        self.case = boundary
         edges = FIXED_EDGES[boundary]
         self.axes = fem.Axes(
             IntervalMesh(section.length_x, nx),
@@ -135,15 +135,11 @@ class MindlinPlateModel:
         return {key: gram(hats.N, hats.N, hats.weights) for key, hats in self.axes.hats.items()}
 
     @property
-    def case(self) -> str:
-        return self.boundary
-
-    @property
     def metadata(self) -> dict[str, str]:
         nx, ny = self.axes.x_axis.n_elements, self.axes.y_axis.n_elements
         return {
             "model": "plate",
-            "bc": self.boundary,
+            "bc": self.case,
             "nx": str(nx),
             "ny": str(ny),
         }

@@ -19,7 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from . import fem
-from .kernels import KERNEL_PARAMS, Kernel, KernelError, LocalDelta, make_kernel
+from .kernels import KERNEL_KINDS, KERNEL_PARAMS, Kernel, KernelError, LocalDelta
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -56,8 +56,16 @@ class KernelSpec:
     param: float | None = None
 
     def build(self) -> Kernel:
-        name = KERNEL_PARAMS.get(self.kind)
-        return make_kernel(self.kind, **({} if name is None else {name: self.param}))
+        """The kernel of this kind and parameter, from kernels.KERNEL_KINDS."""
+        if self.kind not in KERNEL_KINDS:
+            known = ", ".join(sorted(KERNEL_KINDS))
+            raise KernelError(f"unknown kernel kind {self.kind!r} (known: {known})")
+        name = KERNEL_PARAMS[self.kind]
+        if name is None:
+            return KERNEL_KINDS[self.kind]()
+        if self.param is None:
+            raise KernelError(f"kernel {self.kind!r} needs its parameter {name}")
+        return KERNEL_KINDS[self.kind](self.param)
 
     @property
     def label(self) -> str:

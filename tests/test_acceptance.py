@@ -227,10 +227,10 @@ def test_criterion_3_dispersion():
     l0 = 0.05
     for k_l0 in np.logspace(np.log10(0.1), np.log10(5.0), 9):
         k = float(k_l0 / l0)
-        closed = dispersion_exponential(k, material, l0).phase_velocity_sq
+        closed = dispersion_exponential(k, material, l0)
         oracle = numerical_dispersion(
             k, material, ExponentialKernel(l0), 15.0 * l0
-        ).phase_velocity_sq
+        )
         rel = abs(oracle - closed) / abs(closed)
         if rel > 1e-4:
             failures.append(f"exponential k*l0={k_l0:.2f}: oracle gap {rel:.2e} > 1e-4")
@@ -238,7 +238,7 @@ def test_criterion_3_dispersion():
     for alpha in (0.6, 0.75, 0.9):
         ks = np.logspace(-1.0, 2.0, 7)
         mags = [
-            abs(dispersion_powerlaw(float(k), material, alpha).phase_velocity_sq)
+            abs(dispersion_powerlaw(float(k), material, alpha))
             for k in ks
         ]
         target = 2.0 * (alpha - 1.0)
@@ -251,7 +251,7 @@ def test_criterion_3_dispersion():
                 break
 
     for k in (0.3, 3.0, 300.0):
-        vp2 = dispersion_powerlaw(k, material, 1.0).phase_velocity_sq
+        vp2 = dispersion_powerlaw(k, material, 1.0)
         if abs(vp2 - c2) > 1e-12 * c2:
             failures.append(f"alpha=1 at k={k}: {vp2!r} is not the local value")
     _finish(3, "dispersion relations", started, 30.0, failures)

@@ -476,6 +476,18 @@ def test_dispersion_with_a_non_positive_modulus_exits_2(tmp_path, capsys):
     assert "error: category=CONFIG" in err
 
 
+def test_a_config_that_is_not_utf8_exits_2_before_the_output_directory(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_bytes(BEAM_YAML.encode("utf-8") + b"# \xff\n")
+    out = tmp_path / "out"
+    assert main(["beam", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    offset = len(BEAM_YAML.encode("utf-8")) + 2
+    assert f"config error: {config}: not UTF-8 at byte offset {offset}" in err
+    assert err.endswith("error: category=CONFIG\n")
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_4(tmp_path, capsys):
     code = main(["beam", "--config", str(tmp_path / "absent.yaml")])
     assert code == EXIT_IO

@@ -79,8 +79,8 @@ k_grid:
     assert len(cfg.k_values) == 100
     assert cfg.k_values[0] == 1.0
     assert cfg.k_values[-1] == pytest.approx(100.0)
-    assert cfg.density == 2500.0
-    assert cfg.beam_section.modulus == 30e9
+    assert cfg.material.density == 2500.0
+    assert cfg.material.modulus == 30e9
 
 
 def test_scientific_notation_without_exponent_sign_is_accepted():
@@ -430,6 +430,12 @@ horizon: {l_f_grid: [.nan, 0.5]}
         LOCAL + "output: manifest.json\n",
         ["output: manifest.json is the run's manifest"],
     ),
+    (
+        "output_with_a_nul_byte",
+        "beam",
+        LOCAL + 'output: "a\\0b.csv"\n',
+        ["output: must be a file name without a NUL byte"],
+    ),
 ]
 
 
@@ -519,6 +525,7 @@ BEAM_SECTION = dict(
 PLATE_SECTION = dict(
     length_x=1.0, length_y=1.0, thickness=0.1, modulus=30e9, poisson=0.3, shear_correction=5.0 / 6.0
 )
+DISPERSION_MATERIAL = dict(modulus=30e9, density=2500.0)
 GRID_KERNELS = (
     [("exponential", l0) for l0 in (1e-6, 1e-3, 2.5e-3, 5e-3)]
     + [("power_law", alpha) for alpha in (0.7, 0.8, 0.9, 1.0)]
@@ -536,7 +543,7 @@ def _recorded(subcommand, target, kernels, **fields):
             l_f_grid=(),
             beam_section=None,
             plate_section=None,
-            density=2500.0,
+            material=None,
             k_values=(),
             n_elements=200,
             nx=24,
@@ -581,14 +588,14 @@ SHIPPED_VALUES = {
         "dispersion",
         "dispersion",
         [("exponential", 2.5e-3)],
-        beam_section=BEAM_SECTION,
+        material=DISPERSION_MATERIAL,
         k_values=_k_grid(40.0, 2000.0, 100),
     ),
     "dispersion_power_law.yaml": _recorded(
         "dispersion",
         "dispersion",
         [("power_law", 0.75)],
-        beam_section=BEAM_SECTION,
+        material=DISPERSION_MATERIAL,
         k_values=_k_grid(1.0, 10000.0, 100),
     ),
     "plate_simply_supported.yaml": _recorded(

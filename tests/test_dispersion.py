@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nle.dispersion import (
-    DispersionPoint,
     LongWaveDivergence,
     Material1D,
     ResolutionError,
@@ -34,19 +33,19 @@ def test_material_validation():
 
 def test_exponential_long_wave_limit_is_local():
     p = dispersion_exponential(0.0, MAT, l0=0.005)
-    assert p.phase_velocity_sq == complex(C2, 0.0)
+    assert p == complex(C2, 0.0)
 
 
 def test_exponential_reference_point():
     # k*l0 = 1 gives exactly (E/rho)/4
     p = dispersion_exponential(200.0, MAT, l0=0.005)
-    assert p.phase_velocity_sq.real == pytest.approx(C2 / 4.0, rel=1e-15)
-    assert p.phase_velocity_sq.imag == 0.0
+    assert p.real == pytest.approx(C2 / 4.0, rel=1e-15)
+    assert p.imag == 0.0
 
 
 def test_exponential_bounded_and_monotone():
     ks = np.geomspace(1.0, 1000.0, 25)
-    vals = [dispersion_exponential(float(k), MAT, 0.005).phase_velocity_sq.real for k in ks]
+    vals = [dispersion_exponential(float(k), MAT, 0.005).real for k in ks]
     assert all(0.0 < v <= C2 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -54,8 +53,8 @@ def test_exponential_bounded_and_monotone():
 def test_powerlaw_local_limit_exact():
     for k in (0.0, 1.0, 37.5, 4000.0):
         p = dispersion_powerlaw(k, MAT, alpha=1.0)
-        assert isinstance(p, DispersionPoint)
-        assert abs(p.phase_velocity_sq - C2) <= 1e-12 * C2
+        assert isinstance(p, complex)
+        assert abs(p - C2) <= 1e-12 * C2
 
 
 def test_powerlaw_long_wave_divergence_marker():
@@ -68,23 +67,23 @@ def test_powerlaw_reference_point():
     # alpha = 3/4 at k*l* = 1: phase factor cos(1.75 pi) + i sin(1.75 pi)
     p = dispersion_powerlaw(1.0, MAT, alpha=0.75)
     r = math.sqrt(2.0) / 2.0
-    assert p.phase_velocity_sq.real == pytest.approx(C2 * r, rel=1e-14)
-    assert p.phase_velocity_sq.imag == pytest.approx(-C2 * r, rel=1e-14)
+    assert p.real == pytest.approx(C2 * r, rel=1e-14)
+    assert p.imag == pytest.approx(-C2 * r, rel=1e-14)
 
 
 def test_powerlaw_exact_log_log_slope():
     for alpha in (0.6, 0.75, 0.9):
-        v1 = dispersion_powerlaw(0.3, MAT, alpha).phase_velocity_sq
-        v2 = dispersion_powerlaw(30.0, MAT, alpha).phase_velocity_sq
+        v1 = dispersion_powerlaw(0.3, MAT, alpha)
+        v2 = dispersion_powerlaw(30.0, MAT, alpha)
         slope = (math.log(abs(v2)) - math.log(abs(v1))) / (math.log(30.0) - math.log(0.3))
         assert slope == pytest.approx(2.0 * (alpha - 1.0), abs=1e-12)
 
 
 def test_powerlaw_real_part_sign_tracks_exponent():
-    assert dispersion_powerlaw(2.0, MAT, 0.6).phase_velocity_sq.real > 0.0
-    assert dispersion_powerlaw(2.0, MAT, 0.4).phase_velocity_sq.real < 0.0
+    assert dispersion_powerlaw(2.0, MAT, 0.6).real > 0.0
+    assert dispersion_powerlaw(2.0, MAT, 0.4).real < 0.0
     # alpha = 1/2 sits exactly on the stability edge
-    assert dispersion_powerlaw(2.0, MAT, 0.5).phase_velocity_sq.real == pytest.approx(
+    assert dispersion_powerlaw(2.0, MAT, 0.5).real == pytest.approx(
         0.0, abs=1e-9 * C2
     )
 
@@ -110,33 +109,33 @@ def test_closed_form_validation():
 def test_numerical_matches_exponential_closed_form(kl0):
     l0 = 0.05
     k = kl0 / l0
-    closed = dispersion_exponential(k, MAT, l0).phase_velocity_sq
-    num = numerical_dispersion(k, MAT, ExponentialKernel(l0), 15.0 * l0).phase_velocity_sq
+    closed = dispersion_exponential(k, MAT, l0)
+    num = numerical_dispersion(k, MAT, ExponentialKernel(l0), 15.0 * l0)
     assert abs(num - closed) <= 1e-4 * abs(closed)
 
 
 def test_numerical_has_no_spurious_attenuation():
     l0 = 0.05
-    num = numerical_dispersion(0.5 / l0, MAT, ExponentialKernel(l0), 15.0 * l0).phase_velocity_sq
+    num = numerical_dispersion(0.5 / l0, MAT, ExponentialKernel(l0), 15.0 * l0)
     assert abs(num.imag) <= 1e-10 * abs(num.real)
 
 
 def test_numerical_local_delta_recovers_local_velocity():
     num = numerical_dispersion(
         3.0, MAT, LocalDelta(), 0.1, points_per_wavelength=128
-    ).phase_velocity_sq
+    )
     assert abs(num - C2) <= 1e-6 * C2
 
 
 def test_numerical_convergence_order_at_least_two():
     l0 = 0.05
     k = 1.0 / l0
-    closed = dispersion_exponential(k, MAT, l0).phase_velocity_sq
+    closed = dispersion_exponential(k, MAT, l0)
     errs = []
     for ppw in (80, 160):
         num = numerical_dispersion(
             k, MAT, ExponentialKernel(l0), 18.0 * l0, points_per_wavelength=ppw
-        ).phase_velocity_sq
+        )
         errs.append(abs(num - closed) / abs(closed))
     assert errs[0] / errs[1] >= 4.0
 
@@ -164,6 +163,6 @@ def test_numerical_reads_the_production_operator(monkeypatch):
     monkeypatch.setattr(dispersion, "build_operator_matrix", skewed)
     l0 = 0.05
     k = 1.0 / l0
-    closed = dispersion_exponential(k, MAT, l0).phase_velocity_sq
-    num = numerical_dispersion(k, MAT, ExponentialKernel(l0), 15.0 * l0).phase_velocity_sq
+    closed = dispersion_exponential(k, MAT, l0)
+    num = numerical_dispersion(k, MAT, ExponentialKernel(l0), 15.0 * l0)
     assert abs(num - closed) > 1e-4 * abs(closed)

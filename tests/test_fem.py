@@ -1,5 +1,6 @@
 import dataclasses
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -690,6 +691,20 @@ def test_check_fits_adds_what_the_model_holds_beside_each_block(monkeypatch):
     with pytest.raises(SolverError, match=r"9 MiB of BLAS buffers and 10 MiB of model arrays"):
         fem.check_fits(300, blocks=2, held=held)
     fem.check_fits(300, held=held)
+
+
+def test_check_fits_refuses_a_block_beyond_memory_without_per_dof_arrays(monkeypatch):
+    # a 10^8-element beam's 3 * 10^8 dofs: its lower triangle alone exceeds
+    # the memory, so no figure of backed_bytes' size (32 bytes a dof) is built
+    monkeypatch.setattr(fem, "available_memory", lambda: 1 << 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match="dense system of 300000000 dofs needs"):
+            fem.check_fits(3 * 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _cgroups(tmp_path, monkeypatch, membership: str, files: dict[str, str]) -> None:

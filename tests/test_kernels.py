@@ -7,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from nle import kernels
+from nle import fem, kernels
+from nle.beam import BeamSection, TimoshenkoBeamModel
 from nle.kernels import (
     ExponentialKernel,
+    Kernel,
     KernelError,
     LocalDelta,
     PowerLawKernel,
     check_admissible,
     exponential,
-    local,
-    make_kernel,
     power_law,
 )
 from nle.operator import HorizonSpec, build_operator_matrix
+from nle.results import KernelSpec
 
 mp.mp.dps = 40
 
@@ -153,18 +154,17 @@ def test_factories_collapse_to_local_limit():
     assert isinstance(exponential(2e-9), ExponentialKernel)
     assert isinstance(power_law(1.0), LocalDelta)
     assert isinstance(power_law(0.999), PowerLawKernel)
-    assert isinstance(local(), LocalDelta)
 
 
-def test_make_kernel_registry():
-    k = make_kernel("exponential", l0=0.005)
+def test_kernel_spec_registry():
+    k = KernelSpec("exponential", 0.005).build()
     assert isinstance(k, ExponentialKernel) and k.l0 == 0.005
-    assert isinstance(make_kernel("power_law", alpha=1.0), LocalDelta)
-    assert isinstance(make_kernel("local"), LocalDelta)
+    assert isinstance(KernelSpec("power_law", 1.0).build(), LocalDelta)
+    assert isinstance(KernelSpec("local").build(), LocalDelta)
     with pytest.raises(KernelError, match="unknown kernel kind"):
-        make_kernel("gaussian")
-    with pytest.raises(KernelError, match="bad parameters"):
-        make_kernel("exponential", alpha=0.7)
+        KernelSpec("gaussian").build()
+    with pytest.raises(KernelError, match="needs its parameter l0"):
+        KernelSpec("exponential").build()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9, math.inf])
@@ -229,3 +229,55 @@ def test_admissibility_check():
     g = Growing(l0=0.1)
     with pytest.raises(KernelError, match="monotonically"):
         check_admissible(g, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# a kernel of the caller's own: the three abstract members, optionally reach
+# ---------------------------------------------------------------------------
+
+class Rising(Kernel):
+    """Grows with distance: not admissible."""
+
+    def eval(self, distance):
+        return 1.0 + distance
+
+    def interval_integral(self, length):
+        return np.asarray(length) + 0.5 * np.asarray(length) ** 2
+
+    @property
+    def is_singular_at_origin(self):
+        return False
+
+
+class OwnExponential(Kernel):
+    """The exponential kernel's mathematics, without reach."""
+
+    def __init__(self, l0):
+        self.l0 = l0
+
+    def eval(self, distance):
+        return math.exp(-distance / self.l0)
+
+    def interval_integral(self, length):
+        return self.l0 * -np.expm1(-np.asarray(length) / self.l0)
+
+    @property
+    def is_singular_at_origin(self):
+        return False
+
+
+def _beam_20():
+    return TimoshenkoBeamModel(BeamSection(), 1.0, "cantilever_tip", 20)
+
+
+def test_a_kernel_of_ones_own_that_rises_is_refused_as_a_kernel_error():
+    with pytest.raises(KernelError, match="does not decay monotonically"):
+        check_admissible(Rising(), 1.0)
+    with pytest.raises(KernelError, match="does not decay monotonically"):
+        fem.solve_metric(_beam_20(), Rising(), 0.5)
+
+
+def test_a_kernel_of_ones_own_gives_the_built_in_deflection():
+    own = fem.solve_metric(_beam_20(), OwnExponential(0.05), 0.5)
+    built_in = fem.solve_metric(_beam_20(), ExponentialKernel(0.05), 0.5)
+    assert own == pytest.approx(built_in, rel=1e-13, abs=0.0)

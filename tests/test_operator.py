@@ -261,6 +261,11 @@ def _loop_operator_matrix(nodes, pts, horizon, kernel):
     return weights, n_fallback
 
 
+def _kernel_id(kernel):
+    """A kernel's parameters as the test ids print them: l0=0.001, alpha=0.55 or local."""
+    return ",".join(f"{name}={value:g}" for name, value in vars(kernel).items()) or "local"
+
+
 ORACLE_KERNELS = [
     ExponentialKernel(1e-3), ExponentialKernel(0.05), ExponentialKernel(0.4),
     PowerLawKernel(0.55), PowerLawKernel(0.8), PowerLawKernel(0.95), LocalDelta(),
@@ -281,7 +286,7 @@ def _oracle_case(seed, uniform):
     return nodes, pts, HorizonSpec(l_f=l_f, x_min=0.0, x_max=length)
 
 
-@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: k.describe())
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=_kernel_id)
 @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
 def test_matrix_equals_per_row_loop_bitwise(kernel, uniform):
     for seed in range(25):
@@ -365,7 +370,7 @@ def test_matrix_equals_loop_at_the_reach_and_window_edges(uniform, to_reach, blo
     "kernel",
     # l0 = 1/256 puts the reach, 40 l0 = 10 h, exactly on the node grid
     [ExponentialKernel(1.0 / 256.0), ExponentialKernel(0.05), PowerLawKernel(0.8), PowerLawKernel(0.55)],
-    ids=lambda k: k.describe(),
+    ids=_kernel_id,
 )
 @pytest.mark.parametrize("k", [1, 3, 10, 25])
 def test_matrix_equals_loop_when_horizon_ends_land_on_nodes(kernel, k):

@@ -216,7 +216,7 @@ def _full_kron_assembly(model, kernel, horizon_radius):
     x_edges = [mesh.node(i, j) for i in (0, nx) for j in range(ny + 1)]
     y_edges = [mesh.node(i, j) for j in (0, ny) for i in range(nx + 1)]
     fixed = set()
-    if model.boundary == "clamped":
+    if model.case == "clamped":
         for node in set(x_edges) | set(y_edges):
             fixed.update(f * nn + node for f in range(5))
     else:
