@@ -240,13 +240,8 @@ def _produce(cfg: RunConfig, threads: int) -> SweepResult:
 
 def _model(cfg: RunConfig, factor: int = 1):
     """The configured beam or plate model, with its mesh refined `factor` times."""
-    if cfg.target == "beam":
-        return beam.TimoshenkoBeamModel(
-            cfg.beam_section, cfg.load_value, cfg.load_case, cfg.n_elements * factor
-        )
-    return plate.MindlinPlateModel(
-        cfg.plate_section, cfg.pressure, cfg.boundary, cfg.nx * factor, cfg.ny * factor
-    )
+    model = beam.TimoshenkoBeamModel if cfg.target == "beam" else plate.MindlinPlateModel
+    return model(cfg.section, cfg.load, cfg.case, *(n * factor for n in cfg.elements))
 
 
 def _dispersion_table(cfg: RunConfig) -> SweepResult:

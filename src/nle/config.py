@@ -6,7 +6,8 @@ typos fail loudly rather than silently falling back to defaults.  Defaults
 mirror the production setup: E = 30 GPa, nu = 0.3, shear correction 5/6,
 unit spans, 200 beam elements, 24 x 24 plate elements.  The keys, order and
 defaults of `geometry:` and `material:` are the fields of BeamSection and
-PlateSection, and each kernel's parameter is named by KERNEL_PARAMS.
+PlateSection, and each kernel's parameter is named by KERNEL_PARAMS.  A
+RunConfig field that the subcommand does not use holds None or ().
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .kernels import KERNEL_KINDS, KERNEL_PARAMS, power_law
 from .plate import BOUNDARY_CONDITIONS, PlateSection
 from .results import KernelSpec, check_alpha_floor
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "LOAD_CASES"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS"]
 
 SUBCOMMANDS = ("dispersion", "beam", "plate", "sweep", "convergence")
 
@@ -41,28 +42,28 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Fully validated inputs of one run."""
+    """Fully validated inputs of one run.
+
+    A beam or plate is its section, load case or boundary set, load value or
+    pressure, and element counts, (n_elements,) or (nx, ny); material is a
+    dispersion run's solid.  A field the subcommand does not use is None or ().
+    """
 
     subcommand: str
     target: str
     kernel_specs: tuple[KernelSpec, ...]
     l_f_grid: tuple[float, ...] = ()
-    beam_section: BeamSection | None = None
-    plate_section: PlateSection | None = None
+    section: BeamSection | PlateSection | None = None
+    case: str | None = None
+    load: float | None = None
+    elements: tuple[int, ...] = ()
     material: Material1D | None = None
     k_values: tuple[float, ...] = ()
-    n_elements: int = 200
-    nx: int = 24
-    ny: int = 24
-    load_case: str = "cantilever_tip"
-    load_value: float = 1.0
-    boundary: str = "clamped"
-    pressure: float = 1.0
-    refinements: int = 1
-    threads: int = 1
-    output: str | None = None
+    refinements: int | None = None
+    threads: int
+    output: str | None
 
 
 def _to_number(value) -> float | None:
@@ -241,37 +242,31 @@ def _section(top: _Block, errors: list[str], cls):
 
 
 def _structure(top: _Block, errors: list[str], target: str) -> dict:
-    """Section, load or boundary set, and mesh of a beam or plate target."""
+    """Section, case, load and element counts of a beam or plate target."""
     if target == "beam":
         section = _section(top, errors, BeamSection)
         load = top.block("load")
         case = load.choice("case", LOAD_CASES, "cantilever_tip")
-        value = load.number(VALUE_KEYS[case], 1.0)
-        if value == 0.0:
-            errors.append(f"load.{VALUE_KEYS[case]}: must be nonzero")
-        load.close()
-        mesh = top.block("mesh")
-        n_elements = mesh.integer("n_elements", 200, minimum=1)
-        mesh.close()
-        if case in MIDSPAN_CASES and n_elements % 2:
-            errors.append("mesh.n_elements: must be even for the midspan metric")
-        return dict(beam_section=section, load_case=case, load_value=value, n_elements=n_elements)
-    section = _section(top, errors, PlateSection)
-    bc = top.block("bc")
-    boundary = bc.choice("set", BOUNDARY_CONDITIONS, "clamped")
-    bc.close()
-    load = top.block("load")
-    pressure = load.number("pressure", 1.0)
-    if pressure == 0.0:
-        errors.append("load.pressure: must be nonzero")
+        key, names, default, minimum = VALUE_KEYS[case], ("n_elements",), 200, 1
+        parity = "midspan" if case in MIDSPAN_CASES else None
+    else:
+        section = _section(top, errors, PlateSection)
+        bc = top.block("bc")
+        case = bc.choice("set", BOUNDARY_CONDITIONS, "clamped")
+        bc.close()
+        load = top.block("load")
+        key, names, default, minimum, parity = "pressure", ("nx", "ny"), 24, 2, "center-node"
+    value = load.number(key, 1.0)
+    if value == 0.0:
+        errors.append(f"load.{key}: must be nonzero")
     load.close()
     mesh = top.block("mesh")
-    counts = {name: mesh.integer(name, 24, minimum=2) for name in ("nx", "ny")}
+    elements = tuple(mesh.integer(name, default, minimum=minimum) for name in names)
     mesh.close()
-    for name, n in counts.items():
-        if n % 2:
-            errors.append(f"mesh.{name}: must be even for the center-node metric")
-    return dict(plate_section=section, boundary=boundary, pressure=pressure, **counts)
+    for name, n in zip(names, elements):
+        if parity and n % 2:
+            errors.append(f"mesh.{name}: must be even for the {parity} metric")
+    return dict(section=section, case=case, load=value, elements=elements)
 
 
 def parse_config(text: str, subcommand: str) -> RunConfig:
@@ -319,11 +314,12 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         grid.close()
         k_values: tuple[float, ...] = ()
         if k_min is not None and k_max is not None:
+            step = (k_max - k_min) / (count - 1) if count > 1 else 0.0
+            k_values = tuple(k_min + step * i for i in range(count))
             if k_max < k_min:
                 errors.append("k_grid.max: must be >= k_grid.min")
-            else:
-                step = (k_max - k_min) / (count - 1) if count > 1 else 0.0
-                k_values = tuple(k_min + step * i for i in range(count))
+            elif len(set(k_values)) < count:
+                errors.append(f"k_grid: the {count} wavenumbers from min to max are not distinct")
         kwargs.update(
             target="dispersion",
             kernel_specs=tuple(specs),

@@ -30,8 +30,8 @@ numbering, each field's free (y, x) node ranges, and one HatRows per
 distinct axis mesh and rule: the Gauss rule, the hat rows N at its points
 and the consistent load N^T w.  None of them depends on the kernel, so a
 model builds them once and hands them to every AxisQuadrature it builds.
-The entry points (assemble, solve_metric, results.sweep) read a model's free
-block size from its Axes too, so a model keeps only its physics.
+solve_metric and results.sweep read a model's free block size from its
+Axes too, so a model keeps only its physics.
 """
 
 from __future__ import annotations

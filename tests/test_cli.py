@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nle import beam, cli, dispersion, fem
+from nle import beam, cli, dispersion, fem, plate
 from nle.cli import (
     CONVERGENCE_RESIDUAL_TOL,
     EXIT_CONFIG,
@@ -339,6 +339,27 @@ def test_convergence_solves_only_the_reported_systems(tmp_path, monkeypatch):
         CONVERGENCE_RESIDUAL_TOL,
     )
     assert lines[1].split(",")[2] == repr(coarse)
+
+
+def test_convergence_refines_a_non_square_plate_along_each_axis(tmp_path):
+    # a clamped 2 x 1 plate on 4 x 2 elements, then 8 x 4: every level must
+    # keep nx along the long side and ny along the short one
+    text = (
+        "target: plate\nkernel: {kind: exponential, l0: 2.5e-3}\nhorizon: {l_f: 0.5}\n"
+        "geometry: {length_x: 2.0}\nmesh: {nx: 4, ny: 2}\nrefinements: 1\n"
+    )
+    code, out = run(tmp_path, "convergence", text)
+    assert code == EXIT_OK
+    lines = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[1] for row in rows] == ["4x2", "8x4"]
+    section = plate.PlateSection(length_x=2.0)
+    for row, (nx, ny) in zip(rows, [(4, 2), (8, 4)]):
+        model = plate.MindlinPlateModel(section, 1.0, "clamped", nx, ny)
+        metric = fem.solve_metric(
+            model, ExponentialKernel(2.5e-3), 0.5, residual_tol=CONVERGENCE_RESIDUAL_TOL
+        )
+        assert row[2] == repr(metric)
 
 
 # ---------------------------------------------------------------------------

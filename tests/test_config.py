@@ -42,14 +42,14 @@ def errors_of(text: str, subcommand: str) -> str:
 
 def test_beam_minimal_config_takes_production_defaults():
     cfg = parse_config(BEAM_MINIMAL, "beam")
-    assert cfg.n_elements == 200
-    assert cfg.load_case == "cantilever_tip"
-    assert cfg.load_value == 1.0
+    assert cfg.elements == (200,)
+    assert cfg.case == "cantilever_tip"
+    assert cfg.load == 1.0
     assert cfg.threads == 1
-    assert cfg.beam_section.modulus == 30e9
-    assert cfg.beam_section.poisson == 0.3
-    assert cfg.beam_section.shear_correction == pytest.approx(5.0 / 6.0)
-    assert cfg.beam_section.length == 1.0
+    assert cfg.section.modulus == 30e9
+    assert cfg.section.poisson == 0.3
+    assert cfg.section.shear_correction == pytest.approx(5.0 / 6.0)
+    assert cfg.section.length == 1.0
     assert cfg.kernel_specs[0].kind == "exponential"
     assert cfg.kernel_specs[0].param == 0.0025
     assert cfg.l_f_grid == (0.5,)
@@ -57,11 +57,11 @@ def test_beam_minimal_config_takes_production_defaults():
 
 def test_plate_minimal_config_takes_production_defaults():
     cfg = parse_config(BEAM_MINIMAL, "plate")
-    assert (cfg.nx, cfg.ny) == (24, 24)
-    assert cfg.boundary == "clamped"
-    assert cfg.pressure == 1.0
-    assert cfg.plate_section.length_x == 1.0
-    assert cfg.plate_section.thickness == pytest.approx(0.1)
+    assert cfg.elements == (24, 24)
+    assert cfg.case == "clamped"
+    assert cfg.load == 1.0
+    assert cfg.section.length_x == 1.0
+    assert cfg.section.thickness == pytest.approx(0.1)
 
 
 def test_dispersion_defaults_and_grid():
@@ -92,7 +92,7 @@ material:
 """,
         "beam",
     )
-    assert cfg.beam_section.modulus == 70e9
+    assert cfg.section.modulus == 70e9
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +362,19 @@ horizon: {l_f_grid: []}
         ],
     ),
     (
+        "k_grid_repeated_wavenumber",
+        "dispersion",
+        "kernel: {kind: power_law, alpha: 0.75}\nk_grid: {min: 5, max: 5, count: 3}\n",
+        ["k_grid: the 3 wavenumbers from min to max are not distinct"],
+    ),
+    (
+        "k_grid_wavenumbers_equal_after_rounding",
+        "dispersion",
+        "kernel: {kind: power_law, alpha: 0.75}\n"
+        "k_grid: {min: 1.0, max: 1.0000000000000002, count: 3}\n",
+        ["k_grid: the 3 wavenumbers from min to max are not distinct"],
+    ),
+    (
         "non_finite_kernel_length",
         "beam",
         "kernel: {kind: exponential, l0: .inf}\nhorizon: {l_f: 0.5}\n",
@@ -534,30 +547,29 @@ GRID_KERNELS = (
 
 
 def _recorded(subcommand, target, kernels, **fields):
-    """Every field of a RunConfig as dataclasses.asdict gives it; unlisted ones at defaults."""
+    """Every field of a RunConfig as dataclasses.asdict gives it; unlisted ones unused."""
     return dict(
         dict(
             subcommand=subcommand,
             target=target,
             kernel_specs=tuple(dict(kind=kind, param=param) for kind, param in kernels),
             l_f_grid=(),
-            beam_section=None,
-            plate_section=None,
+            section=None,
+            case=None,
+            load=None,
+            elements=(),
             material=None,
             k_values=(),
-            n_elements=200,
-            nx=24,
-            ny=24,
-            load_case="cantilever_tip",
-            load_value=1.0,
-            boundary="clamped",
-            pressure=1.0,
-            refinements=1,
+            refinements=None,
             threads=1,
             output=None,
         ),
         **fields,
     )
+
+
+BEAM = dict(section=BEAM_SECTION, case="cantilever_tip", load=1.0, elements=(200,))
+PLATE = dict(section=PLATE_SECTION, case="clamped", load=1.0, elements=(24, 24))
 
 
 def _k_grid(k_min, k_max, count):
@@ -567,22 +579,23 @@ def _k_grid(k_min, k_max, count):
 
 SHIPPED_VALUES = {
     "beam_cantilever.yaml": _recorded(
-        "beam", "beam", [("exponential", 2.5e-3)], l_f_grid=(0.5,), beam_section=BEAM_SECTION
+        "beam", "beam", [("exponential", 2.5e-3)], l_f_grid=(0.5,), **BEAM
     ),
     "convergence_beam.yaml": _recorded(
         "convergence",
         "beam",
         [("exponential", 2.5e-3)],
         l_f_grid=(0.5,),
-        beam_section=BEAM_SECTION,
         refinements=2,
+        **BEAM,
     ),
     "convergence_plate.yaml": _recorded(
         "convergence",
         "plate",
         [("exponential", 2.5e-3)],
         l_f_grid=(0.5,),
-        plate_section=PLATE_SECTION,
+        refinements=1,
+        **PLATE,
     ),
     "dispersion_exponential.yaml": _recorded(
         "dispersion",
@@ -603,14 +616,13 @@ SHIPPED_VALUES = {
         "plate",
         [("power_law", 0.8)],
         l_f_grid=(0.5,),
-        plate_section=PLATE_SECTION,
-        boundary="simply_supported",
+        **dict(PLATE, case="simply_supported"),
     ),
     "sweep_beam.yaml": _recorded(
-        "sweep", "beam", GRID_KERNELS, l_f_grid=(0.5, 0.75, 1.0), beam_section=BEAM_SECTION
+        "sweep", "beam", GRID_KERNELS, l_f_grid=(0.5, 0.75, 1.0), **BEAM
     ),
     "sweep_plate.yaml": _recorded(
-        "sweep", "plate", GRID_KERNELS, l_f_grid=(0.5, 0.75, 1.0), plate_section=PLATE_SECTION
+        "sweep", "plate", GRID_KERNELS, l_f_grid=(0.5, 0.75, 1.0), **PLATE
     ),
 }
 
