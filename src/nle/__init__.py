@@ -33,7 +33,7 @@ from .kernels import (
     exponential,
     power_law,
 )
-from .operator import HorizonSpec, build_operator_matrix
+from .operator import build_operator_matrix
 from .plate import MindlinPlateModel, PlateSection
 from .results import ALPHA_FLOOR, KernelSpec, SweepResult, sweep
 
@@ -44,7 +44,6 @@ __all__ = [
     "BeamSection",
     "ConfigError",
     "ExponentialKernel",
-    "HorizonSpec",
     "KernelError",
     "KernelSpec",
     "LocalDelta",

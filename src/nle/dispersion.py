@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import ExponentialKernel, Kernel, LocalDelta, power_law
-from .operator import HorizonSpec, build_operator_matrix
+from .operator import build_operator_matrix
 
 __all__ = [
     "Material1D",
@@ -161,8 +161,7 @@ def _symbol(k: float, kernel: Kernel, horizon_length: float, h: float) -> comple
     """
     n = math.ceil(horizon_length / h)
     nodes = h * (np.arange(-n - 1, n + 1) + 0.5)
-    horizon = HorizonSpec(horizon_length, float(nodes[0]), float(nodes[-1]))
-    row = build_operator_matrix(nodes, [0.0], horizon, kernel)
+    row = build_operator_matrix(nodes, [0.0], horizon_length, kernel)
     return complex(row.apply(np.exp(1j * k * nodes))[0])
 
 

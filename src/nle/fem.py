@@ -47,7 +47,7 @@ import numpy as np
 from scipy import linalg
 
 from .kernels import Kernel, check_admissible
-from .operator import HorizonSpec, build_operator_matrix
+from .operator import build_operator_matrix
 
 __all__ = [
     "IntervalMesh",
@@ -224,19 +224,20 @@ class AxisQuadrature:
 
     points, weights and N come from hats, the HatRows of the mesh and rule,
     and mesh is hats.mesh.  B holds the nonlocal gradient rows for the given
-    kernel and horizon radius; with the local delta kernel B degenerates to
-    the element-gradient rows.  The consistent load is hats.load, which
-    does not depend on the kernel either.  A horizon radius that is not
-    positive, or a kernel that does not decay positively over it
-    (kernels.check_admissible), is rejected before any row is built.
+    kernel and horizon radius, each horizon clipped to the mesh [0, length];
+    with the local delta kernel, or a radius under 1e-13 of the length, B
+    degenerates to the element-gradient rows.  The consistent load is
+    hats.load, which does not depend on the kernel either.  A horizon
+    radius that is not positive, or a kernel that does not decay
+    positively over it (kernels.check_admissible), is rejected before any
+    row is built.
     """
 
     def __init__(self, hats: HatRows, kernel: Kernel, horizon_radius: float):
         self.points, self.weights, self.N = hats.points, hats.weights, hats.N
         self.mesh = hats.mesh
-        horizon = HorizonSpec(l_f=horizon_radius, x_min=0.0, x_max=self.mesh.length)
         check_admissible(kernel, horizon_radius)
-        self.B = build_operator_matrix(self.mesh.nodes, self.points, horizon, kernel).weights
+        self.B = build_operator_matrix(self.mesh.nodes, self.points, horizon_radius, kernel).weights
 
 
 def gram(P: np.ndarray, Q: np.ndarray, weights: np.ndarray) -> np.ndarray:

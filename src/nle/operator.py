@@ -7,10 +7,12 @@ The operator averages the field gradient over a two-sided horizon,
 
 with the frame multipliers c = 1 / (2 * F(l)) of each side, F the kernel's
 one-sided moment (see nle.kernels).  Horizon lengths are clipped to the
-physical domain, so the multipliers change from point to point near a
-boundary.  At a boundary point one side has zero length and the operator is
-defined by its one-sided limit: the vanished side contributes phi'(x)/2
-exactly.
+body, the span of the mesh, so the multipliers change from point to point
+near a boundary.  At a boundary point one side has zero length and the
+operator is defined by its one-sided limit: the vanished side contributes
+phi'(x)/2 exactly.  Where both sides vanish (a radius below the snap length
+of the span) the two halves make the whole gradient, and the row is the
+element gradient.
 
 build_operator_matrix maps nodal values of a piecewise linear interpolant to
 operator values at arbitrary evaluation points.  Since the interpolant's
@@ -46,7 +48,6 @@ import numpy as np
 from .kernels import Kernel, LocalDelta
 
 __all__ = [
-    "HorizonSpec",
     "NonlocalOperatorMatrix",
     "build_operator_matrix",
 ]
@@ -58,39 +59,20 @@ logger = logging.getLogger(__name__)
 _BLOCK_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True)
-class HorizonSpec:
-    """Nominal interaction radius l_f truncated to the domain [x_min, x_max]."""
+def _effective_side_arrays(
+    nodes: np.ndarray, pts: np.ndarray, horizon_radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Side lengths at each point clipped to the node span, sub-roundoff sides snapped to zero.
 
-    l_f: float
-    x_min: float
-    x_max: float
-
-    def __post_init__(self) -> None:
-        if not self.l_f > 0.0:
-            raise ValueError(f"horizon radius must be positive (got {self.l_f!r})")
-        if not self.x_max > self.x_min:
-            raise ValueError("horizon domain is empty or reversed")
-
-
-def _effective_side_arrays(horizon: HorizonSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped side lengths at each point, with sub-roundoff sides snapped to zero.
-
-    A side shorter than ~1e-13 of the domain is numerically indistinguishable
+    A side shorter than ~1e-13 of the span is numerically indistinguishable
     from the boundary limit (its normalized integral differs from phi'/2 by
     O(side length)), and on a side of subnormal length the exponential
     kernel's multiplier 0.5 / F overflows to inf (5e-324 gives inf), so
     such a side is treated as vanished.
     """
-    outside = (pts < horizon.x_min) | (pts > horizon.x_max)
-    if np.any(outside):
-        raise ValueError(
-            f"evaluation point {float(pts[outside][0])!r} lies outside "
-            f"[{horizon.x_min!r}, {horizon.x_max!r}]"
-        )
-    tiny = 1e-13 * (horizon.x_max - horizon.x_min)
-    l_minus = np.minimum(horizon.l_f, pts - horizon.x_min)
-    l_plus = np.minimum(horizon.l_f, horizon.x_max - pts)
+    tiny = 1e-13 * (nodes[-1] - nodes[0])
+    l_minus = np.minimum(horizon_radius, pts - nodes[0])
+    l_plus = np.minimum(horizon_radius, nodes[-1] - pts)
     return np.where(l_minus < tiny, 0.0, l_minus), np.where(l_plus < tiny, 0.0, l_plus)
 
 
@@ -151,7 +133,7 @@ class NonlocalOperatorMatrix:
 def build_operator_matrix(
     nodes: np.ndarray,
     eval_points: np.ndarray,
-    horizon: HorizonSpec,
+    horizon_radius: float,
     kernel: Kernel,
 ) -> NonlocalOperatorMatrix:
     """Assemble the discrete nonlocal gradient on a 1D mesh.
@@ -162,9 +144,10 @@ def build_operator_matrix(
         Strictly increasing node coordinates of the interpolation mesh.
     eval_points : array
         Where the operator is evaluated (typically Gauss points); each must
-        lie inside the mesh span and the horizon domain.
-    horizon, kernel
-        Interaction radius (domain-clipped per point) and attenuation kernel.
+        lie inside the mesh span.
+    horizon_radius, kernel
+        Interaction radius l_f, clipped per point to the mesh span, and
+        attenuation kernel.
 
     For a kernel singular at the origin whose clipped horizon does not reach
     past the element containing the evaluation point, the row degenerates to
@@ -177,8 +160,10 @@ def build_operator_matrix(
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     if np.any(pts < nodes[0]) or np.any(pts > nodes[-1]):
         raise ValueError("evaluation points must lie within the mesh span")
+    if not horizon_radius > 0.0:
+        raise ValueError(f"horizon radius must be positive (got {horizon_radius!r})")
 
-    l_minus, l_plus = _effective_side_arrays(horizon, pts)
+    l_minus, l_plus = _effective_side_arrays(nodes, pts, horizon_radius)
     h = np.diff(nodes)
     inv_h = 1.0 / h
     element = np.clip(np.searchsorted(nodes, pts, side="right") - 1, 0, nodes.size - 2)
@@ -186,11 +171,12 @@ def build_operator_matrix(
 
     local_kernel = isinstance(kernel, LocalDelta)
     fallback = (not local_kernel and kernel.is_singular_at_origin) & (l_minus + l_plus < h[element])
-    local = local_kernel | fallback
+    local = local_kernel | fallback | ((l_minus == 0.0) & (l_plus == 0.0))
     boundary = ~local & ((l_minus == 0.0) | (l_plus == 0.0))
 
-    # Element-gradient rows: whole for local and fallback rows, half for
-    # boundary rows, where the vanished side contributes phi'(x)/2.
+    # Element-gradient rows: whole for local and fallback rows and where both
+    # sides vanished, half for boundary rows, where the vanished side
+    # contributes phi'(x)/2.
     rows = np.nonzero(local | boundary)[0]
     e = element[rows]
     grad = np.where(local[rows], 1.0, 0.5) * inv_h[e]

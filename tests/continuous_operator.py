@@ -10,10 +10,14 @@ with F(l) = integral_0^l K the one-sided moment and l the side length after
 clipping to the domain.  A side that has vanished contributes its limit,
 phi'(x)/2, so interior and boundary values come from the same formula.
 
+The operator matrix clips each horizon to its mesh; the oracle takes its
+domain as a Horizon, which may reach beyond any mesh (a wall at -eps, say).
+
 Not collected by pytest (no test_ prefix); tests import it by module name.
 """
 
 import math
+from typing import NamedTuple
 
 from scipy import integrate
 
@@ -21,6 +25,14 @@ from nle.kernels import LocalDelta, PowerLawKernel
 
 QUAD_TOL = 1e-13
 QUAD_LIMIT = 800
+
+
+class Horizon(NamedTuple):
+    """Radius l_f clipped to the domain [x_min, x_max]."""
+
+    l_f: float
+    x_min: float
+    x_max: float
 
 
 def clipped_sides(horizon, x):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from continuous_operator import continuous_gradient
+from continuous_operator import Horizon, continuous_gradient
 
 from nle import fem
 from nle.beam import BeamSection, TimoshenkoBeamModel
@@ -23,11 +23,11 @@ from nle.dispersion import (
     numerical_dispersion,
 )
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
-from nle.operator import HorizonSpec, build_operator_matrix
+from nle.operator import build_operator_matrix
 from nle.plate import MindlinPlateModel, W as W_FIELD, PlateSection
 from nle.results import KernelSpec, sweep
 
-UNIT = HorizonSpec(l_f=0.5, x_min=0.0, x_max=1.0)
+UNIT = Horizon(l_f=0.5, x_min=0.0, x_max=1.0)
 
 # Production sweep grids: every (kernel, l_f) pair is exercised for both beam
 # load cases and both plate edge sets.
@@ -167,7 +167,7 @@ def test_criterion_1_affine_reproduction():
     for kernel in kernels:
         slope = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
         intercept = float(rng.uniform(-2.0, 2.0))
-        weights = build_operator_matrix(nodes, points, UNIT, kernel).weights
+        weights = build_operator_matrix(nodes, points, UNIT.l_f, kernel).weights
         values = weights @ (slope * nodes + intercept)
         worst = float(np.max(np.abs(values - slope)) / abs(slope))
         if worst > 1e-12:
@@ -190,7 +190,7 @@ def test_criterion_2_boundary_limit():
         limit = continuous_gradient(dfield, 0.0, UNIT, kernel)
         gaps = []
         for l_minus in (1e-2, 1e-3, 1e-4):
-            horizon = HorizonSpec(l_f=0.5, x_min=-l_minus, x_max=1.0)
+            horizon = Horizon(l_f=0.5, x_min=-l_minus, x_max=1.0)
             full = continuous_gradient(dfield, 0.0, horizon, kernel)
             gaps.append(abs(full - limit))
         if not gaps[0] > gaps[1] > gaps[2]:
@@ -205,7 +205,7 @@ def test_criterion_2_boundary_limit():
     for kernel in (ExponentialKernel(0.1), PowerLawKernel(0.75)):
         for wall, inward in ((0.0, 1.0), (1.0, -1.0)):
             points = np.array([wall] + [wall + inward * d for d in deltas])
-            values = build_operator_matrix(nodes, points, UNIT, kernel).apply(samples)
+            values = build_operator_matrix(nodes, points, UNIT.l_f, kernel).apply(samples)
             gaps = np.abs(values[1:] - values[0])
             if not np.all(np.diff(gaps) < 0.0):
                 failures.append(f"{kernel!r} rows near x={wall}: gaps {gaps} do not shrink strictly")

@@ -7,7 +7,7 @@ from nle import fem
 from nle.beam import BeamSection, TimoshenkoBeamModel
 from nle.fem import AxisQuadrature, HatRows, gram
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel, power_law
-from nle.operator import HorizonSpec, build_operator_matrix
+from nle.operator import build_operator_matrix
 from nle.plate import BOUNDARY_CONDITIONS, MindlinPlateModel, PlateSection
 from nle.results import KernelSpec, sweep
 from strain_oracle import beam_strains
@@ -375,8 +375,7 @@ def test_self_convergence_at_production_resolution():
 # ---------------------------------------------------------------------------
 
 def _operator_on_mesh(mesh, kernel, l_f, points):
-    horizon = HorizonSpec(l_f=l_f, x_min=0.0, x_max=mesh.length)
-    return build_operator_matrix(mesh.nodes, points, horizon, kernel)
+    return build_operator_matrix(mesh.nodes, points, l_f, kernel)
 
 
 def test_strains_vanish_for_rigid_translation():

@@ -467,6 +467,38 @@ def test_dispersion_verify_fails_on_a_scaled_operator(tmp_path, capsys, monkeypa
     assert "verify FAIL dispersion_matches_operator" in capsys.readouterr().out
 
 
+POWER_LAW_DISPERSION_YAML = (ROOT / "configs" / "dispersion_power_law.yaml").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [None, "{min: 1.0e+10, max: 1.0000000000000004e+10, count: 3}"],
+    ids=["shipped", "wavenumbers_one_log_ulp_apart"],
+)
+def test_power_law_dispersion_verify_passes_its_log_log_line(tmp_path, capsys, grid):
+    # wavenumbers so close that their logs round equal must not divide by
+    # a zero log step
+    text = POWER_LAW_DISPERSION_YAML
+    if grid is not None:
+        text = text[: text.index("k_grid:")] + f"k_grid: {grid}\n"
+    code, _ = run(tmp_path, "dispersion", text, "--verify")
+    assert code == EXIT_OK
+    assert "verify PASS dispersion_loglog_slope" in capsys.readouterr().out
+
+
+def test_power_law_dispersion_verify_fails_on_one_spoiled_row(tmp_path, capsys, monkeypatch):
+    closed_form = dispersion.dispersion_powerlaw
+
+    def spoiled(k, material, alpha):
+        vp2 = closed_form(k, material, alpha)
+        return vp2 * (1.0 + 1e-6) if k == 10000.0 else vp2
+
+    monkeypatch.setattr(dispersion, "dispersion_powerlaw", spoiled)
+    code, _ = run(tmp_path, "dispersion", POWER_LAW_DISPERSION_YAML, "--verify")
+    assert code == EXIT_VERIFY
+    assert "verify FAIL dispersion_loglog_slope" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # failure categories
 # ---------------------------------------------------------------------------
@@ -685,6 +717,26 @@ def test_sweep_keeps_going_past_a_failed_row(tmp_path):
     statuses = [line.split(",")[-1] for line in lines[1:]]
     assert statuses.count("error:SolverError") == 2
     assert statuses.count("ok") == 8
+
+
+def test_a_sweep_row_whose_horizon_vanishes_is_the_local_solution(tmp_path):
+    # l_f = 1e-14 leaves both sides of every Gauss point under the snap
+    # length; the rows are then the element gradients, so w_bar is exactly 1
+    text = """
+target: beam
+kernels:
+  - kind: exponential
+    l0_grid: [1.0e-3]
+horizon:
+  l_f_grid: [0.5, 1.0e-14]
+mesh:
+  n_elements: 200
+"""
+    code, out = run(tmp_path, "sweep", text)
+    assert code == EXIT_OK
+    header, _, vanished = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), vanished.split(",")))
+    assert (cells["l_f"], cells["w_bar"], cells["status"]) == ("1e-14", "1.0", "ok")
 
 
 def test_nonsense_subcommand_is_refused_by_the_parser():

@@ -154,8 +154,8 @@ def test_numerical_resolution_guards():
 def test_numerical_reads_the_production_operator(monkeypatch):
     # a 1e-3 defect on one side of every operator row must open a gap above
     # the 1e-4 the oracle is held to
-    def skewed(nodes, eval_points, horizon, kernel):
-        op = build_operator_matrix(nodes, eval_points, horizon, kernel)
+    def skewed(nodes, eval_points, horizon_radius, kernel):
+        op = build_operator_matrix(nodes, eval_points, horizon_radius, kernel)
         leading = op.nodes[None, :] > op.eval_points[:, None]
         weights = np.where(leading, op.weights * (1.0 + 1e-3), op.weights)
         return NonlocalOperatorMatrix(weights, op.eval_points, op.nodes)

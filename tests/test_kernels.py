@@ -19,7 +19,7 @@ from nle.kernels import (
     exponential,
     power_law,
 )
-from nle.operator import HorizonSpec, build_operator_matrix
+from nle.operator import build_operator_matrix
 from nle.results import KernelSpec
 
 mp.mp.dps = 40
@@ -115,7 +115,7 @@ def test_normalization_identity(scaled, n_el, l_f):
     kernel, _ = scaled
     nodes = np.linspace(0.0, 1.0, n_el + 1)
     interior = nodes[1:-1]
-    weights = build_operator_matrix(nodes, interior, HorizonSpec(l_f, 0.0, 1.0), kernel).weights
+    weights = build_operator_matrix(nodes, interior, l_f, kernel).weights
     ramps = nodes[None, :] - interior[:, None]
     for ramp in (np.maximum(ramps, 0.0), np.minimum(ramps, 0.0)):
         assert np.max(np.abs(np.sum(weights * ramp, axis=1) - 0.5)) <= 1e-13

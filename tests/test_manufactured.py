@@ -20,11 +20,10 @@ import math
 import numpy as np
 import pytest
 
-from continuous_operator import continuous_gradient
+from continuous_operator import Horizon, continuous_gradient
 from nle import fem
 from nle.beam import FIELDS, THETA, U0, W0, BeamSection, TimoshenkoBeamModel
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
-from nle.operator import HorizonSpec
 
 L_F = 0.5
 SIZES = (200, 400, 800)
@@ -51,7 +50,7 @@ def solve_manufactured(kernel, n_elements):
     quadratures = model.quadratures(kernel, L_F)
     system = model.assemble(quadratures)
     bend = quadratures[model.axes.x_axis, fem.BENDING_POINTS]
-    horizon = HorizonSpec(l_f=L_F, x_min=0.0, x_max=model.section.length)
+    horizon = Horizon(l_f=L_F, x_min=0.0, x_max=model.section.length)
     dbar = np.array([continuous_gradient(du_star, x, horizon, kernel) for x in bend.points])
     nn = model.axes.n_nodes
     load = np.zeros(system.n_dofs)

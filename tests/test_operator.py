@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from continuous_operator import clipped_sides, continuous_gradient, side_integral
+from continuous_operator import Horizon, clipped_sides, continuous_gradient, side_integral
 from scipy import integrate
 
 from nle import operator as operator_module
@@ -17,17 +17,15 @@ from nle.kernels import (
     exponential,
     power_law,
 )
-from nle.operator import HorizonSpec, build_operator_matrix
+from nle.operator import build_operator_matrix
 
-UNIT = HorizonSpec(l_f=0.5, x_min=0.0, x_max=1.0)
+UNIT = Horizon(l_f=0.5, x_min=0.0, x_max=1.0)
 DEFAULT_BLOCK_ENTRIES = operator_module._BLOCK_ENTRIES
 
 
 def test_horizon_clipping():
-    with pytest.raises(ValueError):
-        HorizonSpec(l_f=0.0, x_min=0.0, x_max=1.0)
-    with pytest.raises(ValueError):
-        HorizonSpec(l_f=0.5, x_min=1.0, x_max=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        build_operator_matrix(np.linspace(0.0, 1.0, 5), [0.5], 0.0, ExponentialKernel(0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +105,7 @@ def test_shrinking_side_approaches_boundary_limit(kernel):
     limit = continuous_gradient(df, 0.0, UNIT, kernel)
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
-        horizon = HorizonSpec(l_f=0.5, x_min=-eps, x_max=1.0)
+        horizon = Horizon(l_f=0.5, x_min=-eps, x_max=1.0)
         full = continuous_gradient(df, 0.0, horizon, kernel)
         gaps.append(abs(full - limit))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -131,7 +129,7 @@ def _interp_gradient(nodes, values):
 def test_matrix_annihilates_constants(kernel):
     nodes = np.linspace(0.0, 1.0, 41)
     pts = np.linspace(0.01, 0.99, 23)
-    op = build_operator_matrix(nodes, pts, UNIT, kernel)
+    op = build_operator_matrix(nodes, pts, UNIT.l_f, kernel)
     out = op.apply(np.full(nodes.size, 7.3))
     assert np.max(np.abs(out)) <= 1e-12 * np.max(np.abs(op.weights))
 
@@ -142,7 +140,20 @@ def test_matrix_reproduces_affine_exactly(kernel):
     rng = np.random.default_rng(7)
     nodes = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 60)]))
     pts = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 200)])
-    op = build_operator_matrix(nodes, pts, UNIT, kernel)
+    op = build_operator_matrix(nodes, pts, UNIT.l_f, kernel)
+    out = op.apply(-2.7 * nodes + 0.4)
+    assert np.max(np.abs(out + 2.7)) <= 1e-12 * 2.7
+
+
+@pytest.mark.parametrize("radius", [1e-4, 1e-2, 0.5])
+def test_matrix_reproduces_affine_at_small_radii(radius):
+    # down to 1e-4 of the span; below it the error grows (2.9e-11 at 1e-6,
+    # 2.2e-5 at 1e-12), because c_minus is 0.5 / F(l_minus) while the side's
+    # end moment is F(x - (x - l_minus)), two roundings of one length
+    rng = np.random.default_rng(7)
+    nodes = np.linspace(0.0, 1.0, 201)
+    pts = rng.uniform(0.0, 1.0, 400)
+    op = build_operator_matrix(nodes, pts, radius, ExponentialKernel(1e-3))
     out = op.apply(-2.7 * nodes + 0.4)
     assert np.max(np.abs(out + 2.7)) <= 1e-12 * 2.7
 
@@ -151,7 +162,7 @@ def test_matrix_row_matches_continuous_operator_on_interpolant():
     nodes = np.linspace(0.0, 1.0, 21)
     samples = np.sin(np.pi * nodes)
     kernel = ExponentialKernel(0.1)
-    op = build_operator_matrix(nodes, np.array([0.5]), UNIT, kernel)
+    op = build_operator_matrix(nodes, np.array([0.5]), UNIT.l_f, kernel)
     discrete = float(op.apply(samples)[0])
     reference = continuous_gradient(_interp_gradient(nodes, samples), 0.5, UNIT, kernel, breakpoints=nodes)
     assert discrete == pytest.approx(reference, rel=1e-10)
@@ -161,7 +172,7 @@ def test_matrix_boundary_rows_match_limit_formula():
     nodes = np.linspace(0.0, 1.0, 26)
     samples = np.cos(1.3 * nodes) + 0.2 * nodes
     kernel = PowerLawKernel(0.8)
-    op = build_operator_matrix(nodes, np.array([0.0, 1.0]), UNIT, kernel)
+    op = build_operator_matrix(nodes, np.array([0.0, 1.0]), UNIT.l_f, kernel)
     out = op.apply(samples)
     df = _interp_gradient(nodes, samples)
     for row, x0 in ((0, 0.0), (1, 1.0)):
@@ -169,10 +180,25 @@ def test_matrix_boundary_rows_match_limit_formula():
         assert out[row] == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), PowerLawKernel(0.75)], ids=["exponential", "power_law"])
+def test_horizons_clip_to_the_node_span(kernel):
+    # a mesh over [-0.3, 0.7]: the walls are its end nodes, not 0.0; the
+    # points avoid the nodes, where the power-law quadrature is poor
+    nodes = np.linspace(-0.3, 0.7, 41)
+    samples = np.sin(2.1 * nodes) + 0.3 * nodes**2
+    pts = np.array([-0.3, 0.7, -0.29, -0.21, -0.137, 0.013, 0.2456, 0.517, 0.61, 0.69])
+    out = build_operator_matrix(nodes, pts, 0.2, kernel).apply(samples)
+    df = _interp_gradient(nodes, samples)
+    horizon = Horizon(l_f=0.2, x_min=-0.3, x_max=0.7)
+    for value, x in zip(out, pts):
+        ref = continuous_gradient(df, x, horizon, kernel, breakpoints=nodes)
+        assert value == pytest.approx(ref, rel=1e-10), x
+
+
 def test_local_delta_rows_are_element_gradients():
     nodes = np.linspace(0.0, 1.0, 11)
     pts = np.array([0.05, 0.55, 0.96])
-    op = build_operator_matrix(nodes, pts, UNIT, LocalDelta())
+    op = build_operator_matrix(nodes, pts, UNIT.l_f, LocalDelta())
     expected = np.zeros((3, 11))
     for r, x in enumerate(pts):
         e = int(x / 0.1)
@@ -183,9 +209,8 @@ def test_local_delta_rows_are_element_gradients():
 
 def test_singular_kernel_short_horizon_falls_back_to_local(caplog):
     nodes = np.linspace(0.0, 1.0, 11)
-    tiny = HorizonSpec(l_f=0.01, x_min=0.0, x_max=1.0)
     with caplog.at_level(logging.WARNING, logger="nle.operator"):
-        op = build_operator_matrix(nodes, np.array([0.55]), tiny, PowerLawKernel(0.7))
+        op = build_operator_matrix(nodes, np.array([0.55]), 0.01, PowerLawKernel(0.7))
     assert "fell back" in caplog.text
     row = np.zeros(11)
     row[5], row[6] = -10.0, 10.0
@@ -194,20 +219,20 @@ def test_singular_kernel_short_horizon_falls_back_to_local(caplog):
 
 def test_matrix_row_population_is_horizon_bounded():
     nodes = np.linspace(0.0, 1.0, 101)
-    short = HorizonSpec(l_f=0.07, x_min=0.0, x_max=1.0)
+    l_f = 0.07
     pts = np.linspace(0.005, 0.995, 37)
-    op = build_operator_matrix(nodes, pts, short, ExponentialKernel(0.02))
+    op = build_operator_matrix(nodes, pts, l_f, ExponentialKernel(0.02))
     h = 0.01
     for r, x in enumerate(pts):
         nnz = int(np.sum(np.abs(op.weights[r]) > 0.0))
-        within = int(np.sum(np.abs(nodes - x) <= short.l_f + h))
+        within = int(np.sum(np.abs(nodes - x) <= l_f + h))
         assert nnz <= within + 2
 
 
-# Reference implementation: build_operator_matrix as a per-row loop.  It
-# adds the same terms in the same order (element-gradient rows first, then
-# the trailing and the leading side, each scaled as c * w / h), so the two
-# must agree bit for bit.
+# Reference implementation: build_operator_matrix as a per-row loop over a
+# Horizon whose domain is the mesh span.  It adds the same terms in the same
+# order (element-gradient rows first, then the trailing and the leading
+# side, each scaled as c * w / h), so the two must agree bit for bit.
 
 def _loop_operator_matrix(nodes, pts, horizon, kernel):
     nodes = np.asarray(nodes, dtype=float)
@@ -249,6 +274,9 @@ def _loop_operator_matrix(nodes, pts, horizon, kernel):
         elif kernel.is_singular_at_origin and (l_minus + l_plus) < (el_right[e] - el_left[e]):
             add_local(weights[r], e)
             n_fallback += 1
+        elif l_minus == 0.0 and l_plus == 0.0:
+            # each vanished side contributes phi'(x)/2
+            add_local(weights[r], e)
         elif l_minus == 0.0 or l_plus == 0.0:
             add_local(weights[r], e, scale=0.5)
             if l_plus > 0.0:
@@ -283,7 +311,7 @@ def _oracle_case(seed, uniform):
     # walls, every node, and scattered interior points
     pts = np.concatenate([[0.0, length], nodes, rng.uniform(0.0, length, 40)])
     l_f = length * rng.choice([0.02, 0.1, 0.3, 0.7, 1.5])
-    return nodes, pts, HorizonSpec(l_f=l_f, x_min=0.0, x_max=length)
+    return nodes, pts, Horizon(l_f=l_f, x_min=0.0, x_max=length)
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=_kernel_id)
@@ -292,7 +320,7 @@ def test_matrix_equals_per_row_loop_bitwise(kernel, uniform):
     for seed in range(25):
         nodes, pts, horizon = _oracle_case(seed, uniform)
         expected, _ = _loop_operator_matrix(nodes, pts, horizon, kernel)
-        op = build_operator_matrix(nodes, pts, horizon, kernel)
+        op = build_operator_matrix(nodes, pts, horizon.l_f, kernel)
         assert op.weights.tobytes() == expected.tobytes(), (seed, kernel)
 
 
@@ -310,7 +338,7 @@ def test_matrix_equals_per_row_loop_across_blocks(monkeypatch):
         expected, _ = _loop_operator_matrix(nodes, pts, UNIT, kernel)
         for block in ("one_row", "default", "whole"):
             monkeypatch.setattr(operator_module, "_BLOCK_ENTRIES", _block_entries(block, pts.size, nodes.size))
-            op = build_operator_matrix(nodes, pts, UNIT, kernel)
+            op = build_operator_matrix(nodes, pts, UNIT.l_f, kernel)
             assert op.weights.tobytes() == expected.tobytes(), (kernel, block)
 
 
@@ -320,15 +348,32 @@ def test_short_horizon_fallback_rows_match_loop(kernel, caplog):
     rng = np.random.default_rng(11)
     nodes = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 12)]))
     pts = np.concatenate([[0.0, 1.0], nodes, rng.uniform(0.0, 1.0, 50)])
-    short = HorizonSpec(l_f=0.004, x_min=0.0, x_max=1.0)
+    short = Horizon(l_f=0.004, x_min=0.0, x_max=1.0)
     expected, n_fallback = _loop_operator_matrix(nodes, pts, short, kernel)
     assert n_fallback > 0
     with caplog.at_level(logging.WARNING, logger="nle.operator"):
-        op = build_operator_matrix(nodes, pts, short, kernel)
+        op = build_operator_matrix(nodes, pts, short.l_f, kernel)
     assert op.weights.tobytes() == expected.tobytes()
     warnings = [r for r in caplog.records if "fell back" in r.getMessage()]
     assert len(warnings) == 1
     assert warnings[0].getMessage().startswith(f"{n_fallback} of {pts.size} operator rows")
+
+
+def test_rows_whose_two_sides_vanish_read_the_whole_gradient():
+    # a radius under 1e-13 of the span snaps both sides to zero; each adds
+    # phi'(x)/2, so the row is the element gradient, the local row bit for bit
+    nodes = np.linspace(0.0, 1.0, 201)
+    pts = np.array([0.0, 0.3, 0.5025, 1.0])
+    kernel = ExponentialKernel(1e-3)
+    horizon = Horizon(l_f=1e-14, x_min=0.0, x_max=1.0)
+    op = build_operator_matrix(nodes, pts, horizon.l_f, kernel)
+    for value, x in zip(op.apply(1.7 * nodes - 0.2), pts):
+        assert value == pytest.approx(continuous_gradient(lambda y: 1.7, x, horizon, kernel), rel=1e-14)
+    local = build_operator_matrix(nodes, pts, horizon.l_f, LocalDelta())
+    assert op.weights.tobytes() == local.weights.tobytes()
+    expected, n_fallback = _loop_operator_matrix(nodes, pts, horizon, kernel)
+    assert n_fallback == 0
+    assert op.weights.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +402,11 @@ def test_matrix_equals_loop_at_the_reach_and_window_edges(uniform, to_reach, blo
     else:
         nodes = np.unique(np.concatenate([[0.0, 1.7], rng.uniform(0.0, 1.7, 95)]))
     l_f = float(np.nextafter(kernel.reach, kernel.reach + to_reach))
-    horizon = HorizonSpec(l_f=l_f, x_min=0.0, x_max=1.7)
+    horizon = Horizon(l_f=l_f, x_min=0.0, x_max=1.7)
     edges = [kernel.reach, 1.7 - kernel.reach, 0.8 - kernel.reach, 0.8 + kernel.reach, 0.0, 1.7]
     pts = _window_edge_points(nodes, edges, rng)
     monkeypatch.setattr(operator_module, "_BLOCK_ENTRIES", _block_entries(block, pts.size, nodes.size))
-    op = build_operator_matrix(nodes, pts, horizon, kernel)
+    op = build_operator_matrix(nodes, pts, l_f, kernel)
     expected, _ = _loop_operator_matrix(nodes, pts, horizon, kernel)
     assert op.weights.tobytes() == expected.tobytes()
 
@@ -379,8 +424,8 @@ def test_matrix_equals_loop_when_horizon_ends_land_on_nodes(kernel, k):
     h = 1.0 / 64.0
     nodes = np.arange(65) * h
     pts = np.concatenate([nodes, nodes[:-1] + 0.5 * h, nodes[:-1] + 0.25 * h])
-    horizon = HorizonSpec(l_f=k * h, x_min=0.0, x_max=1.0)
-    op = build_operator_matrix(nodes, pts, horizon, kernel)
+    horizon = Horizon(l_f=k * h, x_min=0.0, x_max=1.0)
+    op = build_operator_matrix(nodes, pts, horizon.l_f, kernel)
     expected, _ = _loop_operator_matrix(nodes, pts, horizon, kernel)
     assert op.weights.tobytes() == expected.tobytes()
 
@@ -416,19 +461,16 @@ def test_saturated_exponential_tails_are_not_evaluated(monkeypatch):
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), LocalDelta()])
 def test_matrix_rejects_points_outside_the_horizon_domain(kernel):
     nodes = np.linspace(0.0, 1.0, 11)
-    narrow = HorizonSpec(l_f=0.2, x_min=0.0, x_max=0.9)
-    with pytest.raises(ValueError, match="outside"):
-        build_operator_matrix(nodes, [0.5, 0.95], narrow, kernel)
     with pytest.raises(ValueError, match="span"):
-        build_operator_matrix(nodes, [-0.1], UNIT, kernel)
+        build_operator_matrix(nodes, [-0.1], UNIT.l_f, kernel)
 
 
 def test_matrix_input_validation():
     nodes = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="increasing"):
-        build_operator_matrix(nodes[::-1], [0.5], UNIT, LocalDelta())
+        build_operator_matrix(nodes[::-1], [0.5], UNIT.l_f, LocalDelta())
     with pytest.raises(ValueError, match="span"):
-        build_operator_matrix(nodes, [1.5], UNIT, LocalDelta())
+        build_operator_matrix(nodes, [1.5], UNIT.l_f, LocalDelta())
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +503,7 @@ def adjoint_integral(field, x, horizon, kernel):
 
 @pytest.mark.parametrize("kernel", [ExponentialKernel(0.1), PowerLawKernel(0.75), LocalDelta()])
 def test_adjoint_preserves_constants_on_symmetric_horizons(kernel):
-    value = adjoint_integral(lambda y: 1.0, 0.5, HorizonSpec(0.3, 0.0, 1.0), kernel)
+    value = adjoint_integral(lambda y: 1.0, 0.5, Horizon(0.3, 0.0, 1.0), kernel)
     assert value == pytest.approx(1.0, rel=1e-12)
 
 

@@ -18,7 +18,7 @@ from nle.fem import (
     gram,
 )
 from nle.kernels import ExponentialKernel, LocalDelta, power_law
-from nle.operator import HorizonSpec, build_operator_matrix
+from nle.operator import build_operator_matrix
 from nle.plate import (
     MindlinPlateModel,
     PlateSection,
@@ -562,8 +562,7 @@ def test_ssss_deflection_field_symmetric_under_reflections():
 # ---------------------------------------------------------------------------
 
 def _axis_operator(mesh_axis, kernel, l_f, points):
-    horizon = HorizonSpec(l_f=l_f, x_min=0.0, x_max=mesh_axis.length)
-    return build_operator_matrix(mesh_axis.nodes, points, horizon, kernel)
+    return build_operator_matrix(mesh_axis.nodes, points, l_f, kernel)
 
 
 def _displacement(mesh, **fields):
