@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from nle.cli import (
 )
 from nle.kernels import ExponentialKernel
 from nle.operator import NonlocalOperatorMatrix
+from nle.results import SweepResult
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -769,3 +771,279 @@ def test_importing_the_cli_leaves_out_scipy_integrate():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# verify lines, pinned
+# ---------------------------------------------------------------------------
+
+SOFTENING = ["rows_complete", "softening_never_below_unit", "softening_strict_when_nonlocal"]
+SWEEP_CHECKS = SOFTENING + [
+    "local_limit_unit_ratio",
+    "power_law_alpha_monotonicity",
+    "power_law_horizon_monotonicity",
+    "exponential_horizon_insensitivity",
+]
+EXPONENTIAL_DISPERSION = [
+    "dispersion_real",
+    "dispersion_bounded_by_local",
+    "dispersion_monotone_in_k",
+    "dispersion_matches_operator",
+]
+
+
+@pytest.mark.parametrize(
+    "config, subcommand, names",
+    [
+        ("beam_cantilever", "beam", SOFTENING),
+        ("convergence_beam", "convergence", ["self_convergence"]),
+        ("dispersion_exponential", "dispersion", EXPONENTIAL_DISPERSION),
+        ("dispersion_power_law", "dispersion", ["dispersion_loglog_slope", "dispersion_phase_angle"]),
+        ("plate_simply_supported", "plate", SOFTENING),
+        ("sweep_beam", "sweep", SWEEP_CHECKS),
+        ("sweep_plate", "sweep", SWEEP_CHECKS),
+    ],
+)
+def test_shipped_configs_print_exactly_these_verify_lines(tmp_path, capsys, config, subcommand, names):
+    path = ROOT / "configs" / f"{config}.yaml"
+    code = main([subcommand, "--config", str(path), "--out", str(tmp_path), "--verify"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [f"verify PASS {name}" for name in names]
+
+
+def verify_lines(tmp_path, capsys, monkeypatch, subcommand, text, result):
+    """Exit code and stdout lines of `--verify` on a hand-built result table."""
+    monkeypatch.setattr(cli, "_produce", lambda cfg, threads: result)
+    code, _ = run(tmp_path, subcommand, text, "--verify")
+    return code, capsys.readouterr().out.splitlines()
+
+
+def fails(lines, name, detail):
+    """lines with the PASS line of name turned into its FAIL line."""
+    return [f"verify FAIL {name}: {detail}" if l == f"verify PASS {name}" else l for l in lines]
+
+
+# kernel, param, l_f, w_bar of a sweep table on which every sweep check applies and passes
+SWEEP_ROWS = [
+    ("exponential", 1e-5, 0.5, 1.0),
+    ("exponential", 1e-5, 1.0, 1.0),
+    ("exponential", 0.01, 0.5, 1.2),
+    ("exponential", 0.01, 1.0, 1.2),
+    ("power_law", 0.9, 0.5, 1.1),
+    ("power_law", 0.9, 1.0, 1.2),
+    ("power_law", 0.8, 0.5, 1.3),
+    ("power_law", 0.8, 1.0, 1.4),
+    ("local", None, 0.5, 1.0),
+    ("local", None, 1.0, 1.0),
+]
+
+
+def sweep_table(rows, errors=()):
+    """A beam sweep table of rows; the rows at the indices in errors carry an error status."""
+    table = []
+    for i, (kind, param, l_f, w_bar) in enumerate(rows):
+        if i in errors:
+            table.append((kind, param, l_f, "cantilever_tip", None, None, None, "error:SolverError"))
+        else:
+            table.append((kind, param, l_f, "cantilever_tip", 1e-6 * w_bar, 1e-6, w_bar, "ok"))
+    return SweepResult(columns=beam.BEAM_SWEEP_COLUMNS, rows=table, metadata={})
+
+
+def spoiled(rows, index, w_bar):
+    return [r if i != index else r[:3] + (w_bar,) for i, r in enumerate(rows)]
+
+
+SWEEP_PASS = [f"verify PASS {name}" for name in SWEEP_CHECKS]
+SWEEP_SPOILS = {
+    "rows_complete": (SWEEP_ROWS, (9,), "1 of 10 rows carry an error status"),
+    "softening_never_below_unit": (
+        spoiled(SWEEP_ROWS, 0, 1.0 - 1e-6),
+        (),
+        "a nonlocal run deflected less than its local companion",
+    ),
+    "softening_strict_when_nonlocal": (
+        spoiled(spoiled(SWEEP_ROWS, 2, 1.0), 3, 1.0),
+        (),
+        "a genuinely nonlocal run failed to soften",
+    ),
+    "local_limit_unit_ratio": (
+        spoiled(SWEEP_ROWS, 8, 1.01),
+        (),
+        "a near-local run left the unit ratio by more than 0.001",
+    ),
+    "power_law_alpha_monotonicity": (
+        spoiled(SWEEP_ROWS, 6, 1.1),
+        (),
+        "softening must strictly grow as the exponent decreases",
+    ),
+    "power_law_horizon_monotonicity": (
+        spoiled(SWEEP_ROWS, 5, 1.1),
+        (),
+        "softening must strictly grow with the horizon radius",
+    ),
+    "exponential_horizon_insensitivity": (
+        spoiled(SWEEP_ROWS, 3, 1.25),
+        (),
+        "a short-range kernel varied by more than 1% across horizons",
+    ),
+}
+
+
+def test_a_hand_built_sweep_passes_every_sweep_check(tmp_path, capsys, monkeypatch):
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "sweep", SWEEP_YAML, sweep_table(SWEEP_ROWS))
+    assert (code, lines) == (EXIT_OK, SWEEP_PASS)
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SPOILS))
+def test_each_sweep_check_prints_its_fail_line(tmp_path, capsys, monkeypatch, name):
+    rows, errors, detail = SWEEP_SPOILS[name]
+    result = sweep_table(rows, errors)
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "sweep", SWEEP_YAML, result)
+    assert (code, lines) == (EXIT_VERIFY, fails(SWEEP_PASS, name, detail))
+
+
+@pytest.mark.parametrize(
+    "rows, failing",
+    [
+        (SWEEP_ROWS[2:], ["softening_never_below_unit", "softening_strict_when_nonlocal"]),
+        (SWEEP_ROWS, ["softening_never_below_unit", "local_limit_unit_ratio"]),
+    ],
+    ids=["nontrivial_exponential", "trivial_exponential"],
+)
+def test_a_nan_softening_ratio_fails_every_check_it_enters(tmp_path, capsys, monkeypatch, rows, failing):
+    # the NaN row is the first exponential row, so it enters the horizon check too
+    result = sweep_table(spoiled(rows, 0, float("nan")))
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "sweep", SWEEP_YAML, result)
+    assert code == EXIT_VERIFY
+    failed = [l.split()[2].rstrip(":") for l in lines if l.startswith("verify FAIL")]
+    assert failed == failing + ["exponential_horizon_insensitivity"]
+
+
+def test_a_sweep_without_an_ok_row_prints_only_rows_complete(tmp_path, capsys, monkeypatch):
+    result = sweep_table(SWEEP_ROWS, errors=range(10))
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "sweep", SWEEP_YAML, result)
+    assert (code, lines) == (EXIT_VERIFY, ["verify FAIL rows_complete: 10 of 10 rows carry an error status"])
+
+
+@pytest.mark.parametrize(
+    "rows, names",
+    [
+        ([SWEEP_ROWS[4]], SOFTENING),
+        ([SWEEP_ROWS[0]], ["rows_complete", "softening_never_below_unit", "local_limit_unit_ratio"]),
+        (
+            SWEEP_ROWS[::2],
+            SWEEP_CHECKS[:5],
+        ),
+    ],
+    ids=["one_nonlocal_row", "one_trivial_row", "one_horizon"],
+)
+def test_checks_that_need_two_rows_stay_absent(tmp_path, capsys, monkeypatch, rows, names):
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "sweep", SWEEP_YAML, sweep_table(rows))
+    assert (code, lines) == (EXIT_OK, [f"verify PASS {name}" for name in names])
+
+
+def dispersion_table(rows, kind, params):
+    return SweepResult(
+        columns=cli.DISPERSION_COLUMNS,
+        rows=[(k, vp2.real, vp2.imag, kind, params) for k, vp2 in rows],
+        metadata={"model": "dispersion"},
+    )
+
+
+MATERIAL = dispersion.Material1D(30.0e9, 2500.0)
+C2 = MATERIAL.local_velocity_sq
+EXPONENTIAL_KS = [1.0e-4, 1000.0, 1000.001, 2000.0]
+EXPONENTIAL_ROWS = [(k, dispersion.dispersion_exponential(k, MATERIAL, 1e-3)) for k in EXPONENTIAL_KS]
+POWER_LAW_ROWS = [(k, dispersion.dispersion_powerlaw(k, MATERIAL, 0.75)) for k in (1.0, 10.0, 100.0)]
+LOCAL_ROWS = [(k, complex(C2, 0.0)) for k in (100.0, 1000.0)]
+
+
+def changed(rows, index, vp2):
+    return [(k, vp2 if i == index else v) for i, (k, v) in enumerate(rows)]
+
+
+DISPERSION_SPOILS = {
+    "dispersion_real": (
+        "exponential",
+        changed(EXPONENTIAL_ROWS, 3, EXPONENTIAL_ROWS[3][1] + 1e-3j),
+        "imaginary part beyond rounding for a real branch",
+    ),
+    "dispersion_bounded_by_local": (
+        "exponential",
+        changed(EXPONENTIAL_ROWS, 0, complex(C2 * (1.0 + 2e-12))),
+        "squared phase velocity leaves (0, E/rho]",
+    ),
+    "dispersion_monotone_in_k": (
+        "exponential",
+        changed(EXPONENTIAL_ROWS, 2, EXPONENTIAL_ROWS[1][1] + 1e-9 * C2),
+        "squared phase velocity must not grow with wavenumber",
+    ),
+    "dispersion_matches_operator": (
+        "exponential",
+        changed(EXPONENTIAL_ROWS, 1, EXPONENTIAL_ROWS[1][1] * 1.5),
+        "the operator's relation leaves the printed one by 3.33e-01 (> 1e-4)",
+    ),
+    "dispersion_loglog_slope": (
+        "power_law",
+        changed(POWER_LAW_ROWS, 1, POWER_LAW_ROWS[1][1] * (1.0 + 1e-6)),
+        "log-log slope deviates from -0.5",
+    ),
+    "dispersion_phase_angle": (
+        "power_law",
+        changed(POWER_LAW_ROWS, 2, POWER_LAW_ROWS[2][1] * complex(math.cos(1e-6), math.sin(1e-6))),
+        "complex phase deviates from pi*(1+alpha)",
+    ),
+    "dispersion_local_constant": (
+        "local",
+        changed(LOCAL_ROWS, 1, complex(C2 * (1.0 + 1e-9))),
+        "local branch must equal E/rho at every wavenumber",
+    ),
+}
+DISPERSION_KERNELS = {
+    "exponential": ("kind: exponential\n  l0: 1.0e-3", "l0=0.001", EXPONENTIAL_ROWS, EXPONENTIAL_DISPERSION),
+    "power_law": (
+        "kind: power_law\n  alpha: 0.75",
+        "alpha=0.75",
+        POWER_LAW_ROWS,
+        ["dispersion_loglog_slope", "dispersion_phase_angle"],
+    ),
+    "local": ("kind: local", "", LOCAL_ROWS, ["dispersion_local_constant", "dispersion_matches_operator"]),
+}
+
+
+def dispersion_yaml(kind):
+    return DISPERSION_YAML.replace("kind: exponential\n  l0: 0.001", DISPERSION_KERNELS[kind][0])
+
+
+@pytest.mark.parametrize("kind", list(DISPERSION_KERNELS))
+def test_a_hand_built_dispersion_table_passes_its_checks(tmp_path, capsys, monkeypatch, kind):
+    _, params, rows, names = DISPERSION_KERNELS[kind]
+    result = dispersion_table(rows, kind, params)
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "dispersion", dispersion_yaml(kind), result)
+    assert (code, lines) == (EXIT_OK, [f"verify PASS {name}" for name in names])
+
+
+@pytest.mark.parametrize("name", list(DISPERSION_SPOILS))
+def test_each_dispersion_check_prints_its_fail_line(tmp_path, capsys, monkeypatch, name):
+    kind, rows, detail = DISPERSION_SPOILS[name]
+    _, params, _, names = DISPERSION_KERNELS[kind]
+    result = dispersion_table(rows, kind, params)
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "dispersion", dispersion_yaml(kind), result)
+    expected = fails([f"verify PASS {n}" for n in names], name, detail)
+    assert (code, lines) == (EXIT_VERIFY, expected)
+
+
+@pytest.mark.parametrize(
+    "changes, line",
+    [
+        ([None, 1e-2, 4e-3], "verify PASS self_convergence"),
+        ([None, 4e-3, 6e-3], "verify FAIL self_convergence: last doubling changed the metric by 6.000e-03 (> 5e-3)"),
+        ([None], "verify FAIL self_convergence: needs at least one refinement"),
+    ],
+    ids=["converged", "last_doubling_too_large", "no_refinement"],
+)
+def test_self_convergence_reads_the_last_doubling(tmp_path, capsys, monkeypatch, changes, line):
+    rows = [("beam", str(60 * 2**i), 1e-6, change) for i, change in enumerate(changes)]
+    result = SweepResult(columns=cli.CONVERGENCE_COLUMNS, rows=rows, metadata={})
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "convergence", BEAM_YAML, result)
+    assert (code, lines) == (EXIT_OK if "PASS" in line else EXIT_VERIFY, [line])
