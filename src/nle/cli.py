@@ -11,7 +11,11 @@ Five subcommands, each driven by one validated YAML document:
 Every run writes one CSV of data rows plus manifest.json describing the run
 (config digest, tool and commit versions, BLAS threads, malloc thresholds,
 wall time, minor page faults, peak resident memory, and the dofs, span and
-backed MiB of a beam's or plate's free block).  The commit comes from a
+backed MiB of a beam's or plate's free block).  With --verify, each check of
+CHECKS that applies to the run measures one value off its table and holds
+it to a bound; the manifest adds `verify.<check>`, the value, relation,
+bound and verdict (`2.91e-06 <= 1e-04 PASS`), and is written after the
+checks, even when one ends in an error.  The commit comes from a
 `git rev-parse HEAD` child that runs while the run computes.  Data rows are
 deterministic: re-running the same config, at any thread count, reproduces
 the CSV byte for byte; both OpenBLAS pools are pinned to a fixed count
@@ -37,8 +41,14 @@ import resource
 import subprocess
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import ge, gt, le
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from . import __version__, beam, dispersion, fem, openblas, plate
 from .config import MANIFEST_NAME, ConfigError, RunConfig, SUBCOMMANDS, parse_config
@@ -170,20 +180,19 @@ def _run(args) -> int:
         "minor_faults": str(faults),
     }
     entries.update(result.metadata)
-    write_manifest(out_dir / MANIFEST_NAME, entries)
+    verdicts = []
+    try:
+        for name, passed, record, detail in _verify(cfg, result) if args.verify else ():
+            entries[f"verify.{name}"] = record
+            verdicts.append((name, passed, detail))
+    finally:  # a check that ends in an error still leaves the manifest
+        write_manifest(out_dir / MANIFEST_NAME, entries)
 
-    if args.verify:
-        checks = _verify(args.subcommand, cfg, result)
-        failed = False
-        for name, passed, detail in checks:
-            if passed:
-                print(f"verify PASS {name}")
-            else:
-                failed = True
-                print(f"verify FAIL {name}: {detail}")
-        if failed:
-            print("error: category=VERIFY", file=sys.stderr)
-            return EXIT_VERIFY
+    for name, passed, detail in verdicts:
+        print(f"verify PASS {name}" if passed else f"verify FAIL {name}: {detail}")
+    if not all(passed for _, passed, _ in verdicts):
+        print("error: category=VERIFY", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -287,226 +296,185 @@ def _convergence_table(cfg: RunConfig) -> SweepResult:
     )
 
 
-def _verify(subcommand: str, cfg: RunConfig, result: SweepResult):
-    if subcommand == "dispersion":
-        return _verify_dispersion(cfg, result)
-    if subcommand == "convergence":
-        return _verify_convergence(result)
-    return _verify_sweep(cfg, result)
-
-
-def _verify_dispersion(cfg: RunConfig, result: SweepResult):
-    spec = cfg.kernel_specs[0]
-    c2 = cfg.material.local_velocity_sq
-    ks = result.column("k")
-    res = result.column("re_vp2")
-    ims = result.column("im_vp2")
-    checks = []
-
-    if spec.kind == "exponential":
-        checks.append(
-            _check(
-                "dispersion_real",
-                all(abs(v) <= 1e-12 * c2 for v in ims),
-                "imaginary part beyond rounding for a real branch",
-            )
-        )
-        checks.append(
-            _check(
-                "dispersion_bounded_by_local",
-                all(0.0 < v <= c2 * (1.0 + 1e-12) for v in res),
-                "squared phase velocity leaves (0, E/rho]",
-            )
-        )
-        if len(res) >= 2:
-            checks.append(
-                _check(
-                    "dispersion_monotone_in_k",
-                    all(b <= a + 1e-12 * c2 for a, b in zip(res, res[1:])),
-                    "squared phase velocity must not grow with wavenumber",
-                )
-            )
-    elif spec.kind == "power_law" and spec.param < 1.0:
-        alpha = spec.param
-        target = 2.0 * (alpha - 1.0)
-        if len(ks) >= 2:
-            # a straight log-log line of slope target: |vp2| / k^target is
-            # one constant, a test that needs no log step between rows
-            scaled = [math.hypot(r, i) * k ** -target for k, r, i in zip(ks, res, ims)]
-            checks.append(
-                _check(
-                    "dispersion_loglog_slope",
-                    all(abs(v - scaled[0]) <= 1e-9 * scaled[0] for v in scaled),
-                    f"log-log slope deviates from {target}",
-                )
-            )
-        angle = math.remainder(math.pi * (1.0 + alpha), 2.0 * math.pi)
-        checks.append(
-            _check(
-                "dispersion_phase_angle",
-                all(abs(math.atan2(i, r) - angle) <= 1e-9 for r, i in zip(res, ims)),
-                "complex phase deviates from pi*(1+alpha)",
-            )
-        )
+def _facts(cfg: RunConfig, result: SweepResult) -> SimpleNamespace:
+    """The columns and groups of rows that the checks read off one run's table."""
+    t = SimpleNamespace(cfg=cfg, count=len(result.rows))
+    if cfg.subcommand == "dispersion":
+        t.spec, t.c2 = cfg.kernel_specs[0], cfg.material.local_velocity_sq
+        t.ks, t.re, t.im = (result.column(name) for name in ("k", "re_vp2", "im_vp2"))
+        # below the local limit |vp2| / k^target is one constant: a log-log test with no log step
+        t.dispersive = t.spec.kind == "power_law" and t.spec.param < 1.0
+        if t.dispersive:
+            t.target = 2.0 * (t.spec.param - 1.0)
+            t.scaled = [math.hypot(r, i) * k**-t.target for k, r, i in zip(t.ks, t.re, t.im)]
+            t.angle = math.remainder(math.pi * (1.0 + t.spec.param), 2.0 * math.pi)
+    elif cfg.subcommand == "convergence":
+        t.changes = [v for v in result.column("rel_change") if v is not None]
+        t.doubling = "needs at least one refinement"
+        if t.changes:
+            t.doubling = f"last doubling changed the metric by {t.changes[-1]:.3e} (> 5e-3)"
     else:
-        checks.append(
-            _check(
-                "dispersion_local_constant",
-                all(abs(v - c2) <= 1e-12 * c2 for v in res)
-                and all(abs(v) <= 1e-12 * c2 for v in ims),
-                "local branch must equal E/rho at every wavenumber",
-            )
-        )
-    if spec.kind in ("exponential", "local"):
-        checks.append(_operator_check(cfg, ks, res, ims))
-    return checks
+        rows = (dict(zip(result.columns, row)) for row in result.rows)
+        ok = [r for r in rows if r["status"] == "ok"]
+        t.ok = [r["w_bar"] for r in ok]
+        t.nonlocal_ = [r["w_bar"] for r in ok if _is_nontrivial(r)]
+        t.near_local = [r["w_bar"] for r in ok if not _is_nontrivial(r)]
+        t.unit_tol = 1e-3 if cfg.target == "beam" else 2e-3
+        power = [r for r in ok if r["kernel"] == "power_law" and r["param"] < 1.0]
+        t.by_horizon = _runs(power, "l_f", "param", descending=True)
+        t.by_alpha = _runs(power, "param", "l_f", descending=False)
+        t.spreads = _spreads(ok)
+    return t
 
 
-def _operator_check(cfg: RunConfig, ks, res, ims):
-    """The printed relation against the one read off the production operator (criterion 3).
+def _runs(rows: list[dict], key: str, by: str, descending: bool) -> list[list[float]]:
+    """w_bar of rows, one run per value of key, each sorted by `by`."""
+    groups: dict[float, list] = {}
+    for r in rows:
+        groups.setdefault(r[key], []).append((r[by], r["w_bar"]))
+    return [[w for _, w in sorted(pairs, reverse=descending)] for pairs in groups.values()]
 
-    The exponential oracle's horizon is 15 l0, where truncation is below
-    1e-6; the local operator does not depend on the horizon, which then
-    spans one wavelength.
-    """
-    spec = cfg.kernel_specs[0]
-    kernel = spec.build()
-    worst = 0.0
-    for k, real, imag in zip(ks, res, ims):
-        horizon = 15.0 * spec.param if spec.kind == "exponential" else 2.0 * math.pi / k
-        oracle = dispersion.numerical_dispersion(k, cfg.material, kernel, horizon)
+
+def _spreads(ok: list[dict]) -> list[float]:
+    """max / min - 1 of w_bar across 2+ horizons, per exponential l0 <= a fifth of the least."""
+    horizons = sorted({r["l_f"] for r in ok})
+    lengths: dict[float, list] = {}
+    for r in ok:
+        if r["kernel"] == "exponential" and horizons[1:] and 5.0 * r["param"] <= horizons[0]:
+            lengths.setdefault(r["param"], []).append(r["w_bar"])
+    return [_most(w) / _least(w) - 1.0 for w in lengths.values() if len(w) > 1]
+
+
+def _operator_gap(t) -> float:
+    """The printed relation's worst relative gap to the one read off the production operator,
+    over a horizon of 15 l0 (truncation below 1e-6) or, for the local kernel, one wavelength."""
+    kernel = t.spec.build()
+    gaps = []
+    for k, real, imag in zip(t.ks, t.re, t.im):
+        horizon = 15.0 * t.spec.param if t.spec.kind == "exponential" else 2.0 * math.pi / k
+        oracle = dispersion.numerical_dispersion(k, t.cfg.material, kernel, horizon)
         printed = complex(real, imag)
-        worst = max(worst, abs(oracle - printed) / abs(printed))
-    return _check(
-        "dispersion_matches_operator",
-        worst <= 1e-4,
-        f"the operator's relation leaves the printed one by {worst:.2e} (> 1e-4)",
-    )
+        gaps.append(abs(oracle - printed) / abs(printed))
+    return _most(gaps)
 
 
-def _verify_convergence(result: SweepResult):
-    changes = [v for v in result.column("rel_change") if v is not None]
-    if not changes:
-        return [_check("self_convergence", False, "needs at least one refinement")]
-    return [
-        _check(
-            "self_convergence",
-            changes[-1] <= 5e-3,
-            f"last doubling changed the metric by {changes[-1]:.3e} (> 5e-3)",
-        )
-    ]
+def _most(values) -> float:
+    """The largest of values, -inf if none, NaN if any: Python's max drops a NaN after its first."""
+    return float(np.max(np.fromiter(values, float), initial=-np.inf))
 
 
-def _verify_sweep(cfg: RunConfig, result: SweepResult):
-    rows = [dict(zip(result.columns, row)) for row in result.rows]
-    ok_rows = [r for r in rows if r["status"] == "ok"]
-    unit_tol = 1e-3 if cfg.target == "beam" else 2e-3
-    checks = [
-        _check(
-            "rows_complete",
-            len(ok_rows) == len(rows),
-            f"{len(rows) - len(ok_rows)} of {len(rows)} rows carry an error status",
-        )
-    ]
-    if not ok_rows:
-        return checks
-
-    checks.append(
-        _check(
-            "softening_never_below_unit",
-            all(r["w_bar"] >= 1.0 - 1e-9 for r in ok_rows),
-            "a nonlocal run deflected less than its local companion",
-        )
-    )
-
-    nontrivial = [r for r in ok_rows if _is_nontrivial(r)]
-    if nontrivial:
-        checks.append(
-            _check(
-                "softening_strict_when_nonlocal",
-                all(r["w_bar"] > 1.0 for r in nontrivial),
-                "a genuinely nonlocal run failed to soften",
-            )
-        )
-
-    trivial = [r for r in ok_rows if not _is_nontrivial(r)]
-    if trivial:
-        checks.append(
-            _check(
-                "local_limit_unit_ratio",
-                all(abs(r["w_bar"] - 1.0) <= unit_tol for r in trivial),
-                f"a near-local run left the unit ratio by more than {unit_tol}",
-            )
-        )
-
-    pl = [r for r in ok_rows if r["kernel"] == "power_law" and r["param"] < 1.0]
-    by_horizon: dict[float, list] = {}
-    by_alpha: dict[float, list] = {}
-    for r in pl:
-        by_horizon.setdefault(r["l_f"], []).append((r["param"], r["w_bar"]))
-        by_alpha.setdefault(r["param"], []).append((r["l_f"], r["w_bar"]))
-    if any(len(v) >= 2 for v in by_horizon.values()):
-        checks.append(
-            _check(
-                "power_law_alpha_monotonicity",
-                _strictly_increasing(by_horizon.values(), descending=True),
-                "softening must strictly grow as the exponent decreases",
-            )
-        )
-    if any(len(v) >= 2 for v in by_alpha.values()):
-        checks.append(
-            _check(
-                "power_law_horizon_monotonicity",
-                _strictly_increasing(by_alpha.values(), descending=False),
-                "softening must strictly grow with the horizon radius",
-            )
-        )
-
-    horizons = sorted({r["l_f"] for r in ok_rows})
-    if len(horizons) >= 2:
-        spreads = []
-        for param in {
-            r["param"]
-            for r in ok_rows
-            if r["kernel"] == "exponential" and 5.0 * r["param"] <= horizons[0]
-        }:
-            values = [
-                r["w_bar"]
-                for r in ok_rows
-                if r["kernel"] == "exponential" and r["param"] == param
-            ]
-            if len(values) >= 2:
-                spreads.append(max(values) / min(values) - 1.0)
-        if spreads:
-            checks.append(
-                _check(
-                    "exponential_horizon_insensitivity",
-                    max(spreads) <= 1e-2,
-                    "a short-range kernel varied by more than 1% across horizons",
-                )
-            )
-    return checks
+def _least(values) -> float:
+    return float(np.min(np.fromiter(values, float), initial=np.inf))
 
 
-def _strictly_increasing(groups, descending: bool) -> bool:
-    """Within each (key, value) group sorted by key, values must rise."""
-    for pairs in groups:
-        values = [w for _, w in sorted(pairs, reverse=descending)]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            return False
-    return True
+def _falls(runs: list[list[float]]) -> int:
+    """Neighbours within runs that fail to rise strictly; a NaN never rises."""
+    return sum(not b > a for run in runs for a, b in zip(run, run[1:]))
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One `--verify` invariant, for runs of its subcommands whose facts t pass applies(t).
+
+    measure(t) must stand in relation to bound, a number or a function of t;
+    detail, the text after FAIL, is a template of value, bound and t.
+    """
+
+    name: str
+    subcommands: tuple[str, ...]
+    applies: Callable
+    measure: Callable
+    relation: str
+    bound: float | Callable
+    detail: str
+
+
+_RELATIONS = {"<=": le, ">=": ge, ">": gt}
+_DISPERSION, _SWEEPS = ("dispersion",), ("beam", "plate", "sweep")
+
+# Counts of offending rows or pairs are held to 0; every other check holds
+# its worst row to the bound.
+CHECKS = (
+    _Check("dispersion_real", _DISPERSION, lambda t: t.spec.kind == "exponential",
+           lambda t: _most(map(abs, t.im)), "<=", lambda t: 1e-12 * t.c2,
+           "imaginary part beyond rounding for a real branch"),
+    _Check("dispersion_bounded_by_local", _DISPERSION, lambda t: t.spec.kind == "exponential",
+           lambda t: sum(not 0.0 < v <= t.c2 * (1.0 + 1e-12) for v in t.re), "<=", 0,
+           "squared phase velocity leaves (0, E/rho]"),
+    _Check("dispersion_monotone_in_k", _DISPERSION,
+           lambda t: t.spec.kind == "exponential" and t.count > 1,
+           lambda t: sum(not b <= a + 1e-12 * t.c2 for a, b in zip(t.re, t.re[1:])), "<=", 0,
+           "squared phase velocity must not grow with wavenumber"),
+    _Check("dispersion_loglog_slope", _DISPERSION, lambda t: t.dispersive and t.count > 1,
+           lambda t: _most(abs(v - t.scaled[0]) for v in t.scaled),
+           "<=", lambda t: 1e-9 * t.scaled[0],
+           "log-log slope deviates from {t.target}"),
+    _Check("dispersion_phase_angle", _DISPERSION, lambda t: t.dispersive,
+           lambda t: _most(abs(math.atan2(i, r) - t.angle) for r, i in zip(t.re, t.im)),
+           "<=", 1e-9,
+           "complex phase deviates from pi*(1+alpha)"),
+    _Check("dispersion_local_constant", _DISPERSION,
+           lambda t: t.spec.kind != "exponential" and not t.dispersive,
+           lambda t: _most([*(abs(v - t.c2) for v in t.re), *map(abs, t.im)]),
+           "<=", lambda t: 1e-12 * t.c2,
+           "local branch must equal E/rho at every wavenumber"),
+    _Check("dispersion_matches_operator", _DISPERSION, lambda t: t.spec.kind != "power_law",
+           _operator_gap, "<=", 1e-4,
+           "the operator's relation leaves the printed one by {value:.2e} (> 1e-4)"),
+    _Check("self_convergence", ("convergence",), lambda t: True,
+           lambda t: t.changes[-1] if t.changes else math.nan, "<=", 5e-3,
+           "{t.doubling}"),
+    _Check("rows_complete", _SWEEPS, lambda t: True,
+           lambda t: t.count - len(t.ok), "<=", 0,
+           "{value} of {t.count} rows carry an error status"),
+    _Check("softening_never_below_unit", _SWEEPS, lambda t: t.ok,
+           lambda t: _least(t.ok) - 1.0, ">=", -1e-9,
+           "a nonlocal run deflected less than its local companion"),
+    _Check("softening_strict_when_nonlocal", _SWEEPS, lambda t: t.nonlocal_,
+           lambda t: _least(t.nonlocal_) - 1.0, ">", 0.0,
+           "a genuinely nonlocal run failed to soften"),
+    _Check("local_limit_unit_ratio", _SWEEPS, lambda t: t.near_local,
+           lambda t: _most(abs(w - 1.0) for w in t.near_local), "<=", lambda t: t.unit_tol,
+           "a near-local run left the unit ratio by more than {bound}"),
+    _Check("power_law_alpha_monotonicity", _SWEEPS,
+           lambda t: any(len(run) > 1 for run in t.by_horizon),
+           lambda t: _falls(t.by_horizon), "<=", 0,
+           "softening must strictly grow as the exponent decreases"),
+    _Check("power_law_horizon_monotonicity", _SWEEPS,
+           lambda t: any(len(run) > 1 for run in t.by_alpha),
+           lambda t: _falls(t.by_alpha), "<=", 0,
+           "softening must strictly grow with the horizon radius"),
+    _Check("exponential_horizon_insensitivity", _SWEEPS, lambda t: t.spreads,
+           lambda t: _most(t.spreads), "<=", 1e-2,
+           "a short-range kernel varied by more than 1% across horizons"),
+)
+
+
+def _verify(cfg: RunConfig, result: SweepResult):
+    """(name, passed, manifest record, FAIL detail) of each check that applies, in table order."""
+    t = _facts(cfg, result)
+    for check in CHECKS:
+        if cfg.subcommand in check.subcommands and check.applies(t):
+            value = check.measure(t)
+            bound = check.bound(t) if callable(check.bound) else check.bound
+            passed = _RELATIONS[check.relation](value, bound)
+            verdict = "PASS" if passed else "FAIL"
+            record = f"{_figure(value)} {check.relation} {_figure(bound)} {verdict}"
+            yield check.name, passed, record, check.detail.format(value=value, bound=bound, t=t)
+
+
+def _figure(x) -> str:
+    """x to three significant digits, trailing zeros dropped: 2.91e-06, 1e-04, 0."""
+    if isinstance(x, int) or x == 0.0 or not math.isfinite(x):
+        return f"{x:g}"
+    mantissa, exponent = f"{x:.2e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
 def _is_nontrivial(row: dict) -> bool:
     if row["kernel"] == "exponential":
         return row["param"] > TRIVIAL_L0
-    if row["kernel"] == "power_law":
-        return row["param"] < 1.0
-    return False
-
-
-def _check(name: str, passed: bool, detail: str):
-    return (name, bool(passed), detail)
+    return row["kernel"] == "power_law" and row["param"] < 1.0
 
 
 if __name__ == "__main__":

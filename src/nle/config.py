@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import yaml
 
@@ -263,9 +264,13 @@ def _structure(top: _Block, errors: list[str], target: str) -> dict:
     mesh = top.block("mesh")
     elements = tuple(mesh.integer(name, default, minimum=minimum) for name in names)
     mesh.close()
-    for name, n in zip(names, elements):
+    lengths = ("length",) if target == "beam" else ("length_x", "length_y")
+    for name, n, length in zip(names, elements, lengths):
         if parity and n % 2:
             errors.append(f"mesh.{name}: must be even for the {parity} metric")
+        span = getattr(section, length, None)  # None when the section is invalid
+        if span is not None and n > 0 and not span / n >= sys.float_info.min:
+            errors.append(f"mesh.{name}: {n} elements of {length} {span!r} are below float range")
     return dict(section=section, case=case, load=value, elements=elements)
 
 

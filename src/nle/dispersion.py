@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fem
 from .kernels import ExponentialKernel, Kernel, LocalDelta, power_law
 from .operator import build_operator_matrix
 
@@ -41,6 +43,10 @@ __all__ = [
     "dispersion_powerlaw",
     "numerical_dispersion",
 ]
+
+
+# _symbol's peak bytes per mesh node, 2e4-2e6 nodes (tracemalloc): 73.0 exponential, 48.0 local
+_BYTES_PER_NODE = 80
 
 
 class ResolutionError(ValueError):
@@ -127,6 +133,8 @@ def numerical_dispersion(
     Requires at least 40 points per wavelength and, for the exponential
     kernel, a horizon of at least 10 internal lengths; the mesh is refined
     automatically so the elements resolve the kernel as well as the wave.
+    Raises fem.SolverError, before it builds a mesh, when k^2 underflows or
+    the finer mesh would not fit in the available memory or in an array.
     """
     _require_wavenumber(k, strict=True)
     if points_per_wavelength < 40:
@@ -147,6 +155,15 @@ def numerical_dispersion(
     h = 2.0 * math.pi / (k * points_per_wavelength)
     if isinstance(kernel, ExponentialKernel):
         h = min(h, kernel.l0 / 12.0)
+    if not k * k > 0.0:
+        raise fem.SolverError(f"k = {k!r} is too small for the oracle: k^2 underflows")
+    nodes = 4.0 * horizon_length / h + 4.0  # >= the finer mesh's 2 ceil(2 horizon / h) + 2
+    need, have = nodes * _BYTES_PER_NODE, fem.available_memory()
+    what = f"the oracle's mesh at k = {k!r} needs {nodes:.3g} nodes, {need / 2**30:.3g} GiB"
+    if not need <= sys.maxsize:
+        raise fem.SolverError(f"{what}, more than an array can hold")
+    if have is not None and need > have:
+        raise fem.SolverError(f"{what}, but only {have / 2**30:.2f} GiB of memory is available")
     coarse, fine = (_symbol(k, kernel, horizon_length, step) ** 2 for step in (h, h / 2.0))
     symbol_sq = (4.0 * fine - coarse) / 3.0
     return -material.local_velocity_sq * symbol_sq / (k * k)

@@ -69,6 +69,7 @@ __all__ = [
     "assemble",
     "solve",
     "solve_metric",
+    "metric",
 ]
 
 # reduced-integration point counts: full rule for direct strain energy,
@@ -654,8 +655,15 @@ def solve_metric(
     work or allocation.
     """
     check_fits(model.axes.free_dofs, held=model.held_bytes)
-    u = solve(assemble(model, kernel, horizon_radius), residual_tol)
-    return float(np.abs(u[model.metric_dof]))
+    return metric(solve(assemble(model, kernel, horizon_radius), residual_tol), model.metric_dof)
+
+
+def metric(u: np.ndarray, dof: int) -> float:
+    """|u[dof]|, which ratios divide by: SolverError unless it is positive and finite."""
+    w = float(np.abs(u[dof]))
+    if not 0.0 < w < np.inf:
+        raise SolverError(f"the metric |u| at dof {dof} is {w!r}, which leaves no ratio")
+    return w
 
 
 def _pivot_from_message(message: str, free: np.ndarray) -> int | str:

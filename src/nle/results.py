@@ -196,7 +196,7 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
             u = fem.solve(system)
         finally:
             spare.append(system.matrix)
-        return float(np.abs(u[model.metric_dof]))
+        return fem.metric(u, model.metric_dof)
 
     local_config = (LocalDelta(), float(l_f_grid[0]))
     local = model.quadratures(*local_config)

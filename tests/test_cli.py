@@ -1047,3 +1047,118 @@ def test_self_convergence_reads_the_last_doubling(tmp_path, capsys, monkeypatch,
     result = SweepResult(columns=cli.CONVERGENCE_COLUMNS, rows=rows, metadata={})
     code, lines = verify_lines(tmp_path, capsys, monkeypatch, "convergence", BEAM_YAML, result)
     assert (code, lines) == (EXIT_OK if "PASS" in line else EXIT_VERIFY, [line])
+
+
+# ---------------------------------------------------------------------------
+# verify records in the manifest
+# ---------------------------------------------------------------------------
+
+def manifest_of(out):
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+
+def test_the_manifest_records_what_each_sweep_check_measured(tmp_path, capsys):
+    config = str(ROOT / "configs" / "sweep_beam.yaml")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "checked"), "--verify"]) == EXIT_OK
+    plain, checked = manifest_of(tmp_path / "plain"), manifest_of(tmp_path / "checked")
+    records = {k: v for k, v in checked.items() if k.startswith("verify.")}
+    assert not any(k.startswith("verify.") for k in plain)
+    assert set(checked) - set(records) == set(plain)
+    assert list(records) == sorted(f"verify.{name}" for name in SWEEP_CHECKS)
+    # the trivial rows and the short exponential lengths share one solve each
+    assert records["verify.local_limit_unit_ratio"] == "0 <= 1e-03 PASS"
+    assert records["verify.exponential_horizon_insensitivity"] == "0 <= 1e-02 PASS"
+    assert records["verify.rows_complete"] == "0 <= 0 PASS"
+    assert records["verify.power_law_alpha_monotonicity"] == "0 <= 0 PASS"
+    # min(w_bar) - 1 over the nontrivial rows of the reference sweep
+    reference = (ROOT / "perfbench" / "reference" / "beam_sweep.csv").read_text(encoding="utf-8")
+    header, *rows = (line.split(",") for line in reference.splitlines())
+    cells = [dict(zip(header, row)) for row in rows]
+    least = min(
+        float(c["w_bar"])
+        for c in cells
+        if (c["kernel"] == "exponential" and float(c["param"]) > cli.TRIVIAL_L0)
+        or (c["kernel"] == "power_law" and float(c["param"]) < 1.0)
+    )
+    assert least - 1.0 == pytest.approx(1.183191237186243e-05, rel=1e-12)
+    assert records["verify.softening_strict_when_nonlocal"] == "1.18e-05 > 0 PASS"
+
+
+def test_the_manifest_records_each_shipped_dispersion_margin(tmp_path, capsys):
+    config = str(ROOT / "configs" / "dispersion_exponential.yaml")
+    assert main(["dispersion", "--config", config, "--out", str(tmp_path), "--verify"]) == EXIT_OK
+    records = {k: v for k, v in manifest_of(tmp_path).items() if k.startswith("verify.")}
+    assert records == {
+        "verify.dispersion_real": "0 <= 1.2e-05 PASS",
+        "verify.dispersion_bounded_by_local": "0 <= 0 PASS",
+        "verify.dispersion_monotone_in_k": "0 <= 0 PASS",
+        "verify.dispersion_matches_operator": "2.91e-06 <= 1e-04 PASS",
+    }
+
+
+@pytest.mark.parametrize(
+    "name, record",
+    [
+        ("rows_complete", "1 <= 0 FAIL"),
+        ("softening_never_below_unit", "-1e-06 >= -1e-09 FAIL"),
+        ("softening_strict_when_nonlocal", "0 > 0 FAIL"),
+        ("local_limit_unit_ratio", "1e-02 <= 1e-03 FAIL"),
+        ("power_law_alpha_monotonicity", "1 <= 0 FAIL"),
+        ("exponential_horizon_insensitivity", "4.17e-02 <= 1e-02 FAIL"),
+    ],
+)
+def test_a_spoiled_row_records_its_measured_value(tmp_path, capsys, monkeypatch, name, record):
+    rows, errors, _ = SWEEP_SPOILS[name]
+    verify_lines(tmp_path, capsys, monkeypatch, "sweep", SWEEP_YAML, sweep_table(rows, errors))
+    assert manifest_of(tmp_path / "out")[f"verify.{name}"] == record
+
+
+def test_a_nan_after_the_first_row_of_its_group_fails_the_horizon_check(
+    tmp_path, capsys, monkeypatch
+):
+    # Python's max keeps its first argument against a NaN; the check must not
+    result = sweep_table(spoiled(SWEEP_ROWS, 3, float("nan")))
+    code, lines = verify_lines(tmp_path, capsys, monkeypatch, "sweep", SWEEP_YAML, result)
+    assert code == EXIT_VERIFY
+    assert "verify FAIL exponential_horizon_insensitivity: " + SWEEP_SPOILS[
+        "exponential_horizon_insensitivity"
+    ][2] in lines
+    assert manifest_of(tmp_path / "out")["verify.exponential_horizon_insensitivity"] == (
+        "nan <= 1e-02 FAIL"
+    )
+
+
+def test_a_beam_whose_elements_are_subnormal_exits_2(tmp_path, capsys):
+    text = BEAM_YAML.replace("n_elements: 60", "n_elements: 4") + "geometry:\n  length: 5.0e-324\n"
+    code, _ = run(tmp_path, "beam", text)
+    assert code == EXIT_CONFIG
+    assert "config error: mesh.n_elements: 4 elements of length 5e-324 are below float range" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_plate_whose_deflection_underflows_exits_3(tmp_path, capsys):
+    # a 1e-300 m span carries a load of 0 after rounding, so the local
+    # deflection that every softening ratio divides by is 0
+    text = BEAM_YAML.replace("n_elements: 60", "nx: 4\n  ny: 2") + "geometry:\n  length_x: 1.0e-300\n"
+    code, out = run(tmp_path, "plate", text)
+    assert code == EXIT_SOLVER
+    assert "solver error: the metric |u| at dof" in capsys.readouterr().err
+    assert not (out / "plate.csv").exists()
+
+
+def test_a_squared_velocity_that_overflows_fails_the_operator_check(tmp_path, capsys):
+    # E / rho overflows to inf, so the relation is inf and its gap to the
+    # oracle NaN; Python's max used to drop that NaN and pass the check
+    text = DISPERSION_YAML.replace("30.0e9", "1.0e+300").replace("2500.0", "1.0e-10")
+    text = text.replace("count: 100", "count: 3")
+    code, out = run(tmp_path, "dispersion", text, "--verify")
+    assert code == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (
+        "verify FAIL dispersion_matches_operator: "
+        "the operator's relation leaves the printed one by nan (> 1e-4)"
+    )
+    assert manifest_of(out)["verify.dispersion_matches_operator"] == "nan <= 1e-04 FAIL"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nle.dispersion import (
     dispersion_powerlaw,
     numerical_dispersion,
 )
-from nle import dispersion
+from nle import dispersion, fem
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
 from nle.operator import NonlocalOperatorMatrix, build_operator_matrix
 
@@ -166,3 +167,26 @@ def test_numerical_reads_the_production_operator(monkeypatch):
     closed = dispersion_exponential(k, MAT, l0)
     num = numerical_dispersion(k, MAT, ExponentialKernel(l0), 15.0 * l0)
     assert abs(num - closed) > 1e-4 * abs(closed)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's guard
+# ---------------------------------------------------------------------------
+
+def test_the_oracle_refuses_a_wavenumber_whose_square_underflows():
+    with pytest.raises(fem.SolverError, match=r"k = 5e-324 is too small for the oracle: k\^2 underflows"):
+        numerical_dispersion(5e-324, MAT, ExponentialKernel(0.05), 0.75)
+
+
+def test_the_oracle_refuses_a_mesh_beyond_the_available_memory_before_allocating(monkeypatch):
+    # k = 1e6 and l0 = 1e-3: half steps of 2 pi / 6.4e7 over a 15 mm horizon
+    # give at most 6.11e5 nodes at 80 bytes each, 48.9 MB against 1 MB
+    monkeypatch.setattr(fem, "available_memory", lambda: 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(fem.SolverError, match=r"needs 6.11e\+05 nodes, 0.0455 GiB, but only"):
+            numerical_dispersion(1e6, MAT, ExponentialKernel(1e-3), 15e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16

@@ -816,3 +816,11 @@ def test_bar_constant_field_in_matrix_nullspace():
     ones = np.ones(system.n_dofs)
     scale = np.linalg.norm(system.matrix, 2)
     assert np.linalg.norm(system.matrix @ ones) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, np.inf, np.nan])
+def test_a_metric_that_leaves_no_ratio_is_a_solver_error(value):
+    u = np.array([1.0, value])
+    assert fem.metric(u, 0) == 1.0
+    with pytest.raises(fem.SolverError, match="the metric |u| at dof 1 is"):
+        fem.metric(u, 1)

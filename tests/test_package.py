@@ -23,3 +23,11 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for i, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "readme"})
+
+
+def test_readme_tables_every_verify_check_in_order():
+    from nle import cli
+
+    rows = re.findall(r"^\| `(\w+)` \|.*\| `verify\.(\w+)` \|$", README.read_text(encoding="utf-8"), re.M)
+    assert all(name == key for name, key in rows)
+    assert [name for name, _ in rows] == [check.name for check in cli.CHECKS]
