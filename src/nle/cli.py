@@ -258,11 +258,11 @@ def _dispersion_table(cfg: RunConfig) -> SweepResult:
     rows = []
     for k in cfg.k_values:
         if spec.kind == "exponential":
-            vp2 = dispersion.dispersion_exponential(k, cfg.material, spec.param)
+            vp2 = dispersion.dispersion_exponential(k, cfg.section, spec.param)
         elif spec.kind == "power_law":
-            vp2 = dispersion.dispersion_powerlaw(k, cfg.material, spec.param)
+            vp2 = dispersion.dispersion_powerlaw(k, cfg.section, spec.param)
         else:
-            vp2 = complex(cfg.material.local_velocity_sq)
+            vp2 = complex(cfg.section.local_velocity_sq)
         params = spec.label if spec.param is not None else ""
         rows.append((k, vp2.real, vp2.imag, spec.kind, params))
     return SweepResult(
@@ -300,7 +300,7 @@ def _facts(cfg: RunConfig, result: SweepResult) -> SimpleNamespace:
     """The columns and groups of rows that the checks read off one run's table."""
     t = SimpleNamespace(cfg=cfg, count=len(result.rows))
     if cfg.subcommand == "dispersion":
-        t.spec, t.c2 = cfg.kernel_specs[0], cfg.material.local_velocity_sq
+        t.spec, t.c2 = cfg.kernel_specs[0], cfg.section.local_velocity_sq
         t.ks, t.re, t.im = (result.column(name) for name in ("k", "re_vp2", "im_vp2"))
         # below the local limit |vp2| / k^target is one constant: a log-log test with no log step
         t.dispersive = t.spec.kind == "power_law" and t.spec.param < 1.0
@@ -352,7 +352,7 @@ def _operator_gap(t) -> float:
     gaps = []
     for k, real, imag in zip(t.ks, t.re, t.im):
         horizon = 15.0 * t.spec.param if t.spec.kind == "exponential" else 2.0 * math.pi / k
-        oracle = dispersion.numerical_dispersion(k, t.cfg.material, kernel, horizon)
+        oracle = dispersion.numerical_dispersion(k, t.cfg.section, kernel, horizon)
         printed = complex(real, imag)
         gaps.append(abs(oracle - printed) / abs(printed))
     return _most(gaps)

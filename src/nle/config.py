@@ -1,13 +1,15 @@
 """Validated run configurations for the command line front end.
 
-One YAML document per run.  Validation is schema-per-subcommand, collects
-every problem instead of stopping at the first, and rejects unknown keys so
+One YAML document per run.  Validation is schema-per-subcommand, lists every
+problem once instead of stopping at the first, and rejects unknown keys so
 typos fail loudly rather than silently falling back to defaults.  Defaults
 mirror the production setup: E = 30 GPa, nu = 0.3, shear correction 5/6,
-unit spans, 200 beam elements, 24 x 24 plate elements.  The keys, order and
-defaults of `geometry:` and `material:` are the fields of BeamSection and
-PlateSection, and each kernel's parameter is named by KERNEL_PARAMS.  A
-RunConfig field that the subcommand does not use holds None or ().
+density 2500 kg/m^3, unit spans, 200 beam elements, 24 x 24 plate elements.
+The keys, order and defaults of `geometry:` and `material:` are the fields
+of BeamSection, PlateSection or Material1D, and each kernel's parameter is
+named by KERNEL_PARAMS.  A `k_grid.count` whose wavenumbers would not fit in
+memory is refused.  A RunConfig field that the subcommand does not use holds
+None or ().
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 
 import yaml
 
+from . import fem
 from .beam import LOAD_CASES, MIDSPAN_CASES, VALUE_KEYS, BeamSection
 from .dispersion import Material1D
 from .kernels import KERNEL_KINDS, KERNEL_PARAMS, power_law
@@ -31,8 +34,12 @@ SUBCOMMANDS = ("dispersion", "beam", "plate", "sweep", "convergence")
 # The run's manifest, written beside its CSV, so no CSV may take its name.
 MANIFEST_NAME = "manifest.json"
 
-# The fields of BeamSection and PlateSection read under `material:`.
-_MATERIAL = ("modulus", "poisson", "shear_correction")
+# The section fields read under `material:`; the rest are read under `geometry:`.
+_MATERIAL = ("modulus", "poisson", "shear_correction", "density")
+
+# Peak bytes per wavenumber of a dispersion run, grid, rows, verify facts and
+# CSV (tracemalloc, power law, 1e5 and 4e5 wavenumbers): 285.
+_BYTES_PER_WAVENUMBER = 300
 
 
 class ConfigError(ValueError):
@@ -48,41 +55,58 @@ class RunConfig:
     """Fully validated inputs of one run.
 
     A beam or plate is its section, load case or boundary set, load value or
-    pressure, and element counts, (n_elements,) or (nx, ny); material is a
-    dispersion run's solid.  A field the subcommand does not use is None or ().
+    pressure, and element counts, (n_elements,) or (nx, ny); a dispersion
+    run's section is its Material1D.  A field the subcommand does not use is
+    None or ().
     """
 
     subcommand: str
     target: str
     kernel_specs: tuple[KernelSpec, ...]
     l_f_grid: tuple[float, ...] = ()
-    section: BeamSection | PlateSection | None = None
+    section: BeamSection | PlateSection | Material1D | None = None
     case: str | None = None
     load: float | None = None
     elements: tuple[int, ...] = ()
-    material: Material1D | None = None
     k_values: tuple[float, ...] = ()
     refinements: int | None = None
     threads: int
     output: str | None
 
 
-def _to_number(value) -> float | None:
-    """Accept YAML numbers plus numeric strings like '30.0e9'.
+def _number(value, positive: bool = True) -> float:
+    """value as a finite float, positive unless told not; ValueError with the problem otherwise.
 
-    YAML 1.1 only recognizes exponents with an explicit sign, so PyYAML hands
-    the common scientific shorthand back as a string.
+    Numeric strings count: YAML 1.1 only recognizes exponents with an explicit
+    sign, so PyYAML hands the common shorthand '30.0e9' back as a string.
     """
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            return None
-    return None
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf if value > 0 else -math.inf
+    except ValueError:
+        raise ValueError(f"expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite (got {number!r})")
+    if positive and not number > 0.0:
+        raise ValueError(f"must be positive (got {number!r})")
+    return number
+
+
+def _integer(value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"must be >= {minimum} (got {value!r})")
+    return value
+
+
+def _nonempty_list(value) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValueError("expected a nonempty list of numbers")
+    return value
 
 
 class _Block:
@@ -107,91 +131,61 @@ class _Block:
         """The mapping under key, empty when absent."""
         return _Block(self.raw(key, {}), self._at(key), self.errors)
 
-    def number(self, key, default=None, *, positive=False, minimum=None):
-        self.seen.add(key)
-        if key not in self.data:
-            if default is None:
-                self.errors.append(f"{self._at(key)}: required")
-            return default
-        value = _to_number(self.data[key])
-        if value is None:
-            self.errors.append(
-                f"{self._at(key)}: expected a number, got {self.data[key]!r}"
-            )
-            return default
-        if not math.isfinite(value):
-            self.errors.append(f"{self._at(key)}: must be finite (got {value!r})")
-            return default
-        if positive and not value > 0.0:
-            self.errors.append(f"{self._at(key)}: must be positive (got {value!r})")
-        if minimum is not None and value < minimum:
-            self.errors.append(f"{self._at(key)}: must be >= {minimum} (got {value!r})")
-        return value
+    def _read(self, key, parse, default, hint=""):
+        """parse(the value under key), or default when absent (required if None) or failing.
 
-    def integer(self, key, default=None, *, minimum=None):
+        parse raises ValueError with the problem, reported under the key's path.
+        """
         self.seen.add(key)
         if key not in self.data:
             if default is None:
-                self.errors.append(f"{self._at(key)}: required")
+                self.errors.append(f"{self._at(key)}: required{hint}")
             return default
-        value = self.data[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.errors.append(f"{self._at(key)}: expected an integer, got {value!r}")
+        try:
+            return parse(self.data[key])
+        except ValueError as exc:
+            self.errors.append(f"{self._at(key)}: {exc}")
             return default
-        if minimum is not None and value < minimum:
-            self.errors.append(f"{self._at(key)}: must be >= {minimum} (got {value!r})")
-        return value
+
+    def number(self, key, default=None, *, positive=True):
+        return self._read(key, lambda value: _number(value, positive), default)
+
+    def numbers(self, key, listed, parse) -> list:
+        """parse of the value under key, or of each item of a nonempty list when listed.
+
+        An item that fails is reported under its path and left out.
+        """
+        items = self._read(key, _nonempty_list if listed else lambda value: [value], None)
+        out = []
+        for i, item in enumerate(items or ()):
+            try:
+                out.append(parse(item))
+            except ValueError as exc:
+                self.errors.append(f"{self._at(key)}{f'[{i}]' if listed else ''}: {exc}")
+        return out
+
+    def integer(self, key, default=None, *, minimum):
+        return self._read(key, lambda value: _integer(value, minimum), default)
 
     def choice(self, key, options, default=None):
-        self.seen.add(key)
-        if key not in self.data:
-            if default is None:
-                self.errors.append(f"{self._at(key)}: required (one of {', '.join(options)})")
-            return default
-        value = self.data[key]
-        if value not in options:
-            self.errors.append(
-                f"{self._at(key)}: must be one of {', '.join(options)} (got {value!r})"
-            )
-            return default
-        return value
+        def parse(value):
+            if value not in options:
+                raise ValueError(f"must be one of {', '.join(options)} (got {value!r})")
+            return value
 
-    def number_list(self, key, *, positive=False) -> dict[str, float]:
-        """The valid items of the list under key, keyed by their paths, in listed order."""
-        self.seen.add(key)
-        if key not in self.data:
-            self.errors.append(f"{self._at(key)}: required")
-            return {}
-        value = self.data[key]
-        if not isinstance(value, list) or not value:
-            self.errors.append(f"{self._at(key)}: expected a nonempty list of numbers")
-            return {}
-        out = {}
-        for i, item in enumerate(value):
-            where = f"{self._at(key)}[{i}]"
-            number = _to_number(item)
-            if number is None:
-                self.errors.append(f"{where}: expected a number, got {item!r}")
-            elif not math.isfinite(number):
-                self.errors.append(f"{where}: must be finite (got {number!r})")
-            elif positive and not number > 0.0:
-                self.errors.append(f"{where}: must be positive (got {item!r})")
-            else:
-                out[where] = number
-        return out
+        return self._read(key, parse, default, f" (one of {', '.join(options)})")
 
     def close(self) -> None:
         for key in sorted(set(self.data) - self.seen):
             self.errors.append(f"{self._at(key)}: unknown key")
 
 
-def _check_alpha(alpha: float, where: str, errors: list[str]) -> None:
+def _alpha(value) -> float:
     # the kernel factory holds the (0, 1] range, results the sweep floor
-    try:
-        power_law(alpha)
-        check_alpha_floor(alpha)
-    except ValueError as exc:
-        errors.append(f"{where}: {exc}")
+    alpha = _number(value, positive=False)
+    power_law(alpha)
+    check_alpha_floor(alpha)
+    return alpha
 
 
 def _kernels(block: _Block, grid: bool = False) -> list[KernelSpec]:
@@ -199,46 +193,46 @@ def _kernels(block: _Block, grid: bool = False) -> list[KernelSpec]:
 
     KERNEL_PARAMS names each kind's parameter, `l0` or `alpha`; a sweep entry
     lists its values under `<name>_grid`.  An exponential length must be
-    positive, and a power-law exponent must pass _check_alpha.
+    positive, and a power-law exponent must pass _alpha.
     """
     kind = block.choice("kind", tuple(KERNEL_KINDS))
     name = KERNEL_PARAMS.get(kind)
     specs = [] if kind is None or name is not None else [KernelSpec(kind)]
     if name is not None:
-        positive = kind == "exponential"
-        if grid:
-            values = block.number_list(f"{name}_grid", positive=positive)
-        else:
-            value = block.number(name, positive=positive)
-            values = {} if value is None else {block._at(name): value}
-        if kind == "power_law":
-            for where, alpha in values.items():
-                _check_alpha(alpha, where, block.errors)
-        specs = [KernelSpec(kind, value) for value in values.values()]
+        key = f"{name}_grid" if grid else name
+        values = block.numbers(key, grid, _alpha if kind == "power_law" else _number)
+        specs = [KernelSpec(kind, value) for value in values]
     block.close()
     return specs
 
 
 def _section(top: _Block, errors: list[str], cls):
-    """A BeamSection or PlateSection from `geometry:` and `material:`.
+    """A BeamSection, PlateSection or Material1D from `geometry:` and `material:`.
 
     Each key, its order and its default come from the fields of cls: the
-    elastic constants go under `material:`, the rest under `geometry:`, and
-    every one but `poisson` must be positive.
+    elastic constants and the density go under `material:`, the rest under
+    `geometry:`, and every one but `poisson` must be positive.  Only the
+    blocks that hold a field are read.  cls is built once every key has read
+    cleanly, so the only problem it adds is a rule of several keys (the
+    Poisson range, a finite E/rho), prefixed by the blocks it read.
     """
-    blocks = {name: top.block(name) for name in ("geometry", "material")}
+    fields = dataclasses.fields(cls)
+    homes = {f.name: "material" if f.name in _MATERIAL else "geometry" for f in fields}
+    blocks = {name: top.block(name) for name in dict.fromkeys(homes.values())}
+    reported = len(errors)
     kwargs = {
-        field.name: blocks["material" if field.name in _MATERIAL else "geometry"].number(
-            field.name, field.default, positive=field.name != "poisson"
-        )
-        for field in dataclasses.fields(cls)
+        f.name: blocks[homes[f.name]].number(f.name, f.default, positive=f.name != "poisson")
+        for f in fields
     }
+    clean = len(errors) == reported
     for block in blocks.values():
         block.close()
+    if not clean:
+        return None
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        errors.append(f"geometry/material: {exc}")
+        errors.append(f"{'/'.join(blocks)}: {exc}")
         return None
 
 
@@ -257,7 +251,7 @@ def _structure(top: _Block, errors: list[str], target: str) -> dict:
         bc.close()
         load = top.block("load")
         key, names, default, minimum, parity = "pressure", ("nx", "ny"), 24, 2, "center-node"
-    value = load.number(key, 1.0)
+    value = load.number(key, 1.0, positive=False)
     if value == 0.0:
         errors.append(f"load.{key}: must be nonzero")
     load.close()
@@ -269,7 +263,7 @@ def _structure(top: _Block, errors: list[str], target: str) -> dict:
         if parity and n % 2:
             errors.append(f"mesh.{name}: must be even for the {parity} metric")
         span = getattr(section, length, None)  # None when the section is invalid
-        if span is not None and n > 0 and not span / n >= sys.float_info.min:
+        if span is not None and not span / n >= sys.float_info.min:
             errors.append(f"mesh.{name}: {n} elements of {length} {span!r} are below float range")
     return dict(section=section, case=case, load=value, elements=elements)
 
@@ -307,31 +301,30 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     kwargs = dict(subcommand=subcommand, threads=threads, output=output)
 
     if subcommand == "dispersion":
-        mat = top.block("material")
-        modulus = mat.number("modulus", BeamSection.modulus, positive=True)
-        density = mat.number("density", 2500.0, positive=True)
-        mat.close()
+        kwargs["section"] = _section(top, errors, Material1D)
         specs = _kernels(top.block("kernel"))
         grid = top.block("k_grid")
-        k_min = grid.number("min", positive=True)
-        k_max = grid.number("max", positive=True)
+        k_min, k_max = grid.number("min"), grid.number("max")
         count = grid.integer("count", 100, minimum=1)
         grid.close()
         k_values: tuple[float, ...] = ()
         if k_min is not None and k_max is not None:
-            step = (k_max - k_min) / (count - 1) if count > 1 else 0.0
-            k_values = tuple(k_min + step * i for i in range(count))
+            need, have = count * _BYTES_PER_WAVENUMBER, fem.available_memory()
             if k_max < k_min:
                 errors.append("k_grid.max: must be >= k_grid.min")
-            elif len(set(k_values)) < count:
-                errors.append(f"k_grid: the {count} wavenumbers from min to max are not distinct")
-        kwargs.update(
-            target="dispersion",
-            kernel_specs=tuple(specs),
-            k_values=k_values,
-            # a non-positive constant is already an error; build no material then
-            material=Material1D(modulus, density) if min(modulus, density) > 0.0 else None,
-        )
+            elif have is not None and need > have:
+                errors.append(
+                    f"k_grid.count: {count} wavenumbers need {need / 2**30:.3g} GiB, "
+                    f"but only {have / 2**30:.2f} GiB of memory is available"
+                )
+            else:
+                step = (k_max - k_min) / (count - 1) if count > 1 else 0.0
+                k_values = tuple(k_min + step * i for i in range(count))
+                if len(set(k_values)) < count:
+                    errors.append(
+                        f"k_grid: the {count} wavenumbers from min to max are not distinct"
+                    )
+        kwargs.update(target="dispersion", kernel_specs=tuple(specs), k_values=k_values)
 
     else:
         if subcommand in ("beam", "plate"):
@@ -350,12 +343,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
             ]
         else:
             specs = _kernels(top.block("kernel"))
-        horizon = top.block("horizon")
-        if subcommand == "sweep":
-            l_f_grid = tuple(horizon.number_list("l_f_grid", positive=True).values())
-        else:
-            l_f = horizon.number("l_f", positive=True)
-            l_f_grid = () if l_f is None else (l_f,)
+        horizon, listed = top.block("horizon"), subcommand == "sweep"
+        l_f_grid = tuple(horizon.numbers("l_f_grid" if listed else "l_f", listed, _number))
         horizon.close()
         kwargs.update(kernel_specs=tuple(specs), l_f_grid=l_f_grid)
         if subcommand == "convergence":

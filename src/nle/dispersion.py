@@ -55,16 +55,20 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class Material1D:
-    """Linear elastic bar material: Young's modulus [Pa] and density [kg/m^3]."""
+    """Linear elastic bar material: Young's modulus [Pa] and density [kg/m^3], E/rho finite."""
 
-    modulus: float
-    density: float
+    modulus: float = 30e9
+    density: float = 2500.0
 
     def __post_init__(self) -> None:
         if not self.modulus > 0.0:
             raise ValueError(f"modulus must be positive (got {self.modulus!r})")
         if not self.density > 0.0:
             raise ValueError(f"density must be positive (got {self.density!r})")
+        if not math.isfinite(self.modulus / self.density):
+            raise ValueError(
+                f"modulus / density overflows (got {self.modulus!r} / {self.density!r})"
+            )
 
     @property
     def local_velocity_sq(self) -> float:

@@ -62,35 +62,24 @@ def continuous_gradient(dfield, x, horizon, kernel, breakpoints=()):
 def side_integral(kernel, g, length, breaks=()):
     """integral_0^length K(s) g(s) ds by adaptive quadrature.
 
-    The power-law origin singularity is handled with an algebraic-weight rule
-    on the first segment; the delta kernel contributes its unit mass times
+    A power-law side is integrated in t = s^(1 - alpha), where
+    s^(-alpha) ds = dt / (1 - alpha) leaves no singularity and a breakpoint
+    b maps to b^(1 - alpha); the delta kernel contributes its unit mass times
     g(0+).  Breakpoints inside (0, length) split the range so gradient jumps
     of interpolants do not degrade convergence.
     """
     if isinstance(kernel, LocalDelta):
         return g(0.0)
-    epsabs = QUAD_TOL * 0.1
     pts = sorted(b for b in breaks if 0.0 < b < length)
+    integrand, end, scale = (lambda s: kernel.eval(s) * g(s)), length, 1.0
     if isinstance(kernel, PowerLawKernel):
-        scale = 1.0 / math.gamma(1.0 - kernel.alpha)
-        first_end = pts[0] if pts else length
-        total, _ = integrate.quad(
-            lambda s: scale * g(s), 0.0, first_end,
-            weight="alg", wvar=(-kernel.alpha, 0.0),
-            epsabs=epsabs, epsrel=QUAD_TOL, limit=QUAD_LIMIT,
-        )
-        if pts:
-            inner = pts[1:]
-            more, _ = integrate.quad(
-                lambda s: kernel.eval(s) * g(s), first_end, length,
-                points=inner or None, epsabs=epsabs, epsrel=QUAD_TOL,
-                limit=QUAD_LIMIT + 10 * len(inner),
-            )
-            total += more
-        return total
+        beta = 1.0 - kernel.alpha
+        integrand = lambda t: g(t ** (1.0 / beta))
+        end, pts = length**beta, [b**beta for b in pts]
+        scale = 1.0 / math.gamma(2.0 - kernel.alpha)  # 1 / ((1 - alpha) Gamma(1 - alpha))
     value, _ = integrate.quad(
-        lambda s: kernel.eval(s) * g(s), 0.0, length,
-        points=pts or None, epsabs=epsabs, epsrel=QUAD_TOL,
+        integrand, 0.0, end,
+        points=pts or None, epsabs=QUAD_TOL * 0.1, epsrel=QUAD_TOL,
         limit=QUAD_LIMIT + 10 * len(pts),
     )
-    return value
+    return scale * value

@@ -1,12 +1,15 @@
 """Every command line run ends in a categorized exit, never a traceback.
 
 Hypothesis writes configuration documents for all five subcommands, with
-`--verify` on and off.  Half the documents are valid, with small meshes or
-meshes so large that fem.check_fits refuses them; the other half have one
+`--verify` on and off.  Half the documents are valid, with small meshes and
+grids, or meshes so large that fem.check_fits refuses them and wavenumber
+grids too large for memory; the other half have one
 value replaced by an edge value (0, -0.0, the smallest subnormal, 1e300,
 infinities, NaN, a string, a list, None or True).  Threads stay within 1-4.
 Each run must return 0, 2, 3, 4 or 5: an uncaught exception, which the
-command line would end with exit 1, fails the test.  The search is
+command line would end with exit 1, fails the test.  A run that exits 2
+must list each problem once: its error lines are distinct, and a rule of a
+whole section names no key that has a line of its own.  The search is
 derandomized, so tier-1 always runs the same documents.
 """
 
@@ -14,6 +17,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -96,7 +100,8 @@ DISPERSION = st.tuples(
             "kernel": KERNEL,
             "k_grid": st.fixed_dictionaries(
                 {"min": slot(1.0, 40.0, 1e3), "max": slot(2e3, 1e4)},
-                optional={"count": slot(1, 2, 5)},
+                # 10**9 wavenumbers would not fit in memory
+                optional={"count": slot(1, 2, 5, 10**9)},
             ),
         },
         optional={
@@ -141,13 +146,28 @@ def documents(draw):
     return subcommand, doc
 
 
-def exit_code(subcommand: str, doc: dict, verify: bool) -> int:
+def run_cli(subcommand: str, doc: dict, verify: bool) -> tuple[int, list[str]]:
+    """The exit code of one run and its config error lines."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
         argv = [subcommand, "--config", str(config), "--out", str(Path(tmp) / "out")]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return cli.main(argv + ["--verify"] * verify)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--verify"] * verify)
+    prefix = "config error: "
+    lines = err.getvalue().splitlines()
+    return code, [line[len(prefix):] for line in lines if line.startswith(prefix)]
+
+
+def assert_each_problem_listed_once(lines: list[str]) -> None:
+    """Distinct lines, and no section rule naming a key that has a line of its own."""
+    assert len(set(lines)) == len(lines), lines
+    own = ("geometry.", "material.")
+    keyed = {line.split(":")[0].rpartition(".")[2] for line in lines if line.startswith(own)}
+    for line in lines:
+        if line.startswith(("geometry/material: ", "material: ")):
+            assert not keyed & set(re.findall(r"\w+", line.split(": ", 1)[1])), lines
 
 
 # The oracle mesh of `dispersion --verify` at k = 1e9 and l0 = 2.5e-3 holds
@@ -174,6 +194,10 @@ ZERO_METRIC_PLATE = {
     "geometry": {"length_x": 1e-300},
     "mesh": {"nx": 4, "ny": 2},
 }
+# a grid refused before it is built, and a section whose one bad key must
+# get one line
+HUGE_K = {"min": 1.0, "max": 10.0, "count": 300000000}
+ZERO_LENGTH_BEAM = {"kernel": {"kind": "local"}, "horizon": {"l_f": 0.5}, "geometry": {"length": 0}}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # edge values overflow on the way
@@ -185,9 +209,13 @@ ZERO_METRIC_PLATE = {
 @example(run=("dispersion", {"kernel": {"kind": "exponential", "l0": 0.05}, "k_grid": TINY_K}), verify=True)
 @example(run=("sweep", SUBNORMAL_BEAM), verify=False)
 @example(run=("plate", ZERO_METRIC_PLATE), verify=False)
+@example(run=("beam", ZERO_LENGTH_BEAM), verify=False)
+@example(run=("dispersion", {"kernel": {"kind": "local"}, "k_grid": HUGE_K}), verify=False)
 def test_every_run_ends_in_a_categorized_exit(run, verify):
     subcommand, doc = run
-    assert exit_code(subcommand, doc, verify) in (0, 2, 3, 4, 5)
+    code, errors = run_cli(subcommand, doc, verify)
+    assert code in (0, 2, 3, 4, 5)
+    assert_each_problem_listed_once(errors)
 
 
 @pytest.mark.parametrize(

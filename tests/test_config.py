@@ -1,9 +1,14 @@
 import dataclasses
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+from nle import config
 from nle.config import ConfigError, parse_config
 from nle.results import ALPHA_FLOOR
 
@@ -79,8 +84,8 @@ k_grid:
     assert len(cfg.k_values) == 100
     assert cfg.k_values[0] == 1.0
     assert cfg.k_values[-1] == pytest.approx(100.0)
-    assert cfg.material.density == 2500.0
-    assert cfg.material.modulus == 30e9
+    assert cfg.section.density == 2500.0
+    assert cfg.section.modulus == 30e9
 
 
 def test_scientific_notation_without_exponent_sign_is_accepted():
@@ -253,7 +258,6 @@ INVALID_DOCUMENTS = [
             "geometry.width: must be positive (got -0.1)",
             "geometry.height: expected a number, got 'abc'",
             "geometry.depth: unknown key",
-            "geometry/material: length must be positive (got 0.0)",
         ],
     ),
     (
@@ -264,7 +268,6 @@ INVALID_DOCUMENTS = [
             "material.modulus: must be positive (got 0.0)",
             "material.shear_correction: must be positive (got -1.0)",
             "material.density: unknown key",
-            "geometry/material: modulus must be positive (got 0.0)",
         ],
     ),
     (
@@ -275,7 +278,6 @@ INVALID_DOCUMENTS = [
             "geometry.length_x: must be positive (got -1.0)",
             "geometry.thickness: must be positive (got 0.0)",
             "geometry.length: unknown key",
-            "geometry/material: length_x must be positive (got -1.0)",
         ],
     ),
     (
@@ -375,6 +377,19 @@ horizon: {l_f_grid: []}
         ["k_grid: the 3 wavenumbers from min to max are not distinct"],
     ),
     (
+        "dispersion_material_overflow",
+        "dispersion",
+        "kernel: {kind: exponential, l0: 0.05}\nk_grid: {min: 1.0, max: 10.0}\n"
+        "material: {modulus: 1.0e+300, density: 1.0e-10}\n",
+        ["material: modulus / density overflows (got 1e+300 / 1e-10)"],
+    ),
+    (
+        "integer_beyond_float_range",
+        "beam",
+        f"kernel: {{kind: exponential, l0: {10**400}}}\nhorizon: {{l_f: -{10**400}}}\n",
+        ["kernel.l0: must be finite (got inf)", "horizon.l_f: must be finite (got -inf)"],
+    ),
+    (
         "non_finite_kernel_length",
         "beam",
         "kernel: {kind: exponential, l0: .inf}\nhorizon: {l_f: 0.5}\n",
@@ -461,6 +476,49 @@ def test_invalid_documents_give_exactly_these_errors(subcommand, text, lines):
     with pytest.raises(ConfigError) as info:
         parse_config(text, subcommand)
     assert list(info.value.errors) == lines
+
+
+# Parses one document with 8 GiB available and prints the peak bytes it
+# traced, then its errors.
+PARSE_WITH_8_GIB = """
+import sys, tracemalloc
+from nle import config, fem
+fem.available_memory = lambda: 8 * 2**30
+tracemalloc.start()
+try:
+    config.parse_config(sys.stdin.read(), "dispersion")
+except config.ConfigError as exc:
+    print(tracemalloc.get_traced_memory()[1], *exc.errors, sep="\\n")
+"""
+
+
+def test_a_k_grid_that_cannot_fit_is_refused_before_it_is_built():
+    # 3e8 wavenumbers take 9.6 GB as a tuple: the parse runs in a child capped
+    # at 2 GB of address space, where building them ends in a MemoryError
+    text = (
+        "kernel: {kind: local}\nk_grid: {min: 1.0, max: 10.0, count: 300000000}\n"
+        "material: {density: 0}\n"
+    )
+    cap = 2 * 10**9
+    src = str(pathlib.Path(config.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSE_WITH_8_GIB],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, *lines = proc.stdout.splitlines()
+    assert int(peak) < 2**20
+    assert lines == [
+        "material.density: must be positive (got 0.0)",
+        "k_grid.count: 300000000 wavenumbers need 83.8 GiB, "
+        "but only 8.00 GiB of memory is available",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +616,6 @@ def _recorded(subcommand, target, kernels, **fields):
             case=None,
             load=None,
             elements=(),
-            material=None,
             k_values=(),
             refinements=None,
             threads=1,
@@ -601,14 +658,14 @@ SHIPPED_VALUES = {
         "dispersion",
         "dispersion",
         [("exponential", 2.5e-3)],
-        material=DISPERSION_MATERIAL,
+        section=DISPERSION_MATERIAL,
         k_values=_k_grid(40.0, 2000.0, 100),
     ),
     "dispersion_power_law.yaml": _recorded(
         "dispersion",
         "dispersion",
         [("power_law", 0.75)],
-        material=DISPERSION_MATERIAL,
+        section=DISPERSION_MATERIAL,
         k_values=_k_grid(1.0, 10000.0, 100),
     ),
     "plate_simply_supported.yaml": _recorded(

@@ -195,6 +195,21 @@ def test_horizons_clip_to_the_node_span(kernel):
         assert value == pytest.approx(ref, rel=1e-10), x
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-12], ids=["at_a_node", "past_a_node"])
+def test_power_law_oracle_holds_at_and_beside_a_node(offset):
+    # the oracle used to leave the operator by 1.8e-6 at nodes[4] and by
+    # 8.7e-4 at 1e-12 past it (the operator matches a 40-digit mpmath sum at
+    # both); integrated in s^(1 - alpha) it reads 6.1e-16 and 4.9e-16
+    nodes = np.linspace(-0.3, 0.7, 41)
+    samples = np.sin(2.1 * nodes) + 0.3 * nodes**2
+    x, kernel = nodes[4] + offset, PowerLawKernel(0.75)
+    value = build_operator_matrix(nodes, np.array([x]), 0.2, kernel).apply(samples)[0]
+    horizon = Horizon(l_f=0.2, x_min=-0.3, x_max=0.7)
+    df = _interp_gradient(nodes, samples)
+    ref = continuous_gradient(df, x, horizon, kernel, breakpoints=nodes)
+    assert value == pytest.approx(ref, rel=1e-13)
+
+
 def test_local_delta_rows_are_element_gradients():
     nodes = np.linspace(0.0, 1.0, 11)
     pts = np.array([0.05, 0.55, 0.96])
