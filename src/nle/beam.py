@@ -24,7 +24,8 @@ table, which fem.kronecker_system writes, lower triangle only, and applies
 as it does the plate's; the blocks on the same free nodes share each Gram.
 The hat rows and the shear rule's N-N Gram do not depend on the kernel: a
 model builds them once, on first use, and every quadrature and assembly
-after that reads them.
+after that reads them.  A sweep table names the case column `load_case`
+and the metric, the tip or midspan deflection, `w_max`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "BeamSection",
     "TimoshenkoBeamModel",
     "LOAD_CASES",
-    "BEAM_SWEEP_COLUMNS",
 ]
 
 U0, W0, THETA = FIELDS = 0, 1, 2
@@ -98,20 +98,8 @@ class BeamSection:
         return self.modulus / (2.0 * (1.0 + self.poisson))
 
 
-BEAM_SWEEP_COLUMNS = (
-    "kernel",
-    "param",
-    "l_f",
-    "load_case",
-    "w_max_nonlocal",
-    "w_max_local",
-    "w_bar",
-    "status",
-)
-
-
 class TimoshenkoBeamModel:
-    sweep_columns = BEAM_SWEEP_COLUMNS
+    case_column, metric_name = "load_case", "w_max"
 
     def __init__(self, section: BeamSection, load: float, load_case: str, n_elements: int = 200):
         if load_case not in LOAD_CASES:
@@ -135,11 +123,7 @@ class TimoshenkoBeamModel:
 
     @property
     def metadata(self) -> dict[str, str]:
-        return {
-            "model": "beam",
-            "load_case": self.case,
-            "n_elements": self.axes.resolution,
-        }
+        return {"model": "beam", "n_elements": self.axes.resolution}
 
     @property
     def held_bytes(self) -> int:

@@ -95,11 +95,13 @@ def _number(value, positive: bool = True) -> float:
     return number
 
 
-def _integer(value, minimum: int) -> int:
+def _integer(value, minimum: int, maximum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"must be >= {minimum} (got {value!r})")
+    if value > maximum:
+        raise ValueError(f"must be <= {maximum} (got {value!r})")
     return value
 
 
@@ -164,8 +166,9 @@ class _Block:
                 self.errors.append(f"{self._at(key)}{f'[{i}]' if listed else ''}: {exc}")
         return out
 
-    def integer(self, key, default=None, *, minimum):
-        return self._read(key, lambda value: _integer(value, minimum), default)
+    def integer(self, key, default=None, *, minimum, maximum=sys.maxsize):
+        """An integer in [minimum, maximum]: by default, a count a machine integer holds."""
+        return self._read(key, lambda value: _integer(value, minimum, maximum), default)
 
     def choice(self, key, options, default=None):
         def parse(value):
@@ -256,7 +259,9 @@ def _structure(top: _Block, errors: list[str], target: str) -> dict:
         errors.append(f"load.{key}: must be nonzero")
     load.close()
     mesh = top.block("mesh")
-    elements = tuple(mesh.integer(name, default, minimum=minimum) for name in names)
+    # an axis of n elements has n + 1 nodes, each with a machine-integer index
+    most = sys.maxsize - 1
+    elements = tuple(mesh.integer(name, default, minimum=minimum, maximum=most) for name in names)
     mesh.close()
     lengths = ("length",) if target == "beam" else ("length_x", "length_y")
     for name, n, length in zip(names, elements, lengths):
@@ -274,9 +279,11 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         raise ConfigError([f"unknown subcommand {subcommand!r}"])
     # libyaml's parser when PyYAML was built with it: the same documents, about 8x faster
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # a scalar's constructor raises ValueError, not YAMLError: an integer
+    # beyond Python's digit limit, a date such as 2020-13-45
     try:
         data = yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError([f"not valid YAML: {exc}"]) from None
     if data is None:
         data = {}

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import mmap
 import re
+import resource
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -272,11 +273,28 @@ class StiffnessSystem:
 def available_memory() -> int | None:
     """Bytes this process may still take, or None if unknown.
 
-    That is the smaller of what the operating system reports as available
-    and the headroom of the process's memory cgroups, when either is known.
+    That is the least of what the operating system reports as available,
+    the headroom of the process's memory cgroups and that of its address
+    space, when any is known.
     """
-    known = [b for b in (_meminfo_available(), _cgroup_headroom()) if b is not None]
-    return min(known, default=None)
+    figures = (_meminfo_available(), _cgroup_headroom(), _address_space_headroom())
+    return min((b for b in figures if b is not None), default=None)
+
+
+def _address_space_headroom() -> int | None:
+    """The soft RLIMIT_AS (`ulimit -v`) less the process's address space, or None when unset.
+
+    An allocation counts whole against that limit as soon as it is mapped,
+    backed or not.
+    """
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        return None
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            return max(limit - int(fh.read().split()[0]) * mmap.PAGESIZE, 0)
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _meminfo_available() -> int | None:
@@ -404,21 +422,27 @@ def dense_block(n: int) -> np.ndarray:
     """Zeroed n x n float64 array in column-major (LAPACK) order.
 
     Raises SolverError, before allocating, when the pages the array will back
-    would not fit in the available memory.  The block gets its own anonymous
-    mapping, advised against transparent huge pages, so that only the pages
-    written are backed: the upper triangle of a block that stores its lower
-    triangle then costs no memory.  numpy advises huge pages for every array
-    from 4 MiB on, and every 2 MiB page of a column-major block holds some
-    lower-triangle entry, which would back all of it.  Once its pages are
-    faulted in, a block factors about as fast on small pages as on huge ones:
-    cho_factor medians on 2 threads read 0.096-0.102 s against 0.094-0.100 s
-    for the 24x24 plate's 2,645 dofs, 0.46-0.50 s against 0.44-0.49 s for the
-    32x32 plate's 4,805, two runs each on a 2-core Xeon.
+    would not fit in the available memory, and when its mapping is refused
+    (under an address-space limit the whole span counts).  The block gets its
+    own anonymous mapping, advised against transparent huge pages, so that
+    only the pages written are backed: the upper triangle of a block that
+    stores its lower triangle then costs no memory.  numpy advises huge pages
+    for every array from 4 MiB on, and every 2 MiB page of a column-major
+    block holds some lower-triangle entry, which would back all of it.  Once
+    its pages are faulted in, a block factors about as fast on small pages as
+    on huge ones: cho_factor medians on 2 threads read 0.096-0.102 s against
+    0.094-0.100 s for the 24x24 plate's 2,645 dofs, 0.46-0.50 s against
+    0.44-0.49 s for the 32x32 plate's 4,805, two runs each on a 2-core Xeon.
     """
     check_fits(n, margin=0)
     if n == 0:  # mmap rejects a zero length
         return np.zeros((0, 0), order="F")
-    pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    try:
+        pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
+        raise SolverError(
+            f"a dense block of {n} dofs spans {8 * n * n / 2**30:.2f} GiB: {exc}"
+        ) from exc
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         pages.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(pages, dtype=float).reshape((n, n), order="F")

@@ -29,7 +29,8 @@ first use, and keeps them.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
-The assembled block covers the free dofs in that order.
+The assembled block covers the free dofs in that order.  A sweep table
+names the boundary set's column `bc` and the center deflection `w_center`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "PlateSection",
     "MindlinPlateModel",
     "BOUNDARY_CONDITIONS",
-    "PLATE_SWEEP_COLUMNS",
 ]
 
 U, V, W, TX, TY = FIELDS = 0, 1, 2, 3, 4
@@ -92,20 +92,8 @@ class PlateSection:
         return self.modulus / (2.0 * (1.0 + self.poisson))
 
 
-PLATE_SWEEP_COLUMNS = (
-    "kernel",
-    "param",
-    "l_f",
-    "bc",
-    "w_center_nonlocal",
-    "w_center_local",
-    "w_bar",
-    "status",
-)
-
-
 class MindlinPlateModel:
-    sweep_columns = PLATE_SWEEP_COLUMNS
+    case_column, metric_name = "bc", "w_center"
 
     def __init__(
         self,
@@ -137,12 +125,7 @@ class MindlinPlateModel:
     @property
     def metadata(self) -> dict[str, str]:
         nx, ny = self.axes.x_axis.n_elements, self.axes.y_axis.n_elements
-        return {
-            "model": "plate",
-            "bc": self.case,
-            "nx": str(nx),
-            "ny": str(ny),
-        }
+        return {"model": "plate", "nx": str(nx), "ny": str(ny)}
 
     # The per-axis rows and Grams hold under 1 MiB at 48x48, which the BLAS
     # margin's fixed 8 MiB covers, so the memory check counts only blocks.

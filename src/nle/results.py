@@ -92,16 +92,18 @@ class Model(Protocol):
     same model, holding whatever that system's solve left.  held_bytes is
     what the model's rows and Grams take besides the block; fem.check_fits
     counts both.  The metric is |u| at metric_dof.  case fills the fourth
-    CSV column (load case or boundary set), sweep_columns names the CSV
-    columns and metadata holds the manifest entries of the model's physics,
-    to which sweep adds those of its free block.
+    CSV column, which case_column names (the beam's `load_case`, the plate's
+    `bc`); metric_name names the metric (`w_max`, `w_center`) in the two
+    deflection columns.  metadata holds the manifest entries of the model's
+    physics, to which sweep adds the case and those of its free block.
     """
 
     axes: fem.Axes
     held_bytes: int
     metric_dof: int
     case: str
-    sweep_columns: tuple[str, ...]
+    case_column: str
+    metric_name: str
     metadata: dict[str, str]
 
     def quadratures(self, kernel: Kernel, horizon_radius: float) -> dict: ...
@@ -158,9 +160,10 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     domain.  A failing configuration keeps its row with an error status and
     leaves no entry, and the sweep continues.  Rows come back in grid order
     at any thread count; threads that meet one key at once may both solve
-    it, to the same bits.  The result's metadata adds to the model's the
-    entries of its free block (fem.block_metadata) and `solves`, the number
-    of keys that solved (distinct systems, not solve calls).
+    it, to the same bits.  The result's metadata adds to the model's its
+    case, under case_column, the entries of its free block
+    (fem.block_metadata) and `solves`, the number of keys that solved
+    (distinct systems, not solve calls).
 
     Every system of one model has the same free block, so a solve hands its
     matrix, the factor or a failed factorization's remains, to the next
@@ -218,6 +221,10 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
         by_config[config] = w
         return w
 
+    metric = model.metric_name
+    columns = ("kernel", "param", "l_f", model.case_column)
+    columns += (f"{metric}_nonlocal", f"{metric}_local", "w_bar", "status")
+
     def evaluate(config: tuple[KernelSpec, float]) -> tuple:
         spec, l_f = config
         head = (spec.kind, spec.param, l_f, model.case)
@@ -232,8 +239,9 @@ def sweep(model: Model, kernel_grid: list[KernelSpec], l_f_grid, threads: int = 
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(evaluate, configs))
-    metadata = {**model.metadata, **fem.block_metadata(n), "solves": str(len(solved))}
-    return SweepResult(columns=model.sweep_columns, rows=rows, metadata=metadata)
+    metadata = {**model.metadata, model.case_column: model.case, **fem.block_metadata(n)}
+    metadata["solves"] = str(len(solved))
+    return SweepResult(columns=columns, rows=rows, metadata=metadata)
 
 
 def write_manifest(path, entries: dict[str, str]) -> None:

@@ -2,6 +2,7 @@ import ctypes
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -760,6 +761,28 @@ def test_module_entry_point_runs_the_cli():
     assert proc.stdout.strip() == "nle 0.1.0"
 
 
+def test_a_k_grid_beyond_the_address_space_limit_is_a_config_error(tmp_path):
+    # 2e7 wavenumbers take 5.6 GiB by the config's rule: a child capped at
+    # 2 GiB of address space must refuse them, not end in a MemoryError
+    config = tmp_path / "run.yaml"
+    config.write_text("kernel: {kind: local}\nk_grid: {min: 1.0, max: 10.0, count: 20000000}\n")
+    cap = 2 * 2**30
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nle.cli", "dispersion", "--config", str(config)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    line, category = proc.stderr.splitlines()
+    assert line.startswith("config error: k_grid.count: 20000000 wavenumbers need 5.59 GiB, ")
+    assert category == "error: category=CONFIG"
+
+
 def test_importing_the_cli_leaves_out_scipy_integrate():
     # only the continuous operator uses adaptive quadrature, and no CLI path
     # calls it, so scipy.integrate must not load with the package
@@ -846,7 +869,9 @@ def sweep_table(rows, errors=()):
             table.append((kind, param, l_f, "cantilever_tip", None, None, None, "error:SolverError"))
         else:
             table.append((kind, param, l_f, "cantilever_tip", 1e-6 * w_bar, 1e-6, w_bar, "ok"))
-    return SweepResult(columns=beam.BEAM_SWEEP_COLUMNS, rows=table, metadata={})
+    columns = ("kernel", "param", "l_f", "load_case")
+    columns += ("w_max_nonlocal", "w_max_local", "w_bar", "status")
+    return SweepResult(columns=columns, rows=table, metadata={})
 
 
 def spoiled(rows, index, w_bar):

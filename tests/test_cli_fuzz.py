@@ -5,7 +5,8 @@ Hypothesis writes configuration documents for all five subcommands, with
 grids, or meshes so large that fem.check_fits refuses them and wavenumber
 grids too large for memory; the other half have one
 value replaced by an edge value (0, -0.0, the smallest subnormal, 1e300,
-infinities, NaN, a string, a list, None or True).  Threads stay within 1-4.
+infinities, NaN, integers of 21, 401 and 5,001 digits, a string, a list,
+None or True).  Threads stay within 1-4.
 Each run must return 0, 2, 3, 4 or 5: an uncaught exception, which the
 command line would end with exit 1, fails the test.  A run that exits 2
 must list each problem once: its error lines are distinct, and a rule of a
@@ -29,8 +30,25 @@ from hypothesis import strategies as st
 
 from nle import cli
 
+
+class Digits(str):
+    """A decimal integer written as a plain YAML scalar: one too long for Python's int() limit."""
+
+
+class Dumper(yaml.SafeDumper):
+    pass
+
+
+Dumper.add_representer(
+    Digits, lambda dumper, text: dumper.represent_scalar("tag:yaml.org,2002:int", text)
+)
+
+# 10**20 has nodes beyond any index, 10**400 lies beyond float range, and
+# PyYAML cannot read an integer of 5,001 digits
+HUGE_INTEGERS = [10**20, 10**400, Digits("1" + "0" * 5000)]
 EDGES = st.sampled_from(
-    [0, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, "text", [1.0], None, True]
+    [0, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, *HUGE_INTEGERS]
+    + ["text", [1.0], None, True]
 )
 
 
@@ -150,7 +168,7 @@ def run_cli(subcommand: str, doc: dict, verify: bool) -> tuple[int, list[str]]:
     """The exit code of one run and its config error lines."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.yaml"
-        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        config.write_text(yaml.dump(doc, Dumper=Dumper), encoding="utf-8")
         argv = [subcommand, "--config", str(config), "--out", str(Path(tmp) / "out")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -198,6 +216,12 @@ ZERO_METRIC_PLATE = {
 # get one line
 HUGE_K = {"min": 1.0, "max": 10.0, "count": 300000000}
 ZERO_LENGTH_BEAM = {"kernel": {"kind": "local"}, "horizon": {"l_f": 0.5}, "geometry": {"length": 0}}
+# a count whose nodes cannot be indexed, one beyond float range, and an l0
+# that PyYAML cannot read
+LOCAL = {"kernel": {"kind": "local"}, "horizon": {"l_f": 0.5}}
+HUGE_BEAM = {**LOCAL, "mesh": {"n_elements": HUGE_INTEGERS[0]}}
+HUGE_PLATE = {**LOCAL, "mesh": {"nx": HUGE_INTEGERS[1], "ny": 2}}
+UNREADABLE_L0 = {"kernel": {"kind": "exponential", "l0": HUGE_INTEGERS[2]}, "k_grid": TINY_K}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # edge values overflow on the way
@@ -211,6 +235,9 @@ ZERO_LENGTH_BEAM = {"kernel": {"kind": "local"}, "horizon": {"l_f": 0.5}, "geome
 @example(run=("plate", ZERO_METRIC_PLATE), verify=False)
 @example(run=("beam", ZERO_LENGTH_BEAM), verify=False)
 @example(run=("dispersion", {"kernel": {"kind": "local"}, "k_grid": HUGE_K}), verify=False)
+@example(run=("beam", HUGE_BEAM), verify=False)
+@example(run=("plate", HUGE_PLATE), verify=False)
+@example(run=("dispersion", UNREADABLE_L0), verify=False)
 def test_every_run_ends_in_a_categorized_exit(run, verify):
     subcommand, doc = run
     code, errors = run_cli(subcommand, doc, verify)

@@ -234,6 +234,13 @@ def test_k_grid_must_be_ordered_and_positive():
 def test_invalid_yaml_and_non_mapping_top_level():
     assert "not valid YAML" in errors_of("kernel: [unclosed", "beam")
     assert "expected a mapping" in errors_of("- just\n- a\n- list\n", "beam")
+    # PyYAML raises ValueError, not YAMLError, from its int and date constructors
+    digits = f"kernel: {{kind: exponential, l0: 1{'0' * 5000}}}\n"
+    (line,) = errors_of(digits + "k_grid: {min: 1.0, max: 2.0}\n", "dispersion").splitlines()
+    assert line.startswith("not valid YAML: ") and "5001 digits" in line
+    assert errors_of(BEAM_MINIMAL + "output: 2020-13-45\n", "beam") == (
+        "not valid YAML: month must be in 1..12"
+    )
 
 
 def test_unknown_subcommand_is_rejected():
@@ -388,6 +395,18 @@ horizon: {l_f_grid: []}
         "beam",
         f"kernel: {{kind: exponential, l0: {10**400}}}\nhorizon: {{l_f: -{10**400}}}\n",
         ["kernel.l0: must be finite (got inf)", "horizon.l_f: must be finite (got -inf)"],
+    ),
+    (
+        "mesh_count_beyond_indexing",
+        "beam",
+        LOCAL + f"mesh: {{n_elements: {10**20}}}\n",
+        [f"mesh.n_elements: must be <= {sys.maxsize - 1} (got {10**20})"],
+    ),
+    (
+        "mesh_count_beyond_float_range",
+        "plate",
+        LOCAL + f"mesh: {{nx: {10**400}, ny: 4}}\n",
+        [f"mesh.nx: must be <= {sys.maxsize - 1} (got {10**400})"],
     ),
     (
         "non_finite_kernel_length",

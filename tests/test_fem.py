@@ -1,5 +1,10 @@
 import dataclasses
 import mmap
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -610,6 +615,42 @@ def test_every_dense_block_is_a_zeroed_mapping_of_its_own(n):
         assert not block.flags.owndata and block.ctypes.data % mmap.PAGESIZE == 0
         block[:, n - 1] = 1.0
         assert block.sum() == n
+
+
+# With the address space's headroom as the only figure, prints the available
+# memory and that headroom, then maps a block that backs about two thirds of
+# it but spans 4/3 of it.
+MAP_UNDER_A_CAP = """
+import math
+from nle import fem
+fem._meminfo_available = fem._cgroup_headroom = lambda: None
+have = fem.available_memory()
+print(have, fem._address_space_headroom())
+try:
+    fem.dense_block(math.isqrt(have // 6))
+except fem.SolverError as exc:
+    print(exc)
+"""
+
+
+def test_an_address_space_limit_bounds_the_memory_and_refuses_a_block_that_spans_past_it():
+    # the limit is the child's own, set as it starts
+    cap = 2 * 2**30
+    src = str(pathlib.Path(fem.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAP_UNDER_A_CAP],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    figures, refusal = proc.stdout.splitlines()
+    have, headroom = map(int, figures.split())
+    assert 0 < have == headroom < cap
+    assert refusal.startswith("a dense block of ") and "Cannot allocate memory" in refusal
 
 
 def test_available_memory_is_a_byte_count_or_unknown():
