@@ -346,12 +346,19 @@ def _spreads(ok: list[dict]) -> list[float]:
 
 
 def _operator_gap(t) -> float:
-    """The printed relation's worst relative gap to the one read off the production operator,
-    over a horizon of 15 l0 (truncation below 1e-6) or, for the local kernel, one wavelength."""
+    """The printed relation's worst relative gap to the one read off the production operator.
+
+    The exponential kernel is compared over a horizon of l0 max(15, ln(1 + 6e5 k l0)): cutting
+    the kernel there moves vp^2 by about 2 k l0 exp(-horizon / l0) of itself, so the gap stays
+    below 3e-6 from long waves to k l0 = 5000.  The local kernel is compared over one wavelength.
+    """
     kernel = t.spec.build()
     gaps = []
     for k, real, imag in zip(t.ks, t.re, t.im):
-        horizon = 15.0 * t.spec.param if t.spec.kind == "exponential" else 2.0 * math.pi / k
+        if t.spec.kind == "exponential":
+            horizon = t.spec.param * max(15.0, math.log1p(6e5 * k * t.spec.param))
+        else:
+            horizon = 2.0 * math.pi / k
         oracle = dispersion.numerical_dispersion(k, t.cfg.section, kernel, horizon)
         printed = complex(real, imag)
         gaps.append(abs(oracle - printed) / abs(printed))

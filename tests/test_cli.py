@@ -445,8 +445,10 @@ def test_verify_failure_exits_with_its_own_code(tmp_path, capsys):
     [
         (ROOT / "configs" / "dispersion_exponential.yaml").read_text(encoding="utf-8"),
         DISPERSION_YAML.replace("kind: exponential\n  l0: 0.001", "kind: local"),
+        # k*l0 from 50 to 500: over a horizon of 15 l0 the gap read 2.64e-4
+        "kernel: {kind: exponential, l0: 0.05}\nk_grid: {min: 1000.0, max: 10000.0, count: 10}\n",
     ],
-    ids=["exponential", "local"],
+    ids=["exponential", "local", "exponential_short_waves"],
 )
 def test_dispersion_verify_compares_with_the_production_operator(tmp_path, capsys, text):
     code, _ = run(tmp_path, "dispersion", text, "--verify")

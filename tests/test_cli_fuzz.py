@@ -189,8 +189,9 @@ def assert_each_problem_listed_once(lines: list[str]) -> None:
 
 
 # The oracle mesh of `dispersion --verify` at k = 1e9 and l0 = 2.5e-3 holds
-# 7.6e8 nodes (5.69 GiB per coarse array); at k = 1.74e28 and l0 = 1 more
-# than an array can hold.  Both are refused before they allocate.
+# 1.43e9 nodes over its 28 l0 horizon (10.6 GiB per coarse array); at
+# k = 1.74e28 and l0 = 1 more than an array can hold.  Both are refused
+# before they allocate.
 GUARD_DOCUMENTS = [
     {"kernel": {"kind": "exponential", "l0": 2.5e-3}, "k_grid": {"min": 1e9, "max": 1e9, "count": 1}},
     {"kernel": {"kind": "exponential", "l0": 1.0}, "k_grid": {"min": 1.0, "max": 1.74e28, "count": 2}},
@@ -222,6 +223,8 @@ LOCAL = {"kernel": {"kind": "local"}, "horizon": {"l_f": 0.5}}
 HUGE_BEAM = {**LOCAL, "mesh": {"n_elements": HUGE_INTEGERS[0]}}
 HUGE_PLATE = {**LOCAL, "mesh": {"nx": HUGE_INTEGERS[1], "ny": 2}}
 UNREADABLE_L0 = {"kernel": {"kind": "exponential", "l0": HUGE_INTEGERS[2]}, "k_grid": TINY_K}
+# k*l0 beyond 1.34e154, where the closed form's (k*l0)**2 overflows
+OVERFLOWING_L0 = {"kernel": {"kind": "exponential", "l0": 1e300}, "k_grid": {"min": 1.0, "max": 2000.0}}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # edge values overflow on the way
@@ -238,6 +241,8 @@ UNREADABLE_L0 = {"kernel": {"kind": "exponential", "l0": HUGE_INTEGERS[2]}, "k_g
 @example(run=("beam", HUGE_BEAM), verify=False)
 @example(run=("plate", HUGE_PLATE), verify=False)
 @example(run=("dispersion", UNREADABLE_L0), verify=False)
+@example(run=("dispersion", OVERFLOWING_L0), verify=False)
+@example(run=("dispersion", OVERFLOWING_L0), verify=True)
 def test_every_run_ends_in_a_categorized_exit(run, verify):
     subcommand, doc = run
     code, errors = run_cli(subcommand, doc, verify)
@@ -248,8 +253,8 @@ def test_every_run_ends_in_a_categorized_exit(run, verify):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        (GUARD_DOCUMENTS[0], "needs 1.53e+09 nodes, 114 GiB, but only"),
-        (GUARD_DOCUMENTS[1], "needs 1.06e+31 nodes, 7.92e+23 GiB, more than an array can hold"),
+        (GUARD_DOCUMENTS[0], "needs 2.86e+09 nodes, 213 GiB, but only"),
+        (GUARD_DOCUMENTS[1], "needs 5.55e+31 nodes, 4.14e+24 GiB, more than an array can hold"),
     ],
     ids=["k_1e9", "k_1.74e28"],
 )

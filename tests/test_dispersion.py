@@ -1,13 +1,15 @@
+import functools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from continuous_operator import side_integral
 
 from nle.dispersion import (
     LongWaveDivergence,
     Material1D,
-    ResolutionError,
     dispersion_exponential,
     dispersion_powerlaw,
     numerical_dispersion,
@@ -89,6 +91,13 @@ def test_powerlaw_real_part_sign_tracks_exponent():
     )
 
 
+def test_exponential_beyond_the_float_range_of_its_square_is_zero():
+    # k*l0 = 1e300: (k*l0)**2 overflows and vp^2 is 0, the value it rounds to at k*l0 = 1e150
+    assert dispersion_exponential(1.0, MAT, 1e300) == complex(0.0, 0.0)
+    assert dispersion_exponential(1.0, MAT, 1e150) == complex(0.0, 0.0)
+    assert dispersion_exponential(2000.0, MAT, 1e300) == complex(0.0, 0.0)
+
+
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         dispersion_exponential(-1.0, MAT, 0.005)
@@ -122,39 +131,27 @@ def test_numerical_has_no_spurious_attenuation():
 
 
 def test_numerical_local_delta_recovers_local_velocity():
-    num = numerical_dispersion(
-        3.0, MAT, LocalDelta(), 0.1, points_per_wavelength=128
-    )
+    num = numerical_dispersion(3.0, MAT, LocalDelta(), 0.1)
     assert abs(num - C2) <= 1e-6 * C2
 
 
-def test_numerical_convergence_order_at_least_two():
+def test_numerical_convergence_order_at_least_two(monkeypatch):
     l0 = 0.05
     k = 1.0 / l0
     closed = dispersion_exponential(k, MAT, l0)
     errs = []
     for ppw in (80, 160):
-        num = numerical_dispersion(
-            k, MAT, ExponentialKernel(l0), 18.0 * l0, points_per_wavelength=ppw
-        )
+        monkeypatch.setattr(dispersion, "POINTS_PER_WAVELENGTH", ppw)
+        num = numerical_dispersion(k, MAT, ExponentialKernel(l0), 18.0 * l0)
         errs.append(abs(num - closed) / abs(closed))
     assert errs[0] / errs[1] >= 4.0
 
 
-def test_numerical_resolution_guards():
-    with pytest.raises(ResolutionError, match="points per wavelength"):
-        numerical_dispersion(1.0, MAT, ExponentialKernel(0.05), 1.0, points_per_wavelength=30)
-    with pytest.raises(ResolutionError, match="10 internal lengths"):
-        numerical_dispersion(1.0, MAT, ExponentialKernel(0.05), 0.2)
-    with pytest.raises(ResolutionError, match="singular at the origin"):
-        numerical_dispersion(1.0, MAT, PowerLawKernel(0.75), 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        numerical_dispersion(0.0, MAT, ExponentialKernel(0.05), 1.0)
-
-
-def test_numerical_reads_the_production_operator(monkeypatch):
+@pytest.mark.parametrize("kl0", [1.0, 500.0])
+def test_numerical_reads_the_production_operator(monkeypatch, kl0):
     # a 1e-3 defect on one side of every operator row must open a gap above
-    # the 1e-4 the oracle is held to
+    # the 1e-4 the oracle is held to, also over the longer horizon that
+    # `dispersion --verify` compares short waves at (1.0e-3 at k*l0 = 500)
     def skewed(nodes, eval_points, horizon_radius, kernel):
         op = build_operator_matrix(nodes, eval_points, horizon_radius, kernel)
         leading = op.nodes[None, :] > op.eval_points[:, None]
@@ -163,15 +160,81 @@ def test_numerical_reads_the_production_operator(monkeypatch):
 
     monkeypatch.setattr(dispersion, "build_operator_matrix", skewed)
     l0 = 0.05
-    k = 1.0 / l0
+    k = kl0 / l0
     closed = dispersion_exponential(k, MAT, l0)
-    num = numerical_dispersion(k, MAT, ExponentialKernel(l0), 15.0 * l0)
+    horizon = l0 * max(15.0, math.log1p(6e5 * kl0))
+    num = numerical_dispersion(k, MAT, ExponentialKernel(l0), horizon)
     assert abs(num - closed) > 1e-4 * abs(closed)
+
+
+# ---------------------------------------------------------------------------
+# the power-law relation the operator gives
+# ---------------------------------------------------------------------------
+
+L_F = 0.5
+ALPHAS = (0.6, 0.75, 0.9)
+POWER_LAW_KS = (1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4)
+
+
+def interior_ratio(alpha, k, l_f):
+    """int_0^l_f s^-alpha cos(ks) ds / int_0^l_f s^-alpha ds, at 30 digits.
+
+    The numerator is Re[(-ik)^(alpha-1) gamma(1-alpha, -ik l_f)], gamma the
+    lower incomplete gamma function.  A direct mpmath.quad of s^-alpha cos(ks)
+    misses it by up to 4.5e-4 at alpha = 0.9.
+    """
+    with mp.workdps(30):
+        a, z = mp.mpf(alpha), -1j * mp.mpf(k)
+        numerator = mp.re(z ** (a - 1) * mp.gammainc(1 - a, 0, z * l_f))
+        return float(numerator * (1 - a) / mp.mpf(l_f) ** (1 - a))
+
+
+@functools.cache
+def operator_relation(alpha):
+    """vp^2 read off the operator at each of POWER_LAW_KS, horizon L_F."""
+    return [numerical_dispersion(k, MAT, PowerLawKernel(alpha), L_F) for k in POWER_LAW_KS]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_interior_ratio_matches_the_substituted_quadrature(alpha):
+    kernel = PowerLawKernel(alpha)
+    for k in (1e-3, 0.1, 1.0, 10.0):
+        quadrature = side_integral(kernel, lambda s: math.cos(k * s), L_F)
+        quadrature /= float(kernel.interval_integral(L_F))
+        assert quadrature == pytest.approx(interior_ratio(alpha, k, L_F), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_the_power_law_relation_is_real(alpha):
+    # rounding in the symbol is divided by k^2: 4.3e-11 at k = 1e-3, <= 1.1e-13 from 0.1 up
+    for k, num in zip(POWER_LAW_KS, operator_relation(alpha)):
+        assert abs(num.imag) <= (1e-10 if k < 0.1 else 1e-12) * C2
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_the_power_law_relation_is_the_interior_symbol(alpha):
+    # measured: 3.5e-5 at worst (alpha = 0.6, k = 10), <= 3.1e-7 for k <= 1
+    for k, num in zip(POWER_LAW_KS, operator_relation(alpha)):
+        exact = C2 * interior_ratio(alpha, k, L_F) ** 2
+        assert abs(num.real - exact) <= 5e-5 * exact
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_the_power_law_relation_tends_to_the_local_velocity(alpha):
+    # 1 - vp^2 / (E/rho) -> k^2 l_f^2 (1 - alpha) / (3 - alpha) as k -> 0
+    k, num = POWER_LAW_KS[0], operator_relation(alpha)[0]
+    defect = k * k * L_F * L_F * (1.0 - alpha) / (3.0 - alpha)
+    assert 1.0 - num.real / C2 == pytest.approx(defect, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
 # the oracle's guard
 # ---------------------------------------------------------------------------
+
+def test_the_oracle_refuses_a_wavenumber_that_is_not_positive():
+    with pytest.raises(ValueError, match="positive"):
+        numerical_dispersion(0.0, MAT, ExponentialKernel(0.05), 1.0)
+
 
 def test_the_oracle_refuses_a_wavenumber_whose_square_underflows():
     with pytest.raises(fem.SolverError, match=r"k = 5e-324 is too small for the oracle: k\^2 underflows"):
