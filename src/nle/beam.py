@@ -18,19 +18,18 @@ VALUE_KEYS and MIDSPAN_CASES hold all else that tells the cases apart.
 Every case fixes a field at zero at one end, both or neither.  A beam is a
 plate with one y node: its fem.Axes holds the x mesh, no y mesh and the
 case's fixed ends, and gives the grid, the free node ranges and the HatRows
-of both rules (Gauss rule, hat rows and load).  Its 4 field blocks on and
+of both rules (Gauss rule, hat rows, load and N-N Gram), which do not
+depend on the kernel: a model builds them once, on first use, and every
+quadrature and assembly after that reads them.  Its 4 field blocks on and
 below the diagonal, Kronecker sums of one term kron(1, G), form a flat
 table, which fem.kronecker_system writes, lower triangle only, and applies
 as it does the plate's; the blocks on the same free nodes share each Gram.
-The hat rows and the shear rule's N-N Gram do not depend on the kernel: a
-model builds them once, on first use, and every quadrature and assembly
-after that reads them.  A sweep table names the case column `load_case`
-and the metric, the tip or midspan deflection, `w_max`.
+fem.ElasticSection checks the section.  A sweep table names the case
+column `load_case` and the metric, the tip or midspan deflection, `w_max`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,7 @@ MIDSPAN_CASES = ("ss_udtl",)
 
 
 @dataclass(frozen=True)
-class BeamSection:
+class BeamSection(fem.ElasticSection):
     """Rectangular prismatic section and isotropic elastic constants."""
 
     length: float = 1.0
@@ -78,13 +77,6 @@ class BeamSection:
     poisson: float = 0.3
     shear_correction: float = 5.0 / 6.0
 
-    def __post_init__(self) -> None:
-        for name in ("length", "width", "height", "modulus", "shear_correction"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive (got {getattr(self, name)!r})")
-        if not 0.0 <= self.poisson < 0.5:
-            raise ValueError(f"poisson ratio must lie in [0, 0.5) (got {self.poisson!r})")
-
     @property
     def area(self) -> float:
         return self.width * self.height
@@ -92,10 +84,6 @@ class BeamSection:
     @property
     def inertia(self) -> float:
         return self.width * self.height ** 3 / 12.0
-
-    @property
-    def shear_modulus(self) -> float:
-        return self.modulus / (2.0 * (1.0 + self.poisson))
 
 
 class TimoshenkoBeamModel:
@@ -114,12 +102,6 @@ class TimoshenkoBeamModel:
         # the node whose deflection defines w_max: midspan or tip by load case
         self.metric_node = axes.center_node() if load_case in MIDSPAN_CASES else axes.n_nodes - 1
         self.metric_dof = W0 * axes.n_nodes + self.metric_node
-
-    @functools.cached_property
-    def _shear_mass(self) -> np.ndarray:
-        """The shear rule's N-N Gram, which every assembly reads."""
-        hats = self.axes.hats[self.axes.x_axis, fem.SHEAR_POINTS]
-        return gram(hats.N, hats.N, hats.weights)
 
     @property
     def metadata(self) -> dict[str, str]:
@@ -165,7 +147,7 @@ class TimoshenkoBeamModel:
         inner = {
             "Sb": ((1.0, unit, gram(bend.B, bend.B, bend.weights)),),
             "Ss": ((1.0, unit, gram(shear.B, shear.B, shear.weights)),),
-            "Ms": ((1.0, unit, self._shear_mass),),
+            "Ms": ((1.0, unit, axes.hats[x, fem.SHEAR_POINTS].mass),),
             "Cs_t": ((1.0, unit, gram(shear.B, shear.N, shear.weights).T),),
         }
         blocks = [

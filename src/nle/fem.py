@@ -27,11 +27,12 @@ zeroed.
 
 Axes turns a model's axis meshes and fixed ends into its node grid and
 numbering, each field's free (y, x) node ranges, and one HatRows per
-distinct axis mesh and rule: the Gauss rule, the hat rows N at its points
-and the consistent load N^T w.  None of them depends on the kernel, so a
-model builds them once and hands them to every AxisQuadrature it builds.
-solve_metric and results.sweep read a model's free block size from its
-Axes too, so a model keeps only its physics.
+distinct axis mesh and rule: the Gauss rule, the hat rows N at its points,
+the consistent load N^T w and the N-N Gram.  None of them depends on the
+kernel, so a model builds them once for every AxisQuadrature and assembly.
+solve_metric and results.sweep read a model's free block size from its Axes
+too, and ElasticSection checks either model's section, so a model keeps only
+its physics.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import mmap
 import re
 import resource
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,7 @@ __all__ = [
     "BENDING_POINTS",
     "SHEAR_POINTS",
     "HatRows",
+    "ElasticSection",
     "AxisQuadrature",
     "gram",
     "StiffnessSystem",
@@ -85,6 +87,26 @@ SLAB_ENTRIES = 1 << 14
 # Where available_memory finds the process's cgroups.
 _PROC_CGROUP = "/proc/self/cgroup"
 _CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+class ElasticSection:
+    """The checks and shear modulus of a section dataclass with isotropic constants.
+
+    Every field but poisson must be positive, checked in field order, and
+    poisson must lie in [0, 0.5).
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "poisson" and not value > 0.0:
+                raise ValueError(f"{f.name} must be positive (got {value!r})")
+        if not 0.0 <= self.poisson < 0.5:
+            raise ValueError(f"poisson ratio must lie in [0, 0.5) (got {self.poisson!r})")
+
+    @property
+    def shear_modulus(self) -> float:
+        return self.modulus / (2.0 * (1.0 + self.poisson))
 
 
 class SolverError(RuntimeError):
@@ -122,13 +144,13 @@ class IntervalMesh:
 
 
 class HatRows:
-    """An axis mesh's n-point Gauss rule, its hat rows N, and its consistent load.
+    """An axis mesh's n-point Gauss rule, its hat rows N, consistent load and N-N Gram.
 
     points/weights are the global Gauss-Legendre abscissae and weights
     (element jacobian folded in); row g of N holds the hat-function values
-    at points[g].  None of them depends on the kernel, so a model builds
-    them once per rule and passes them to each AxisQuadrature; the arrays
-    are read-only, because every quadrature of the model shares them.
+    at points[g], and mass is the N-N Gram.  None of them depends on the
+    kernel, so a model builds them once per rule and shares them with each
+    AxisQuadrature and assembly; the arrays are read-only for that reason.
     """
 
     def __init__(self, mesh: IntervalMesh, n_points: int):
@@ -156,6 +178,13 @@ class HatRows:
         load = self.N.T @ self.weights
         load.flags.writeable = False
         return load
+
+    @functools.cached_property
+    def mass(self) -> np.ndarray:
+        """The N-N Gram, gram(N, N, weights); read-only."""
+        mass = gram(self.N, self.N, self.weights)
+        mass.flags.writeable = False
+        return mass
 
 
 @dataclass(frozen=True)

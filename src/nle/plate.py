@@ -23,9 +23,9 @@ the free block has 11,045 dofs and spans 0.91 GiB, but dense_block backs
 only the pages of its lower triangle.  The model's fem.Axes holds both axis
 meshes and the boundary set's fixed edges, and gives the grid, the node
 numbering, the center node, the free node ranges and the HatRows of each
-distinct axis mesh and rule (Gauss rule, hat rows and load).  Those and
-their N-N Grams do not depend on the kernel: a model builds them once, on
-first use, and keeps them.
+distinct axis mesh and rule (Gauss rule, hat rows, load and N-N Gram),
+which do not depend on the kernel: a model builds them once, on first use,
+and keeps them.  fem.ElasticSection checks the section.
 
 DOF layout is block-major: dof(field, node) = field * n_nodes + node with
 fields (u, v, w, theta_x, theta_y) = (0..4) and node(i, j) = j*(nx+1)+i.
@@ -70,7 +70,7 @@ BOUNDARY_CONDITIONS = tuple(FIXED_EDGES)
 
 
 @dataclass(frozen=True)
-class PlateSection:
+class PlateSection(fem.ElasticSection):
     """Rectangular planform, uniform thickness, isotropic elastic constants."""
 
     length_x: float = 1.0
@@ -79,17 +79,6 @@ class PlateSection:
     modulus: float = 30e9
     poisson: float = 0.3
     shear_correction: float = 5.0 / 6.0
-
-    def __post_init__(self) -> None:
-        for name in ("length_x", "length_y", "thickness", "modulus", "shear_correction"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive (got {getattr(self, name)!r})")
-        if not 0.0 <= self.poisson < 0.5:
-            raise ValueError(f"poisson ratio must lie in [0, 0.5) (got {self.poisson!r})")
-
-    @property
-    def shear_modulus(self) -> float:
-        return self.modulus / (2.0 * (1.0 + self.poisson))
 
 
 class MindlinPlateModel:
@@ -116,11 +105,6 @@ class MindlinPlateModel:
         )
         # the center node's deflection
         self.metric_dof = W * self.axes.n_nodes + self.axes.center_node()
-
-    @functools.cached_property
-    def _masses(self) -> dict[tuple[IntervalMesh, int], np.ndarray]:
-        """The N-N Gram of each of axes.hats, which every assembly reads."""
-        return {key: gram(hats.N, hats.N, hats.weights) for key, hats in self.axes.hats.items()}
 
     @property
     def metadata(self) -> dict[str, str]:
@@ -165,7 +149,7 @@ class MindlinPlateModel:
         @functools.cache
         def g(ax: IntervalMesh, npts: int, left: str, right: str) -> np.ndarray:
             if left == right == "N":
-                return self._masses[ax, npts]
+                return axes.hats[ax, npts].mass
             q = quadratures[ax, npts]
             rows = {"N": q.N, "B": q.B}
             return gram(rows[left], rows[right], q.weights)

@@ -182,11 +182,16 @@ def test_a_shipped_sweep_allocates_one_block_per_thread(
 
 
 def test_shipped_beam_sweep_builds_the_shear_mass_once(tmp_path, monkeypatch):
-    # 13 assemblies of 3 kernel-dependent Grams each, plus the model's N-N Gram
+    # 13 assemblies of 3 kernel-dependent Grams each; the N-N Gram is the
+    # shear rule's HatRows.mass, built once through fem.gram
     grams = _count_calls(monkeypatch, beam, "gram")
+    masses = _count_calls(monkeypatch, fem, "gram")
     config = ROOT / "configs" / "sweep_beam.yaml"
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
-    assert len(grams) == 40
+    assert len(grams) == 39
+    assert len(masses) == 1
+    N, other, _ = masses[0]
+    assert other is N and N.shape == (200 * fem.SHEAR_POINTS, 201)
 
 
 @pytest.mark.parametrize("config", ["sweep_beam.yaml", "sweep_plate.yaml"])

@@ -146,6 +146,26 @@ def test_gauss_rule_is_read_only():
         rule.points[0] = 0.0
 
 
+@pytest.mark.parametrize("rule", [fem.BENDING_POINTS, fem.SHEAR_POINTS])
+def test_hat_rows_mass_is_the_read_only_n_n_gram_built_once(monkeypatch, rule):
+    hats, builds, real = HatRows(IntervalMesh(1.3, 7), rule), [], fem.gram
+    monkeypatch.setattr(fem, "gram", lambda *args: builds.append(args) or real(*args))
+    mass = hats.mass
+    assert hats.mass is mass
+    assert len(builds) == 1
+    assert mass.tobytes() == gram(hats.N, hats.N, hats.weights).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        mass[0, 0] = 0.0
+
+
+def test_square_plate_axes_share_one_mass_per_rule():
+    axes = MindlinPlateModel(PlateSection(), 1.0, "clamped", 8, 8).axes
+    for rule in (fem.BENDING_POINTS, fem.SHEAR_POINTS):
+        x, y = axes.hats[axes.x_axis, rule], axes.hats[axes.y_axis, rule]
+        assert x is y
+        assert x.mass is y.mass
+
+
 def test_gauss_two_point_exact_to_cubics():
     rule = HatRows(IntervalMesh(2.0, 1), 2)
     points = rule.points - 1

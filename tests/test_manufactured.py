@@ -12,6 +12,14 @@ The errors are the largest nodal error relative to max|u*|, pinned as
 measured.  The local kernel's Galerkin solution is nodally exact up to
 rounding; the nonlocal ones converge at an observed order of 1.4 to 2.0
 from 400 to 800 elements.
+
+Asymptotic compatibility (Tian and Du, SIAM J. Numer. Anal. 52, 2014): with
+the ratio of the spacing h to the exponential kernel's l0 held fixed while
+both halve, the tip-loaded cantilever's w_bar - 1 tends to 0, the local
+limit.  Measured at l0 = 8e-3, 4e-3, 2e-3 and 1e-3 (elements round(1/h)):
+6.278e-4, 1.586e-4, 3.963e-5 and 9.949e-6 at h/l0 = 4 (31 to 250
+elements), and 2.091e-3, 9.558e-4, 4.553e-4 and 2.220e-4 at h/l0 = 1 (125
+to 1,000 elements).
 """
 
 import dataclasses
@@ -21,7 +29,7 @@ import numpy as np
 import pytest
 
 from continuous_operator import Horizon, continuous_gradient
-from nle import fem
+from nle import cli, fem
 from nle.beam import FIELDS, THETA, U0, W0, BeamSection, TimoshenkoBeamModel
 from nle.kernels import ExponentialKernel, LocalDelta, PowerLawKernel
 
@@ -77,3 +85,21 @@ def test_nonlocal_bar_converges_to_the_manufactured_solution(kernel, pinned):
 def test_local_bar_is_nodally_exact():
     for n in SIZES:
         assert relative_error(LocalDelta(), n) <= 1.1e-12
+
+
+@pytest.mark.parametrize("h_over_l0", [4.0, 1.0])
+def test_softening_tends_to_the_local_limit_with_h_over_l0_fixed(h_over_l0):
+    # about 4x per halving at h/l0 = 4, 2x at 1, where (w_bar - 1)/l0 tends to
+    # 0.63; the 500-element local solve needs the convergence tolerance
+    excess = []
+    for l0 in (8e-3, 4e-3, 2e-3):
+        n_elements = round(1 / (h_over_l0 * l0))
+        model = TimoshenkoBeamModel(BeamSection(), 1.0, "cantilever_tip", n_elements)
+        w, w_local = (
+            fem.solve_metric(model, kernel, L_F, cli.CONVERGENCE_RESIDUAL_TOL)
+            for kernel in (ExponentialKernel(l0), LocalDelta())
+        )
+        excess.append(w / w_local - 1)
+    assert all(e > 0 for e in excess)
+    factors = [a / b for a, b in zip(excess, excess[1:])]
+    assert all(1.8 <= f <= 4.5 for f in factors), factors

@@ -38,6 +38,23 @@ def test_section_validation():
         MindlinPlateModel(SECTION, 1.0, "welded")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("length_x", 0.0, "length_x must be positive (got 0.0)"),
+        ("thickness", 0.0, "thickness must be positive (got 0.0)"),
+        ("modulus", 0.0, "modulus must be positive (got 0.0)"),
+        ("shear_correction", -1.0, "shear_correction must be positive (got -1.0)"),
+        ("poisson", 0.5, "poisson ratio must lie in [0, 0.5) (got 0.5)"),
+        ("poisson", -0.1, "poisson ratio must lie in [0, 0.5) (got -0.1)"),
+    ],
+)
+def test_invalid_section_names_its_field_exactly(field, value, message):
+    with pytest.raises(ValueError) as raised:
+        PlateSection(**{field: value})
+    assert str(raised.value) == message
+
+
 def test_odd_mesh_fails_before_any_solve(monkeypatch):
     solves = []
     solve = fem.solve
